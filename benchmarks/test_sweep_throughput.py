@@ -8,9 +8,9 @@ session, and its dedup/cache/backend counters must be bit-for-bit
 deterministic so CI can assert them exactly.
 
 A second benchmark sweeps one grid slice through every registered
-execution backend (serial, process, socket-over-localhost) and pins
-each backend's scheduling counters plus result parity — the speedup
-number stays a process-backend property, but no backend may drift.
+execution backend (serial and process) and pins each backend's
+scheduling counters plus result parity — the speedup number stays a
+process-backend property, but no backend may drift.
 
 The session is three sweeps, the shape design-space exploration tools
 actually produce (EdgeProg/Approxify-style repeated what-if grids):
@@ -32,7 +32,7 @@ import time
 from conftest import run_once
 from test_fig11_multi_app import SCHEMES, fig11_factory, fig11_grid
 
-from repro.core import ANALYTIC_RTOL, ScenarioEngine, WorkerAgent, run_sweep
+from repro.core import ANALYTIC_RTOL, ScenarioEngine, run_sweep
 from repro.core.backends import backend_names
 from repro.workloads import FIG11_COMBOS
 
@@ -197,12 +197,8 @@ def test_sweep_session_throughput(benchmark, figure_printer):
 # ----------------------------------------------------------------------
 
 #: First four fig11 combos x three schemes — big enough to fan out into
-#: several chunks on every backend, small enough that the GIL-bound
-#: localhost socket pass stays cheap.
+#: several chunks on every backend, small enough to stay cheap.
 BACKEND_SLICE_POINTS = 12
-
-#: Socket workers for the localhost pass (chunking depends on it).
-SOCKET_WORKERS = 2
 
 
 def _backend_grid():
@@ -212,28 +208,17 @@ def _backend_grid():
 
 def _run_backend_session(name):
     """One sweep of the slice on ``name``; records + scheduling counters."""
-    agents = []
-    hosts = None
-    if name == "socket":
-        agents = [WorkerAgent().start() for _ in range(SOCKET_WORKERS)]
-        hosts = [agent.address for agent in agents]
-    try:
-        started = time.perf_counter()
-        with ScenarioEngine(
-            workers=WARM_WORKERS, backend=name, backend_hosts=hosts
-        ) as engine:
-            sweep = run_sweep(_backend_grid(), fig11_factory, engine=engine)
-            counters = {
-                key: value
-                for key, value in engine.metrics.snapshot().items()
-                if key.startswith("backend_") and isinstance(value, int)
-            }
-            counters["scenarios_run"] = engine.metrics.scenarios_run
-        wall_s = time.perf_counter() - started
-        return _records(sweep), counters, wall_s
-    finally:
-        for agent in agents:
-            agent.stop()
+    started = time.perf_counter()
+    with ScenarioEngine(workers=WARM_WORKERS, backend=name) as engine:
+        sweep = run_sweep(_backend_grid(), fig11_factory, engine=engine)
+        counters = {
+            key: value
+            for key, value in engine.metrics.snapshot().items()
+            if key.startswith("backend_") and isinstance(value, int)
+        }
+        counters["scenarios_run"] = engine.metrics.scenarios_run
+    wall_s = time.perf_counter() - started
+    return _records(sweep), counters, wall_s
 
 
 def test_backend_dimension_parity(benchmark, figure_printer):
@@ -262,7 +247,6 @@ def test_backend_dimension_parity(benchmark, figure_printer):
             {
                 "session": {
                     "grid": "fig11[:12]",
-                    "socket_workers": SOCKET_WORKERS,
                     "warm_workers": WARM_WORKERS,
                 },
                 "deterministic": counters,

@@ -1,8 +1,8 @@
 """Cross-process pickle-safety for execution-backend boundaries.
 
 Everything handed to ``submit_batch`` (and anything fed to
-``pickle.dumps`` for a worker frame) crosses a process or TCP boundary
-on the remote backends, so it must be transitively picklable.  The
+``pickle.dumps``) crosses a process boundary on the process backend,
+so it must be transitively picklable.  The
 classic failures are structural and visible statically: a lambda, a
 nested function closing over locals, or a value that drags a live
 process handle (a hub, a trace recorder, an open socket or file) into

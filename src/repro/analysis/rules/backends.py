@@ -3,13 +3,10 @@
 Modules under ``core/backends/`` are plugins, exactly like scheme
 modules: one file, one ``@register_backend`` class implementing the
 :class:`~repro.core.backends.base.ExecutionBackend` protocol.  These
-rules pin the contract documented in ``docs/extending.md`` — every
-plugin module registers exactly one backend, the registered class
+rules pin the contract documented in ``docs/extending.md``: every
+plugin module registers exactly one backend, and the registered class
 actually derives from ``ExecutionBackend`` and provides (or inherits
-from a concrete backend) ``submit_batch`` — plus one hygiene rule for
-the transport layer: no bare ``except:`` around socket I/O, because a
-handler that cannot name what it caught cannot decide between
-"re-dispatch the chunk" and "propagate the task failure".
+from a concrete backend) ``submit_batch``.
 """
 
 from __future__ import annotations
@@ -141,32 +138,3 @@ class BackendHooksRule(BackendModuleRule):
             and node.name == "submit_batch"
             for node in cls.body
         )
-
-
-@register_rule
-class BackendBareExceptRule(Rule):
-    """No bare ``except:`` anywhere in backend transport code."""
-
-    rule_id = "backend-bare-except"
-    description = (
-        "bare `except:` in a backend module — transport code must name"
-        " what it catches (OSError/EOFError/...) so lost-connection"
-        " retry and genuine task failure stay distinguishable"
-    )
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        """Every file under backends/, framework modules included."""
-        return ctx.in_dirs({"backends"})
-
-    def visit_ExceptHandler(
-        self, ctx: FileContext, node: ast.ExceptHandler
-    ) -> None:
-        """Flag handlers with no exception type at all."""
-        if node.type is None:
-            self.emit(
-                ctx,
-                node,
-                "bare except swallows KeyboardInterrupt/SystemExit and"
-                " hides whether the chunk can be retried; name the"
-                " exception types",
-            )

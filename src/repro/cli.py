@@ -17,11 +17,8 @@ Subcommands:
 * ``cache stats --cache-dir .cache`` — inspect, garbage-collect
   (``gc --max-bytes N``, oldest entries evicted first) or ``clear`` a
   result-cache directory; see ``docs/performance.md``.
-* ``worker --port 9000`` — serve scenario chunks to remote engines: the
-  agent side of the multi-host ``socket`` execution backend.  ``run``
-  and ``compare`` pick a backend with ``--backend serial|process|socket``
-  (``--backend-hosts host:port,host:port`` points at worker agents);
-  see ``docs/performance.md``.
+* ``run``, ``compare`` and ``serve`` pick an execution backend with
+  ``--backend serial|process``; see ``docs/performance.md``.
 * ``serve --port 8080`` — run the simulation service: a long-lived
   HTTP/JSON API accepting run/grid/sweep jobs from many clients, with
   per-client quotas, request coalescing and streamed progress events;
@@ -59,13 +56,13 @@ def _add_run_parser(subparsers) -> None:
     parser.add_argument(
         "--batch-size", type=int, default=None, help="partial batch size"
     )
-    _add_backend_flags(parser)
+    _add_backend_flag(parser)
     _add_cache_flags(parser)
     _add_fast_forward_flag(parser)
     _add_fidelity_flag(parser)
 
 
-def _add_backend_flags(parser) -> None:
+def _add_backend_flag(parser) -> None:
     from .core import backend_names
 
     parser.add_argument(
@@ -74,13 +71,6 @@ def _add_backend_flags(parser) -> None:
         choices=backend_names(),
         help="execution backend (default: $REPRO_BACKEND, else process "
         "when --workers > 1, else serial)",
-    )
-    parser.add_argument(
-        "--backend-hosts",
-        default=None,
-        metavar="HOST:PORT[,HOST:PORT...]",
-        help="worker agents for the socket backend "
-        "(default: $REPRO_BACKEND_HOSTS)",
     )
 
 
@@ -141,7 +131,7 @@ def _add_compare_parser(subparsers) -> None:
         default=1,
         help="worker processes for parallel scheme runs",
     )
-    _add_backend_flags(parser)
+    _add_backend_flag(parser)
     _add_cache_flags(parser)
     _add_fast_forward_flag(parser)
     _add_fidelity_flag(parser)
@@ -197,35 +187,7 @@ def _add_profile_parser(subparsers) -> None:
         default=None,
         help="write the export here instead of stdout",
     )
-    _add_backend_flags(parser)
     _add_fast_forward_flag(parser)
-
-
-def _add_worker_parser(subparsers) -> None:
-    parser = subparsers.add_parser(
-        "worker",
-        help="serve scenario chunks to remote engines (socket backend)",
-    )
-    parser.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="interface to bind (default: 127.0.0.1; use 0.0.0.0 to "
-        "accept engines from other machines)",
-    )
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="TCP port to listen on (default: 0 = pick a free port, "
-        "printed at startup)",
-    )
-    parser.add_argument(
-        "--max-requests",
-        type=int,
-        default=None,
-        help="exit abruptly after serving this many chunks (testing aid "
-        "for the engine's retry path)",
-    )
 
 
 def _add_serve_parser(subparsers) -> None:
@@ -273,7 +235,7 @@ def _add_serve_parser(subparsers) -> None:
         default=None,
         help="drain and exit after this many finished jobs (testing aid)",
     )
-    _add_backend_flags(parser)
+    _add_backend_flag(parser)
     _add_cache_flags(parser)
     _add_fast_forward_flag(parser)
     _add_fidelity_flag(parser)
@@ -497,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_profile_parser(subparsers)
     _add_cache_parser(subparsers)
-    _add_worker_parser(subparsers)
     _add_serve_parser(subparsers)
     _add_client_parser(subparsers)
     _add_lint_parser(subparsers)
@@ -518,7 +479,6 @@ def _cmd_run(args) -> int:
         fast_forward=args.fast_forward,
         cache_max_bytes=args.cache_max_bytes,
         backend=args.backend,
-        backend_hosts=args.backend_hosts,
         fidelity=args.fidelity,
     )
     try:
@@ -549,7 +509,6 @@ def _cmd_compare(args) -> int:
         fast_forward=args.fast_forward,
         cache_max_bytes=args.cache_max_bytes,
         backend=args.backend,
-        backend_hosts=args.backend_hosts,
         fidelity=args.fidelity,
     ) as engine:
         results = compare_schemes(
@@ -632,16 +591,8 @@ def _cmd_profile(args) -> int:
         write_jsonl,
     )
 
-    # Instrumentation attaches a live recorder to the run; spans cannot
-    # cross a process/host boundary, so only inline execution profiles.
-    if args.backend not in (None, "serial"):
-        print(
-            f"repro profile: --backend {args.backend} cannot carry the "
-            "trace recorder across a process boundary; use "
-            "--backend serial (or omit the flag)",
-            file=sys.stderr,
-        )
-        return 2
+    # Instrumentation attaches a live recorder to the run, so the
+    # scenario always executes inline.
     scenario = Scenario.of(
         args.apps,
         scheme=args.scheme,
@@ -702,25 +653,6 @@ def _cmd_cache(args) -> int:
     return 0
 
 
-def _cmd_worker(args) -> int:
-    from .core.backends import WorkerAgent
-
-    agent = WorkerAgent(
-        host=args.host, port=args.port, max_requests=args.max_requests
-    ).bind()
-    # The resolved address line is machine-readable on purpose: scripts
-    # (and the CI smoke test) parse it to learn an ephemeral port.
-    print(f"repro worker listening on {agent.address}", flush=True)
-    try:
-        agent.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        agent.stop()
-    print(f"repro worker stopped after {agent.served} chunk(s)")
-    return 0
-
-
 def _cmd_serve(args) -> int:
     import asyncio
 
@@ -739,7 +671,6 @@ def _cmd_serve(args) -> int:
         cache_max_bytes=args.cache_max_bytes,
         fast_forward=args.fast_forward,
         backend=args.backend,
-        backend_hosts=args.backend_hosts,
         fidelity=args.fidelity,
     )
     manager = JobManager(
@@ -906,8 +837,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_profile(args)
     if args.command == "cache":
         return _cmd_cache(args)
-    if args.command == "worker":
-        return _cmd_worker(args)
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "client":

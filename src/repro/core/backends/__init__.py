@@ -1,13 +1,12 @@
 """Pluggable execution backends for the scenario engine.
 
-Importing this package registers the three stock backends:
+Importing this package registers the two stock backends:
 
 ========== ==================================================== =========
 name       runs tasks                                           parallel
 ========== ==================================================== =========
 serial     inline in the calling process (debug/CI default)    no
 process    on a persistent local process pool                   yes
-socket     across ``repro-iot worker`` agents on other hosts    yes
 ========== ==================================================== =========
 
 Pick one by name with :func:`create_backend` (what the engine and the
@@ -18,13 +17,12 @@ CLI's ``--backend`` flag use), or register your own — see
 from __future__ import annotations
 
 import os
-from typing import Optional, Sequence
+from typing import Optional
 
 from .base import (
     CHUNKS_PER_WORKER,
     ExecutionBackend,
     adaptive_chunk_size,
-    chunked,
     run_chunk,
 )
 from .process import ProcessPoolBackend
@@ -36,7 +34,6 @@ from .registry import (
     unregister_backend,
 )
 from .serial import SerialBackend
-from .sockets import SocketBackend, WorkerAgent, parse_hosts
 
 #: Environment variable selecting the default backend by name.
 BACKEND_ENV = "REPRO_BACKEND"
@@ -56,18 +53,15 @@ def default_backend_name(workers: int = 1) -> str:
 
 
 def create_backend(
-    name: Optional[str] = None,
-    workers: int = 1,
-    hosts: Optional[Sequence[str]] = None,
+    name: Optional[str] = None, workers: int = 1
 ) -> ExecutionBackend:
     """Instantiate a backend by name via each class's ``create`` hook.
 
     ``name=None`` falls back to :func:`default_backend_name`.  Raises
-    :class:`~repro.errors.BackendError` for unknown names or missing
-    required configuration (e.g. a socket backend with no hosts).
+    :class:`~repro.errors.BackendError` for unknown names.
     """
     resolved = name or default_backend_name(workers)
-    return get_backend(resolved).create(workers=workers, hosts=hosts)
+    return get_backend(resolved).create(workers=workers)
 
 
 __all__ = [
@@ -76,16 +70,12 @@ __all__ = [
     "ExecutionBackend",
     "ProcessPoolBackend",
     "SerialBackend",
-    "SocketBackend",
-    "WorkerAgent",
     "adaptive_chunk_size",
     "backend_names",
-    "chunked",
     "create_backend",
     "default_backend_name",
     "get_backend",
     "iter_backends",
-    "parse_hosts",
     "register_backend",
     "run_chunk",
     "unregister_backend",

@@ -10,9 +10,8 @@ one method:
     thousands of tiny tasks don't pay one round-trip each.
 
 plus a uniform lifecycle (``open``/``close``/context manager, both
-idempotent), capability flags the engine consults
-(:attr:`ExecutionBackend.parallel`, :attr:`~ExecutionBackend.remote`,
-:attr:`~ExecutionBackend.multi_host`) and four counters every backend
+idempotent), one capability flag the engine consults
+(:attr:`ExecutionBackend.parallel`) and four counters every backend
 maintains identically (``spawns``/``dispatches``/``tasks``/``retries``)
 so tests and the perf-guard can assert scheduling behavior exactly.
 
@@ -26,8 +25,7 @@ Error attribution: a task that raises inside a dispatched chunk is
 re-raised as :class:`~repro.errors.ChunkTaskError` carrying the
 batch-global item index and the caller's label for that item, so a
 failure in point 713 of a grid names the scenario instead of an
-anonymous chunk — and so a multi-host backend knows the chunk genuinely
-failed (never retry) rather than the transport (retry elsewhere).
+anonymous chunk.
 """
 
 from __future__ import annotations
@@ -60,13 +58,6 @@ def adaptive_chunk_size(
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
     return max(1, math.ceil(task_count / (workers * chunks_per_worker)))
-
-
-def chunked(items: Sequence[ItemT], size: int) -> List[Sequence[ItemT]]:
-    """Split a sequence into consecutive chunks of at most ``size``."""
-    if size < 1:
-        raise ValueError(f"chunk size must be >= 1, got {size}")
-    return [items[start : start + size] for start in range(0, len(items), size)]
 
 
 def run_chunk(
@@ -115,44 +106,37 @@ class ExecutionBackend:
     Subclass in its own module under ``core/backends/``, register with
     ``@register_backend("<name>")``, implement :meth:`submit_batch`
     (and, when the backend owns external resources, :meth:`open` /
-    :meth:`close`), and set the capability flags.  The four counters
-    are part of the contract — ``tests/test_backends_contract.py``
-    asserts them for every registered backend.
+    :meth:`close`), and set :attr:`parallel`.  The four counters are
+    part of the contract — ``tests/test_backends_contract.py`` asserts
+    them for every registered backend.
     """
 
     #: Registry name; assigned by ``@register_backend``.
     name: str = ""
-    #: Whether independent chunks may genuinely run concurrently.
+    #: Whether chunks run concurrently in other processes.  Everything
+    #: then crosses a process boundary and must pickle, so the engine
+    #: strips live hubs before dispatch.
     parallel: bool = False
-    #: Whether results cross a process/host boundary (everything must
-    #: pickle; the engine strips live hubs before dispatch).
-    remote: bool = False
-    #: Whether the backend fans out to more than one host.
-    multi_host: bool = False
 
     def __init__(self) -> None:
-        #: Workers/processes/connections brought up (1 == perfect reuse).
+        #: Worker processes brought up (1 == perfect reuse).
         self.spawns = 0
         #: Chunks dispatched (each one round-trip to a worker).
         self.dispatches = 0
         #: Individual tasks shipped inside those chunks.
         self.tasks = 0
-        #: Chunks re-dispatched after a lost worker or timed-out reply.
+        #: Chunks re-dispatched after a lost worker (no stock backend
+        #: retries, so it stays 0; kept for the metric consumers).
         self.retries = 0
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def create(
-        cls,
-        workers: int = 1,
-        hosts: Optional[Sequence[str]] = None,
-    ) -> "ExecutionBackend":
-        """Build an instance from the engine's generic options.
+    def create(cls, workers: int = 1) -> "ExecutionBackend":
+        """Build an instance from the engine's ``workers`` option.
 
-        ``workers`` sizes local fan-out; ``hosts`` addresses remote
-        workers.  Backends that need neither ignore both.
+        Backends without local fan-out ignore it.
         """
         return cls()
 
@@ -199,15 +183,6 @@ class ExecutionBackend:
         its index and label.
         """
         raise NotImplementedError
-
-    def map(
-        self,
-        fn: Callable[[ItemT], ResultT],
-        items: Sequence[ItemT],
-        chunk_size: Optional[int] = None,
-    ) -> List[ResultT]:
-        """Backward-compatible alias of :meth:`submit_batch`."""
-        return self.submit_batch(fn, items, chunk_size=chunk_size)
 
     # ------------------------------------------------------------------
     # shared plumbing for implementations

@@ -1,4 +1,4 @@
-"""The local process-pool backend (the historical ``WorkerPool``).
+"""The local process-pool backend.
 
 ``concurrent.futures.ProcessPoolExecutor`` is the right local fan-out
 primitive, but the seed engine paid for it badly: every batch forked a
@@ -18,10 +18,19 @@ backend fixes both:
 
 The backend is deliberately dumb about *what* it runs: the engine hands
 it a picklable per-item function.  Results come back in item order.
+
+Workers forked from a long-lived service inherit its open sockets; a
+client connection the service closes would stay open in every worker,
+so a streamed response would never reach end-of-file.  Under the fork
+start method each worker therefore points its inherited sockets at
+``/dev/null`` first (the pool's own channels are pipes).
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import stat
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Callable, List, Optional, Sequence
 
@@ -35,6 +44,30 @@ from .base import (
 from .registry import register_backend
 
 
+def _release_inherited_sockets() -> None:
+    """Pool initializer: point every inherited socket at ``/dev/null``.
+
+    ``dup2`` keeps each descriptor number taken, so a later close of a
+    stale socket object in the worker closes ``/dev/null`` rather than
+    whatever file reused the number.
+    """
+    try:
+        names = os.listdir("/dev/fd")
+    except OSError:
+        return  # no descriptor listing on this platform
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for name in names:
+            fd = int(name)
+            try:
+                if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(null, fd)
+            except OSError:
+                continue  # the listing's own descriptor, closed by now
+    finally:
+        os.close(null)
+
+
 @register_backend("process")
 class ProcessPoolBackend(ExecutionBackend):
     """A lazily-spawned, reusable process pool with chunked dispatch.
@@ -45,8 +78,6 @@ class ProcessPoolBackend(ExecutionBackend):
     """
 
     parallel = True
-    remote = True
-    multi_host = False
 
     def __init__(self, max_workers: int) -> None:
         super().__init__()
@@ -56,9 +87,7 @@ class ProcessPoolBackend(ExecutionBackend):
         self._executor: Optional[ProcessPoolExecutor] = None
 
     @classmethod
-    def create(
-        cls, workers: int = 1, hosts: Optional[Sequence[str]] = None
-    ) -> "ProcessPoolBackend":
+    def create(cls, workers: int = 1) -> "ProcessPoolBackend":
         """Build a pool sized by the engine's ``workers`` option."""
         return cls(max_workers=workers)
 
@@ -74,8 +103,10 @@ class ProcessPoolBackend(ExecutionBackend):
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
+            forked = multiprocessing.get_start_method() == "fork"
             self._executor = ProcessPoolExecutor(
-                max_workers=self.max_workers
+                max_workers=self.max_workers,
+                initializer=_release_inherited_sockets if forked else None,
             )
             self.spawns += 1
         return self._executor

@@ -2,8 +2,8 @@
 
 Backends self-register at import time via :func:`register_backend`; the
 package ``__init__`` imports every built-in backend module, so importing
-anything from ``repro.core.backends`` guarantees the three stock
-backends (``serial``, ``process``, ``socket``) are present.  Third-party
+anything from ``repro.core.backends`` guarantees the two stock
+backends (``serial``, ``process``) are present.  Third-party
 backends register the same way — one module, one decorator, mirroring
 the scheme registry — and immediately work everywhere a backend name is
 accepted (:class:`~repro.core.engine.ScenarioEngine`, ``run_sweep``,

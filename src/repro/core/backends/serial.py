@@ -22,8 +22,6 @@ class SerialBackend(ExecutionBackend):
     """Run every task inline in the calling process."""
 
     parallel = False
-    remote = False
-    multi_host = False
 
     def submit_batch(
         self,

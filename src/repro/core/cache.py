@@ -229,10 +229,8 @@ class DiskResultCache:
     def entries(self) -> List[Tuple[str, int, float]]:
         """Every entry as ``(path, size_bytes, mtime)``, sorted by path.
 
-        Covers both the sharded layout and legacy flat ``<root>/*.pkl``
-        files from older library versions, so ``gc``/``clear`` reclaim
-        pre-shard caches too.  Entries that vanish mid-scan (a
-        concurrent ``clear``) are skipped.
+        Entries that vanish mid-scan (a concurrent ``clear``) are
+        skipped.
         """
         found: List[Tuple[str, int, float]] = []
         for path in sorted(self._iter_entry_paths()):
@@ -249,25 +247,19 @@ class DiskResultCache:
         except OSError:
             return
         for name in names:
-            child = os.path.join(self.root, name)
-            if name.endswith(".pkl") and os.path.isfile(child):
-                yield child  # legacy flat layout
-            elif os.path.isdir(child):
-                try:
-                    inner_names = sorted(os.listdir(child))
-                except OSError:
-                    continue
-                for inner in inner_names:
-                    if inner.endswith(".pkl"):
-                        yield os.path.join(child, inner)
+            shard = os.path.join(self.root, name)
+            try:
+                inner_names = sorted(os.listdir(shard))
+            except OSError:
+                continue  # not a shard directory
+            for inner in inner_names:
+                if inner.endswith(".pkl"):
+                    yield os.path.join(shard, inner)
 
     def stats(self) -> CacheStats:
         """Entry count, total bytes and shard-directory count."""
         entries = self.entries()
-        shard_dirs = len(
-            {os.path.dirname(path) for path, _, _ in entries}
-            - {self.root}
-        )
+        shard_dirs = len({os.path.dirname(path) for path, _, _ in entries})
         return CacheStats(
             root=self.root,
             entries=len(entries),

@@ -20,7 +20,7 @@ orthogonal ways:
   order), so those scenarios always run as given.
 * **Fan-out** — independent scenarios run through a pluggable
   :class:`~repro.core.backends.ExecutionBackend` chosen by name
-  (``backend="serial" | "process" | "socket"``, or the
+  (``backend="serial" | "process"``, or the
   ``REPRO_BACKEND`` environment variable; the default follows the
   historical heuristic — a persistent process pool when ``workers>1``,
   inline execution otherwise).  Backends own *where* tasks run; the
@@ -28,7 +28,7 @@ orthogonal ways:
   backend-independent, so grid results are bit-identical across
   backends.
 
-Cache and remote-backend paths strip the live
+Cache and process-backend paths strip the live
 :class:`~repro.hw.board.IoTHub` from the result (it holds running
 generators and is neither picklable nor meaningful outside the run);
 in-process serial runs keep it attached, preserving the historical
@@ -240,9 +240,9 @@ _TaskOutcome = Tuple[
 
 
 def _run_remote(item: _Task) -> _TaskOutcome:
-    """Remote-backend task: run one scenario, capturing library errors.
+    """Parallel-backend task: run one scenario, capturing library errors.
 
-    Results are stripped of their live hub (they cross a process/host
+    Results are stripped of their live hub (they cross a process
     boundary and must pickle).  Unexpected exceptions propagate — as a
     :class:`~repro.errors.ChunkTaskError` naming the failing scenario —
     so real bugs surface in the parent instead of hiding in sweep
@@ -292,9 +292,8 @@ class ScenarioEngine:
     """Runs scenarios through the two-tier cache, dedup and a backend.
 
     ``backend`` names the :class:`~repro.core.backends.ExecutionBackend`
-    batches dispatch through (``"serial"``, ``"process"``, ``"socket"``,
-    or any registered name; ``backend_hosts`` configures multi-host
-    backends).  When omitted, ``$REPRO_BACKEND`` applies, then the
+    batches dispatch through (``"serial"``, ``"process"``, or any
+    registered name).  When omitted, ``$REPRO_BACKEND`` applies, then the
     historical heuristic: ``workers=1`` executes in-process (results
     keep their hub attached); ``workers>1`` fans independent scenarios
     out over a persistent process pool (spawned lazily, reused across
@@ -333,7 +332,6 @@ class ScenarioEngine:
         memory_cache: Optional[int] = None,
         cache_max_bytes: Optional[int] = None,
         backend: Optional[str] = None,
-        backend_hosts: Optional[Sequence[str]] = None,
         fidelity: str = "des",
     ) -> None:
         if workers < 1:
@@ -369,9 +367,7 @@ class ScenarioEngine:
         self.metrics = EngineMetrics()
         #: Maps a worker's pid to its stable ``w<N>`` label.
         self._worker_labels: Dict[int, str] = {}
-        self._backend = create_backend(
-            backend, workers=self.workers, hosts=backend_hosts
-        )
+        self._backend = create_backend(backend, workers=self.workers)
         self.metrics.backend_name = self._backend.name
 
     # ------------------------------------------------------------------
@@ -545,10 +541,6 @@ class ScenarioEngine:
         self.metrics.backend_dispatches = backend.dispatches
         self.metrics.backend_tasks = backend.tasks
         self.metrics.backend_retries = backend.retries
-        # Historical pool_* aliases, kept for older dashboards/tests.
-        self.metrics.pool_spawns = backend.spawns
-        self.metrics.pool_dispatches = backend.dispatches
-        self.metrics.pool_tasks = backend.tasks
 
     # ------------------------------------------------------------------
     # execution
@@ -683,7 +675,7 @@ class ScenarioEngine:
                     [_scenario_label(pending[0][1])],
                 )
             else:
-                runner = _run_remote if backend.remote else _run_local
+                runner = _run_remote if backend.parallel else _run_local
                 outcomes_iter = backend.submit_batch(
                     runner,
                     [
@@ -770,7 +762,9 @@ class ScenarioEngine:
                     self._execution_form(scenarios[indices[0]])
                 )
             except AnalyticUnsupported:
-                continue  # the whole group falls through to the DES
+                # The whole group falls through to the DES.
+                self.metrics.analytic_fallbacks += len(indices)
+                continue
             except ReproError as exc:
                 error = exc
             self.metrics.analytic_evals += 1

@@ -79,7 +79,7 @@ class ChunkTaskError(BackendError):
 
     def __reduce__(self):
         # Exceptions pickle through their constructor args; carry the
-        # attribution attributes across process/socket boundaries too.
+        # attribution attributes across process boundaries too.
         return (type(self), (self.args[0], self.index, self.label))
 
 

@@ -118,26 +118,23 @@ class EngineMetrics:
     dedup_hits: int = 0
     #: Name of the execution backend the engine dispatched through.
     backend_name: str = ""
-    #: Workers/processes/connections the backend brought up
+    #: Worker processes the backend brought up
     #: (1 == perfect reuse for the process pool).
     backend_spawns: int = 0
     #: Chunks dispatched to the backend (each one round-trip).
     backend_dispatches: int = 0
     #: Individual scenarios shipped inside those chunks.
     backend_tasks: int = 0
-    #: Chunks re-dispatched after a lost worker or timed-out reply
-    #: (only multi-host backends can make this non-zero).
+    #: Chunks re-dispatched after a lost worker (the stock backends
+    #: never retry, so this stays 0).
     backend_retries: int = 0
-    #: Legacy alias of ``backend_spawns`` (pre-backend dashboards).
-    pool_spawns: int = 0
-    #: Legacy alias of ``backend_dispatches``.
-    pool_dispatches: int = 0
-    #: Legacy alias of ``backend_tasks``.
-    pool_tasks: int = 0
     #: Scenarios actually simulated (cache and dedup hits excluded).
     scenarios_run: int = 0
     #: Closed-form evaluations by the analytic tier (cache hits excluded).
     analytic_evals: int = 0
+    #: Grid points the analytic tier handed to the DES because they lie
+    #: outside its envelope (``AnalyticUnsupported``).
+    analytic_fallbacks: int = 0
     #: Grid points ``fidelity="auto"`` selected as the frontier (per-app-set
     #: scheme winners plus within-band near-ties).
     frontier_points: int = 0
@@ -180,11 +177,9 @@ class EngineMetrics:
             "backend_dispatches": self.backend_dispatches,
             "backend_tasks": self.backend_tasks,
             "backend_retries": self.backend_retries,
-            "pool_spawns": self.pool_spawns,
-            "pool_dispatches": self.pool_dispatches,
-            "pool_tasks": self.pool_tasks,
             "scenarios_run": self.scenarios_run,
             "analytic_evals": self.analytic_evals,
+            "analytic_fallbacks": self.analytic_fallbacks,
             "frontier_points": self.frontier_points,
             "des_confirmations": self.des_confirmations,
             "analytic_wall_s": self.analytic_wall_s,
@@ -215,10 +210,11 @@ class EngineMetrics:
                 f"dedup: {self.dedup_hits} point(s) fanned out from "
                 "equivalent simulations"
             )
-        if self.analytic_evals:
+        if self.analytic_evals or self.analytic_fallbacks:
             line = (
                 f"analytic: {self.analytic_evals} closed-form eval(s) in "
-                f"{to_ms(self.analytic_wall_s):.2f} ms"
+                f"{to_ms(self.analytic_wall_s):.2f} ms, "
+                f"{self.analytic_fallbacks} point(s) fell back to the DES"
             )
             if self.des_confirmations:
                 line += (

@@ -9,6 +9,8 @@ same exception types the server raised (429 →
 :class:`~repro.errors.ServiceClosedError`, other 4xx/5xx →
 :class:`~repro.errors.ServeError`), so client code handles a remote
 service exactly like an in-process :class:`~repro.serve.jobs.JobManager`.
+Transport failures — an unreachable service, or no complete response
+within ``timeout_s`` — raise :class:`~repro.errors.ServeError` too.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 import time
 import urllib.error
 import urllib.request
+from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from ..errors import (
@@ -55,6 +58,30 @@ class ServeClient:
     # ------------------------------------------------------------------
     # transport
     # ------------------------------------------------------------------
+    @contextmanager
+    def _mapped_errors(self) -> Iterator[None]:
+        """Turn every transport failure into a typed ServeError."""
+        try:
+            yield
+        except urllib.error.HTTPError as exc:
+            detail = exc.read().decode("utf-8", "replace")
+            try:
+                message = json.loads(detail)["error"]["message"]
+            except (json.JSONDecodeError, KeyError, TypeError):
+                message = detail.strip() or exc.reason
+            raise _error_from_status(exc.code, message) from exc
+        except urllib.error.URLError as exc:
+            raise ServeError(
+                f"cannot reach service at {self.url}: {exc.reason}"
+            ) from exc
+        except OSError as exc:
+            # After connect: no (complete) answer within the timeout, or
+            # the connection dropped mid-response.
+            raise ServeError(
+                f"no complete response from service at {self.url} "
+                f"(timeout {self.timeout_s:g} s): {exc}"
+            ) from exc
+
     def _request(
         self,
         method: str,
@@ -70,22 +97,11 @@ class ServeClient:
         request = urllib.request.Request(
             self.url + path, data=data, headers=headers, method=method
         )
-        try:
+        with self._mapped_errors():
             with urllib.request.urlopen(
                 request, timeout=self.timeout_s
             ) as response:
                 return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            detail = exc.read().decode("utf-8", "replace")
-            try:
-                message = json.loads(detail)["error"]["message"]
-            except (json.JSONDecodeError, KeyError, TypeError):
-                message = detail.strip() or exc.reason
-            raise _error_from_status(exc.code, message) from exc
-        except urllib.error.URLError as exc:
-            raise ServeError(
-                f"cannot reach service at {self.url}: {exc.reason}"
-            ) from exc
 
     # ------------------------------------------------------------------
     # endpoints
@@ -187,7 +203,7 @@ class ServeClient:
             f"{self.url}/jobs/{job_id}/events{suffix}",
             headers={"Accept": "application/x-ndjson"},
         )
-        try:
+        with self._mapped_errors():
             with urllib.request.urlopen(
                 request, timeout=self.timeout_s
             ) as response:
@@ -195,14 +211,6 @@ class ServeClient:
                     line = raw.decode("utf-8").strip()
                     if line:
                         yield json.loads(line)
-        except urllib.error.HTTPError as exc:
-            raise _error_from_status(
-                exc.code, exc.read().decode("utf-8", "replace")
-            ) from exc
-        except urllib.error.URLError as exc:
-            raise ServeError(
-                f"cannot reach service at {self.url}: {exc.reason}"
-            ) from exc
 
     def run_and_wait(
         self,

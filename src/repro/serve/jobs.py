@@ -13,8 +13,8 @@ execution backend).  The :class:`JobManager` bridges the two worlds:
   so a cancel request takes effect at the next chunk boundary and
   progress/metric snapshots stream between chunks.  The engine is not
   thread-safe, so a single-worker executor serializes all access; the
-  engine's own backend (process pool, socket workers) provides the
-  parallelism *within* each chunk.
+  engine's own backend (the process pool) provides the parallelism
+  *within* each chunk.
 * **Completion** (event loop) — results are published to the job, its
   waiters receive copies (coalescing fan-out), quotas are released and
   followers of ``GET /jobs/{id}/events`` observe the terminal state.

@@ -9,17 +9,15 @@ checklist by adding one ``_BACKEND_FIXTURES`` entry.
 """
 
 import pickle
-import time
 
 import pytest
 
-from repro.core import Scenario, ScenarioEngine, Scheme, compare_grid
+from repro.core import ScenarioEngine, Scheme, compare_grid
 from repro.core.backends import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    SocketBackend,
-    WorkerAgent,
+    adaptive_chunk_size,
     backend_names,
     create_backend,
     default_backend_name,
@@ -34,11 +32,6 @@ def _square(value):
     return value * value
 
 
-def _slow_square(value):
-    time.sleep(0.02)  # keeps every socket worker busy long enough to
-    return value * value  # guarantee the doomed host steals some chunks
-
-
 def _boom_on_five(value):
     if value == 5:
         raise ValueError("boom")
@@ -48,37 +41,9 @@ def _boom_on_five(value):
 # ----------------------------------------------------------------------
 # backend construction, parametrized over the registry
 # ----------------------------------------------------------------------
-class _BackendHarness:
-    """One ready-to-use backend plus whatever infrastructure it needs."""
-
-    def __init__(self, backend, agents=()):
-        self.backend = backend
-        self.agents = list(agents)
-
-    def shutdown(self):
-        self.backend.close()
-        for agent in self.agents:
-            agent.stop()
-
-
-def _serial_harness():
-    return _BackendHarness(SerialBackend())
-
-
-def _process_harness():
-    return _BackendHarness(ProcessPoolBackend(max_workers=2))
-
-
-def _socket_harness():
-    agents = [WorkerAgent().start() for _ in range(2)]
-    backend = SocketBackend(hosts=[agent.address for agent in agents])
-    return _BackendHarness(backend, agents)
-
-
 _BACKEND_FIXTURES = {
-    "serial": _serial_harness,
-    "process": _process_harness,
-    "socket": _socket_harness,
+    "serial": SerialBackend,
+    "process": lambda: ProcessPoolBackend(max_workers=2),
 }
 
 
@@ -88,17 +53,44 @@ def test_suite_covers_every_registered_backend():
 
 
 @pytest.fixture(params=sorted(_BACKEND_FIXTURES))
-def harness(request):
+def backend(request):
     built = _BACKEND_FIXTURES[request.param]()
     yield built
-    built.shutdown()
+    built.close()
+
+
+# ----------------------------------------------------------------------
+# chunk-size arithmetic
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    ("tasks", "workers", "expected"),
+    [
+        (0, 4, 1),
+        (1, 4, 1),
+        (16, 4, 1),  # exactly chunks_per_worker chunks each
+        (42, 4, 3),  # the fig11+permutations batch: 14 dispatches
+        (1000, 4, 63),
+        (5, 8, 1),  # fewer tasks than workers: no starvation
+    ],
+)
+def test_adaptive_chunk_size(tasks, workers, expected):
+    assert adaptive_chunk_size(tasks, workers) == expected
+
+
+def test_adaptive_chunk_size_rejects_bad_workers():
+    with pytest.raises(ValueError):
+        adaptive_chunk_size(10, 0)
+
+
+def test_process_backend_rejects_bad_worker_count():
+    with pytest.raises(ValueError):
+        ProcessPoolBackend(0)
 
 
 # ----------------------------------------------------------------------
 # ordering and counters
 # ----------------------------------------------------------------------
-def test_results_come_back_in_item_order(harness):
-    backend = harness.backend
+def test_results_come_back_in_item_order(backend):
     items = list(range(25))
     assert backend.submit_batch(_square, items, chunk_size=4) == [
         value * value for value in items
@@ -113,23 +105,17 @@ def test_results_come_back_in_item_order(harness):
         assert backend.spawns == 0
 
 
-def test_empty_batch_is_free(harness):
-    backend = harness.backend
+def test_empty_batch_is_free(backend):
     assert backend.submit_batch(_square, []) == []
     assert backend.spawns == 0
     assert backend.tasks == 0
     assert backend.dispatches == 0
 
 
-def test_map_is_a_submit_batch_alias(harness):
-    assert harness.backend.map(_square, [1, 2, 3]) == [1, 4, 9]
-
-
 # ----------------------------------------------------------------------
 # error propagation with attribution
 # ----------------------------------------------------------------------
-def test_task_errors_carry_index_and_label(harness):
-    backend = harness.backend
+def test_task_errors_carry_index_and_label(backend):
     labels = [f"point-{value}" for value in range(8)]
     with pytest.raises(ChunkTaskError, match="boom") as excinfo:
         backend.submit_batch(
@@ -141,8 +127,7 @@ def test_task_errors_carry_index_and_label(harness):
     assert backend.retries == 0
 
 
-def test_backend_stays_usable_after_a_task_error(harness):
-    backend = harness.backend
+def test_backend_stays_usable_after_a_task_error(backend):
     with pytest.raises(ChunkTaskError):
         backend.submit_batch(_boom_on_five, list(range(8)), chunk_size=2)
     assert backend.submit_batch(_square, [3, 4]) == [9, 16]
@@ -159,8 +144,7 @@ def test_chunk_task_error_survives_pickling():
 # ----------------------------------------------------------------------
 # lifecycle
 # ----------------------------------------------------------------------
-def test_close_is_idempotent_and_reopens_transparently(harness):
-    backend = harness.backend
+def test_close_is_idempotent_and_reopens_transparently(backend):
     assert backend.submit_batch(_square, [2]) == [4]
     backend.close()
     backend.close()  # double-close must never raise
@@ -168,13 +152,12 @@ def test_close_is_idempotent_and_reopens_transparently(harness):
     assert backend.submit_batch(_square, [3]) == [9]  # transparent reopen
 
 
-def test_close_before_any_batch_is_safe(harness):
-    harness.backend.close()  # nothing spawned yet
-    assert harness.backend.spawns == 0
+def test_close_before_any_batch_is_safe(backend):
+    backend.close()  # nothing spawned yet
+    assert backend.spawns == 0
 
 
-def test_context_manager_closes(harness):
-    backend = harness.backend
+def test_context_manager_closes(backend):
     with backend as entered:
         assert entered is backend
         assert backend.submit_batch(_square, [5]) == [25]
@@ -225,88 +208,11 @@ def serial_grid_signatures():
 
 
 def test_engine_grid_bit_identical_across_backends(
-    harness, serial_grid_signatures
+    backend, serial_grid_signatures
 ):
-    backend = harness.backend
-    hosts = [agent.address for agent in harness.agents] or None
-    with ScenarioEngine(
-        workers=2, backend=backend.name, backend_hosts=hosts
-    ) as engine:
+    with ScenarioEngine(workers=2, backend=backend.name) as engine:
         assert _grid_signatures(engine) == serial_grid_signatures
         assert engine.metrics.backend_name == backend.name
-
-
-# ----------------------------------------------------------------------
-# socket backend specifics: worker loss, retry, degradation
-# ----------------------------------------------------------------------
-def test_socket_redispatches_chunks_from_a_killed_worker():
-    # The doomed agent abruptly shuts down after ONE chunk (its listener
-    # and connections close mid-batch), deterministically exercising the
-    # lost-host path; the surviving agent absorbs the re-queued chunks.
-    survivor = WorkerAgent().start()
-    doomed = WorkerAgent(max_requests=1).start()
-    backend = SocketBackend(hosts=[survivor.address, doomed.address])
-    try:
-        items = list(range(12))
-        assert backend.submit_batch(_slow_square, items, chunk_size=1) == [
-            value * value for value in items
-        ]
-        assert backend.retries >= 1
-        assert backend.hosts_lost >= 1
-        assert backend.tasks == 12
-    finally:
-        backend.close()
-        survivor.stop()
-        doomed.stop()
-
-
-def test_socket_raises_when_every_host_is_lost():
-    doomed = WorkerAgent(max_requests=1).start()
-    backend = SocketBackend(hosts=[doomed.address])
-    try:
-        with pytest.raises(BackendError, match="lost"):
-            backend.submit_batch(_slow_square, list(range(6)), chunk_size=1)
-    finally:
-        backend.close()
-        doomed.stop()
-
-
-def test_socket_needs_hosts(monkeypatch):
-    monkeypatch.delenv("REPRO_BACKEND_HOSTS", raising=False)
-    with pytest.raises(BackendError, match="hosts"):
-        create_backend("socket")
-
-
-def test_socket_hosts_come_from_the_environment(monkeypatch):
-    agent = WorkerAgent().start()
-    monkeypatch.setenv("REPRO_BACKEND_HOSTS", agent.address)
-    backend = create_backend("socket")
-    try:
-        assert backend.submit_batch(_square, [6]) == [36]
-    finally:
-        backend.close()
-        agent.stop()
-
-
-def test_socket_connects_only_reachable_hosts():
-    agent = WorkerAgent().start()
-    backend = SocketBackend(
-        hosts=[agent.address, "127.0.0.1:1"], connect_timeout_s=0.25
-    )
-    try:
-        assert backend.submit_batch(_square, [2, 3]) == [4, 9]
-        assert backend.spawns == 1  # degraded start: one live host
-        assert backend.hosts_lost == 1
-    finally:
-        backend.close()
-        agent.stop()
-
-
-def test_socket_rejects_malformed_host_specs():
-    with pytest.raises(BackendError, match="host:port"):
-        SocketBackend(hosts="localhost")
-    with pytest.raises(BackendError, match="port"):
-        SocketBackend(hosts="localhost:not-a-port")
 
 
 # ----------------------------------------------------------------------

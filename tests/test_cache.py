@@ -171,16 +171,6 @@ def test_maybe_gc_noop_without_configured_cap(tmp_path, sample_result):
     assert cache.stats().entries == 1
 
 
-def test_clear_covers_legacy_flat_entries(tmp_path, sample_result):
-    cache = DiskResultCache(tmp_path)
-    cache.store(_fingerprint(), sample_result)
-    # A pre-shard cache left flat files directly under the root.
-    (tmp_path / "legacyentry.pkl").write_bytes(b"old layout")
-    assert cache.stats().entries == 2
-    assert cache.clear() == 2
-    assert cache.stats().entries == 0
-
-
 # ----------------------------------------------------------------------
 # tier composition
 # ----------------------------------------------------------------------

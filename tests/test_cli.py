@@ -118,37 +118,11 @@ def test_run_rejects_unknown_app():
 
 
 # ----------------------------------------------------------------------
-# execution-backend flags and the worker agent subcommand
+# execution-backend flag
 # ----------------------------------------------------------------------
 def test_run_with_explicit_serial_backend(capsys):
     assert main(["run", "A2", "--backend", "serial"]) == 0
     assert "scheme=baseline" in capsys.readouterr().out
-
-
-def test_compare_through_socket_backend(capsys):
-    from repro.core.backends import WorkerAgent
-
-    agents = [WorkerAgent().start() for _ in range(2)]
-    hosts = ",".join(agent.address for agent in agents)
-    try:
-        assert main(
-            [
-                "compare",
-                "A2",
-                "--schemes",
-                "baseline",
-                "batching",
-                "--backend",
-                "socket",
-                "--backend-hosts",
-                hosts,
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "Savings %" in out
-    finally:
-        for agent in agents:
-            agent.stop()
 
 
 def test_parser_rejects_unknown_backend():
@@ -156,48 +130,11 @@ def test_parser_rejects_unknown_backend():
         build_parser().parse_args(["run", "A2", "--backend", "warp"])
 
 
-def test_profile_refuses_remote_backends(capsys):
-    assert main(["profile", "A2", "--backend", "process"]) == 2
-    err = capsys.readouterr().err
-    assert "trace recorder" in err
-
-
-def test_worker_serves_then_exits_after_max_requests(capsys):
-    import re
-    import socket
-    import threading
-
-    from repro.cli import main as cli_main
-    from repro.core.backends.sockets import recv_frame, send_frame
-
-    # Run the CLI in a thread; --max-requests 1 makes it exit on its own.
-    exit_codes = []
-    thread = threading.Thread(
-        target=lambda: exit_codes.append(
-            cli_main(["worker", "--port", "0", "--max-requests", "1"])
-        )
-    )
-    thread.start()
-    # The startup line is machine-readable: scripts parse the port.
-    address = None
-    for _ in range(200):
-        match = re.search(
-            r"listening on (\S+)", capsys.readouterr().out
-        )
-        if match:
-            address = match.group(1)
-            break
-        thread.join(0.05)
-    assert address, "worker never announced its address"
-    host, port = address.rsplit(":", 1)
-    with socket.create_connection((host, int(port)), timeout=5) as sock:
-        send_frame(sock, ("run", _double, [1, 2, 3], 0, None))
-        status, payload = recv_frame(sock)
-    assert (status, payload) == ("ok", [2, 4, 6])
-    thread.join(timeout=5)
-    assert not thread.is_alive()
-    assert exit_codes == [0]
-
-
-def _double(value):
-    return value * 2
+@pytest.mark.parametrize(
+    "argv",
+    [["worker"], ["profile", "A2", "--backend", "serial"]],
+    ids=["worker-command", "profile-backend"],
+)
+def test_parser_rejects_removed_backend_options(argv):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)

@@ -294,7 +294,6 @@ def test_pool_persists_across_batches():
     # must hold even when $REPRO_BACKEND selects another default.
     with ScenarioEngine(workers=2, backend="process") as engine:
         engine.run_batch(grid)
-        assert engine.metrics.pool_spawns == 1
         assert engine.metrics.backend_name == "process"
         assert engine.metrics.backend_spawns == 1
         more = [
@@ -302,9 +301,9 @@ def test_pool_persists_across_batches():
             for app_id in ("A2", "A3")
         ]
         engine.run_batch(more)
-        assert engine.metrics.pool_spawns == 1  # reused, not respawned
-        assert engine.metrics.pool_tasks == 4
-        assert engine.metrics.pool_dispatches >= 2
+        assert engine.metrics.backend_spawns == 1  # reused, not respawned
+        assert engine.metrics.backend_tasks == 4
+        assert engine.metrics.backend_dispatches >= 2
 
 
 def test_memory_only_engine_caches_without_disk(tmp_path):
@@ -322,3 +321,28 @@ def test_engine_cache_max_bytes_evicts_after_runs(tmp_path):
     engine.run(Scenario.of(["A2"], scheme=Scheme.BATCHING))
     # The post-run GC pass evicted everything (cap is zero bytes).
     assert list(tmp_path.rglob("*.pkl")) == []
+
+
+# ----------------------------------------------------------------------
+# analytic tier accounting
+# ----------------------------------------------------------------------
+def test_analytic_fallback_is_counted_and_answered_by_the_des():
+    # Failure injection lies outside the analytic envelope.
+    def scenario():
+        return Scenario.of(
+            ["A2"], scheme=Scheme.BASELINE, sensor_failure_rates={"S4": 0.5}
+        )
+
+    with ScenarioEngine() as engine:
+        result = engine.run(scenario(), fidelity="analytic")
+        assert engine.metrics.analytic_fallbacks == 1
+        assert engine.metrics.analytic_evals == 0
+        assert engine.metrics.snapshot()["analytic_fallbacks"] == 1
+        assert any(
+            "1 point(s) fell back to the DES" in line
+            for line in engine.metrics.summary_lines()
+        )
+    assert result.fidelity == "des"
+    reference = run_scenario(scenario())
+    assert result.energy.total_j == reference.energy.total_j
+    assert result.interrupt_count == reference.interrupt_count

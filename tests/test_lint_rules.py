@@ -386,35 +386,6 @@ class TestBackendContract:
         """
         assert "backend-missing-submit" in rule_ids(src, path=BACKEND_PATH)
 
-    def test_bare_except_is_flagged_even_in_plumbing(self):
-        src = """
-        try:
-            recv()
-        except:
-            raise
-        """
-        path = "src/repro/core/backends/base.py"
-        assert rule_ids(src, path=path) == ["backend-bare-except"]
-
-    def test_named_except_passes(self):
-        src = """
-        try:
-            recv()
-        except (OSError, EOFError):
-            raise
-        """
-        path = "src/repro/core/backends/base.py"
-        assert rule_ids(src, path=path) == []
-
-    def test_not_scoped_outside_backends(self):
-        src = """
-        try:
-            recv()
-        except:
-            raise
-        """
-        assert rule_ids(src, path=NEUTRAL_PATH) == []
-
 
 # ----------------------------------------------------------------------
 # docs (scoped to anything under a repro/ directory)

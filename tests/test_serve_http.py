@@ -2,6 +2,7 @@
 
 import json
 import re
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -30,9 +31,9 @@ GRID = {"app_sets": [["A1"], ["A2", "A4"]], "schemes": ["baseline", "com"]}
 
 
 @contextmanager
-def serving(**manager_kwargs):
+def serving(engine=None, **manager_kwargs):
     """A background server over a fresh engine; yields a ServeClient."""
-    engine = ScenarioEngine(memory_cache=16)
+    engine = engine or ScenarioEngine(memory_cache=16)
     manager = JobManager(engine, **manager_kwargs)
     server = ReproServer(manager, port=0)
     url = server.start_background()
@@ -133,27 +134,78 @@ def test_http_quota_429_and_cancel():
         gate_release.set()
 
 
-def test_http_event_stream_ndjson():
-    with serving(chunk_points=1) as client:
-        job = client.run(["A1", "A3"], scheme="baseline", windows=2)
-        # follow=True blocks until terminal, straight over HTTP.
-        records = list(client.events(job["id"], follow=True))
-        kinds = [record["record"] for record in records]
-        assert kinds[0] == "state"
-        assert "progress" in kinds
-        assert "snapshot" in kinds
-        states = [
-            r["state"] for r in records if r["record"] == "state"
-        ]
-        assert states[-1] == "done"
-        # Raw wire format: one JSON object per line.
-        raw = urllib.request.urlopen(
-            f"{client.url}/jobs/{job['id']}/events?follow=0", timeout=30
-        )
-        assert raw.headers["Content-Type"] == "application/x-ndjson"
-        lines = [line for line in raw.read().split(b"\n") if line]
-        assert len(lines) == len(records)
-        assert json.loads(lines[0])["job"] == job["id"]
+@pytest.mark.parametrize(
+    "make_engine",
+    [
+        pytest.param(
+            lambda: ScenarioEngine(backend="serial", memory_cache=16),
+            id="serial",
+        ),
+        pytest.param(
+            lambda: ScenarioEngine(
+                workers=2, backend="process", memory_cache=16
+            ),
+            id="process",
+        ),
+    ],
+)
+def test_http_event_stream_ndjson(make_engine):
+    # A one-point job runs inline and holds the engine until the second
+    # job's stream is open; the second job's two points then go to the
+    # backend, so a process pool forks while that stream is open.
+    release = threading.Event()
+    try:
+        with serving(
+            make_engine(), executor_hook=lambda job: release.wait(10)
+        ) as service:
+            client = ServeClient(service.url, timeout_s=10)
+            client.run(["A2"])
+            job = client.grid([["A1", "A3"]], ["baseline", "com"], windows=2)
+            stream = client.events(job["id"], follow=True)
+            records = [next(stream)]
+            release.set()
+            # follow=True blocks until terminal, straight over HTTP.
+            records.extend(stream)
+            kinds = [record["record"] for record in records]
+            assert kinds[0] == "state"
+            assert "progress" in kinds
+            assert "snapshot" in kinds
+            states = [
+                r["state"] for r in records if r["record"] == "state"
+            ]
+            assert states[-1] == "done"
+            # Raw wire format: one JSON object per line.
+            raw = urllib.request.urlopen(
+                f"{client.url}/jobs/{job['id']}/events?follow=0", timeout=30
+            )
+            assert raw.headers["Content-Type"] == "application/x-ndjson"
+            lines = [line for line in raw.read().split(b"\n") if line]
+            assert len(lines) == len(records)
+            assert json.loads(lines[0])["job"] == job["id"]
+    finally:
+        release.set()
+
+
+@contextmanager
+def silent_listener():
+    """A TCP listener that takes connections and never answers them."""
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen()
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda client: client.job("j1"), lambda client: list(client.events("j1"))],
+    ids=["job", "events"],
+)
+def test_client_timeout_is_a_serve_error(call):
+    with silent_listener() as url:
+        client = ServeClient(url, timeout_s=0.2)
+        with pytest.raises(ServeError, match=r"timeout 0\.2 s") as excinfo:
+            call(client)
+    assert url in str(excinfo.value)
 
 
 def test_http_jobs_listing_and_stats():
