@@ -1,14 +1,17 @@
 """Infrastructure health: simulator throughput and sweep fan-out.
 
-Not a paper figure — this tracks the kernel's events-per-second and the
-scenario engine's parallel-sweep behavior so regressions in the hot
-path (event heap, process resume, power-state recording, pool fan-out)
-show up in benchmark history.
+Not a paper figure — this tracks the kernel's events-per-second, the
+scenario engine's parallel-sweep behavior and how much of a long
+horizon the two accelerators (fast-forward, analytic cycle
+extrapolation) actually execute, so regressions in the hot path (event
+heap, process resume, power-state recording, pool fan-out) show up in
+benchmark history.
 """
 
 import gc
 import json
 import os
+import platform
 import statistics
 import time
 
@@ -16,7 +19,14 @@ import pytest
 from conftest import run_once
 from test_fig11_multi_app import fig11_factory, fig11_grid
 
-from repro.core import Scheme, run_apps, run_sweep
+from repro.core import (
+    Scenario,
+    Scheme,
+    analytic_scenario_result,
+    run_apps,
+    run_sweep,
+)
+from repro.core.analytic import model as analytic_model
 from repro.obs import Metrics, TraceRecorder
 from repro.sim import Delay, Simulator
 
@@ -34,6 +44,19 @@ CANONICAL_SCHEME = Scheme.BCOM
 LONG_HORIZON_APPS = ["A3"]
 LONG_HORIZON_SCHEME = Scheme.BATCHING
 LONG_HORIZON_WINDOWS = 600
+
+#: The 18 points of the repository benchmark's ``long-horizon`` workload
+#: (``bench/workloads.py``), at its 30 windows.
+LONG_HORIZON_GRID = [
+    ((app,), scheme)
+    for app in ("A2", "A3", "A4")
+    for scheme in ("baseline", "batching", "com")
+] + [
+    (combo, scheme)
+    for combo in (("A2", "A4"), ("A2", "A7"), ("A4", "A5"))
+    for scheme in ("baseline", "beam", "bcom")
+]
+LONG_HORIZON_GRID_WINDOWS = 30
 
 
 def _load_baseline() -> dict:
@@ -335,3 +358,153 @@ def test_fast_forward_long_horizon(benchmark, figure_printer):
     # Event counts are deterministic: drift means the simulation or the
     # fast-forward engine changed and the baseline needs review.
     assert deterministic == _load_baseline()["fast_forward"]["deterministic"]
+
+
+def _median_wall_s(fn, rounds=5):
+    """Median host seconds of ``rounds`` calls of ``fn``."""
+    walls = []
+    for _ in range(rounds):
+        started = time.perf_counter()
+        fn()
+        walls.append(time.perf_counter() - started)
+    return statistics.median(walls)
+
+
+def test_analytic_long_horizon(benchmark, figure_printer, monkeypatch):
+    """Analytic cycle extrapolation: a 600-window scenario scans 6
+    windows, and 14 of the long-horizon benchmark's 18 points are
+    extrapolated.
+
+    Windows scanned are counted at the tier's scan function and the
+    skip/fallback counts come from the ``analytic.*`` counters; all are
+    deterministic and asserted exactly.  Wall times are informational.
+    """
+    scanned = []
+    scan = analytic_model._scan
+
+    def counting_scan(run, plan):
+        scanned.append(run.scenario.windows)
+        return scan(run, plan)
+
+    monkeypatch.setattr(analytic_model, "_scan", counting_scan)
+
+    def scenario():
+        return Scenario.of(
+            LONG_HORIZON_APPS,
+            scheme=LONG_HORIZON_SCHEME,
+            windows=LONG_HORIZON_WINDOWS,
+        )
+
+    def measure():
+        recorder = TraceRecorder()
+        fast = analytic_scenario_result(scenario(), obs=recorder)
+        long_run = {
+            "windows_scanned": sum(scanned),
+            "cycles_skipped": recorder.counters["analytic.cycles_skipped"],
+        }
+        full = analytic_model._full_scan(
+            scenario(), *analytic_model._plan_for(scenario())
+        )
+        grid = {"extrapolated": 0, "fallbacks": {}}
+        scanned.clear()
+        for apps, scheme in LONG_HORIZON_GRID:
+            point = TraceRecorder()
+            analytic_scenario_result(
+                Scenario.of(
+                    list(apps), scheme=scheme,
+                    windows=LONG_HORIZON_GRID_WINDOWS,
+                ),
+                obs=point,
+            )
+            for key in point.counters:
+                if key == "analytic.cycles_skipped":
+                    grid["extrapolated"] += 1
+                elif key.startswith("analytic.extrapolation.fallback."):
+                    reason = key.rsplit(".", 1)[1]
+                    grid["fallbacks"][reason] = (
+                        grid["fallbacks"].get(reason, 0) + 1
+                    )
+        grid["points"] = len(LONG_HORIZON_GRID)
+        grid["windows_scanned"] = sum(scanned)
+        walls = {
+            "full_scan_wall_s": _median_wall_s(
+                lambda: analytic_model._full_scan(
+                    scenario(), *analytic_model._plan_for(scenario())
+                )
+            ),
+            "extrapolated_scan_wall_s": _median_wall_s(
+                lambda: analytic_scenario_result(scenario())
+            ),
+            "fast_forward_wall_s": _median_wall_s(
+                lambda: run_apps(
+                    LONG_HORIZON_APPS,
+                    LONG_HORIZON_SCHEME,
+                    windows=LONG_HORIZON_WINDOWS,
+                    fast_forward=True,
+                )
+            ),
+            "des_wall_s": _median_wall_s(
+                lambda: run_apps(
+                    LONG_HORIZON_APPS,
+                    LONG_HORIZON_SCHEME,
+                    windows=LONG_HORIZON_WINDOWS,
+                ),
+                rounds=3,
+            ),
+        }
+        return fast, full, long_run, grid, walls
+
+    fast, full, long_run, grid, walls = run_once(benchmark, measure)
+    deterministic = {"long_run": long_run, "grid": grid}
+    # ROADMAP's bar for the extrapolated scan, reported, never asserted.
+    committed_fast_forward_s = _load_baseline()["fast_forward"][
+        "wall_informational"
+    ]["fast_forward_wall_s"]
+    if os.environ.get("REPRO_BENCH_UPDATE"):
+        _update_baseline(
+            "analytic_long_horizon",
+            {
+                "scenario": {
+                    "apps": LONG_HORIZON_APPS,
+                    "scheme": str(LONG_HORIZON_SCHEME),
+                    "windows": LONG_HORIZON_WINDOWS,
+                    "grid_windows": LONG_HORIZON_GRID_WINDOWS,
+                },
+                "deterministic": deterministic,
+                "wall_informational": {
+                    "generated_on": time.strftime("%Y-%m-%d"),
+                    "host": (
+                        f"{platform.machine()}, {os.cpu_count()} vCPU, "
+                        f"CPython {platform.python_version()}"
+                    ),
+                    **{key: round(value, 4) for key, value in walls.items()},
+                },
+            },
+        )
+    figure_printer(
+        "Infra — analytic long horizon",
+        f"{'+'.join(LONG_HORIZON_APPS)} {LONG_HORIZON_SCHEME} "
+        f"windows={LONG_HORIZON_WINDOWS}: {long_run['windows_scanned']} "
+        f"windows scanned, {long_run['cycles_skipped']} cycles skipped; "
+        f"wall full scan {walls['full_scan_wall_s']:.4f} s, extrapolated "
+        f"{walls['extrapolated_scan_wall_s']:.4f} s (fast-forward's "
+        f"committed {committed_fast_forward_s} s), fast-forward "
+        f"{walls['fast_forward_wall_s']:.4f} s, DES "
+        f"{walls['des_wall_s']:.4f} s\n"
+        f"long-horizon grid: {grid['extrapolated']} of {grid['points']} "
+        f"points extrapolated, fallbacks {grid['fallbacks']}, "
+        f"{grid['windows_scanned']} windows scanned",
+    )
+    assert fast.energy.total_j == pytest.approx(
+        full.energy.total_j, rel=1e-9
+    )
+    assert fast.duration_s == pytest.approx(full.duration_s, rel=1e-9)
+    assert fast.interrupt_count == full.interrupt_count
+    assert fast.cpu_wake_count == full.cpu_wake_count
+    assert fast.bus_bytes == full.bus_bytes
+    # Counts are deterministic: drift means the analytic models or the
+    # extrapolation changed and the baseline needs review.
+    assert (
+        deterministic
+        == _load_baseline()["analytic_long_horizon"]["deterministic"]
+    )

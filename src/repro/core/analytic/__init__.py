@@ -10,7 +10,7 @@ energy report, busy times, counters, result times — at a fraction of
 the cost.
 
 The tier is validated against the DES across the Figure 11 grid (see
-``tests/core/test_analytic.py``); :data:`ANALYTIC_RTOL` is the pinned
+``tests/test_analytic.py``); :data:`ANALYTIC_RTOL` is the pinned
 agreement band, and the ``auto`` fidelity planner re-confirms through
 the DES any grid point where two schemes land within
 :data:`AUTO_CONFIRM_BAND` of each other.

@@ -175,7 +175,7 @@ def run_buffered(run: AnalyticRun, plan: AnalyticPlan) -> None:
 
         def fire(vector: str, count: int, nbytes: int):
             def record(raised: float) -> None:
-                run.interrupt_count += 1
+                run.raise_interrupt(raised)
                 irqs.append((raised, vector, app, w, count, nbytes))
 
             return record

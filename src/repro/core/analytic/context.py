@@ -9,7 +9,7 @@ with operation intervals instead of simulated processes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional
 
 from ...apps.base import AppResult, IoTApp
 from ...hw.cpu import CpuState
@@ -18,7 +18,7 @@ from ...hw.power import Routine
 from ...sensors.base import SensorDevice
 from ...sensors.specs import get_spec
 from ...units import to_ms
-from .ledger import Timeline
+from .ledger import CycleTally, Timeline
 
 
 class AnalyticRun:
@@ -79,6 +79,9 @@ class AnalyticRun:
         }
         #: High-water mark of emitted activity, for the run duration.
         self.last_activity = 0.0
+        #: Per-cycle bookkeeping; only a truncated scan attaches one
+        #: (see :mod:`.model`), so full scans tally nothing extra.
+        self.cycles: Optional[CycleTally] = None
 
     # ------------------------------------------------------------------
     # shared op primitives
@@ -158,6 +161,8 @@ class AnalyticRun:
         self.cpu.set(t, CpuState.TRANSITION, cal.transition_power_w, routine)
         self.cpu.set(t + duration, CpuState.IDLE, cal.idle_power_w, routine)
         self.cpu_wake_count += 1
+        if self.cycles is not None:
+            self.cycles.cpu_wakes[self.cycles.index(t)] += 1
         self.last_activity = max(self.last_activity, t + duration)
         return t + duration
 
@@ -173,7 +178,15 @@ class AnalyticRun:
                      Routine.DATA_TRANSFER)
         self.bus.set(end, "idle", 0.0, Routine.IDLE)
         self.bus_bytes += max(1, nbytes)
+        if self.cycles is not None:
+            self.cycles.bus_bytes[self.cycles.index(start)] += max(1, nbytes)
         return end
+
+    def raise_interrupt(self, t: float) -> None:
+        """Count one MCU-to-CPU interrupt raised at ``t``."""
+        self.interrupt_count += 1
+        if self.cycles is not None:
+            self.cycles.interrupts[self.cycles.index(t)] += 1
 
     def nic_send(self, ready: float, nbytes: int) -> float:
         """One uplink publish; FIFO on the NIC lock."""

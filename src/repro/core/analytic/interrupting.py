@@ -30,7 +30,7 @@ def run_interrupting(run: AnalyticRun, shared: bool) -> None:
     def sample_ops(stream: Stream, w: int, k: int) -> List[McuOp]:
         def fire(raised: float) -> None:
             irqs.append((raised, stream, w, k))
-            run.interrupt_count += 1
+            run.raise_interrupt(raised)
 
         return [
             McuOp(cal.mcu.decode_time_per_sample_s, Routine.DATA_COLLECTION),

@@ -11,6 +11,11 @@ order and integrates piecewise — producing the same
 Events may be emitted slightly out of order (the models interleave
 per-process chains); the replay sorts by time with a stable insertion
 sequence for ties, which matches the kernel's FIFO event ordering.
+
+A truncated scan (see :mod:`.model`) also keeps a :class:`CycleTally`:
+its counters per window-length cycle, and — filled by the same
+:func:`integrate` pass — its energy and busy time per cycle, which is
+what cycle extrapolation verifies and multiplies out.
 """
 
 from __future__ import annotations
@@ -119,21 +124,80 @@ class Timeline:
             yield (since, end_time, state, power, routine)
 
 
+class CycleTally:
+    """Per-cycle counters, energy and busy time of a truncated scan.
+
+    Cycle ``i`` covers ``[i * cycle_s, (i + 1) * cycle_s)``; activity
+    past the last window (the final drain) lands in one extra cycle.
+    Counters are one integer per cycle, never a per-event log.
+    """
+
+    __slots__ = ("cycle_s", "last", "interrupts", "cpu_wakes", "bus_bytes",
+                 "energy", "busy")
+
+    def __init__(self, cycle_s: float, windows: int):
+        self.cycle_s = cycle_s
+        #: Index of the drain cycle, the last one kept.
+        self.last = windows
+        self.interrupts = [0] * (windows + 1)
+        self.cpu_wakes = [0] * (windows + 1)
+        self.bus_bytes = [0] * (windows + 1)
+        self.energy: List[Dict[Tuple[str, str], float]] = [
+            {} for _ in range(windows + 1)
+        ]
+        self.busy: List[Dict[str, float]] = [{} for _ in range(windows + 1)]
+
+    def index(self, t: float) -> int:
+        """The cycle holding instant ``t``."""
+        return min(int(t // self.cycle_s), self.last)
+
+
 def integrate(
-    timelines: Iterable[Timeline], end_time: float
+    run, end_time: float
 ) -> Tuple[Dict[Tuple[str, str], float], Dict[str, float]]:
-    """Integrate timelines into (energy by component/routine, busy times).
+    """Integrate a run's timelines into (energy by component/routine,
+    busy times).
 
     Mirrors :meth:`repro.energy.meter.PowerMonitor.measure` and
     :func:`repro.core.results.routine_busy_times` over the analytic
-    interval set.
+    interval set.  A run that keeps a :class:`CycleTally`
+    (``run.cycles``) gets its per-cycle energy and busy time from the
+    same pass: segments are split at cycle edges and the totals are
+    summed over the cycles.  Without one, the whole run is one cycle.
     """
-    energy: Dict[Tuple[str, str], float] = {}
-    busy: Dict[str, float] = {routine: 0.0 for routine in Routine.ORDER}
-    for timeline in timelines:
+    cycles = run.cycles if run.cycles is not None else CycleTally(
+        float("inf"), 0
+    )
+    cycle_s = cycles.cycle_s
+    for timeline in run.timelines():
+        component = timeline.component
+        index, edge = 0, cycle_s
+        energy, busy = cycles.energy[0], cycles.busy[0]
+        # Segments are contiguous and time-ordered, so one cursor per
+        # timeline walks the cycles.
         for t0, t1, state, power, routine in timeline.segments(end_time):
-            key = (timeline.component, routine)
+            key = (component, routine)
+            is_busy = state in BUSY_STATES
+            while t1 > edge:
+                energy[key] = energy.get(key, 0.0) + power * (edge - t0)
+                if is_busy:
+                    busy[routine] = busy.get(routine, 0.0) + (edge - t0)
+                t0 = edge
+                index += 1
+                edge = (
+                    (index + 1) * cycle_s if index < cycles.last
+                    else float("inf")
+                )
+                energy, busy = cycles.energy[index], cycles.busy[index]
             energy[key] = energy.get(key, 0.0) + power * (t1 - t0)
-            if state in BUSY_STATES:
+            if is_busy:
                 busy[routine] = busy.get(routine, 0.0) + (t1 - t0)
-    return energy, busy
+    energy_total: Dict[Tuple[str, str], float] = {}
+    busy_total: Dict[str, float] = {routine: 0.0 for routine in Routine.ORDER}
+    for totals, buckets in (
+        (energy_total, cycles.energy), (busy_total, cycles.busy)
+    ):
+        for bucket in buckets:
+            for key, value in bucket.items():
+                totals[key] = totals.get(key, 0.0) + value
+    return energy_total, busy_total

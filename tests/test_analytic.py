@@ -3,7 +3,9 @@
 The first half pins the closed-form models against the DES: every
 Figure 11 app set under all six schemes, plus seeded random app mixes
 and multi-window scenarios, must land within :data:`ANALYTIC_RTOL` on
-every energy/duration figure with exact integer counters.  The second
+every energy/duration figure with exact integer counters.  Long
+horizons' cycle extrapolation is held to the full scan it replaces the
+same way.  The second
 half exercises the engine plumbing — fingerprint separation, the
 ``auto`` planner's frontier selection (exact-match assertions), cache
 fidelity accounting, and the serve/CLI surfaces.
@@ -25,9 +27,11 @@ from repro.core import (
     scenario_group_key,
     supports_analytic,
 )
+from repro.core.analytic import model
 from repro.core.cache import DiskResultCache
 from repro.core.schemes.base import execute_scenario
 from repro.errors import AnalyticUnsupported, ReproError
+from repro.obs import TraceRecorder
 
 SCHEMES = ("baseline", "polling", "com", "batching", "beam", "bcom")
 
@@ -62,6 +66,35 @@ RANDOM_MIXES = tuple(
 
 def _close(a, b, rtol=ANALYTIC_RTOL):
     return abs(a - b) <= rtol * max(1.0, abs(a))
+
+
+def assert_results_match(result, reference):
+    """Figures within the band, counters and window indices exact."""
+    assert _close(reference.duration_s, result.duration_s)
+    assert _close(reference.energy.total_j, result.energy.total_j)
+    assert _close(reference.energy.marginal_j, result.energy.marginal_j)
+    assert result.interrupt_count == reference.interrupt_count
+    assert result.cpu_wake_count == reference.cpu_wake_count
+    assert result.bus_bytes == reference.bus_bytes
+    assert result.qos_violations == reference.qos_violations
+    energy, expected = (
+        result.energy.by_component_routine,
+        reference.energy.by_component_routine,
+    )
+    for key in set(energy) | set(expected):
+        assert _close(expected.get(key, 0.0), energy.get(key, 0.0)), key
+    for key in set(result.busy_times) | set(reference.busy_times):
+        assert _close(
+            reference.busy_times.get(key, 0.0), result.busy_times.get(key, 0.0)
+        ), key
+    assert set(result.result_times) == set(reference.result_times)
+    for app, times in reference.result_times.items():
+        assert len(result.result_times[app]) == len(times)
+        for expected_t, got in zip(times, result.result_times[app]):
+            assert abs(expected_t - got) <= 1e-9, app
+        assert [r.window_index for r in result.app_results[app]] == [
+            r.window_index for r in reference.app_results[app]
+        ] == list(range(reference.windows))
 
 
 def assert_analytic_matches_des(apps, scheme, windows=1):
@@ -100,30 +133,7 @@ def assert_analytic_matches_des(apps, scheme, windows=1):
     if des_err is not None:
         return
     assert ana.fidelity == "analytic" and des.fidelity == "des"
-    assert _close(des.duration_s, ana.duration_s)
-    assert _close(des.energy.total_j, ana.energy.total_j)
-    assert _close(des.energy.marginal_j, ana.energy.marginal_j)
-    assert des.interrupt_count == ana.interrupt_count
-    assert des.cpu_wake_count == ana.cpu_wake_count
-    assert des.bus_bytes == ana.bus_bytes
-    assert des.qos_violations == ana.qos_violations
-    keys = set(des.energy.by_component_routine) | set(
-        ana.energy.by_component_routine
-    )
-    for key in keys:
-        assert _close(
-            des.energy.by_component_routine.get(key, 0.0),
-            ana.energy.by_component_routine.get(key, 0.0),
-        ), key
-    for key in set(des.busy_times) | set(ana.busy_times):
-        assert _close(
-            des.busy_times.get(key, 0.0), ana.busy_times.get(key, 0.0)
-        ), key
-    assert set(des.result_times) == set(ana.result_times)
-    for app, times in des.result_times.items():
-        assert len(times) == len(ana.result_times[app])
-        for expected, got in zip(times, ana.result_times[app]):
-            assert abs(expected - got) <= 1e-9, app
+    assert_results_match(ana, des)
 
 
 @pytest.mark.parametrize("apps", FIG11_COMBOS, ids="+".join)
@@ -143,6 +153,117 @@ def test_analytic_matches_des_random_mixes(apps, scheme):
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_analytic_matches_des_multi_window(apps, scheme):
     assert_analytic_matches_des(apps, scheme, windows=3)
+
+
+# ----------------------------------------------------------------------
+# long horizons: truncated scan + steady-cycle extrapolation
+# ----------------------------------------------------------------------
+def full_scan(scenario):
+    """The whole-horizon scan extrapolation replaces (the reference)."""
+    return model._full_scan(scenario, *model._plan_for(scenario))
+
+
+def evaluate(apps, scheme, windows):
+    """One tier evaluation plus its ``analytic.*`` counters."""
+    recorder = TraceRecorder()
+    result = analytic_scenario_result(
+        Scenario.of(list(apps), scheme=scheme, windows=windows), obs=recorder
+    )
+    counters = {
+        key: value
+        for key, value in recorder.counters.items()
+        if key.startswith("analytic.")
+    }
+    return result, counters
+
+
+EXTRAPOLATION_CASES = [(("A3",), scheme) for scheme in SCHEMES] + [
+    (("A2", "A7"), "baseline"),
+    (("A2", "A7"), "beam"),
+    (("A3", "A5"), "batching"),
+    (("A3", "A5"), "com"),
+]
+
+
+@pytest.mark.parametrize("windows", [model.MIN_WINDOWS, 30])
+@pytest.mark.parametrize(
+    "apps, scheme", EXTRAPOLATION_CASES,
+    ids=["+".join(apps) + "-" + scheme for apps, scheme in EXTRAPOLATION_CASES],
+)
+def test_extrapolation_matches_full_scan(apps, scheme, windows):
+    result, counters = evaluate(apps, scheme, windows)
+    reference = full_scan(
+        Scenario.of(list(apps), scheme=scheme, windows=windows)
+    )
+    assert_results_match(result, reference)
+    if reference.qos_violations:
+        # A3+A5 under COM misses deadlines: nothing may be extrapolated.
+        assert counters == {"analytic.extrapolation.fallback.qos_violation": 1}
+    else:
+        assert counters == {
+            "analytic.cycles_skipped": windows - model.TRUNCATED_WINDOWS
+        }
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_extrapolation_matches_des_at_threshold(scheme):
+    # At MIN_WINDOWS exactly one cycle is multiplied out.
+    _, counters = evaluate(("A3",), scheme, model.MIN_WINDOWS)
+    assert counters == {"analytic.cycles_skipped": 1}
+    assert_analytic_matches_des(("A3",), scheme, windows=model.MIN_WINDOWS)
+
+
+def test_extrapolation_at_600_windows():
+    result, counters = evaluate(("A3",), "batching", 600)
+    assert counters == {"analytic.cycles_skipped": 594}
+    assert_results_match(
+        result, full_scan(Scenario.of(["A3"], scheme="batching", windows=600))
+    )
+
+
+@pytest.mark.parametrize(
+    "apps, scheme, reason",
+    [
+        # A rail over-subscribed: every window drifts further.
+        (("A4", "A5"), "baseline", "no_steady_state"),
+        (("A2", "A4"), "bcom", "qos_violation"),
+        (("A2", "A7"), "bcom", "qos_violation"),
+        (("A4", "A5"), "bcom", "qos_violation"),
+    ],
+    ids=lambda value: "+".join(value) if isinstance(value, tuple) else value,
+)
+def test_non_steady_points_scan_the_whole_horizon(apps, scheme, reason):
+    """The long-horizon points that fall back answer exactly the full scan."""
+    result, counters = evaluate(apps, scheme, 30)
+    assert counters == {f"analytic.extrapolation.fallback.{reason}": 1}
+    assert result == full_scan(
+        Scenario.of(list(apps), scheme=scheme, windows=30)
+    )
+
+
+def test_rounding_dependent_schedules_are_not_extrapolated():
+    """A6+A1 under batching swaps its two apps' hand-offs for windows
+    4-7, where doubles are spaced twice as widely (the DES does too):
+    cycles 1-3 alone look steady, window 4 does not."""
+    result, counters = evaluate(("A6", "A1"), "batching", 9)
+    assert counters == {"analytic.extrapolation.fallback.no_steady_state": 1}
+    assert result == full_scan(
+        Scenario.of(["A6", "A1"], scheme="batching", windows=9)
+    )
+
+
+def test_one_window_points_never_extrapolate():
+    _, counters = evaluate(("A2", "A5"), "bcom", 1)
+    assert counters == {"analytic.extrapolation.fallback.too_short": 1}
+
+
+def test_extrapolation_gate():
+    gate = model._extrapolation_gate
+    assert gate(Scenario.of(["A3"], windows=model.MIN_WINDOWS - 1)) == (
+        "too_short"
+    )
+    assert gate(Scenario.of(["A3", "A8"], windows=10)) == "mixed_windows"
+    assert gate(Scenario.of(["A3"], windows=model.MIN_WINDOWS)) is None
 
 
 # ----------------------------------------------------------------------
@@ -358,8 +479,6 @@ def test_fidelities_tuple_is_closed():
 
 
 def test_analytic_obs_spans():
-    from repro.obs import TraceRecorder
-
     recorder = TraceRecorder()
     analytic_scenario_result(
         Scenario.of(["A2", "A5"], scheme="bcom"), obs=recorder

@@ -13,6 +13,7 @@ import random
 import pytest
 
 from repro.core import Scenario, run_apps, run_scenario
+from repro.core.analytic import model as analytic
 from repro.core.fastforward import MIN_WINDOWS, TRUNCATED_WINDOWS
 from repro.obs import TraceRecorder
 from repro.sim import hyperperiod
@@ -214,3 +215,71 @@ def test_dicts_close_requires_matching_keys():
     assert dicts_close({"a": 1.0}, {"a": 1.0 + 1e-15})
     assert not dicts_close({"a": 1.0}, {"a": 1.0 + 1e-6})
     assert not dicts_close({"a": 1.0}, {"a": 1.0, "b": 0.0})
+
+
+# ----------------------------------------------------------------------
+# overlap with the analytic tier's cycle extrapolation
+# ----------------------------------------------------------------------
+FIG10_APPS = tuple(f"A{index}" for index in range(1, 11))
+FIG11_COMBOS = (
+    ("A2", "A5"), ("A5", "A7"), ("A4", "A5"), ("A3", "A5"), ("A2", "A7"),
+    ("A2", "A4"), ("A4", "A7"), ("A3", "A4"), ("A2", "A5", "A7"),
+    ("A2", "A4", "A5"), ("A5", "A7", "A4"), ("A3", "A4", "A5"),
+    ("A2", "A4", "A7"), ("A2", "A4", "A5", "A7"),
+)
+
+#: Every scenario fast-forward accelerates in this file's corpus and on
+#: the Figure 10/11 app sets at 12 windows, as measured for the overlap
+#: table in docs/performance.md.  Fast-forward's verdicts are data here:
+#: each costs a truncated DES run, minutes over the whole corpus.
+FAST_FORWARDED = sorted(
+    set(
+        [(("A3",), scheme) for scheme in ALL_SCHEMES]
+        + [
+            (("A3", "A5"), "batching"),
+            (("A7",), "batching"),
+            (("A7",), "polling"),
+            (("A5", "A7"), "beam"),
+            (("A3", "A4"), "baseline"),
+        ]
+        # Figure 10: every point but A5 under COM (no steady state).
+        + [
+            ((app,), scheme)
+            for app in FIG10_APPS
+            for scheme in ("baseline", "batching", "com")
+            if (app, scheme) != ("A5", "com")
+        ]
+        # Figure 11: every combination under BEAM, two under baseline.
+        + [(combo, "beam") for combo in FIG11_COMBOS]
+        + [(("A3", "A5"), "baseline")]
+    )
+)
+
+#: Fast-forwarded scenarios the analytic tier does not extrapolate.
+NOT_EXTRAPOLATED = {
+    (("A3", "A4"), "baseline"): "A3's result phase shifts in windows 2-3",
+    (("A3", "A5"), "baseline"): "A3's result phase shifts in windows 2-3",
+}
+
+
+@pytest.mark.parametrize(
+    "apps, scheme", FAST_FORWARDED,
+    ids=["+".join(apps) + "-" + scheme for apps, scheme in FAST_FORWARDED],
+)
+def test_fast_forwarded_scenarios_extrapolate(apps, scheme):
+    """Whatever fast-forward accelerates, the analytic tier extrapolates,
+    or the scenario is a named exception (the steady state starts later
+    than a truncated analytic scan can verify)."""
+    scenario = Scenario.of(list(apps), scheme=scheme, windows=12)
+    recorder = TraceRecorder()
+    extrapolated = analytic._extrapolated(
+        scenario, *analytic._plan_for(scenario), recorder
+    )
+    if (apps, scheme) in NOT_EXTRAPOLATED:
+        assert extrapolated is None
+        assert recorder.counters == {
+            "analytic.extrapolation.fallback.no_steady_state": 1
+        }
+    else:
+        assert extrapolated is not None
+        assert recorder.counters == {"analytic.cycles_skipped": 6}
