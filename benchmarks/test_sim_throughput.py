@@ -1,11 +1,10 @@
 """Infrastructure health: simulator throughput and sweep fan-out.
 
 Not a paper figure — this tracks the kernel's events-per-second, the
-scenario engine's parallel-sweep behavior and how much of a long
-horizon the two accelerators (fast-forward, analytic cycle
-extrapolation) actually execute, so regressions in the hot path (event
-heap, process resume, power-state recording, pool fan-out) show up in
-benchmark history.
+scenario engine's parallel-sweep behavior, and how much of a long
+horizon the DES executes and the analytic tier's cycle extrapolation
+scans, so regressions in the hot path (event heap, process resume,
+power-state recording, pool fan-out) show up in benchmark history.
 """
 
 import gc
@@ -39,8 +38,8 @@ BASELINE_PATH = os.path.join(
 CANONICAL_APPS = ["A2", "A4"]
 CANONICAL_SCHEME = Scheme.BCOM
 
-#: The long-horizon fast-forward scenario: >= 600 s of virtual time so
-#: the steady-state skip dominates (see docs/performance.md).
+#: The long-horizon scenario: 600 s of virtual time, so the analytic
+#: tier's steady-cycle skip dominates (see docs/performance.md).
 LONG_HORIZON_APPS = ["A3"]
 LONG_HORIZON_SCHEME = Scheme.BATCHING
 LONG_HORIZON_WINDOWS = 600
@@ -67,8 +66,8 @@ def _load_baseline() -> dict:
 def _update_baseline(section: str, payload: dict) -> None:
     """Rewrite one section of the committed baseline document.
 
-    Sections are updated independently so the two baseline tests can
-    each regenerate their own numbers under ``REPRO_BENCH_UPDATE=1``
+    Sections are updated independently so the baseline tests can each
+    regenerate their own numbers under ``REPRO_BENCH_UPDATE=1``
     without clobbering the other's.
     """
     try:
@@ -273,93 +272,6 @@ def test_sim_metrics_baseline(benchmark, figure_printer):
     assert snapshot == baseline["deterministic"]
 
 
-def test_fast_forward_long_horizon(benchmark, figure_printer):
-    """Steady-state fast-forward on a >= 600 s scenario: at least a 10x
-    event-count reduction with energy/duration parity at rtol 1e-9 and
-    exact integer counters.
-
-    Both event counts are deterministic (same simulator, same seed-free
-    periodic workload), so the committed numbers are exact across hosts;
-    CI runs this as the fast-forward perf guard.
-    """
-
-    def measure():
-        full_recorder = TraceRecorder()
-        started = time.perf_counter()
-        full = run_apps(
-            LONG_HORIZON_APPS,
-            LONG_HORIZON_SCHEME,
-            windows=LONG_HORIZON_WINDOWS,
-            obs=full_recorder,
-        )
-        full_wall_s = time.perf_counter() - started
-        fast_recorder = TraceRecorder()
-        started = time.perf_counter()
-        fast = run_apps(
-            LONG_HORIZON_APPS,
-            LONG_HORIZON_SCHEME,
-            windows=LONG_HORIZON_WINDOWS,
-            obs=fast_recorder,
-            fast_forward=True,
-        )
-        fast_wall_s = time.perf_counter() - started
-        return full, fast, full_recorder, fast_recorder, full_wall_s, fast_wall_s
-
-    full, fast, full_recorder, fast_recorder, full_wall_s, fast_wall_s = (
-        run_once(benchmark, measure)
-    )
-    events_full = full_recorder.counters["sim.events"]
-    events_fast = fast_recorder.counters["sim.events"]
-    deterministic = {
-        "events_full": events_full,
-        "events_fast": events_fast,
-        "cycles_skipped": fast_recorder.counters["sim.ff.cycles_skipped"],
-        "events_saved": fast_recorder.counters["sim.ff.events_saved"],
-    }
-    if os.environ.get("REPRO_BENCH_UPDATE"):
-        _update_baseline(
-            "fast_forward",
-            {
-                "scenario": {
-                    "apps": LONG_HORIZON_APPS,
-                    "scheme": str(LONG_HORIZON_SCHEME),
-                    "windows": LONG_HORIZON_WINDOWS,
-                },
-                "deterministic": deterministic,
-                "wall_informational": {
-                    "generated_on": time.strftime("%Y-%m-%d"),
-                    "full_wall_s": round(full_wall_s, 4),
-                    "fast_forward_wall_s": round(fast_wall_s, 4),
-                },
-            },
-        )
-    figure_printer(
-        "Infra — steady-state fast-forward",
-        f"{'+'.join(LONG_HORIZON_APPS)} {LONG_HORIZON_SCHEME} "
-        f"windows={LONG_HORIZON_WINDOWS} ({full.duration_s:.0f} s virtual): "
-        f"{events_full} events full / {events_fast} fast-forward "
-        f"({events_full / events_fast:.0f}x fewer), "
-        f"wall {full_wall_s:.2f} s -> {fast_wall_s:.2f} s",
-    )
-    # The ISSUE acceptance bars.
-    assert full.duration_s >= 600.0
-    assert events_fast * 10 <= events_full
-    assert fast.energy.total_j == pytest.approx(
-        full.energy.total_j, rel=1e-9
-    )
-    assert fast.duration_s == pytest.approx(full.duration_s, rel=1e-9)
-    assert fast.interrupt_count == full.interrupt_count
-    assert fast.cpu_wake_count == full.cpu_wake_count
-    assert fast.bus_bytes == full.bus_bytes
-    assert all(
-        len(results) == LONG_HORIZON_WINDOWS
-        for results in fast.app_results.values()
-    )
-    # Event counts are deterministic: drift means the simulation or the
-    # fast-forward engine changed and the baseline needs review.
-    assert deterministic == _load_baseline()["fast_forward"]["deterministic"]
-
-
 def _median_wall_s(fn, rounds=5):
     """Median host seconds of ``rounds`` calls of ``fn``."""
     walls = []
@@ -372,12 +284,13 @@ def _median_wall_s(fn, rounds=5):
 
 def test_analytic_long_horizon(benchmark, figure_printer, monkeypatch):
     """Analytic cycle extrapolation: a 600-window scenario scans 6
-    windows, and 14 of the long-horizon benchmark's 18 points are
-    extrapolated.
+    windows where the DES executes every one of its events, and 14 of
+    the long-horizon benchmark's 18 points are extrapolated.
 
-    Windows scanned are counted at the tier's scan function and the
-    skip/fallback counts come from the ``analytic.*`` counters; all are
-    deterministic and asserted exactly.  Wall times are informational.
+    Windows scanned are counted at the tier's scan function, the
+    skip/fallback counts come from the ``analytic.*`` counters and the
+    DES event count from ``sim.events``; all are deterministic and
+    asserted exactly.  Wall times are informational.
     """
     scanned = []
     scan = analytic_model._scan
@@ -404,6 +317,13 @@ def test_analytic_long_horizon(benchmark, figure_printer, monkeypatch):
         }
         full = analytic_model._full_scan(
             scenario(), *analytic_model._plan_for(scenario())
+        )
+        des_recorder = TraceRecorder()
+        run_apps(
+            LONG_HORIZON_APPS,
+            LONG_HORIZON_SCHEME,
+            windows=LONG_HORIZON_WINDOWS,
+            obs=des_recorder,
         )
         grid = {"extrapolated": 0, "fallbacks": {}}
         scanned.clear()
@@ -435,14 +355,6 @@ def test_analytic_long_horizon(benchmark, figure_printer, monkeypatch):
             "extrapolated_scan_wall_s": _median_wall_s(
                 lambda: analytic_scenario_result(scenario())
             ),
-            "fast_forward_wall_s": _median_wall_s(
-                lambda: run_apps(
-                    LONG_HORIZON_APPS,
-                    LONG_HORIZON_SCHEME,
-                    windows=LONG_HORIZON_WINDOWS,
-                    fast_forward=True,
-                )
-            ),
             "des_wall_s": _median_wall_s(
                 lambda: run_apps(
                     LONG_HORIZON_APPS,
@@ -452,14 +364,17 @@ def test_analytic_long_horizon(benchmark, figure_printer, monkeypatch):
                 rounds=3,
             ),
         }
-        return fast, full, long_run, grid, walls
+        des_events = des_recorder.counters["sim.events"]
+        return fast, full, long_run, grid, des_events, walls
 
-    fast, full, long_run, grid, walls = run_once(benchmark, measure)
-    deterministic = {"long_run": long_run, "grid": grid}
-    # ROADMAP's bar for the extrapolated scan, reported, never asserted.
-    committed_fast_forward_s = _load_baseline()["fast_forward"][
-        "wall_informational"
-    ]["fast_forward_wall_s"]
+    fast, full, long_run, grid, des_events, walls = run_once(
+        benchmark, measure
+    )
+    deterministic = {
+        "long_run": long_run,
+        "grid": grid,
+        "des_events": des_events,
+    }
     if os.environ.get("REPRO_BENCH_UPDATE"):
         _update_baseline(
             "analytic_long_horizon",
@@ -485,11 +400,10 @@ def test_analytic_long_horizon(benchmark, figure_printer, monkeypatch):
         "Infra — analytic long horizon",
         f"{'+'.join(LONG_HORIZON_APPS)} {LONG_HORIZON_SCHEME} "
         f"windows={LONG_HORIZON_WINDOWS}: {long_run['windows_scanned']} "
-        f"windows scanned, {long_run['cycles_skipped']} cycles skipped; "
-        f"wall full scan {walls['full_scan_wall_s']:.4f} s, extrapolated "
-        f"{walls['extrapolated_scan_wall_s']:.4f} s (fast-forward's "
-        f"committed {committed_fast_forward_s} s), fast-forward "
-        f"{walls['fast_forward_wall_s']:.4f} s, DES "
+        f"windows scanned, {long_run['cycles_skipped']} cycles skipped "
+        f"(DES: {des_events} events); wall full scan "
+        f"{walls['full_scan_wall_s']:.4f} s, extrapolated "
+        f"{walls['extrapolated_scan_wall_s']:.4f} s, DES "
         f"{walls['des_wall_s']:.4f} s\n"
         f"long-horizon grid: {grid['extrapolated']} of {grid['points']} "
         f"points extrapolated, fallbacks {grid['fallbacks']}, "

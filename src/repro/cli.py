@@ -58,7 +58,6 @@ def _add_run_parser(subparsers) -> None:
     )
     _add_backend_flag(parser)
     _add_cache_flags(parser)
-    _add_fast_forward_flag(parser)
     _add_fidelity_flag(parser)
 
 
@@ -85,16 +84,6 @@ def _add_cache_flags(parser) -> None:
         type=int,
         default=None,
         help="cap the disk cache; oldest entries are evicted after runs",
-    )
-
-
-def _add_fast_forward_flag(parser) -> None:
-    parser.add_argument(
-        "--fast-forward",
-        action="store_true",
-        help="skip steady-state cycles analytically (energy/duration "
-        "match full simulation at rtol 1e-9, counters exactly; "
-        "aperiodic scenarios transparently run in full)",
     )
 
 
@@ -133,7 +122,6 @@ def _add_compare_parser(subparsers) -> None:
     )
     _add_backend_flag(parser)
     _add_cache_flags(parser)
-    _add_fast_forward_flag(parser)
     _add_fidelity_flag(parser)
 
 
@@ -187,7 +175,6 @@ def _add_profile_parser(subparsers) -> None:
         default=None,
         help="write the export here instead of stdout",
     )
-    _add_fast_forward_flag(parser)
 
 
 def _add_serve_parser(subparsers) -> None:
@@ -237,7 +224,6 @@ def _add_serve_parser(subparsers) -> None:
     )
     _add_backend_flag(parser)
     _add_cache_flags(parser)
-    _add_fast_forward_flag(parser)
     _add_fidelity_flag(parser)
 
 
@@ -476,7 +462,6 @@ def _cmd_run(args) -> int:
     )
     engine = ScenarioEngine(
         cache_dir=args.cache_dir,
-        fast_forward=args.fast_forward,
         cache_max_bytes=args.cache_max_bytes,
         backend=args.backend,
         fidelity=args.fidelity,
@@ -506,7 +491,6 @@ def _cmd_compare(args) -> int:
     with ScenarioEngine(
         workers=args.workers,
         cache_dir=args.cache_dir,
-        fast_forward=args.fast_forward,
         cache_max_bytes=args.cache_max_bytes,
         backend=args.backend,
         fidelity=args.fidelity,
@@ -600,9 +584,7 @@ def _cmd_profile(args) -> int:
         batch_size=args.batch_size,
     )
     recorder = TraceRecorder()
-    result = execute_scenario(
-        scenario, obs=recorder, fast_forward=args.fast_forward
-    )
+    result = execute_scenario(scenario, obs=recorder)
     if args.format == "summary":
         text = result.summary() + "\n\n" + render_summary(recorder) + "\n"
         if args.out:
@@ -669,7 +651,6 @@ def _cmd_serve(args) -> int:
         memory_cache=DEFAULT_MEMORY_CACHE_ENTRIES,
         cache_dir=args.cache_dir,
         cache_max_bytes=args.cache_max_bytes,
-        fast_forward=args.fast_forward,
         backend=args.backend,
         fidelity=args.fidelity,
     )

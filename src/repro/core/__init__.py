@@ -37,7 +37,6 @@ from .engine import (
     scenario_group_key,
 )
 from .executor import run_apps, run_scenario
-from .fastforward import try_fast_forward
 from .results import RunResult, routine_busy_times
 from .scenario import Scenario, Scheme
 from .schemes import (
@@ -92,5 +91,4 @@ __all__ = [
     "scenario_group_key",
     "scheme_names",
     "supports_analytic",
-    "try_fast_forward",
 ]

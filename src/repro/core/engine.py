@@ -67,7 +67,9 @@ from .schemes.base import execute_scenario
 #: v5: long analytic scenarios extrapolate a verified steady cycle, so
 #: their results match v4 full-scan entries within ``ANALYTIC_RTOL``
 #: but not bit for bit.
-FINGERPRINT_VERSION = 5
+#: v6: the ``fast_forward`` flag left the payload (DES fast-forward was
+#: removed; the DES always simulates every event).
+FINGERPRINT_VERSION = 6
 
 #: Fidelity tiers an engine can run at.  ``"des"`` is the discrete-event
 #: simulation (the authoritative tier), ``"analytic"`` the closed-form
@@ -141,10 +143,7 @@ def canonicalize_scenario(scenario: Scenario) -> Scenario:
 
 
 def _fingerprint_payload(
-    scenario: Scenario,
-    fast_forward: bool,
-    canonical: bool,
-    fidelity: str,
+    scenario: Scenario, canonical: bool, fidelity: str
 ) -> Dict[str, Any]:
     """The JSON payload behind :func:`scenario_fingerprint`."""
     if fidelity not in ("des", "analytic"):
@@ -158,10 +157,6 @@ def _fingerprint_payload(
     return {
         "version": FINGERPRINT_VERSION,
         "fidelity": fidelity,
-        # The closed form has no steady-state skipping; pinning the flag
-        # keeps one analytic entry per scenario whatever the engine's
-        # fast_forward setting.
-        "fast_forward": bool(fast_forward) and fidelity == "des",
         "scheme": scenario.scheme,
         "apps": app_ids,
         "windows": scenario.windows,
@@ -182,7 +177,6 @@ def _digest(payload: Dict[str, Any]) -> str:
 
 def scenario_fingerprint(
     scenario: Scenario,
-    fast_forward: bool = False,
     canonical: bool = True,
     fidelity: str = "des",
 ) -> str:
@@ -192,19 +186,16 @@ def scenario_fingerprint(
     :class:`RunResult` metrics (up to the presentational name/app-id
     order); anything that can change the simulation (scheme, apps,
     windows, batch size, calibration constants, waveform overrides,
-    failure injection) feeds the digest — as do the execution mode
-    (``fast_forward``), whose results are equivalent but not
-    bit-identical, and the ``fidelity`` tier (``"des"`` | ``"analytic"``),
-    so closed-form and event-simulation entries never collide.  With
-    ``canonical=True`` (the engine's dedup mode) the app ids are sorted
-    for dedup-eligible scenarios, so permutations of one app set collide
-    on purpose; pass ``canonical=False`` to fingerprint the as-given
-    ordering (an engine built with ``dedup=False`` executes that
-    ordering, whose results can differ).
+    failure injection) feeds the digest — as does the ``fidelity`` tier
+    (``"des"`` | ``"analytic"``), so closed-form and event-simulation
+    entries never collide.  With ``canonical=True`` (the engine's dedup
+    mode) the app ids are sorted for dedup-eligible scenarios, so
+    permutations of one app set collide on purpose; pass
+    ``canonical=False`` to fingerprint the as-given ordering (an engine
+    built with ``dedup=False`` executes that ordering, whose results can
+    differ).
     """
-    return _digest(
-        _fingerprint_payload(scenario, fast_forward, canonical, fidelity)
-    )
+    return _digest(_fingerprint_payload(scenario, canonical, fidelity))
 
 
 def scenario_group_key(scenario: Scenario) -> str:
@@ -214,15 +205,12 @@ def scenario_group_key(scenario: Scenario) -> str:
     group holds the same app set / windows / calibration / waveforms
     under every scheme, and the planner picks each group's frontier
     (scheme winner plus within-band near-ties) for DES confirmation.
-    Execution-mode knobs (fidelity, fast_forward) are excluded — they
-    describe *how* a point runs, not which physical grid point it is.
+    The fidelity tier is excluded — it describes *how* a point runs,
+    not which physical grid point it is.
     """
-    payload = _fingerprint_payload(
-        scenario, fast_forward=False, canonical=True, fidelity="des"
-    )
+    payload = _fingerprint_payload(scenario, canonical=True, fidelity="des")
     del payload["scheme"]
     del payload["fidelity"]
-    del payload["fast_forward"]
     return _digest(payload)
 
 
@@ -233,8 +221,8 @@ def strip_hub(result: RunResult) -> RunResult:
     return dataclasses.replace(result, hub=None)
 
 
-#: One dispatched unit: (pending position, scenario, fast_forward flag).
-_Task = Tuple[int, Scenario, bool]
+#: One dispatched unit: (pending position, scenario).
+_Task = Tuple[int, Scenario]
 #: One runner outcome: position, result-or-None, error-or-None, and the
 #: (pid, wall_seconds) pair feeding the engine's per-worker accounting.
 _TaskOutcome = Tuple[
@@ -251,12 +239,10 @@ def _run_remote(item: _Task) -> _TaskOutcome:
     so real bugs surface in the parent instead of hiding in sweep
     output.
     """
-    index, scenario, fast_forward = item
+    index, scenario = item
     started = time.perf_counter()
     try:
-        result: Optional[RunResult] = strip_hub(
-            execute_scenario(scenario, fast_forward=fast_forward)
-        )
+        result: Optional[RunResult] = strip_hub(execute_scenario(scenario))
         error: Optional[ReproError] = None
     except ReproError as exc:
         result, error = None, exc
@@ -266,12 +252,10 @@ def _run_remote(item: _Task) -> _TaskOutcome:
 
 def _run_local(item: _Task) -> _TaskOutcome:
     """In-process task: like :func:`_run_remote`, keeping the live hub."""
-    index, scenario, fast_forward = item
+    index, scenario = item
     started = time.perf_counter()
     try:
-        result: Optional[RunResult] = execute_scenario(
-            scenario, fast_forward=fast_forward
-        )
+        result: Optional[RunResult] = execute_scenario(scenario)
         error: Optional[ReproError] = None
     except ReproError as exc:
         result, error = None, exc
@@ -310,11 +294,7 @@ class ScenarioEngine:
     arms an oldest-first eviction pass over the disk tier after each
     run.  ``dedup=True`` (default) canonicalizes app order so permuted
     grid points simulate once; see :func:`canonicalize_scenario` for
-    when a scenario opts out.  ``fast_forward=True`` lets periodic
-    scenarios skip steady-state cycles analytically (rtol 1e-9 on
-    energy/duration, exact counters; aperiodic scenarios transparently
-    run in full) — fast-forwarded results are fingerprinted separately,
-    so the cache never mixes the two modes.
+    when a scenario opts out.
     ``fidelity`` selects the default tier (any call can override it):
     ``"des"`` runs the event simulation; ``"analytic"`` answers from the
     closed-form models in :mod:`repro.core.analytic`, transparently
@@ -330,7 +310,6 @@ class ScenarioEngine:
         self,
         workers: int = 1,
         cache_dir: Optional[Union[str, "os.PathLike[str]"]] = None,
-        fast_forward: bool = False,
         dedup: bool = True,
         memory_cache: Optional[int] = None,
         cache_max_bytes: Optional[int] = None,
@@ -350,7 +329,6 @@ class ScenarioEngine:
         # backend name raises below), so the slot exists from the start.
         self._backend: Optional[ExecutionBackend] = None
         self.workers = int(workers)
-        self.fast_forward = bool(fast_forward)
         self.dedup = bool(dedup)
         self.cache_dir = os.fspath(cache_dir) if cache_dir is not None else None
         if memory_cache is None:
@@ -431,10 +409,7 @@ class ScenarioEngine:
         """Fingerprint one scenario, charging the time to the metrics."""
         started = time.perf_counter()
         fingerprint = scenario_fingerprint(
-            scenario,
-            fast_forward=self.fast_forward,
-            canonical=self.dedup,
-            fidelity=fidelity,
+            scenario, canonical=self.dedup, fidelity=fidelity
         )
         self.metrics.fingerprint_wall_s += time.perf_counter() - started
         return fingerprint
@@ -453,7 +428,7 @@ class ScenarioEngine:
         """Per-scenario fingerprints under this engine's configuration.
 
         The coalescing hook for service layers: fingerprints honor the
-        engine's ``dedup`` and ``fast_forward`` settings, so two batches
+        engine's ``dedup`` setting, so two batches
         with equal fingerprints would execute identically through this
         engine.  ``fidelity="analytic"`` yields the closed-form tier's
         fingerprints; ``"des"`` and ``"auto"`` both yield the DES
@@ -467,12 +442,7 @@ class ScenarioEngine:
         )
         started = time.perf_counter()
         result = [
-            scenario_fingerprint(
-                scenario,
-                fast_forward=self.fast_forward,
-                canonical=self.dedup,
-                fidelity=tier,
-            )
+            scenario_fingerprint(scenario, canonical=self.dedup, fidelity=tier)
             for scenario in scenarios
         ]
         self.metrics.fingerprint_wall_s += time.perf_counter() - started
@@ -579,9 +549,7 @@ class ScenarioEngine:
                 self.metrics.run_wall_s += time.perf_counter() - started
                 return self._rebind(cached, scenario)
         sim_started = time.perf_counter()
-        result = execute_scenario(
-            self._execution_form(scenario), fast_forward=self.fast_forward
-        )
+        result = execute_scenario(self._execution_form(scenario))
         self.metrics.note_worker(
             self._worker_label(os.getpid()),
             time.perf_counter() - sim_started,
@@ -673,7 +641,7 @@ class ScenarioEngine:
                 # dispatched path (task bugs surface as ChunkTaskError).
                 outcomes_iter = run_chunk(
                     _run_local,
-                    [(0, pending[0][1], self.fast_forward)],
+                    [(0, pending[0][1])],
                     0,
                     [_scenario_label(pending[0][1])],
                 )
@@ -682,7 +650,7 @@ class ScenarioEngine:
                 outcomes_iter = backend.submit_batch(
                     runner,
                     [
-                        (position, scenario, self.fast_forward)
+                        (position, scenario)
                         for position, (_key, scenario) in enumerate(pending)
                     ],
                     labels=[

@@ -16,17 +16,10 @@ from .schemes.base import execute_scenario
 
 
 def run_scenario(
-    scenario: Scenario,
-    obs: Optional[NullRecorder] = None,
-    fast_forward: bool = False,
+    scenario: Scenario, obs: Optional[NullRecorder] = None
 ) -> RunResult:
-    """Execute one scenario under its registered scheme.
-
-    ``fast_forward=True`` enables steady-state cycle skipping (see
-    :mod:`repro.core.fastforward`); results then match full simulation
-    at rtol 1e-9 with exact counters rather than bit-identically.
-    """
-    return execute_scenario(scenario, obs=obs, fast_forward=fast_forward)
+    """Execute one scenario under its registered scheme."""
+    return execute_scenario(scenario, obs=obs)
 
 
 def run_apps(
@@ -36,7 +29,6 @@ def run_apps(
     calibration=None,
     waveforms=None,
     obs: Optional[NullRecorder] = None,
-    fast_forward: bool = False,
 ) -> RunResult:
     """Run Table II apps by id under one scheme."""
     return run_scenario(
@@ -48,5 +40,4 @@ def run_apps(
             waveforms=waveforms,
         ),
         obs=obs,
-        fast_forward=fast_forward,
     )

@@ -12,22 +12,20 @@ from ..hw.board import IoTHub
 from ..hw.power import BUSY_STATES, Routine
 from ..units import to_mj, to_ms
 
-#: Backwards-compatible alias; the canonical set lives next to the
-#: power-state machinery in :mod:`repro.hw.power`.
-_BUSY_STATES = BUSY_STATES
-
 
 def routine_busy_times(hub: IoTHub, end_time: float) -> Dict[str, float]:
     """Busy seconds per routine, summed over all components.
 
     This is the paper's Figure 8 'time consumed by each routine' metric:
-    idle/wait time is excluded; only actual work (CPU/MCU execution,
-    sensor reads, bus/NIC activity, wake transitions) counts.
+    only actual work (CPU/MCU execution, sensor reads, bus/NIC activity)
+    counts.  Idle/wait time is excluded, and so are the CPU's wake
+    transitions, which cost energy but perform no work (see
+    :data:`~repro.hw.power.BUSY_STATES`).
     """
     totals: Dict[str, float] = {routine: 0.0 for routine in Routine.ORDER}
     for component in hub.recorder.components:
         for change, duration in hub.recorder.intervals(component, end_time):
-            if change.state in _BUSY_STATES:
+            if change.state in BUSY_STATES:
                 totals[change.routine] = totals.get(change.routine, 0.0) + duration
     return totals
 

@@ -15,7 +15,6 @@ simulation to completion and integrate the energy.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
@@ -39,20 +38,9 @@ from ...hw.power import Routine
 from ...obs.recorder import NullRecorder
 from ...sensors.base import SensorDevice
 from ...sim.process import Delay, Signal, Wait
-from ...sim.steadystate import (
-    REL_TIME_DECIMALS,
-    BoundarySnapshot,
-    capture_snapshot,
-)
 from ...units import to_ms
 from ..results import RunResult, routine_busy_times
 from .registry import get_scheme
-
-#: Window-indexed name tag (``A2.w5``) rebased by the cycle normalizer.
-_WINDOW_TAG = re.compile(r"\.w(\d+)")
-#: Auto-numbered process names (``process-37``): transient helpers whose
-#: global sequence number differs between otherwise identical cycles.
-_AUTO_PROCESS_NAME = re.compile(r"^process-\d+$")
 
 
 @dataclass
@@ -237,10 +225,6 @@ class SchemeContext:
         self.total_irqs = 0
         #: Next scheduled poll per stream key — the MCU's own nap governor.
         self._mcu_next_polls: Dict[str, float] = {}
-        #: Every stream built through :meth:`streams_for`, keyed by
-        #: :attr:`Stream.key`.  The fast-forward engine reads this to
-        #: compute the scheme's hyperperiod after ``build``.
-        self.streams: Dict[str, Stream] = {}
 
     # ------------------------------------------------------------------
     # governor plumbing
@@ -325,14 +309,7 @@ class SchemeContext:
         self, apps: Sequence[IoTApp], shared: bool
     ) -> List[Stream]:
         """Build polling streams: per-app or shared-per-sensor (BEAM)."""
-        return self._record_streams(build_streams(apps, shared))
-
-    def _record_streams(self, streams) -> List[Stream]:
-        """Remember built streams (idempotent: re-builds overwrite by key)."""
-        materialized = list(streams)
-        for stream in materialized:
-            self.streams[stream.key] = stream
-        return materialized
+        return build_streams(apps, shared)
 
     def sample_times(self, streams: Sequence[Stream]) -> List[float]:
         """Every scheduled poll instant across the given streams."""
@@ -635,108 +612,6 @@ class SchemeContext:
             self.rest()
 
     # ------------------------------------------------------------------
-    # steady-state fingerprinting (fast-forward support)
-    # ------------------------------------------------------------------
-    def _cycle_normalizer(self, boundary_index: int):
-        """Name normalizer making window-indexed labels cycle-relative.
-
-        Window signals are named ``<app>.w<index>``; two boundaries one
-        hyperperiod apart reference different absolute indices for the
-        same relative position, so indices are rebased to the boundary
-        (``A2.w5`` at boundary 5 and ``A2.w6`` at boundary 6 both become
-        ``A2.w+0``).  Auto-numbered transient processes collapse to a
-        stable label for the same reason.
-        """
-
-        def normalize(name: str) -> str:
-            name = _AUTO_PROCESS_NAME.sub("process", name)
-            return _WINDOW_TAG.sub(
-                lambda match: f".w{int(match.group(1)) - boundary_index:+d}",
-                name,
-            )
-
-        return normalize
-
-    def boundary_snapshot(
-        self, boundary_index: int, boundary_s: float
-    ) -> BoundarySnapshot:
-        """Cycle-relative fingerprint of the live state at a boundary.
-
-        Called between kernel run segments by the fast-forward engine;
-        read-only, so segmented execution stays bit-identical to an
-        uninterrupted run.
-        """
-        return capture_snapshot(
-            self.hub.sim,
-            self.hub.recorder,
-            boundary_s,
-            self._cycle_normalizer(boundary_index),
-        )
-
-    def steady_counters(self) -> Dict[str, int]:
-        """Monotone activity counters for per-cycle delta verification.
-
-        Every counter here only ever grows; a steady cycle advances each
-        by a constant delta, which is also exactly what the fast-forward
-        extrapolation multiplies.
-        """
-        counters: Dict[str, int] = {
-            "irq.raised": self.hub.irq.raised_count,
-            "cpu.wakes": self.hub.cpu.wake_count,
-            "bus.bytes": self.hub.bus.bytes_transferred,
-            "nic.bytes": self.hub.nic.bytes_sent,
-            "sim.events": self.hub.sim.events_executed,
-        }
-        for sensor_id in sorted(self.devices):
-            device = self.devices[sensor_id]
-            counters[f"sensor.{sensor_id}.reads"] = device.read_count
-            counters[f"sensor.{sensor_id}.failed"] = device.failed_checks
-            counters[f"sensor.{sensor_id}.stale"] = device.stale_samples
-        for app in self.scenario.apps:
-            counters[f"app.{app.name}.results"] = len(
-                self._app_results[app.name]
-            )
-        recorder = self.hub.recorder
-        for component in recorder.components:
-            counters[f"trace.{component}.changes"] = recorder.change_count(
-                component
-            )
-        return counters
-
-    def result_phases(
-        self, t0_s: float, t1_s: float
-    ) -> Tuple[Tuple[str, float], ...]:
-        """Result-delivery phases inside the cycle ``(t0_s, t1_s]``.
-
-        Boundary snapshots see the state *at* each boundary; two
-        transient cycles can drain to identical boundary states while
-        delivering their results at different offsets inside the cycle
-        (the delivery phase lives in process-local variables no snapshot
-        can reach).  Verification therefore also requires the phases to
-        repeat, since the extrapolated result times replicate them.
-        """
-        phases = [
-            (name, round(time - t0_s, REL_TIME_DECIMALS))
-            for name, times in self._result_times.items()
-            for time in times
-            if t0_s < time <= t1_s
-        ]
-        return tuple(sorted(phases))
-
-    def steady_levels(self) -> Dict[str, int]:
-        """State levels that must repeat *exactly* at matching boundaries.
-
-        Unlike :meth:`steady_counters` these can go up and down; a
-        linear drift (e.g. MCU RAM filling a little more every cycle)
-        would pass a delta check but must still block fast-forward.
-        """
-        return {
-            "irq.pending": self.hub.irq.pending_count,
-            "mcu.ram_used": self.hub.mcu.ram.used_bytes,
-            "qos.violations": len(self.qos_violations),
-        }
-
-    # ------------------------------------------------------------------
     # measurement
     # ------------------------------------------------------------------
     def collect(self, end_time: float) -> RunResult:
@@ -843,8 +718,9 @@ def build_context(
 ) -> SchemeContext:
     """Construct and wire a fresh context for one scenario (not yet run).
 
-    Shared by :func:`execute_scenario` and the fast-forward engine so
-    both drive byte-for-byte identical setups.
+    Kept apart from :func:`execute_scenario` so scheme-build time can be
+    timed separately from the event loop (the repository benchmark's
+    ``schemes.build`` span wraps this function).
     """
     executor = get_scheme(scenario.scheme)()
     ctx = SchemeContext(
@@ -860,29 +736,14 @@ def build_context(
 
 
 def execute_scenario(
-    scenario,
-    obs: Optional[NullRecorder] = None,
-    fast_forward: bool = False,
+    scenario, obs: Optional[NullRecorder] = None
 ) -> RunResult:
     """Run one scenario under its registered scheme; returns the result.
 
     ``obs`` attaches an instrumentation recorder (``repro profile`` passes
     a :class:`~repro.obs.recorder.TraceRecorder`); it observes the run but
     never alters it — results are bit-identical with or without it.
-
-    ``fast_forward=True`` lets the steady-state engine skip repeated
-    hyperperiods analytically (see :mod:`repro.core.fastforward`):
-    energy and duration then match full simulation within rtol 1e-9 and
-    all integer counters exactly, but are no longer guaranteed
-    bit-identical, which is why the flag defaults to off.  When no
-    steady state is detected the full simulation runs transparently.
     """
-    if fast_forward:
-        from ..fastforward import try_fast_forward
-
-        result = try_fast_forward(scenario, obs=obs)
-        if result is not None:
-            return result
     ctx = build_context(scenario, obs=obs)
     ctx.hub.run()
     end_time = max(ctx.hub.sim.now, scenario.horizon_s)

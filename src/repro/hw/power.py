@@ -42,58 +42,6 @@ class Routine:
 BUSY_STATES = frozenset({"busy", "read", "active", "tx"})
 
 
-def _clipped_intervals(
-    recorder: TimelineRecorder, component: str, t0_s: float, t1_s: float
-):
-    """Yield ``(change, duration)`` pairs clipped to ``[t0_s, t1_s)``."""
-    history = recorder.changes(component)
-    for index, change in enumerate(history):
-        following = (
-            history[index + 1].time if index + 1 < len(history) else t1_s
-        )
-        start = change.time if change.time > t0_s else t0_s
-        end = following if following < t1_s else t1_s
-        if end > start:
-            yield change, end - start
-
-
-def energy_between(
-    recorder: TimelineRecorder, t0_s: float, t1_s: float
-) -> Dict[Tuple[str, str], float]:
-    """Integrated joules per ``(component, routine)`` over ``[t0_s, t1_s)``.
-
-    The per-cycle energy accounting behind fast-forward extrapolation: a
-    steady cycle's delta, multiplied by the number of skipped cycles,
-    extends a truncated run's report exactly (modulo float summation
-    order, which is why parity is asserted at rtol 1e-9 rather than
-    bit-identity).
-    """
-    accum: Dict[Tuple[str, str], float] = {}
-    for component in recorder.components:
-        for change, duration in _clipped_intervals(
-            recorder, component, t0_s, t1_s
-        ):
-            key = (component, change.routine)
-            accum[key] = accum.get(key, 0.0) + change.power_w * duration
-    return accum
-
-
-def busy_between(
-    recorder: TimelineRecorder, t0_s: float, t1_s: float
-) -> Dict[str, float]:
-    """Busy seconds per routine over ``[t0_s, t1_s)`` (see BUSY_STATES)."""
-    totals: Dict[str, float] = {routine: 0.0 for routine in Routine.ORDER}
-    for component in recorder.components:
-        for change, duration in _clipped_intervals(
-            recorder, component, t0_s, t1_s
-        ):
-            if change.state in BUSY_STATES:
-                totals[change.routine] = (
-                    totals.get(change.routine, 0.0) + duration
-                )
-    return totals
-
-
 class PowerStateMachine:
     """Tracks one component's power state and routine attribution.
 

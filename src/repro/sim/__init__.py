@@ -7,18 +7,14 @@ virtual clock and an event heap; generator-based
 
 The hardware models in :mod:`repro.hw` are plain objects driven by these
 processes; the kernel knows nothing about power or energy.
-:mod:`~repro.sim.steadystate` adds cycle-boundary fingerprinting for the
-fast-forward engine layered on top in :mod:`repro.core.fastforward`.
 """
 
 from .events import Event, EventQueue
 from .kernel import Simulator
 from .process import Delay, Join, Process, Signal, Wait
-from .steadystate import BoundarySnapshot, capture_snapshot, hyperperiod
 from .trace import StateChange, TimelineRecorder
 
 __all__ = [
-    "BoundarySnapshot",
     "Delay",
     "Event",
     "EventQueue",
@@ -29,6 +25,4 @@ __all__ = [
     "StateChange",
     "TimelineRecorder",
     "Wait",
-    "capture_snapshot",
-    "hyperperiod",
 ]

@@ -85,21 +85,6 @@ class Simulator:
         """Every process ever spawned, finished ones included."""
         return tuple(self._processes)
 
-    def iter_pending(self) -> list:
-        """Live (non-cancelled) events, soonest first, for inspection.
-
-        O(n log n); meant for boundary snapshots and debugging, never the
-        per-event hot path.
-        """
-        return sorted(
-            (
-                event
-                for event in self._queue.raw_heap()
-                if not event.cancelled
-            ),
-            key=lambda event: (event.time, event.seq),
-        )
-
     def step(self) -> bool:
         """Execute the next event; return ``False`` if the queue was empty."""
         if not self._queue:

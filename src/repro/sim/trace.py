@@ -59,20 +59,6 @@ class TimelineRecorder:
         """All recorded changes for one component, in time order."""
         return tuple(self._changes.get(component, ()))
 
-    def last_change(self, component: str) -> Optional[StateChange]:
-        """The most recent change for ``component`` in O(1) (or None).
-
-        Snapshot-style callers (the steady-state detector) read this at
-        cycle boundaries instead of paying the O(n) copy of
-        :meth:`changes`.
-        """
-        history = self._changes.get(component)
-        return history[-1] if history else None
-
-    def change_count(self, component: str) -> int:
-        """How many changes ``component`` has recorded (an O(1) read)."""
-        return len(self._changes.get(component, ()))
-
     def intervals(
         self, component: str, end_time: float
     ) -> Iterator[Tuple[StateChange, float]]:

@@ -4,11 +4,11 @@ The first half pins the closed-form models against the DES: every
 Figure 11 app set under all six schemes, plus seeded random app mixes
 and multi-window scenarios, must land within :data:`ANALYTIC_RTOL` on
 every energy/duration figure with exact integer counters.  Long
-horizons' cycle extrapolation is held to the full scan it replaces the
-same way.  The second
-half exercises the engine plumbing — fingerprint separation, the
-``auto`` planner's frontier selection (exact-match assertions), cache
-fidelity accounting, and the serve/CLI surfaces.
+horizons' cycle extrapolation is held to the full scan it replaces and
+to the DES the same way.  The second half exercises the engine
+plumbing — fingerprint separation, the ``auto`` planner's frontier
+selection (exact-match assertions), cache fidelity accounting, and the
+serve/CLI surfaces.
 """
 
 import pickle
@@ -205,20 +205,40 @@ def test_extrapolation_matches_full_scan(apps, scheme, windows):
         }
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_extrapolation_matches_des_at_threshold(scheme):
-    # At MIN_WINDOWS exactly one cycle is multiplied out.
-    _, counters = evaluate(("A3",), scheme, model.MIN_WINDOWS)
-    assert counters == {"analytic.cycles_skipped": 1}
-    assert_analytic_matches_des(("A3",), scheme, windows=model.MIN_WINDOWS)
+#: Extrapolated points held to the DES: every scheme at the threshold
+#: (exactly one cycle multiplied out) and further out, two apps sharing
+#: sensors, and a 1000 Hz stream.
+DES_EXTRAPOLATION_CASES = [
+    (("A3",), scheme, windows)
+    for scheme in SCHEMES
+    for windows in (model.MIN_WINDOWS, 20)
+] + [
+    (("A3", "A5"), "batching", 12),
+    (("A7",), "batching", 14),
+]
+
+
+@pytest.mark.parametrize(
+    "apps, scheme, windows", DES_EXTRAPOLATION_CASES,
+    ids=[
+        "+".join(apps) + f"-{scheme}-{windows}"
+        for apps, scheme, windows in DES_EXTRAPOLATION_CASES
+    ],
+)
+def test_extrapolation_matches_des(apps, scheme, windows):
+    _, counters = evaluate(apps, scheme, windows)
+    assert counters == {
+        "analytic.cycles_skipped": windows - model.TRUNCATED_WINDOWS
+    }
+    assert_analytic_matches_des(apps, scheme, windows=windows)
 
 
 def test_extrapolation_at_600_windows():
     result, counters = evaluate(("A3",), "batching", 600)
     assert counters == {"analytic.cycles_skipped": 594}
-    assert_results_match(
-        result, full_scan(Scenario.of(["A3"], scheme="batching", windows=600))
-    )
+    scenario = Scenario.of(["A3"], scheme="batching", windows=600)
+    assert_results_match(result, full_scan(scenario))
+    assert_results_match(result, execute_scenario(scenario))
 
 
 @pytest.mark.parametrize(
@@ -266,6 +286,66 @@ def test_extrapolation_gate():
     assert gate(Scenario.of(["A3"], windows=model.MIN_WINDOWS)) is None
 
 
+FIG10_APPS = tuple(f"A{index}" for index in range(1, 11))
+
+#: Strictly periodic scenarios at 12 windows: A3 under every scheme, a
+#: few shared-sensor and high-rate mixes, the Figure 10 single-app
+#: points under baseline, batching and COM (bar A5 under COM, which
+#: never settles into a steady cycle), every Figure 11 set under BEAM,
+#: and A3+A5 under baseline.
+PERIODIC_CORPUS = sorted(
+    set(
+        [(("A3",), scheme) for scheme in SCHEMES]
+        + [
+            (("A3", "A5"), "batching"),
+            (("A7",), "batching"),
+            (("A7",), "polling"),
+            (("A5", "A7"), "beam"),
+            (("A3", "A4"), "baseline"),
+        ]
+        + [
+            ((app,), scheme)
+            for app in FIG10_APPS
+            for scheme in ("baseline", "batching", "com")
+            if (app, scheme) != ("A5", "com")
+        ]
+        + [(combo, "beam") for combo in FIG11_COMBOS]
+        + [(("A3", "A5"), "baseline")]
+    )
+)
+
+#: Periodic scenarios the analytic tier scans in full: A3's result phase
+#: settles only at window 4, inside the truncated scan's verification
+#: cycles, so these two scan the whole horizon (a longer truncation would
+#: cost every long-horizon point more).
+NOT_EXTRAPOLATED = {
+    (("A3", "A4"), "baseline"): "A3's result phase shifts in windows 2-3",
+    (("A3", "A5"), "baseline"): "A3's result phase shifts in windows 2-3",
+}
+
+
+@pytest.mark.parametrize(
+    "apps, scheme", PERIODIC_CORPUS,
+    ids=["+".join(apps) + "-" + scheme for apps, scheme in PERIODIC_CORPUS],
+)
+def test_periodic_corpus_extrapolates(apps, scheme):
+    """Every periodic scenario extrapolates, or is a named exception
+    (its steady state starts later than a truncated scan can verify)."""
+    scenario = Scenario.of(list(apps), scheme=scheme, windows=12)
+    recorder = TraceRecorder()
+    extrapolated = model._extrapolated(
+        scenario, *model._plan_for(scenario), recorder
+    )
+    if (apps, scheme) in NOT_EXTRAPOLATED:
+        assert extrapolated is None
+        assert recorder.counters == {
+            "analytic.extrapolation.fallback.no_steady_state": 1
+        }
+    else:
+        assert extrapolated is not None
+        assert recorder.counters == {"analytic.cycles_skipped": 6}
+
+
 # ----------------------------------------------------------------------
 # envelope gates
 # ----------------------------------------------------------------------
@@ -302,12 +382,6 @@ def test_fingerprint_separates_fidelity_tiers():
     des = scenario_fingerprint(scenario)
     ana = scenario_fingerprint(scenario, fidelity="analytic")
     assert des != ana
-    # The closed form has no fast_forward toggle: one analytic entry
-    # whatever the engine's setting.
-    assert ana == scenario_fingerprint(
-        scenario, fast_forward=True, fidelity="analytic"
-    )
-    assert des != scenario_fingerprint(scenario, fast_forward=True)
     with pytest.raises(ValueError):
         scenario_fingerprint(scenario, fidelity="auto")
 
