@@ -316,7 +316,7 @@ def test_analytic_long_horizon(benchmark, figure_printer, monkeypatch):
             "cycles_skipped": recorder.counters["analytic.cycles_skipped"],
         }
         full = analytic_model._full_scan(
-            scenario(), *analytic_model._plan_for(scenario())
+            scenario(), analytic_model._plan_for(scenario())
         )
         des_recorder = TraceRecorder()
         run_apps(
@@ -349,7 +349,7 @@ def test_analytic_long_horizon(benchmark, figure_printer, monkeypatch):
         walls = {
             "full_scan_wall_s": _median_wall_s(
                 lambda: analytic_model._full_scan(
-                    scenario(), *analytic_model._plan_for(scenario())
+                    scenario(), analytic_model._plan_for(scenario())
                 )
             ),
             "extrapolated_scan_wall_s": _median_wall_s(

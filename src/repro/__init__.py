@@ -25,6 +25,7 @@ from .core import (
     ScenarioEngine,
     Scheme,
     SchemeExecutor,
+    SchemePlan,
     check_offloadable,
     compare_schemes,
     register_scheme,
@@ -48,6 +49,7 @@ __all__ = [
     "ScenarioEngine",
     "Scheme",
     "SchemeExecutor",
+    "SchemePlan",
     "__version__",
     "all_ids",
     "check_offloadable",

@@ -26,7 +26,7 @@ REGISTRY_ACCESSORS = frozenset(
 
 #: Methods a registry-dispatched plugin class exposes to the framework.
 REGISTRY_ENTRY_METHODS = frozenset(
-    {"build", "execute", "submit_batch", "create", "__init__"}
+    {"plan", "execute", "submit_batch", "create", "__init__"}
 )
 
 #: Directory components forming the deterministic simulation core.

@@ -1,19 +1,19 @@
 """Scheme-contract rules.
 
 Modules under ``core/schemes/`` are plugins: one file, one
-``@register_scheme`` class, composing the shared primitives that
-:class:`~repro.core.schemes.base.SchemeContext` owns.  These rules pin
-the contract documented in ``docs/extending.md``: every plugin module
+``@register_scheme`` class whose ``plan`` returns the scheme's
+:class:`~repro.core.schemes.base.SchemePlan`.  These rules pin the
+contract documented in ``docs/extending.md``: every plugin module
 registers exactly one scheme, the registered class actually subclasses
-:class:`SchemeExecutor` and provides ``build``, its class-level knobs
-are spelled correctly, and ``build`` tweaks the governor knobs instead
-of rebinding the context's shared state.
+:class:`SchemeExecutor` and provides ``plan``, and it sets no class
+attribute but ``name`` — everything else a scheme decides lives in its
+plan.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import List, Optional
+from typing import List
 
 from ..framework import FileContext, Rule, register_rule
 
@@ -21,12 +21,7 @@ from ..framework import FileContext, Rule, register_rule
 NON_PLUGIN_FILES = frozenset({"base.py", "registry.py", "__init__.py"})
 
 #: Class-level attributes a SchemeExecutor subclass may set.
-EXECUTOR_KNOBS = frozenset({"name", "cpu_starts_awake", "mcu_owns_sensing"})
-
-#: SchemeContext attributes a scheme's build is allowed to (re)bind.
-CTX_KNOBS = frozenset(
-    {"policy", "allow_deep", "use_governor", "rest_routine", "total_irqs"}
-)
+EXECUTOR_KNOBS = frozenset({"name"})
 
 
 def _is_register_decorator(node: ast.AST) -> bool:
@@ -103,16 +98,16 @@ class OneSchemePerModuleRule(SchemeModuleRule):
 
 @register_rule
 class SchemeHooksRule(SchemeModuleRule):
-    """The registered class subclasses SchemeExecutor and has ``build``."""
+    """The registered class subclasses SchemeExecutor and has ``plan``."""
 
-    rule_id = "scheme-missing-build"
+    rule_id = "scheme-missing-plan"
     description = (
         "a registered scheme must subclass SchemeExecutor and implement"
-        " (or inherit from another scheme) its build() hook"
+        " (or inherit from another scheme) its plan() hook"
     )
 
     def finish_module(self, ctx: FileContext, tree: ast.Module) -> None:
-        """Check each registered class's bases and build() hook."""
+        """Check each registered class's bases and plan() hook."""
         for cls in _registered_classes(tree):
             bases = _base_names(cls)
             if not bases:
@@ -123,10 +118,10 @@ class SchemeHooksRule(SchemeModuleRule):
                     " derive from SchemeExecutor",
                 )
                 continue
-            if self._defines_build(cls):
+            if self._defines_plan(cls):
                 continue
             # Subclassing another scheme (e.g. a *Scheme class) inherits
-            # a concrete build; subclassing only the abstract executor
+            # a concrete plan; subclassing only the abstract executor
             # does not.
             inherits_concrete = any(
                 base != "SchemeExecutor" for base in bases
@@ -135,27 +130,29 @@ class SchemeHooksRule(SchemeModuleRule):
                 self.emit(
                     ctx,
                     cls,
-                    f"{cls.name} neither defines build() nor inherits one"
+                    f"{cls.name} neither defines plan() nor inherits one"
                     " from a concrete scheme",
                 )
 
     @staticmethod
-    def _defines_build(cls: ast.ClassDef) -> bool:
+    def _defines_plan(cls: ast.ClassDef) -> bool:
         return any(
             isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and node.name == "build"
+            and node.name == "plan"
             for node in cls.body
         )
 
 
 @register_rule
 class SchemeKnobsRule(SchemeModuleRule):
-    """Class-level assignments are limited to the documented knobs."""
+    """Class-level assignments are limited to ``name``."""
 
     rule_id = "scheme-unknown-knob"
     description = (
-        "class-level attribute on a registered scheme that is not a"
-        " SchemeExecutor knob (likely a typo, e.g. cpu_start_awake)"
+        "class-level attribute on a registered scheme other than name;"
+        " executors read no other knob, so a stale one (e.g."
+        " cpu_starts_awake = True) silently does nothing — declare it in"
+        " the SchemePlan that plan() returns"
     )
 
     def finish_module(self, ctx: FileContext, tree: ast.Module) -> None:
@@ -170,7 +167,7 @@ class SchemeKnobsRule(SchemeModuleRule):
                             f"{cls.name}.{name} is not a SchemeExecutor"
                             " knob (known: "
                             + ", ".join(sorted(EXECUTOR_KNOBS))
-                            + ")",
+                            + "); declare scheme decisions in plan()",
                         )
 
     @staticmethod
@@ -182,48 +179,3 @@ class SchemeKnobsRule(SchemeModuleRule):
         elif isinstance(node, ast.AnnAssign):
             if isinstance(node.target, ast.Name):
                 yield node.target.id, node.target
-
-
-@register_rule
-class CtxRebindRule(SchemeModuleRule):
-    """``build`` must not rebind SchemeContext shared state."""
-
-    rule_id = "scheme-ctx-rebind"
-    description = (
-        "assignment to a SchemeContext attribute outside the governor"
-        " knobs (policy, allow_deep, use_governor, rest_routine,"
-        " total_irqs) — mutate the context's containers, don't rebind"
-    )
-
-    def visit_Assign(self, ctx: FileContext, node: ast.Assign) -> None:
-        """Check every assignment target for a ``ctx.<attr>`` rebind."""
-        for target in node.targets:
-            self._check_target(ctx, target)
-
-    def visit_AnnAssign(self, ctx: FileContext, node: ast.AnnAssign) -> None:
-        """Check annotated assignments for a ``ctx.<attr>`` rebind."""
-        self._check_target(ctx, node.target)
-
-    def visit_AugAssign(self, ctx: FileContext, node: ast.AugAssign) -> None:
-        """Check augmented assignments for a ``ctx.<attr>`` rebind."""
-        self._check_target(ctx, node.target)
-
-    def _check_target(self, ctx: FileContext, target: ast.AST) -> None:
-        attr = self._ctx_attribute(target)
-        if attr is not None and attr not in CTX_KNOBS:
-            self.emit(
-                ctx,
-                target,
-                f"rebinds ctx.{attr}; schemes may only set the governor"
-                " knobs (" + ", ".join(sorted(CTX_KNOBS)) + ")",
-            )
-
-    @staticmethod
-    def _ctx_attribute(target: ast.AST) -> Optional[str]:
-        if (
-            isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id == "ctx"
-        ):
-            return target.attr
-        return None

@@ -42,6 +42,7 @@ from .scenario import Scenario, Scheme
 from .schemes import (
     SchemeContext,
     SchemeExecutor,
+    SchemePlan,
     iter_schemes,
     register_scheme,
     scheme_names,
@@ -65,6 +66,7 @@ __all__ = [
     "Scheme",
     "SchemeContext",
     "SchemeExecutor",
+    "SchemePlan",
     "SerialBackend",
     "Sweep",
     "SweepPoint",

@@ -3,91 +3,27 @@
 MCU side: samples are decoded into RAM; the stream that completes an app
 window last runs the hand-off — batching ships the buffer (interrupt +
 bulk transfer), COM computes on the MCU and ships only the result.  CPU
-side: the race-to-sleep governor replica decides rest states between
-interrupts, mirroring :class:`~repro.hubos.governor.SleepGovernor`
-decision for decision (including the wake bookkeeping that Figure 5b/5c
-hinge on).
+side: the race-to-sleep governor's :func:`~repro.hubos.governor.rest_state`
+decides rest states between interrupts over the plan's work times, the
+same decisions :class:`~repro.hubos.governor.SleepGovernor` takes in the
+DES (including the wake bookkeeping that Figure 5b/5c hinge on).
 """
 
 from __future__ import annotations
 
-import bisect
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ...apps.base import IoTApp
 from ...errors import AnalyticUnsupported
+from ...hubos.governor import CpuRestPolicy, rest_state
 from ...hw.cpu import CpuState
 from ...hw.power import Routine
-from ..schemes.base import AnalyticPlan, Stream, build_streams
+from ..schemes.base import SchemePlan, Stream, build_streams
 from .context import AnalyticRun
 from .mcu_scan import McuOp, scan_streams
 
 #: One pending interrupt: (fire, vector, app, window, count, nbytes).
 _Irq = Tuple[float, str, IoTApp, int, int, int]
-
-
-class _Governor:
-    """Replica of :class:`~repro.hubos.governor.SleepGovernor` decisions.
-
-    Emits CPU timeline events instead of power-state transitions; the
-    break-even thresholds and the deep-sleep gate are the same formulas.
-    """
-
-    def __init__(
-        self,
-        run: AnalyticRun,
-        work_times: List[float],
-        allow_deep: bool,
-        rest_routine: str,
-    ):
-        self.run = run
-        self.work = sorted(work_times)
-        self.allow_deep = allow_deep
-        self.rest_routine = rest_routine
-        cal = run.cal.cpu
-        delta = cal.idle_power_w - cal.sleep_power_w
-        self.break_even = (
-            cal.wake_energy_j / delta if delta > 0 else float("inf")
-        )
-        deep_delta = cal.sleep_power_w - cal.deep_sleep_power_w
-        self.deep_break_even = (
-            cal.transition_power_w * cal.deep_transition_time_s / deep_delta
-            if deep_delta > 0
-            else float("inf")
-        )
-
-    def rest(self, now: float) -> None:
-        """Apply the governor at ``now`` (caller guarantees the core idles)."""
-        run = self.run
-        cal = run.cal.cpu
-        index = bisect.bisect_right(self.work, now + 1e-12)
-        if index >= len(self.work):
-            if self.allow_deep:
-                run.cpu.set(
-                    now, CpuState.DEEP_SLEEP, cal.deep_sleep_power_w,
-                    Routine.IDLE,
-                )
-            else:
-                run.cpu.set(
-                    now, CpuState.SLEEP, cal.sleep_power_w, self.rest_routine
-                )
-            return
-        expected = max(0.0, self.work[index] - now)
-        if self.allow_deep and expected > max(
-            self.break_even, self.deep_break_even
-        ):
-            run.cpu.set(
-                now, CpuState.DEEP_SLEEP, cal.deep_sleep_power_w,
-                self.rest_routine,
-            )
-        elif expected > self.break_even:
-            run.cpu.set(
-                now, CpuState.SLEEP, cal.sleep_power_w, self.rest_routine
-            )
-        else:
-            run.cpu.set(
-                now, CpuState.IDLE, cal.idle_power_w, self.rest_routine
-            )
 
 
 class _ComputeProc:
@@ -111,9 +47,8 @@ class _AppBuffer:
         self.count = 0
 
 
-def run_buffered(run: AnalyticRun, plan: AnalyticPlan) -> None:
+def run_buffered(run: AnalyticRun, plan: SchemePlan) -> None:
     """Populate ``run`` with the batching/COM/BCOM schedule and energy."""
-    scenario = run.scenario
     cal = run.cal
     irqs: List[_Irq] = []
 
@@ -221,32 +156,27 @@ def run_buffered(run: AnalyticRun, plan: AnalyticPlan) -> None:
     _cpu_replay(run, plan, irqs)
 
 
-def _cpu_replay(run: AnalyticRun, plan: AnalyticPlan, irqs: List[_Irq]) -> None:
+def _cpu_replay(run: AnalyticRun, plan: SchemePlan, irqs: List[_Irq]) -> None:
     """Dispatcher + governor + compute replay over the interrupt list."""
-    scenario = run.scenario
     cal = run.cal
-    # spawn_buffered's governor knobs and CpuRestPolicy work times.
-    work_times: List[float] = []
-    for app in plan.com_apps:
-        work_times.extend(
-            (w + 1) * app.profile.window_s + app.profile.mcu_compute_time_s(cal)
-            for w in range(scenario.windows)
+    policy = CpuRestPolicy(plan.work_times(run.scenario))
+    power = {
+        CpuState.DEEP_SLEEP: cal.cpu.deep_sleep_power_w,
+        CpuState.SLEEP: cal.cpu.sleep_power_w,
+        CpuState.IDLE: cal.cpu.idle_power_w,
+    }
+
+    def rest(now: float) -> None:
+        """SchemeContext.rest at ``now`` (caller guarantees the core idles)."""
+        state, routine = rest_state(
+            cal.cpu, policy.expected_idle(now), plan.rest_routine,
+            plan.allow_deep,
         )
-    for app in plan.batch_apps:
-        work_times.extend(
-            (w + 1) * app.profile.window_s for w in range(scenario.windows)
-        )
-    gov = _Governor(
-        run,
-        work_times,
-        allow_deep=not plan.batch_apps,
-        rest_routine=(
-            Routine.IDLE if not plan.batch_apps else Routine.DATA_TRANSFER
-        ),
-    )
+        run.cpu.set(now, state, power[state], routine)
+
     procs = {app.name: _ComputeProc() for app in plan.batch_apps}
     # build_context's t=0 rest(): the governor's first decision.
-    gov.rest(0.0)
+    rest(0.0)
     dispatcher_free = 0.0
     for i, (fire, vector, app, w, count, nbytes) in enumerate(irqs):
         next_fire = irqs[i + 1][0] if i + 1 < len(irqs) else None
@@ -277,8 +207,8 @@ def _cpu_replay(run: AnalyticRun, plan: AnalyticPlan, irqs: List[_Irq]) -> None:
             ):
                 # pending_count == 0 and nothing holds the core: the
                 # dispatcher rests before the compute continuation.
-                gov.rest(transfer_end)
-            _drain(run, gov, proc, app, next_fire)
+                rest(transfer_end)
+            _drain(run, rest, proc, app, next_fire)
         else:  # result
             run.record_result(app, w, transfer_end)
             send_end = run.nic_send(transfer_end, app.profile.output_bytes)
@@ -286,12 +216,12 @@ def _cpu_replay(run: AnalyticRun, plan: AnalyticPlan, irqs: List[_Irq]) -> None:
             if run.cpu_core_free <= send_end and (
                 next_fire is None or next_fire > send_end
             ):
-                gov.rest(send_end)
+                rest(send_end)
 
 
 def _drain(
     run: AnalyticRun,
-    gov: _Governor,
+    rest: Callable[[float], None],
     proc: _ComputeProc,
     app: IoTApp,
     next_fire: Optional[float],
@@ -313,4 +243,4 @@ def _drain(
         if next_fire is None or next_fire > send_end:
             # Otherwise the next interrupt's service covers send_end and
             # the DES rest() is a busy no-op.
-            gov.rest(send_end)
+            rest(send_end)

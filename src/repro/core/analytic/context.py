@@ -17,27 +17,29 @@ from ...hw.mcu import McuState
 from ...hw.power import Routine
 from ...sensors.base import SensorDevice
 from ...sensors.specs import get_spec
-from ...units import to_ms
+from ..schemes.base import SchemePlan, qos_violation
 from .ledger import CycleTally, Timeline
 
 
 class AnalyticRun:
     """Mutable scan state shared by the family models."""
 
-    def __init__(self, scenario, cpu_starts_awake: bool, mcu_owns_sensing: bool):
+    def __init__(self, scenario, plan: SchemePlan):
         self.scenario = scenario
         self.cal = scenario.calibration
         cal = self.cal
+        # SchemeContext: governor-less schemes start the CPU awake.
         self.cpu = Timeline(
             "cpu",
-            CpuState.IDLE if cpu_starts_awake else CpuState.DEEP_SLEEP,
-            cal.cpu.idle_power_w
-            if cpu_starts_awake
-            else cal.cpu.deep_sleep_power_w,
+            CpuState.DEEP_SLEEP if plan.governed else CpuState.IDLE,
+            cal.cpu.deep_sleep_power_w
+            if plan.governed
+            else cal.cpu.idle_power_w,
         )
         # build_context: the MCU board is awake (data-collection wait)
         # whenever it owns the sensing; under main-board polling it never
         # leaves sleep.
+        mcu_owns_sensing = plan.mcu_owns_sensing
         self.mcu = Timeline(
             "mcu",
             McuState.IDLE if mcu_owns_sensing else McuState.SLEEP,
@@ -213,17 +215,9 @@ class AnalyticRun:
             )
         )
         self.result_times[app.name].append(t)
-        start = window_index * app.profile.window_s
-        deadline = (
-            float("inf")
-            if app.profile.heavy
-            else start + 2.0 * app.profile.window_s
-        )
-        if t > deadline + 1e-9:
-            self.qos_violations.append(
-                f"{app.name} window {window_index}: result at "
-                f"{to_ms(t):.1f} ms, deadline {to_ms(deadline):.1f} ms"
-            )
+        violation = qos_violation(app, window_index, t)
+        if violation is not None:
+            self.qos_violations.append(violation)
 
     def timelines(self) -> List[Timeline]:
         """Every component timeline, for integration."""

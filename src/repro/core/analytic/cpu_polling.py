@@ -15,14 +15,14 @@ from typing import Dict, Tuple
 
 from ...hw.cpu import CpuState
 from ...hw.power import Routine
-from ..schemes.base import build_streams
+from ..schemes.base import SchemePlan, build_streams
 from .context import AnalyticRun
 
 #: hubos.polling.STORE_TIME_S — the busy store after each blocking read.
 STORE_TIME_S = 20e-6
 
 
-def run_cpu_polling(run: AnalyticRun) -> None:
+def run_cpu_polling(run: AnalyticRun, plan: SchemePlan) -> None:
     """Populate ``run`` with the polling schedule and energy."""
     scenario = run.scenario
     cal = run.cal

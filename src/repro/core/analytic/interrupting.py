@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from ...hw.power import Routine
-from ..schemes.base import Stream, build_streams
+from ..schemes.base import SchemePlan, Stream, build_streams
 from .context import AnalyticRun
 from .mcu_scan import McuOp, scan_streams
 
@@ -20,11 +20,10 @@ from .mcu_scan import McuOp, scan_streams
 _Irq = Tuple[float, Stream, int, int]
 
 
-def run_interrupting(run: AnalyticRun, shared: bool) -> None:
+def run_interrupting(run: AnalyticRun, plan: SchemePlan) -> None:
     """Populate ``run`` with the baseline/BEAM schedule and energy."""
-    scenario = run.scenario
     cal = run.cal
-    streams = build_streams(scenario.apps, shared)
+    streams = build_streams(run.scenario.apps, plan.shared)
     irqs: List[_Irq] = []
 
     def sample_ops(stream: Stream, w: int, k: int) -> List[McuOp]:
@@ -46,7 +45,6 @@ def run_interrupting(run: AnalyticRun, shared: bool) -> None:
 def _cpu_replay(run: AnalyticRun, irqs: List[_Irq]) -> None:
     """Dispatcher + compute replay with the governor off (never sleeps)."""
     cal = run.cal
-    scenario = run.scenario
     # build_context's t=0 rest(): governor off -> idle at the default
     # DATA_TRANSFER wait routine.
     run.cpu.set(0.0, "idle", cal.cpu.idle_power_w, Routine.DATA_TRANSFER)
@@ -93,4 +91,3 @@ def _cpu_replay(run: AnalyticRun, irqs: List[_Irq]) -> None:
                     send_end, "idle", cal.cpu.idle_power_w,
                     Routine.DATA_TRANSFER,
                 )
-    del scenario  # schedule fully derived from the irq list

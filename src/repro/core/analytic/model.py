@@ -1,12 +1,13 @@
 """The analytic tier's entry point: scenario -> closed-form RunResult.
 
 :func:`analytic_scenario_result` mirrors
-:func:`~repro.core.schemes.base.execute_scenario` — same feasibility
-errors, same result shape — but derives the schedule arithmetically via
-the family models instead of running the event kernel.
+:func:`~repro.core.schemes.base.execute_scenario` — same scheme
+declaration (:class:`~repro.core.schemes.base.SchemePlan`), same
+feasibility errors, same result shape — but interprets the plan's family
+arithmetically instead of running the event kernel.
 :func:`supports_analytic` is the planner's gate: scenarios outside the
-validated envelope (failure injection, partial-batch flushes, plugin
-schemes without a closed form, RAM-overflow risk) fall back to the DES.
+validated envelope (failure injection, partial-batch flushes, RAM-overflow
+risk) fall back to the DES.
 Long scenarios are scanned as a truncated copy whose verified steady
 cycle is multiplied out, so they cost a few windows, not the horizon.
 """
@@ -14,13 +15,13 @@ cycle is multiplied out, so they cost a few windows, not the horizon.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ...errors import AnalyticUnsupported, OffloadError, WorkloadError
 from ...energy.meter import EnergyReport
 from ...obs.recorder import NULL_RECORDER, NullRecorder
 from ..results import RunResult
-from ..schemes.base import AnalyticPlan
+from ..schemes.base import SchemePlan
 from ..schemes.registry import get_scheme
 from .buffered import run_buffered
 from .context import AnalyticRun
@@ -69,11 +70,17 @@ _CYCLE_RTOL = 1e-11
 _PHASE_ATOL_S = 1e-11
 
 
-def _plan_for(scenario) -> Tuple[object, AnalyticPlan]:
-    """Resolve the scheme's analytic plan (feasibility errors propagate)."""
-    executor = get_scheme(scenario.scheme)()
-    plan = executor.analytic_plan(scenario)
-    return executor, plan
+#: The closed-form interpreter of each :attr:`SchemePlan.family`.
+_SCANS: Dict[str, Callable[[AnalyticRun, SchemePlan], None]] = {
+    "interrupting": run_interrupting,
+    "cpu_polling": run_cpu_polling,
+    "buffered": run_buffered,
+}
+
+
+def _plan_for(scenario) -> SchemePlan:
+    """Resolve the scheme's plan (feasibility errors propagate)."""
+    return get_scheme(scenario.scheme)().plan(scenario)
 
 
 def supports_analytic(scenario) -> Tuple[bool, str]:
@@ -88,13 +95,9 @@ def supports_analytic(scenario) -> Tuple[bool, str]:
     if scenario.batch_size is not None:
         return False, "partial-batch flushes are not modelled (DES only)"
     try:
-        _, plan = _plan_for(scenario)
+        plan = _plan_for(scenario)
     except OffloadError:
         return True, ""
-    if plan is None:
-        return False, (
-            f"scheme {scenario.scheme!r} declares no closed-form model"
-        )
     if plan.family == "buffered":
         cal = scenario.calibration
         resident = sum(
@@ -113,25 +116,9 @@ def supports_analytic(scenario) -> Tuple[bool, str]:
     return True, ""
 
 
-def _new_run(scenario, executor) -> AnalyticRun:
-    """Fresh scan state for ``scenario`` under the scheme's start states."""
-    return AnalyticRun(
-        scenario,
-        cpu_starts_awake=executor.cpu_starts_awake,
-        mcu_owns_sensing=executor.mcu_owns_sensing,
-    )
-
-
-def _scan(run: AnalyticRun, plan: AnalyticPlan) -> Tuple[dict, dict, float]:
+def _scan(run: AnalyticRun, plan: SchemePlan) -> Tuple[dict, dict, float]:
     """Scan ``run``'s scenario; returns (energy, busy, end time)."""
-    if plan.family == "interrupting":
-        run_interrupting(run, plan.shared)
-    elif plan.family == "cpu_polling":
-        run_cpu_polling(run)
-    elif plan.family == "buffered":
-        run_buffered(run, plan)
-    else:  # pragma: no cover - AnalyticPlan.FAMILIES is closed
-        raise AnalyticUnsupported(f"unknown analytic family {plan.family!r}")
+    _SCANS[plan.family](run, plan)
     end_time = max(run.last_activity, run.scenario.horizon_s)
     energy, busy = integrate(run, end_time)
     return energy, busy, end_time
@@ -139,7 +126,7 @@ def _scan(run: AnalyticRun, plan: AnalyticPlan) -> Tuple[dict, dict, float]:
 
 def _result(
     scenario,
-    plan: AnalyticPlan,
+    plan: SchemePlan,
     run: AnalyticRun,
     energy: dict,
     busy: dict,
@@ -180,10 +167,10 @@ def _result(
     )
 
 
-def _full_scan(scenario, executor, plan: AnalyticPlan) -> RunResult:
+def _full_scan(scenario, plan: SchemePlan) -> RunResult:
     """Scan the whole horizon: the fallback, and the reference the
     extrapolated results are tested against."""
-    run = _new_run(scenario, executor)
+    run = AnalyticRun(scenario, plan)
     return _result(scenario, plan, run, *_scan(run, plan))
 
 
@@ -276,7 +263,7 @@ def _extrapolate(
 
 
 def _extrapolated(
-    scenario, executor, plan: AnalyticPlan, recorder: NullRecorder
+    scenario, plan: SchemePlan, recorder: NullRecorder
 ) -> Optional[RunResult]:
     """Scan a truncated copy and multiply its template cycle out.
 
@@ -286,8 +273,8 @@ def _extrapolated(
     """
     reason = _extrapolation_gate(scenario)
     if reason is None:
-        run = _new_run(
-            dataclasses.replace(scenario, windows=TRUNCATED_WINDOWS), executor
+        run = AnalyticRun(
+            dataclasses.replace(scenario, windows=TRUNCATED_WINDOWS), plan
         )
         run.cycles = CycleTally(
             scenario.apps[0].profile.window_s, TRUNCATED_WINDOWS
@@ -332,11 +319,11 @@ def analytic_scenario_result(
     supported, reason = supports_analytic(scenario)
     if not supported:
         raise AnalyticUnsupported(reason)
-    executor, plan = _plan_for(scenario)
+    plan = _plan_for(scenario)
     recorder = obs if obs is not None else NULL_RECORDER
-    result = _extrapolated(scenario, executor, plan, recorder)
+    result = _extrapolated(scenario, plan, recorder)
     if result is None:
-        result = _full_scan(scenario, executor, plan)
+        result = _full_scan(scenario, plan)
     if recorder.enabled:
         recorder.span("analytic", scenario.scheme, 0.0, result.duration_s)
         window_by_app = {

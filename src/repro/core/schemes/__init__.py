@@ -1,13 +1,15 @@
 """Pluggable execution schemes (one module per §III subsection).
 
 Importing this package registers the paper's six schemes; add your own
-by subclassing :class:`SchemeExecutor` in a new module and decorating it
-with ``@register_scheme("<name>")`` — see ``docs/extending.md``.
+by subclassing :class:`SchemeExecutor`, returning a :class:`SchemePlan`
+from its ``plan`` and decorating it with ``@register_scheme("<name>")``
+— see ``docs/extending.md``.
 """
 
 from .base import (
     SchemeContext,
     SchemeExecutor,
+    SchemePlan,
     Stream,
     WindowState,
     execute_scenario,
@@ -31,6 +33,7 @@ from . import bcom as _bcom  # noqa: E402,F401
 __all__ = [
     "SchemeContext",
     "SchemeExecutor",
+    "SchemePlan",
     "Stream",
     "WindowState",
     "execute_scenario",

@@ -1,12 +1,15 @@
 """Scheme-plugin protocol and the shared execution plumbing.
 
 A scheme is a small class: a :class:`SchemeExecutor` subclass whose
-``build`` wires MCU-side and CPU-side processes onto a
-:class:`SchemeContext`.  The context owns everything every scheme needs
-— the hub, the sensor devices, polling-stream construction, window
+``plan`` returns a :class:`SchemePlan` — which family of wiring it uses,
+whether streams are shared, which apps compute on the MCU.  That one
+declaration is all a scheme states; both tiers interpret it.  The
+discrete-event simulation wires it through :func:`build_context` (one
+wiring function per family over the primitives
+:class:`SchemeContext` owns — the hub, the sensor devices, window
 bookkeeping, the interrupt dispatcher, the CPU compute loop and the
-sleep governor — so a new scheme is one new file that composes these
-primitives, not an edit to a god-module.
+sleep governor), and the closed-form tier in
+:mod:`repro.core.analytic` scans it.
 
 :func:`execute_scenario` is the single entry point: look the scheme up
 in the registry, build a fresh context, run the discrete-event
@@ -16,11 +19,12 @@ simulation to completion and integrate the energy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from ...apps.base import AppResult, IoTApp, SampleWindow
 from ...errors import CapacityError, WorkloadError
 from ...firmware.batching import BatchBuffer
+from ...firmware.capability import OffloadReport
 from ...firmware.driver import (
     mcu_transfer_busy,
     raise_interrupt,
@@ -85,7 +89,6 @@ class WindowState:
     signal: Signal
     complete: bool = False
     delivered: bool = False
-    deadline_s: float = 0.0
 
     def register(self, sample) -> bool:
         """Add a sample; returns True when the window just completed."""
@@ -104,13 +107,31 @@ class WindowState:
         self.signal.fire(self.window.window_index)
 
 
+def qos_violation(app: IoTApp, window_index: int, t: float) -> Optional[str]:
+    """The QoS violation of a result delivered at ``t``, or ``None``.
+
+    Heavy apps are soft real-time (converting 1 s of audio takes longer
+    than 1 s) and have no deadline; light apps must deliver within one
+    extra window.  Both tiers record results through this rule.
+    """
+    if app.profile.heavy:
+        return None
+    deadline = window_index * app.profile.window_s + 2.0 * app.profile.window_s
+    if t <= deadline + 1e-9:
+        return None
+    return (
+        f"{app.name} window {window_index}: result at {to_ms(t):.1f} ms, "
+        f"deadline {to_ms(deadline):.1f} ms"
+    )
+
+
 def build_streams(apps: Sequence[IoTApp], shared: bool) -> List[Stream]:
     """Build polling streams for ``apps``: per-app or shared-per-sensor.
 
     Pure function of the app profiles — no hub, no simulator — so the
-    DES (via :meth:`SchemeContext.streams_for`) and the closed-form
-    analytic tier (:mod:`repro.core.analytic`) derive their schedules
-    from the exact same stream set.  Raises
+    DES wiring functions and the closed-form analytic tier
+    (:mod:`repro.core.analytic`) derive their schedules from the exact
+    same stream set.  Raises
     :class:`~repro.errors.WorkloadError` for BEAM-unshareable sensors
     (mixed window lengths, non-dividing rates).
     """
@@ -173,29 +194,127 @@ def build_streams(apps: Sequence[IoTApp], shared: bool) -> List[Stream]:
     return streams
 
 
-class SchemeContext:
-    """Shared stream/window/governor plumbing handed to a scheme's build.
+@dataclass
+class SchemePlan:
+    """A scheme's whole declaration: what it decides, not how to wire it.
 
-    Holds the fresh :class:`~repro.hw.board.IoTHub`, the attached sensor
-    devices and all scheme-agnostic process generators.  A scheme's
-    ``build`` spawns processes and sets the governor knobs (``policy``,
-    ``allow_deep``, ``use_governor``, ``rest_routine``).
+    The paper's schemes differ in three decisions — who polls (CPU or
+    MCU), whether the MCU hands data over per sample or per window, and
+    where each app computes — plus BEAM's stream sharing.  ``family``
+    names the first two; :func:`build_context` (the DES) and
+    :mod:`repro.core.analytic` (the closed form) each interpret it,
+    using the same :func:`build_streams` output:
+
+    * ``"interrupting"`` — per-sample MCU poll, interrupt, transfer
+      (baseline; BEAM sets ``shared``).
+    * ``"cpu_polling"`` — the CPU blocks on every read (§II-A polling).
+    * ``"buffered"`` — MCU-buffered sensing with per-window hand-off:
+      ``batch_apps`` ship their buffer, ``com_apps`` compute on the MCU
+      and ship only the result (batching / COM / BCOM mixes).
+
+    Everything else — start states, governor inputs — is derived here
+    and cannot be set.
+    """
+
+    family: str
+    shared: bool = False
+    com_apps: List[IoTApp] = field(default_factory=list)
+    batch_apps: List[IoTApp] = field(default_factory=list)
+    offload_reports: Dict[str, OffloadReport] = field(default_factory=dict)
+
+    FAMILIES: ClassVar[Tuple[str, ...]] = (
+        "interrupting",
+        "cpu_polling",
+        "buffered",
+    )
+
+    def __post_init__(self) -> None:
+        if self.family not in self.FAMILIES:
+            raise WorkloadError(
+                f"unknown scheme family {self.family!r} (known: "
+                f"{', '.join(self.FAMILIES)})"
+            )
+
+    @property
+    def governed(self) -> bool:
+        """Whether the race-to-sleep governor runs (else the CPU starts
+        and stays awake: the paper's baseline "is in active mode all the
+        time", Fig. 5a)."""
+        return self.family == "buffered"
+
+    @property
+    def mcu_owns_sensing(self) -> bool:
+        """Whether the MCU board polls (under main-board polling it never
+        leaves sleep)."""
+        return self.family != "cpu_polling"
+
+    @property
+    def allow_deep(self) -> bool:
+        """Whether the CPU may power-gate: only when no batch needs prompt
+        ingestion."""
+        return self.governed and not self.batch_apps
+
+    @property
+    def rest_routine(self) -> str:
+        """The routine the CPU's rest is charged to: with the CPU fully
+        relieved (pure COM) it is the hub's idle floor, not app wait."""
+        return Routine.IDLE if self.allow_deep else Routine.DATA_TRANSFER
+
+    def work_times(self, scenario) -> List[float]:
+        """The instants the governor expects CPU work (``CpuRestPolicy``).
+
+        COM results arrive one MCU compute after each window closes;
+        batches at each window close and, with a ``batch_size``, roughly
+        every ``batch_size`` samples as partial batches.
+        """
+        times: List[float] = []
+        for app in self.com_apps:
+            times.extend(
+                (w + 1) * app.profile.window_s
+                + app.profile.mcu_compute_time_s(scenario.calibration)
+                for w in range(scenario.windows)
+            )
+        for app in self.batch_apps:
+            times.extend(
+                (w + 1) * app.profile.window_s
+                for w in range(scenario.windows)
+            )
+            if scenario.batch_size is not None:
+                samples = sorted(
+                    w * stream.window_s + k / stream.rate_hz
+                    for stream in build_streams([app], shared=False)
+                    for w in range(scenario.windows)
+                    for k in range(stream.samples_per_window)
+                )
+                times.extend(samples[:: scenario.batch_size])
+        return times
+
+
+class SchemeContext:
+    """Shared stream/window/governor plumbing the DES wiring composes.
+
+    Holds the scenario's :class:`SchemePlan`, the fresh
+    :class:`~repro.hw.board.IoTHub`, the attached sensor devices, the
+    governor's :class:`~repro.hubos.governor.CpuRestPolicy` and all
+    scheme-agnostic process generators.
     """
 
     def __init__(
         self,
         scenario,
-        cpu_starts_awake: bool = False,
+        plan: SchemePlan,
         obs: Optional[NullRecorder] = None,
     ):
         self.scenario = scenario
+        self.plan = plan
         self.cal = scenario.calibration
         # Governor-less schemes keep the CPU online from the start.
-        initial_cpu = CpuState.IDLE if cpu_starts_awake else CpuState.DEEP_SLEEP
+        initial_cpu = CpuState.DEEP_SLEEP if plan.governed else CpuState.IDLE
         self.hub = IoTHub(self.cal, cpu_initial_state=initial_cpu, obs=obs)
         #: Instrumentation sink (shared with the kernel; no-op by default).
         self.obs = self.hub.obs
         self.governor = SleepGovernor(self.hub.cpu)
+        self.policy = CpuRestPolicy(plan.work_times(scenario))
         self.devices: Dict[str, SensorDevice] = {}
         for sensor_id in scenario.sensor_ids:
             waveform = scenario.waveforms.get(sensor_id)
@@ -213,16 +332,6 @@ class SchemeContext:
             app.name: [] for app in scenario.apps
         }
         self.qos_violations: List[str] = []
-        self.offload_reports = {}
-        #: Governor knobs, set by the scheme's ``build``.
-        self.policy = CpuRestPolicy([])
-        self.allow_deep = False
-        self.rest_routine = Routine.DATA_TRANSFER
-        # The paper's baseline never sleeps (Fig. 5a: "the CPU is in
-        # active mode all the time"); race-to-sleep is part of the
-        # optimized schemes, so only those enable the governor.
-        self.use_governor = True
-        self.total_irqs = 0
         #: Next scheduled poll per stream key — the MCU's own nap governor.
         self._mcu_next_polls: Dict[str, float] = {}
 
@@ -230,16 +339,17 @@ class SchemeContext:
     # governor plumbing
     # ------------------------------------------------------------------
     def rest(self) -> None:
-        """Apply the governor with the scheme's schedule knowledge."""
-        if not self.use_governor:
+        """Apply the governor with the plan's schedule knowledge."""
+        plan = self.plan
+        if not plan.governed:
             if self.hub.cpu.psm.state != "busy" and not self.hub.cpu.asleep:
-                self.hub.cpu.set_idle(self.rest_routine)
+                self.hub.cpu.set_idle(plan.rest_routine)
             return
         expected = self.policy.expected_idle(self.hub.sim.now)
         self.governor.rest(
             expected,
-            wait_routine=self.rest_routine,
-            allow_deep=self.allow_deep,
+            wait_routine=plan.rest_routine,
+            allow_deep=plan.allow_deep,
         )
 
     def mcu_rest(self, stream_key: str, next_poll: float) -> None:
@@ -269,14 +379,6 @@ class SchemeContext:
                 sensor_id: self.devices[sensor_id].waveform
                 for sensor_id in app.profile.sensor_ids
             }
-            # Heavy apps are soft real-time (converting 1 s of audio takes
-            # longer than 1 s); light apps must deliver within one extra
-            # window.
-            deadline = (
-                float("inf")
-                if app.profile.heavy
-                else start + 2.0 * app.profile.window_s
-            )
             state = WindowState(
                 window=app.build_window(index, start, sources=sources),
                 expected={
@@ -284,7 +386,6 @@ class SchemeContext:
                     for sensor_id in app.profile.sensor_ids
                 },
                 signal=Signal(f"{app.name}.w{index}"),
-                deadline_s=deadline,
             )
             self._windows[key] = state
         return self._windows[key]
@@ -294,42 +395,9 @@ class SchemeContext:
         now = self.hub.sim.now
         self._app_results[app.name].append(result)
         self._result_times[app.name].append(now)
-        state = self.window_state(app, result.window_index)
-        if now > state.deadline_s + 1e-9:
-            self.qos_violations.append(
-                f"{app.name} window {result.window_index}: result at "
-                f"{to_ms(now):.1f} ms, deadline "
-                f"{to_ms(state.deadline_s):.1f} ms"
-            )
-
-    # ------------------------------------------------------------------
-    # stream construction
-    # ------------------------------------------------------------------
-    def streams_for(
-        self, apps: Sequence[IoTApp], shared: bool
-    ) -> List[Stream]:
-        """Build polling streams: per-app or shared-per-sensor (BEAM)."""
-        return build_streams(apps, shared)
-
-    def sample_times(self, streams: Sequence[Stream]) -> List[float]:
-        """Every scheduled poll instant across the given streams."""
-        times: List[float] = []
-        for stream in streams:
-            for window_index in range(self.scenario.windows):
-                start = window_index * stream.window_s
-                times.extend(
-                    start + k / stream.rate_hz
-                    for k in range(stream.samples_per_window)
-                )
-        return times
-
-    def window_boundaries(self, apps: Sequence[IoTApp]) -> List[float]:
-        """Window-close instants for every (app, window) pair."""
-        return [
-            (window_index + 1) * app.profile.window_s
-            for app in apps
-            for window_index in range(self.scenario.windows)
-        ]
+        violation = qos_violation(app, result.window_index, now)
+        if violation is not None:
+            self.qos_violations.append(violation)
 
     # ------------------------------------------------------------------
     # MCU-side processes
@@ -644,73 +712,102 @@ class SchemeContext:
             interrupt_count=self.hub.irq.raised_count,
             cpu_wake_count=self.hub.cpu.wake_count,
             bus_bytes=self.hub.bus.bytes_transferred,
-            offload_reports=dict(self.offload_reports),
+            offload_reports=dict(self.plan.offload_reports),
             hub=self.hub,
         )
 
 
-@dataclass
-class AnalyticPlan:
-    """A scheme's declaration of how the analytic tier should model it.
+def wire_interrupting(ctx: SchemeContext) -> None:
+    """Baseline/BEAM: the MCU polls and interrupts the CPU per sample."""
+    apps = ctx.scenario.apps
+    for stream in build_streams(apps, ctx.plan.shared):
+        ctx.hub.sim.spawn(
+            ctx.poll_stream_interrupting(stream),
+            name=f"poll:{stream.key}",
+        )
+    ctx.hub.sim.spawn(ctx.dispatcher(), name="dispatcher")
+    for app in apps:
+        ctx.hub.sim.spawn(
+            ctx.cpu_compute_process(app), name=f"compute:{app.name}"
+        )
 
-    Schemes return one of three *families* from
-    :meth:`SchemeExecutor.analytic_plan`; the closed-form models in
-    :mod:`repro.core.analytic` derive schedules and energy from the
-    family plus the scenario, using the same :func:`build_streams`
-    output as the DES:
 
-    * ``"interrupting"`` — per-sample MCU poll, interrupt, transfer
-      (baseline; BEAM sets ``shared``).
-    * ``"cpu_polling"`` — the CPU blocks on every read (§II-A polling).
-    * ``"buffered"`` — MCU-buffered sensing with per-window hand-off:
-      ``batch_apps`` ship their buffer, ``com_apps`` compute on the MCU
-      and ship only the result (batching / COM / BCOM mixes).
-    """
+def wire_cpu_polling(ctx: SchemeContext) -> None:
+    """Main-board polling: the CPU blocks on every read; MCU asleep."""
+    apps = ctx.scenario.apps
+    for stream in build_streams(apps, shared=False):
+        ctx.hub.sim.spawn(
+            ctx.poll_stream_cpu(stream), name=f"cpupoll:{stream.key}"
+        )
+    for app in apps:
+        ctx.hub.sim.spawn(
+            ctx.cpu_compute_process(app), name=f"compute:{app.name}"
+        )
 
-    family: str
-    shared: bool = False
-    com_apps: List[IoTApp] = field(default_factory=list)
-    batch_apps: List[IoTApp] = field(default_factory=list)
-    offload_reports: Dict[str, "OffloadReport"] = field(default_factory=dict)
 
-    FAMILIES: ClassVar[Tuple[str, ...]] = (
-        "interrupting",
-        "cpu_polling",
-        "buffered",
-    )
+def wire_buffered(ctx: SchemeContext) -> None:
+    """Batching/COM/BCOM: MCU-buffered sensing, per-window hand-off."""
+    for app in ctx.plan.com_apps:
+        # Reserve the offloaded build (code/heap + stream ring) on the
+        # MCU for the whole run; samples stream through the ring, so no
+        # per-sample batch allocation happens for COM apps.
+        ctx.hub.mcu.ram.allocate(
+            f"app:{app.name}", app.profile.mcu_footprint_bytes
+        )
+        coordinator: Dict[int, int] = {}
+        handoff = ctx.com_handoff(app)
+        for stream in build_streams([app], shared=False):
+            ctx.hub.sim.spawn(
+                ctx.poll_stream_buffering(
+                    stream, app, coordinator, None, handoff
+                ),
+                name=f"com:{stream.key}",
+            )
+    for app in ctx.plan.batch_apps:
+        coordinator = {}
+        buffer = BatchBuffer(ctx.hub.mcu.ram, f"batch:{app.name}")
+        handoff = ctx.batch_handoff(app)
+        for stream in build_streams([app], shared=False):
+            ctx.hub.sim.spawn(
+                ctx.poll_stream_buffering(
+                    stream, app, coordinator, buffer, handoff
+                ),
+                name=f"batch:{stream.key}",
+            )
+        ctx.hub.sim.spawn(
+            ctx.cpu_compute_process(app), name=f"compute:{app.name}"
+        )
+    ctx.hub.sim.spawn(ctx.dispatcher(), name="dispatcher")
+
+
+#: The DES interpreter of each :attr:`SchemePlan.family`.  Spawn order
+#: matters: the kernel breaks ties between simultaneous events by it.
+_WIRING: Dict[str, Callable[[SchemeContext], None]] = {
+    "interrupting": wire_interrupting,
+    "cpu_polling": wire_cpu_polling,
+    "buffered": wire_buffered,
+}
 
 
 class SchemeExecutor:
     """Base class for scheme plugins.
 
-    Subclass, decorate with ``@register_scheme("<name>")``, implement
-    ``build`` and set the two class knobs; the registry makes the scheme
-    addressable by name everywhere a scheme string is accepted.
+    Subclass, decorate with ``@register_scheme("<name>")`` and implement
+    ``plan``; the registry makes the scheme addressable by name
+    everywhere a scheme string is accepted, in both fidelity tiers.
     """
 
     #: Registry name; filled in by :func:`register_scheme`.
     name: ClassVar[str] = ""
-    #: Whether the CPU starts awake (governor-less schemes) or deep-asleep.
-    cpu_starts_awake: ClassVar[bool] = False
-    #: Whether the MCU board owns the sensing (False = main-board polling,
-    #: where the MCU never leaves sleep).
-    mcu_owns_sensing: ClassVar[bool] = True
 
-    def build(self, ctx: SchemeContext) -> None:
-        """Spawn the scheme's processes and set the governor knobs."""
-        raise NotImplementedError
+    def plan(self, scenario) -> SchemePlan:
+        """Declare how ``scenario`` executes under this scheme.
 
-    def analytic_plan(self, scenario) -> Optional[AnalyticPlan]:
-        """Inputs for the closed-form tier, or ``None`` (DES-only scheme).
-
-        Must make the same feasibility decisions as :meth:`build` — a
-        scheme that raises (e.g. COM's :class:`~repro.errors.OffloadError`)
-        during ``build`` must raise identically here, so the analytic
-        tier reports the same errors as the DES.  Plugin schemes that do
-        not implement a closed-form model inherit the ``None`` default
-        and always execute through the DES.
+        Feasibility checks belong here (COM raises
+        :class:`~repro.errors.OffloadError`), so the DES and the analytic
+        tier report identical errors.
         """
-        return None
+        raise NotImplementedError
 
 
 def build_context(
@@ -722,14 +819,10 @@ def build_context(
     timed separately from the event loop (the repository benchmark's
     ``schemes.build`` span wraps this function).
     """
-    executor = get_scheme(scenario.scheme)()
-    ctx = SchemeContext(
-        scenario, cpu_starts_awake=executor.cpu_starts_awake, obs=obs
-    )
-    executor.build(ctx)
-    if executor.mcu_owns_sensing:
-        # The MCU board is awake whenever it owns the sensing; under
-        # main-board polling it never leaves sleep.
+    plan = get_scheme(scenario.scheme)().plan(scenario)
+    ctx = SchemeContext(scenario, plan, obs=obs)
+    _WIRING[plan.family](ctx)
+    if plan.mcu_owns_sensing:
         ctx.hub.mcu.set_idle(Routine.DATA_COLLECTION)
     ctx.rest()
     return ctx

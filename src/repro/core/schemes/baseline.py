@@ -2,49 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ...hubos.governor import CpuRestPolicy
-from .base import AnalyticPlan, SchemeContext, SchemeExecutor
+from .base import SchemeExecutor, SchemePlan
 from .registry import register_scheme
-
-
-def spawn_interrupting(ctx: SchemeContext, shared: bool) -> None:
-    """Shared wiring for the per-sample interrupting schemes (baseline/BEAM)."""
-    apps = ctx.scenario.apps
-    streams = ctx.streams_for(apps, shared=shared)
-    total = sum(
-        stream.samples_per_window * ctx.scenario.windows
-        for stream in streams
-    )
-    ctx.total_irqs = total
-    ctx.policy = CpuRestPolicy(
-        ctx.sample_times(streams) + ctx.window_boundaries(apps)
-    )
-    ctx.allow_deep = False
-    ctx.use_governor = False
-    for stream in streams:
-        ctx.hub.sim.spawn(
-            ctx.poll_stream_interrupting(stream),
-            name=f"poll:{stream.key}",
-        )
-    ctx.hub.sim.spawn(ctx.dispatcher(), name="dispatcher")
-    for app in apps:
-        ctx.hub.sim.spawn(
-            ctx.cpu_compute_process(app), name=f"compute:{app.name}"
-        )
 
 
 @register_scheme("baseline")
 class BaselineScheme(SchemeExecutor):
     """Per-(app, sensor) MCU streams; one interrupt and transfer per sample."""
 
-    cpu_starts_awake = True
-
-    def build(self, ctx: SchemeContext) -> None:
+    def plan(self, scenario) -> SchemePlan:
         """One interrupting stream per (app, sensor) pair — no sharing."""
-        spawn_interrupting(ctx, shared=False)
-
-    def analytic_plan(self, scenario) -> Optional[AnalyticPlan]:
-        """Closed-form model: per-sample interrupting, unshared streams."""
-        return AnalyticPlan(family="interrupting", shared=False)
+        return SchemePlan(family="interrupting")

@@ -2,87 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-from ...apps.base import IoTApp
-from ...firmware.batching import BatchBuffer
-from ...hubos.governor import CpuRestPolicy
-from ...hw.power import Routine
-from .base import AnalyticPlan, SchemeContext, SchemeExecutor
+from .base import SchemeExecutor, SchemePlan
 from .registry import register_scheme
-
-
-def spawn_buffered(
-    ctx: SchemeContext, com_apps: List[IoTApp], batch_apps: List[IoTApp]
-) -> None:
-    """Shared wiring for the MCU-buffered schemes (batching / COM / BCOM)."""
-    events = 0
-    work_times: List[float] = []
-    for app in com_apps:
-        # Reserve the offloaded build (code/heap + stream ring) on the
-        # MCU for the whole run; samples stream through the ring, so no
-        # per-sample batch allocation happens for COM apps.
-        ctx.hub.mcu.ram.allocate(
-            f"app:{app.name}", app.profile.mcu_footprint_bytes
-        )
-        coordinator: Dict[int, int] = {}
-        handoff = ctx.com_handoff(app)
-        for stream in ctx.streams_for([app], shared=False):
-            ctx.hub.sim.spawn(
-                ctx.poll_stream_buffering(
-                    stream, app, coordinator, None, handoff
-                ),
-                name=f"com:{stream.key}",
-            )
-        events += ctx.scenario.windows
-        work_times.extend(
-            (w + 1) * app.profile.window_s
-            + app.profile.mcu_compute_time_s(ctx.cal)
-            for w in range(ctx.scenario.windows)
-        )
-    for app in batch_apps:
-        coordinator = {}
-        buffer = BatchBuffer(ctx.hub.mcu.ram, f"batch:{app.name}")
-        handoff = ctx.batch_handoff(app)
-        for stream in ctx.streams_for([app], shared=False):
-            ctx.hub.sim.spawn(
-                ctx.poll_stream_buffering(
-                    stream, app, coordinator, buffer, handoff
-                ),
-                name=f"batch:{stream.key}",
-            )
-        events += ctx.scenario.windows
-        work_times.extend(ctx.window_boundaries([app]))
-        if ctx.scenario.batch_size is not None:
-            # Partial batches arrive roughly every batch_size samples.
-            sample_times = sorted(
-                ctx.sample_times(ctx.streams_for([app], shared=False))
-            )
-            work_times.extend(
-                sample_times[:: ctx.scenario.batch_size]
-            )
-        ctx.hub.sim.spawn(
-            ctx.cpu_compute_process(app), name=f"compute:{app.name}"
-        )
-    ctx.total_irqs = events
-    ctx.policy = CpuRestPolicy(work_times)
-    # Deep sleep is only safe when no batch needs prompt ingestion;
-    # and with the CPU fully relieved (pure COM) its rest time is the
-    # hub's idle floor, not app wait time.
-    ctx.allow_deep = not batch_apps
-    if not batch_apps:
-        ctx.rest_routine = Routine.IDLE
-    ctx.hub.sim.spawn(ctx.dispatcher(), name="dispatcher")
 
 
 @register_scheme("batching")
 class BatchingScheme(SchemeExecutor):
     """Buffer samples in MCU RAM; one interrupt and bulk transfer per window."""
 
-    def build(self, ctx: SchemeContext) -> None:
+    def plan(self, scenario) -> SchemePlan:
         """Every app gets MCU-buffered sensing; none are offloaded."""
-        spawn_buffered(ctx, com_apps=[], batch_apps=list(ctx.scenario.apps))
-
-    def analytic_plan(self, scenario) -> Optional[AnalyticPlan]:
-        """Closed-form model: every app MCU-buffered, none offloaded."""
-        return AnalyticPlan(family="buffered", batch_apps=list(scenario.apps))
+        return SchemePlan(family="buffered", batch_apps=list(scenario.apps))

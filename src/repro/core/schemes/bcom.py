@@ -2,25 +2,19 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ...apps.base import IoTApp
 from ...calibration import Calibration
 from ...firmware.capability import OffloadReport, check_offloadable
-from .base import AnalyticPlan, SchemeContext, SchemeExecutor
-from .batching import spawn_buffered
+from .base import SchemeExecutor, SchemePlan
 from .registry import register_scheme
 
 
 def partition_offloadable(
-    apps: List[IoTApp], cal: Calibration, capacity: int
+    apps: List[IoTApp], cal: Calibration
 ) -> Tuple[List[IoTApp], List[IoTApp], Dict[str, OffloadReport]]:
-    """Split ``apps`` into (com_apps, batch_apps) under a RAM ``capacity``.
-
-    Pure decision logic shared by the DES build (capacity = the live MCU
-    allocator's free bytes) and the analytic tier (capacity = the
-    calibration's total MCU RAM) so both pick identical partitions.
-    """
+    """Split ``apps`` into (com_apps, batch_apps) under the MCU's RAM."""
     com_apps: List[IoTApp] = []
     batch_apps: List[IoTApp] = []
     candidates: List[IoTApp] = []
@@ -31,7 +25,7 @@ def partition_offloadable(
         (candidates if report else batch_apps).append(app)
     # Greedy pack: smallest footprints first maximizes the number of
     # apps that escape the CPU; the rest fall back to Batching.
-    budget = capacity
+    budget = cal.mcu.ram_bytes
     for app in sorted(
         candidates, key=lambda a: a.profile.mcu_footprint_bytes
     ):
@@ -58,22 +52,12 @@ def partition_offloadable(
 class BcomScheme(SchemeExecutor):
     """Offload what fits the MCU under COM; batch the heavy remainder."""
 
-    def build(self, ctx: SchemeContext) -> None:
+    def plan(self, scenario) -> SchemePlan:
         """Partition apps: offloadable ones to COM, the rest to batching."""
         com_apps, batch_apps, reports = partition_offloadable(
-            list(ctx.scenario.apps), ctx.cal, ctx.hub.mcu.ram.free_bytes
+            list(scenario.apps), scenario.calibration
         )
-        ctx.offload_reports.update(reports)
-        spawn_buffered(ctx, com_apps=com_apps, batch_apps=batch_apps)
-
-    def analytic_plan(self, scenario) -> Optional[AnalyticPlan]:
-        """Closed-form model: same greedy partition against total MCU RAM."""
-        com_apps, batch_apps, reports = partition_offloadable(
-            list(scenario.apps),
-            scenario.calibration,
-            scenario.calibration.mcu.ram_bytes,
-        )
-        return AnalyticPlan(
+        return SchemePlan(
             family="buffered",
             com_apps=com_apps,
             batch_apps=batch_apps,

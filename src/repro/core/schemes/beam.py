@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
-from .base import AnalyticPlan, SchemeContext, SchemeExecutor
-from .baseline import spawn_interrupting
+from .base import SchemeExecutor, SchemePlan
 from .registry import register_scheme
 
 
@@ -13,12 +10,6 @@ from .registry import register_scheme
 class BeamScheme(SchemeExecutor):
     """Baseline with shared per-sensor streams: one transfer per raw sample."""
 
-    cpu_starts_awake = True
-
-    def build(self, ctx: SchemeContext) -> None:
+    def plan(self, scenario) -> SchemePlan:
         """Like baseline, but apps share one stream per sensor."""
-        spawn_interrupting(ctx, shared=True)
-
-    def analytic_plan(self, scenario) -> Optional[AnalyticPlan]:
-        """Closed-form model: per-sample interrupting, shared streams."""
-        return AnalyticPlan(family="interrupting", shared=True)
+        return SchemePlan(family="interrupting", shared=True)

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ...errors import OffloadError
 from ...firmware.capability import check_offloadable
-from .base import AnalyticPlan, SchemeContext, SchemeExecutor
-from .batching import spawn_buffered
+from .base import SchemeExecutor, SchemePlan
 from .registry import register_scheme
 
 
@@ -15,20 +12,8 @@ from .registry import register_scheme
 class ComScheme(SchemeExecutor):
     """Run every app's computation on the MCU; ship only the result."""
 
-    def build(self, ctx: SchemeContext) -> None:
-        """Offload every app that passes the capability check."""
-        for app in ctx.scenario.apps:
-            report = check_offloadable(app, ctx.cal)
-            ctx.offload_reports[app.name] = report
-            if not report:
-                raise OffloadError(
-                    f"{app.name} cannot be offloaded: "
-                    f"{'; '.join(report.reasons)}"
-                )
-        spawn_buffered(ctx, com_apps=list(ctx.scenario.apps), batch_apps=[])
-
-    def analytic_plan(self, scenario) -> Optional[AnalyticPlan]:
-        """Closed-form model: all apps offloaded; same feasibility gate."""
+    def plan(self, scenario) -> SchemePlan:
+        """Offload every app; any that fails the capability check is fatal."""
         reports = {}
         for app in scenario.apps:
             report = check_offloadable(app, scenario.calibration)
@@ -38,7 +23,7 @@ class ComScheme(SchemeExecutor):
                     f"{app.name} cannot be offloaded: "
                     f"{'; '.join(report.reasons)}"
                 )
-        return AnalyticPlan(
+        return SchemePlan(
             family="buffered",
             com_apps=list(scenario.apps),
             offload_reports=reports,

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ...hubos.governor import CpuRestPolicy
-from .base import AnalyticPlan, SchemeContext, SchemeExecutor
+from .base import SchemeExecutor, SchemePlan
 from .registry import register_scheme
 
 
@@ -13,27 +10,6 @@ from .registry import register_scheme
 class PollingScheme(SchemeExecutor):
     """Sensors on the main board: the CPU blocks on every read; MCU asleep."""
 
-    cpu_starts_awake = True
-    mcu_owns_sensing = False
-
-    def build(self, ctx: SchemeContext) -> None:
-        """CPU-driven polling with a rest governor between samples."""
-        apps = ctx.scenario.apps
-        streams = ctx.streams_for(apps, shared=False)
-        ctx.policy = CpuRestPolicy(
-            ctx.sample_times(streams) + ctx.window_boundaries(apps)
-        )
-        ctx.allow_deep = False
-        ctx.use_governor = False
-        for stream in streams:
-            ctx.hub.sim.spawn(
-                ctx.poll_stream_cpu(stream), name=f"cpupoll:{stream.key}"
-            )
-        for app in apps:
-            ctx.hub.sim.spawn(
-                ctx.cpu_compute_process(app), name=f"compute:{app.name}"
-            )
-
-    def analytic_plan(self, scenario) -> Optional[AnalyticPlan]:
-        """Closed-form model: CPU-blocking reads, MCU asleep throughout."""
-        return AnalyticPlan(family="cpu_polling")
+    def plan(self, scenario) -> SchemePlan:
+        """CPU-blocking reads; the MCU never leaves sleep."""
+        return SchemePlan(family="cpu_polling")

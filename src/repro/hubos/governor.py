@@ -13,9 +13,10 @@ whole sensing window, so it does.
 from __future__ import annotations
 
 import bisect
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from ..hw.cpu import Cpu
+from ..calibration import CpuCalibration
+from ..hw.cpu import Cpu, CpuState
 from ..hw.power import Routine
 
 
@@ -24,17 +25,10 @@ class CpuRestPolicy:
 
     ``work_times`` is the sorted list of future instants at which the CPU
     is expected to be needed (interrupt arrivals, window computations).
-    ``deep_when_exhausted`` permits deep sleep once no work remains —
-    only schemes that free the CPU of prompt-response duties (COM) set it.
     """
 
-    def __init__(
-        self,
-        work_times: Sequence[float],
-        deep_when_exhausted: bool = False,
-    ):
+    def __init__(self, work_times: Sequence[float]):
         self.work_times: List[float] = sorted(work_times)
-        self.deep_when_exhausted = deep_when_exhausted
 
     def next_work_after(self, now: float) -> Optional[float]:
         """Earliest scheduled CPU work strictly after ``now``."""
@@ -51,6 +45,58 @@ class CpuRestPolicy:
         return max(0.0, upcoming - now)
 
 
+def _break_even_s(cal: CpuCalibration) -> float:
+    """Minimum gap for which a shallow sleep saves energy.
+
+    The paper computes 4 mJ / (5 W - 1.5 W) = 1.14 ms against the active
+    power; against the awake-idle power the gap is larger.  We use the
+    conservative awake-idle form (the state the core would otherwise
+    rest in).
+    """
+    delta = cal.idle_power_w - cal.sleep_power_w
+    if delta <= 0:
+        return float("inf")
+    return cal.wake_energy_j / delta
+
+
+def _deep_break_even_s(cal: CpuCalibration) -> float:
+    """Minimum gap for which deep sleep beats shallow sleep."""
+    delta = cal.sleep_power_w - cal.deep_sleep_power_w
+    if delta <= 0:
+        return float("inf")
+    deep_wake_energy = cal.transition_power_w * cal.deep_transition_time_s
+    return deep_wake_energy / delta
+
+
+def rest_state(
+    cal: CpuCalibration,
+    expected_idle_s: Optional[float],
+    wait_routine: str,
+    allow_deep: bool,
+) -> Tuple[str, str]:
+    """The best rest state for an idle CPU: ``(CpuState, routine)``.
+
+    ``expected_idle_s`` of ``None`` means no work is scheduled at all:
+    the CPU power-gates (charged to the idle routine) when ``allow_deep``,
+    else it sleeps shallowly.  Otherwise it sleeps only past the
+    break-even gap, deeply only past the deep-sleep break-even too, and
+    stays awake below it.  Pure, so the event simulation and the
+    analytic tier take identical decisions.
+    """
+    if expected_idle_s is None:
+        if allow_deep:
+            return CpuState.DEEP_SLEEP, Routine.IDLE
+        return CpuState.SLEEP, wait_routine
+    break_even = _break_even_s(cal)
+    if allow_deep and expected_idle_s > max(
+        break_even, _deep_break_even_s(cal)
+    ):
+        return CpuState.DEEP_SLEEP, wait_routine
+    if expected_idle_s > break_even:
+        return CpuState.SLEEP, wait_routine
+    return CpuState.IDLE, wait_routine
+
+
 class SleepGovernor:
     """Chooses the CPU's rest state between bursts of work."""
 
@@ -62,28 +108,8 @@ class SleepGovernor:
 
     @property
     def break_even_s(self) -> float:
-        """Minimum gap for which a shallow sleep saves energy.
-
-        The paper computes 4 mJ / (5 W - 1.5 W) = 1.14 ms against the
-        active power; against the awake-idle power the gap is larger.  We
-        use the conservative awake-idle form (the state the core would
-        otherwise rest in).
-        """
-        cal = self.cpu.cal
-        delta = cal.idle_power_w - cal.sleep_power_w
-        if delta <= 0:
-            return float("inf")
-        return cal.wake_energy_j / delta
-
-    @property
-    def deep_break_even_s(self) -> float:
-        """Minimum gap for which deep sleep beats shallow sleep."""
-        cal = self.cpu.cal
-        delta = cal.sleep_power_w - cal.deep_sleep_power_w
-        if delta <= 0:
-            return float("inf")
-        deep_wake_energy = cal.transition_power_w * cal.deep_transition_time_s
-        return deep_wake_energy / delta
+        """Minimum gap for which a shallow sleep saves energy."""
+        return _break_even_s(self.cpu.cal)
 
     def rest(
         self,
@@ -99,22 +125,15 @@ class SleepGovernor:
         """
         if self.cpu.psm.state == "busy":
             return
-        if expected_idle_s is None:
-            if allow_deep:
-                self.deep_decisions += 1
-                self.cpu.enter_sleep(deep=True, routine=Routine.IDLE)
-            else:
-                self.sleep_decisions += 1
-                self.cpu.enter_sleep(deep=False, routine=wait_routine)
-            return
-        if allow_deep and expected_idle_s > max(
-            self.break_even_s, self.deep_break_even_s
-        ):
-            self.deep_decisions += 1
-            self.cpu.enter_sleep(deep=True, routine=wait_routine)
-        elif expected_idle_s > self.break_even_s:
-            self.sleep_decisions += 1
-            self.cpu.enter_sleep(deep=False, routine=wait_routine)
-        else:
+        state, routine = rest_state(
+            self.cpu.cal, expected_idle_s, wait_routine, allow_deep
+        )
+        if state == CpuState.IDLE:
             self.stay_awake_decisions += 1
-            self.cpu.set_idle(wait_routine)
+            self.cpu.set_idle(routine)
+        elif state == CpuState.DEEP_SLEEP:
+            self.deep_decisions += 1
+            self.cpu.enter_sleep(deep=True, routine=routine)
+        else:
+            self.sleep_decisions += 1
+            self.cpu.enter_sleep(deep=False, routine=routine)

@@ -1,7 +1,7 @@
-"""A registered scheme whose build hook is impure.
+"""A registered scheme whose plan hook is impure.
 
 No module imports this class directly — the only route from the sim
-entry points into :meth:`ThermalScheme.build` is the registry-dispatch
+entry points into :meth:`ThermalScheme.plan` is the registry-dispatch
 edge (``get_scheme(...)`` reaches every ``@register_scheme`` class's
 entry hooks).
 """
@@ -14,9 +14,9 @@ from .registry import register_backend, register_scheme
 class ThermalScheme:
     """Scheme plugin resolved only through the registry."""
 
-    def build(self, ctx):
+    def plan(self, scenario):
         """Entry hook reaching a wall-clock sink via ``stamp``."""
-        del ctx
+        del scenario
         return stamp()
 
 

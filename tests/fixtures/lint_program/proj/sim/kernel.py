@@ -32,6 +32,6 @@ def sample():
 
 
 def dispatch():
-    """Registry edge: get_scheme -> ThermalScheme.build -> stamp."""
+    """Registry edge: get_scheme -> ThermalScheme.plan -> stamp."""
     scheme = get_scheme("therm")
     return scheme

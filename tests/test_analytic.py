@@ -160,7 +160,7 @@ def test_analytic_matches_des_multi_window(apps, scheme):
 # ----------------------------------------------------------------------
 def full_scan(scenario):
     """The whole-horizon scan extrapolation replaces (the reference)."""
-    return model._full_scan(scenario, *model._plan_for(scenario))
+    return model._full_scan(scenario, model._plan_for(scenario))
 
 
 def evaluate(apps, scheme, windows):
@@ -334,7 +334,7 @@ def test_periodic_corpus_extrapolates(apps, scheme):
     scenario = Scenario.of(list(apps), scheme=scheme, windows=12)
     recorder = TraceRecorder()
     extrapolated = model._extrapolated(
-        scenario, *model._plan_for(scenario), recorder
+        scenario, model._plan_for(scenario), recorder
     )
     if (apps, scheme) in NOT_EXTRAPOLATED:
         assert extrapolated is None
@@ -426,6 +426,17 @@ def test_analytic_tier_through_engine():
         assert engine.metrics.scenarios_run == 0
         des = execute_scenario(Scenario.of(["A2", "A5"], scheme="bcom"))
         assert _close(des.energy.marginal_j, result.energy.marginal_j)
+
+
+def test_plan_only_plugin_runs_in_the_analytic_tier(one_file_scheme):
+    """A plugin declared only by ``plan()`` gets the closed form too."""
+    with ScenarioEngine(fidelity="analytic") as engine:
+        result = engine.run(Scenario.of(["A2", "A5"], scheme=one_file_scheme))
+        assert result.fidelity == "analytic"
+        assert engine.metrics.analytic_evals == 1
+        assert engine.metrics.analytic_fallbacks == 0
+    des = execute_scenario(Scenario.of(["A2", "A5"], scheme=one_file_scheme))
+    assert_results_match(result, des)
 
 
 def test_analytic_tier_falls_back_to_des_when_unsupported():

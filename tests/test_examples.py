@@ -4,9 +4,13 @@ import pathlib
 import runpy
 import sys
 
-import pytest
+from repro.core import Scenario, analytic_scenario_result, run_scenario, scheme_names
+from repro.core.schemes import unregister_scheme
 
-EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
+from .test_analytic import assert_results_match
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+EXAMPLES = ROOT / "examples"
 
 
 def run_example(name, argv=()):
@@ -60,3 +64,25 @@ def test_field_deployment(capsys):
     assert "Deployed configuration" in out
     assert "hub power" in out
     assert "Cloud upload intact" in out
+
+
+def docs_scheme_example():
+    """The code block of docs/extending.md's "Adding a scheme" section."""
+    text = (ROOT / "docs" / "extending.md").read_text(encoding="utf-8")
+    section = text.split("## Adding a scheme — one file", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_docs_scheme_example_runs_in_both_tiers():
+    before = set(scheme_names())
+    exec(compile(docs_scheme_example(), "docs/extending.md", "exec"), {})
+    (name,) = set(scheme_names()) - before
+    try:
+        # A11 fails the MCU capability check: one app per hand-off kind.
+        des = run_scenario(Scenario.of(["A2", "A11"], scheme=name))
+        ana = analytic_scenario_result(Scenario.of(["A2", "A11"], scheme=name))
+        assert des.results_ok
+        assert ana.fidelity == "analytic"
+        assert_results_match(ana, des)
+    finally:
+        unregister_scheme(name)

@@ -81,7 +81,7 @@ class TestCallGraph:
     def test_registry_dispatch_edge(self, fixture_index):
         edges = fixture_index.call_edges()
         targets = [t for t, _ in edges["proj.sim.kernel:dispatch"]]
-        assert "proj.plugins:ThermalScheme.build" in targets
+        assert "proj.plugins:ThermalScheme.plan" in targets
 
     def test_registry_dispatch_respects_registry_kind(self, fixture_index):
         # get_scheme callers must not conjure edges into @register_backend
@@ -109,7 +109,7 @@ class TestDeterminism:
         dispatch = reaches["proj.sim.kernel:dispatch"]
         assert dispatch.chain == (
             "proj.sim.kernel:dispatch",
-            "proj.plugins:ThermalScheme.build",
+            "proj.plugins:ThermalScheme.plan",
             "proj.clocks:stamp",
         )
         assert len(dispatch.lines) == len(dispatch.chain) - 1

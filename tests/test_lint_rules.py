@@ -218,7 +218,7 @@ class TestErrorSurface:
 # scheme-contract (scoped to core/schemes/ plugin modules)
 # ----------------------------------------------------------------------
 GOOD_SCHEME = """
-from .base import SchemeContext, SchemeExecutor
+from .base import SchemeExecutor, SchemePlan
 from .registry import register_scheme
 
 
@@ -226,14 +226,9 @@ from .registry import register_scheme
 class MyScheme(SchemeExecutor):
     \"\"\"A well-behaved plugin.\"\"\"
 
-    cpu_starts_awake = True
-
-    def build(self, ctx):
-        \"\"\"Configure the context.\"\"\"
-        ctx.policy = make_policy()
-        ctx.allow_deep = False
-        ctx.total_irqs = 7
-        ctx.offload_reports["app"] = None  # container mutation is fine
+    def plan(self, scenario):
+        \"\"\"Declare the scheme.\"\"\"
+        return SchemePlan(family="buffered", batch_apps=list(scenario.apps))
 """
 
 
@@ -250,27 +245,25 @@ class TestSchemeContract:
             """
             @register_scheme("another")
             class Another(SchemeExecutor):
-                def build(self, ctx):
+                def plan(self, scenario):
                     pass
             """
         )
         assert "scheme-one-per-module" in rule_ids(src, path=SCHEME_PATH)
 
-    def test_missing_build_is_flagged(self):
+    def test_missing_plan_is_flagged(self):
         src = """
         @register_scheme("broken")
         class Broken(SchemeExecutor):
-            cpu_starts_awake = True
+            \"\"\"Declares nothing.\"\"\"
         """
-        assert "scheme-missing-build" in rule_ids(src, path=SCHEME_PATH)
+        assert "scheme-missing-plan" in rule_ids(src, path=SCHEME_PATH)
 
-    def test_build_inherited_from_concrete_scheme_is_allowed(self):
+    def test_plan_inherited_from_concrete_scheme_is_allowed(self):
         src = """
         @register_scheme("shared")
         class Shared(BaselineScheme):
-            \"\"\"Inherits build() from baseline.\"\"\"
-
-            cpu_starts_awake = False
+            \"\"\"Inherits plan() from baseline.\"\"\"
         """
         assert rule_ids(src, path=SCHEME_PATH) == []
 
@@ -278,32 +271,22 @@ class TestSchemeContract:
         src = """
         @register_scheme("floating")
         class Floating:
-            def build(self, ctx):
+            def plan(self, scenario):
                 pass
         """
-        assert "scheme-missing-build" in rule_ids(src, path=SCHEME_PATH)
+        assert "scheme-missing-plan" in rule_ids(src, path=SCHEME_PATH)
 
-    def test_knob_typo_is_flagged(self):
-        src = GOOD_SCHEME.replace("cpu_starts_awake", "cpu_start_awake")
+    def test_stale_knob_is_flagged(self):
+        # Executors read no class knob but ``name``: a leftover start-state
+        # knob would silently do nothing, so it is an error.
+        src = GOOD_SCHEME.replace(
+            "    def plan(", "    cpu_starts_awake = True\n\n    def plan("
+        )
         findings = lint_source(
             '"""Doc."""\n' + textwrap.dedent(src), SCHEME_PATH
         )
         assert [f.rule_id for f in findings] == ["scheme-unknown-knob"]
-        assert "cpu_start_awake" in findings[0].message
-
-    def test_ctx_rebind_is_flagged(self):
-        src = GOOD_SCHEME + textwrap.dedent(
-            """
-            def sneaky(ctx):
-                \"\"\"Rebinds shared state (bad).\"\"\"
-                ctx.hub = None
-            """
-        )
-        findings = lint_source(
-            '"""Doc."""\n' + textwrap.dedent(src), SCHEME_PATH
-        )
-        assert [f.rule_id for f in findings] == ["scheme-ctx-rebind"]
-        assert "ctx.hub" in findings[0].message
+        assert "cpu_starts_awake" in findings[0].message
 
     def test_plumbing_modules_are_exempt(self):
         src = "def helper():\n    \"\"\"Docstring.\"\"\"\n    return 1"

@@ -6,13 +6,14 @@ from repro.core import (
     Scenario,
     Scheme,
     SchemeExecutor,
+    SchemePlan,
+    analytic_scenario_result,
     register_scheme,
     run_apps,
     run_scenario,
     scheme_names,
 )
 from repro.core.schemes import get_scheme, iter_schemes, unregister_scheme
-from repro.core.schemes.batching import spawn_buffered
 from repro.errors import WorkloadError
 
 
@@ -39,25 +40,9 @@ def test_reregistering_same_name_different_class_rejected():
             pass
 
 
-@pytest.fixture
-def one_file_scheme():
-    """A new scheme in 'one file': batching with an MCU-buffer twist."""
-
-    @register_scheme("batching-test")
-    class BatchingTwin(SchemeExecutor):
-        """Test double: identical wiring to batching under a new name."""
-
-        def build(self, ctx):
-            spawn_buffered(
-                ctx, com_apps=[], batch_apps=list(ctx.scenario.apps)
-            )
-
-    yield "batching-test"
-    unregister_scheme("batching-test")
-
-
 def test_plugin_scheme_runs_through_scenario(one_file_scheme):
-    """A freshly registered scheme is accepted end to end by name."""
+    """A freshly registered scheme is accepted end to end by name
+    (``one_file_scheme`` is the conftest's plan-only batching twin)."""
     result = run_scenario(Scenario.of(["A2"], scheme=one_file_scheme))
     assert result.scheme == one_file_scheme
     assert result.results_ok
@@ -70,3 +55,20 @@ def test_plugin_scheme_runs_through_scenario(one_file_scheme):
 def test_unknown_scheme_rejected_at_scenario_creation():
     with pytest.raises(WorkloadError, match="unknown scheme"):
         Scenario.of(["A2"], scheme="batching-test")  # not registered here
+
+
+def test_unknown_family_is_a_typed_error_in_both_tiers():
+    @register_scheme("warp-test")
+    class Warp(SchemeExecutor):
+        """Test double: declares a family neither tier interprets."""
+
+        def plan(self, scenario):
+            return SchemePlan(family="warp")
+
+    try:
+        with pytest.raises(WorkloadError, match="unknown scheme family 'warp'"):
+            run_scenario(Scenario.of(["A2"], scheme="warp-test"))
+        with pytest.raises(WorkloadError, match="unknown scheme family 'warp'"):
+            analytic_scenario_result(Scenario.of(["A2"], scheme="warp-test"))
+    finally:
+        unregister_scheme("warp-test")
