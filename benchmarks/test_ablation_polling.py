@@ -9,7 +9,6 @@ the starting point of the paper's architecture story.
 from conftest import run_once
 
 from repro.core import Scheme, run_apps
-from repro.hw.power import Routine
 
 #: arduinoJSON reads the two slowest sensors (37.5 ms / 18.75 ms reads).
 APPS = ["A3", "A2"]

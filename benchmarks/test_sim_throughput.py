@@ -81,6 +81,14 @@ def _update_baseline(section: str, payload: dict) -> None:
         handle.write("\n")
 
 
+def _host() -> str:
+    """The host a wall-clock figure was measured on."""
+    return (
+        f"{platform.machine()}, {os.cpu_count()} vCPU, "
+        f"CPython {platform.python_version()}"
+    )
+
+
 def test_kernel_event_throughput(benchmark):
     """Raw kernel: a ping-pong of bare Delay events."""
 
@@ -252,6 +260,7 @@ def test_sim_metrics_baseline(benchmark, figure_printer):
                 "deterministic": snapshot,
                 "wall_informational": {
                     "generated_on": time.strftime("%Y-%m-%d"),
+                    "host": _host(),
                     "sim_wall_s": round(wall_s, 4),
                     "events_per_sec": round(events / wall_s),
                 },
@@ -388,10 +397,7 @@ def test_analytic_long_horizon(benchmark, figure_printer, monkeypatch):
                 "deterministic": deterministic,
                 "wall_informational": {
                     "generated_on": time.strftime("%Y-%m-%d"),
-                    "host": (
-                        f"{platform.machine()}, {os.cpu_count()} vCPU, "
-                        f"CPython {platform.python_version()}"
-                    ),
+                    "host": _host(),
                     **{key: round(value, 4) for key, value in walls.items()},
                 },
             },

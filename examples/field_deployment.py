@@ -14,7 +14,7 @@ the flakiness, and prints a Monsoon-style power sparkline:
 from repro import Scenario, Scheme, create_app, run_scenario
 from repro.calibration import default_calibration
 from repro.core import grid_of, run_sweep
-from repro.energy import PowerMonitor, power_sparkline
+from repro.energy import power_sparkline
 from repro.units import to_mj
 
 TIGHT_RAM = default_calibration().with_mcu(ram_bytes=16 * 1024)
@@ -71,10 +71,7 @@ def main() -> None:
         f"{m2x['payload_bytes']} payload bytes"
     )
 
-    monitor = PowerMonitor(
-        result.hub.recorder, result.energy.idle_floor_power_w
-    )
-    strip, low, high = power_sparkline(monitor, result.duration_s)
+    strip, low, high = power_sparkline(result.hub.recorder, result.duration_s)
     print(f"\nhub power, {low:.1f}..{high:.1f} W over the window:")
     print(strip)
 

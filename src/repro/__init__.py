@@ -33,7 +33,7 @@ from .core import (
     run_scenario,
     savings_table,
 )
-from .energy import EnergyReport, PowerMonitor
+from .energy import EnergyReport
 from .hw import IoTHub, Routine
 
 __version__ = "1.0.0"
@@ -42,7 +42,6 @@ __all__ = [
     "Calibration",
     "EnergyReport",
     "IoTHub",
-    "PowerMonitor",
     "Routine",
     "RunResult",
     "Scenario",

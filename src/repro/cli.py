@@ -546,20 +546,18 @@ def _cmd_schemes() -> int:
 
 
 def _cmd_trace(args) -> int:
-    from .energy import PowerMonitor, power_sparkline, write_power_csv
+    from .energy import power_sparkline, write_power_csv
 
     result = run_apps(args.apps, args.scheme, windows=args.windows)
-    monitor = PowerMonitor(
-        result.hub.recorder, result.energy.idle_floor_power_w
-    )
-    strip, low, high = power_sparkline(monitor, result.duration_s)
+    ledger = result.hub.recorder
+    strip, low, high = power_sparkline(ledger, result.duration_s)
     print(f"hub power over {to_ms(result.duration_s):.0f} ms "
           f"({low:.2f}..{high:.2f} W):")
     print(strip)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             rows = write_power_csv(
-                monitor, result.duration_s, us(args.interval_us), handle
+                ledger, result.duration_s, us(args.interval_us), handle
             )
         print(f"wrote {rows} samples to {args.out}")
     return 0

@@ -37,7 +37,7 @@ from .engine import (
     scenario_group_key,
 )
 from .executor import run_apps, run_scenario
-from .results import RunResult, routine_busy_times
+from .results import RunResult
 from .scenario import Scenario, Scheme
 from .schemes import (
     SchemeContext,
@@ -84,7 +84,6 @@ __all__ = [
     "iter_schemes",
     "register_backend",
     "register_scheme",
-    "routine_busy_times",
     "run_apps",
     "run_scenario",
     "run_sweep",

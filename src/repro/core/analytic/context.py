@@ -1,7 +1,8 @@
 """Shared scan state for the closed-form scheme models.
 
-An :class:`AnalyticRun` owns the per-component timelines, the FIFO
-cursors (sensor rails, MCU core, CPU core, bus, NIC) and the counters a
+An :class:`AnalyticRun` owns the per-component power schedules
+(:class:`~repro.energy.ledger.Schedule`), the FIFO cursors (sensor
+rails, MCU core, CPU core, bus, NIC) and the counters a
 :class:`~repro.core.results.RunResult` reports.  The family models in
 :mod:`.interrupting` / :mod:`.cpu_polling` / :mod:`.buffered` drive it
 with operation intervals instead of simulated processes.
@@ -12,13 +13,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ...apps.base import AppResult, IoTApp
+from ...energy.ledger import CycleTally, Schedule
 from ...hw.cpu import CpuState
 from ...hw.mcu import McuState
 from ...hw.power import Routine
 from ...sensors.base import SensorDevice
 from ...sensors.specs import get_spec
 from ..schemes.base import SchemePlan, qos_violation
-from .ledger import CycleTally, Timeline
 
 
 class AnalyticRun:
@@ -29,7 +30,7 @@ class AnalyticRun:
         self.cal = scenario.calibration
         cal = self.cal
         # SchemeContext: governor-less schemes start the CPU awake.
-        self.cpu = Timeline(
+        self.cpu = Schedule(
             "cpu",
             CpuState.DEEP_SLEEP if plan.governed else CpuState.IDLE,
             cal.cpu.deep_sleep_power_w
@@ -40,7 +41,7 @@ class AnalyticRun:
         # whenever it owns the sensing; under main-board polling it never
         # leaves sleep.
         mcu_owns_sensing = plan.mcu_owns_sensing
-        self.mcu = Timeline(
+        self.mcu = Schedule(
             "mcu",
             McuState.IDLE if mcu_owns_sensing else McuState.SLEEP,
             cal.mcu.idle_power_w
@@ -48,18 +49,18 @@ class AnalyticRun:
             else cal.mcu.sleep_power_w,
             Routine.DATA_COLLECTION if mcu_owns_sensing else Routine.IDLE,
         )
-        self.bus = Timeline("pio_bus", "idle", 0.0)
-        self.nic = Timeline("nic", "idle", 0.0)
-        self.board = Timeline("board", "on", cal.board.overhead_power_w)
-        self.mcu_board = Timeline(
+        self.bus = Schedule("pio_bus", "idle", 0.0)
+        self.nic = Schedule("nic", "idle", 0.0)
+        self.board = Schedule("board", "on", cal.board.overhead_power_w)
+        self.mcu_board = Schedule(
             "mcu_board", "on", cal.board.mcu_overhead_power_w
         )
-        self.sensors: Dict[str, Timeline] = {}
+        self.sensors: Dict[str, Schedule] = {}
         self.sensor_specs = {}
         for sensor_id in scenario.sensor_ids:
             spec = get_spec(sensor_id)
             self.sensor_specs[sensor_id] = spec
-            self.sensors[sensor_id] = Timeline(
+            self.sensors[sensor_id] = Schedule(
                 f"sensor:{sensor_id}", SensorDevice.STANDBY, spec.min_power_w
             )
         #: FIFO cursors: earliest time each serialized resource frees up.
@@ -219,8 +220,8 @@ class AnalyticRun:
         if violation is not None:
             self.qos_violations.append(violation)
 
-    def timelines(self) -> List[Timeline]:
-        """Every component timeline, for integration."""
+    def timelines(self) -> List[Schedule]:
+        """Every component's schedule, for :func:`~repro.energy.ledger.integrate`."""
         return [
             self.cpu,
             self.mcu,

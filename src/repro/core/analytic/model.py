@@ -17,8 +17,9 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Dict, Optional, Tuple
 
-from ...errors import AnalyticUnsupported, OffloadError, WorkloadError
+from ...energy.ledger import CycleTally, integrate
 from ...energy.meter import EnergyReport
+from ...errors import AnalyticUnsupported, OffloadError, WorkloadError
 from ...obs.recorder import NULL_RECORDER, NullRecorder
 from ..results import RunResult
 from ..schemes.base import SchemePlan
@@ -27,7 +28,6 @@ from .buffered import run_buffered
 from .context import AnalyticRun
 from .cpu_polling import run_cpu_polling
 from .interrupting import run_interrupting
-from .ledger import CycleTally, integrate
 
 #: Validated agreement band of the analytic tier against the DES (see
 #: ``tests/test_analytic.py``): every energy/duration figure lands
@@ -120,7 +120,7 @@ def _scan(run: AnalyticRun, plan: SchemePlan) -> Tuple[dict, dict, float]:
     """Scan ``run``'s scenario; returns (energy, busy, end time)."""
     _SCANS[plan.family](run, plan)
     end_time = max(run.last_activity, run.scenario.horizon_s)
-    energy, busy = integrate(run, end_time)
+    energy, busy = integrate(run.timelines(), end_time, run.cycles)
     return energy, busy, end_time
 
 

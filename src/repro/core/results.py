@@ -9,25 +9,8 @@ from ..apps.base import AppResult
 from ..energy.meter import EnergyReport
 from ..firmware.capability import OffloadReport
 from ..hw.board import IoTHub
-from ..hw.power import BUSY_STATES, Routine
+from ..hw.power import Routine
 from ..units import to_mj, to_ms
-
-
-def routine_busy_times(hub: IoTHub, end_time: float) -> Dict[str, float]:
-    """Busy seconds per routine, summed over all components.
-
-    This is the paper's Figure 8 'time consumed by each routine' metric:
-    only actual work (CPU/MCU execution, sensor reads, bus/NIC activity)
-    counts.  Idle/wait time is excluded, and so are the CPU's wake
-    transitions, which cost energy but perform no work (see
-    :data:`~repro.hw.power.BUSY_STATES`).
-    """
-    totals: Dict[str, float] = {routine: 0.0 for routine in Routine.ORDER}
-    for component in hub.recorder.components:
-        for change, duration in hub.recorder.intervals(component, end_time):
-            if change.state in BUSY_STATES:
-                totals[change.routine] = totals.get(change.routine, 0.0) + duration
-    return totals
 
 
 @dataclass
@@ -40,6 +23,11 @@ class RunResult:
     windows: int
     duration_s: float
     energy: EnergyReport
+    #: Busy seconds per routine, summed over all components: the paper's
+    #: Figure 8 'time consumed by each routine'.  Only actual work (CPU/MCU
+    #: execution, sensor reads, bus/NIC activity) counts; idle/wait time
+    #: and the CPU's wake transitions, which cost energy but perform no
+    #: work, do not (see :data:`~repro.hw.power.BUSY_STATES`).
     busy_times: Dict[str, float]
     app_results: Dict[str, List[AppResult]]
     result_times: Dict[str, List[float]]

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from ...apps.base import AppResult, IoTApp, SampleWindow
+from ...energy.ledger import integrate
+from ...energy.meter import EnergyReport
 from ...errors import CapacityError, WorkloadError
 from ...firmware.batching import BatchBuffer
 from ...firmware.capability import OffloadReport
@@ -43,7 +45,7 @@ from ...obs.recorder import NullRecorder
 from ...sensors.base import SensorDevice
 from ...sim.process import Delay, Signal, Wait
 from ...units import to_ms
-from ..results import RunResult, routine_busy_times
+from ..results import RunResult
 from .registry import get_scheme
 
 
@@ -684,10 +686,7 @@ class SchemeContext:
     # ------------------------------------------------------------------
     def collect(self, end_time: float) -> RunResult:
         """Integrate energy and assemble the scenario's :class:`RunResult`."""
-        from ...energy.meter import PowerMonitor
-
-        monitor = PowerMonitor(self.hub.recorder, self.cal.idle_hub_power_w)
-        energy = monitor.measure(end_time)
+        energy, busy = integrate(self.hub.recorder.timelines(), end_time)
         missing = [
             app.name
             for app in self.scenario.apps
@@ -704,8 +703,12 @@ class SchemeContext:
             app_ids=[app.table2_id for app in self.scenario.apps],
             windows=self.scenario.windows,
             duration_s=end_time,
-            energy=energy,
-            busy_times=routine_busy_times(self.hub, end_time),
+            energy=EnergyReport(
+                duration_s=end_time,
+                idle_floor_power_w=self.cal.idle_hub_power_w,
+                by_component_routine=energy,
+            ),
+            busy_times=busy,
             app_results=dict(self._app_results),
             result_times=dict(self._result_times),
             qos_violations=list(self.qos_violations),

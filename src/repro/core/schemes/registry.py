@@ -10,7 +10,7 @@ accepted (:class:`~repro.core.scenario.Scenario`, the CLI, sweeps).
 
 from __future__ import annotations
 
-from typing import Dict, Tuple, Type
+from typing import Dict, Tuple
 
 from ...errors import WorkloadError
 

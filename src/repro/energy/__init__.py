@@ -1,9 +1,10 @@
-"""Energy metering: trace integration and routine-level accounting.
+"""Energy metering: the power ledger and routine-level accounting.
 
-This package replaces the paper's Monsoon power monitor.  The
-:class:`PowerMonitor` integrates the piecewise-constant power trace of every
-component and attributes every joule to one of the paper's four routines
-(plus ``idle``).
+This package replaces the paper's Monsoon power monitor.  The power
+ledger (:mod:`.ledger`) keeps every component's piecewise-constant power
+history for both tiers, and its one :func:`integrate` attributes every
+joule to one of the paper's four routines (plus ``idle``); an
+:class:`EnergyReport` aggregates the result.
 """
 
 from .export import (
@@ -13,14 +14,16 @@ from .export import (
     write_power_csv,
     write_state_csv,
 )
-from .meter import EnergyReport, PowerMonitor
+from .ledger import PowerLedger, integrate
+from .meter import EnergyReport
 from .report import format_breakdown_table, format_energy_mj, normalized_stack
 
 __all__ = [
     "EnergyReport",
-    "PowerMonitor",
+    "PowerLedger",
     "format_breakdown_table",
     "format_energy_mj",
+    "integrate",
     "normalized_stack",
     "power_csv_string",
     "power_sparkline",

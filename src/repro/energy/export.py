@@ -10,21 +10,20 @@ from __future__ import annotations
 import io
 from typing import List, Sequence, TextIO, Tuple
 
-from ..sim.trace import TimelineRecorder
-from .meter import PowerMonitor
+from .ledger import PowerLedger
 
 #: Unicode block characters for sparklines, lowest to highest.
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
 
 
 def write_power_csv(
-    monitor: PowerMonitor,
+    ledger: PowerLedger,
     end_time: float,
     sample_interval_s: float,
     out: TextIO,
 ) -> int:
     """Write ``time_s,power_w`` samples; returns the row count."""
-    samples = monitor.sample_trace(end_time, sample_interval_s)
+    samples = ledger.sample_trace(end_time, sample_interval_s)
     out.write("time_s,power_w\n")
     for time, power in samples:
         out.write(f"{time:.9f},{power:.6f}\n")
@@ -32,27 +31,29 @@ def write_power_csv(
 
 
 def write_state_csv(
-    recorder: TimelineRecorder, end_time: float, out: TextIO
+    ledger: PowerLedger, end_time: float, out: TextIO
 ) -> int:
     """Write every component's state intervals; returns the row count."""
     out.write("component,state,routine,start_s,duration_s,power_w\n")
     rows = 0
-    for component in recorder.components:
-        for change, duration in recorder.intervals(component, end_time):
+    for component in ledger.components:
+        for t0, t1, state, power_w, routine in ledger.intervals(
+            component, end_time
+        ):
             out.write(
-                f"{component},{change.state},{change.routine},"
-                f"{change.time:.9f},{duration:.9f},{change.power_w:.6f}\n"
+                f"{component},{state},{routine},"
+                f"{t0:.9f},{t1 - t0:.9f},{power_w:.6f}\n"
             )
             rows += 1
     return rows
 
 
 def power_csv_string(
-    monitor: PowerMonitor, end_time: float, sample_interval_s: float
+    ledger: PowerLedger, end_time: float, sample_interval_s: float
 ) -> str:
     """CSV power trace as a string (convenience for tests/notebooks)."""
     buffer = io.StringIO()
-    write_power_csv(monitor, end_time, sample_interval_s, buffer)
+    write_power_csv(ledger, end_time, sample_interval_s, buffer)
     return buffer.getvalue()
 
 
@@ -85,11 +86,11 @@ def sparkline(values: Sequence[float], width: int = 64) -> str:
 
 
 def power_sparkline(
-    monitor: PowerMonitor,
+    ledger: PowerLedger,
     end_time: float,
     width: int = 64,
 ) -> Tuple[str, float, float]:
     """Sparkline of hub power plus its (min, max) in watts."""
-    samples = monitor.sample_trace(end_time, end_time / max(1, width * 4))
+    samples = ledger.sample_trace(end_time, end_time / max(1, width * 4))
     values = [power for _, power in samples]
     return sparkline(values, width=width), min(values), max(values)

@@ -1,12 +1,11 @@
-"""Power-trace integration and per-routine energy reports."""
+"""Per-routine energy reports."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from ..hw.power import Routine
-from ..sim.trace import TimelineRecorder
 
 
 @dataclass
@@ -142,44 +141,3 @@ class EnergyReport:
             routine: joules / base
             for routine, joules in self.marginal_by_routine().items()
         }
-
-
-class PowerMonitor:
-    """Integrates a finished run's timeline into an :class:`EnergyReport`.
-
-    Stands in for the paper's Monsoon monitor (§III-B).  ``sample_trace``
-    additionally produces evenly spaced instantaneous-power samples like the
-    monitor's 100 ns dumps, which the timeline figures use.
-    """
-
-    def __init__(self, recorder: TimelineRecorder, idle_floor_power_w: float):
-        self.recorder = recorder
-        self.idle_floor_power_w = idle_floor_power_w
-
-    def measure(self, end_time: float) -> EnergyReport:
-        """Integrate all components' power up to ``end_time``."""
-        report = EnergyReport(
-            duration_s=end_time, idle_floor_power_w=self.idle_floor_power_w
-        )
-        accum = report.by_component_routine
-        for component in self.recorder.components:
-            for change, duration in self.recorder.intervals(component, end_time):
-                key = (component, change.routine)
-                accum[key] = accum.get(key, 0.0) + change.power_w * duration
-        return report
-
-    def sample_trace(
-        self, end_time: float, sample_interval_s: float
-    ) -> List[Tuple[float, float]]:
-        """Evenly spaced ``(time, hub_power_w)`` samples (Monsoon style)."""
-        samples: List[Tuple[float, float]] = []
-        steps = int(end_time / sample_interval_s)
-        for index in range(steps + 1):
-            time = index * sample_interval_s
-            power = 0.0
-            for component in self.recorder.components:
-                change = self.recorder.state_at(component, time)
-                if change is not None:
-                    power += change.power_w
-            samples.append((time, power))
-        return samples

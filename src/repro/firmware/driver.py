@@ -12,7 +12,7 @@ from typing import Generator
 from ..hw.board import IoTHub
 from ..hw.mcu import McuState
 from ..hw.power import Routine
-from ..sensors.base import SensorDevice, SensorSample
+from ..sensors.base import SensorDevice
 
 
 def read_and_decode(

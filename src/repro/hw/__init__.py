@@ -1,9 +1,9 @@
 """Hardware models of the IoT hub: CPU, MCU, buses, interrupts, memories.
 
 Each active component owns a :class:`~repro.hw.power.PowerStateMachine` that
-logs every state change into the hub's shared
-:class:`~repro.sim.trace.TimelineRecorder`; energy is integrated offline by
-:mod:`repro.energy.meter`.
+appends every state change to its timeline in the hub's
+:class:`~repro.energy.ledger.PowerLedger`; energy is integrated offline by
+:func:`repro.energy.ledger.integrate`.
 """
 
 from .power import Routine, PowerStateMachine

@@ -5,9 +5,9 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..calibration import Calibration, default_calibration
+from ..energy.ledger import PowerLedger
 from ..obs.recorder import NullRecorder
 from ..sim.kernel import Simulator
-from ..sim.trace import TimelineRecorder
 from .bus import NetworkInterface, PioBus
 from .cpu import Cpu, CpuState
 from .interrupt import InterruptController
@@ -40,7 +40,7 @@ class IoTHub:
     ):
         self.calibration = calibration or default_calibration()
         self.sim = Simulator(obs=obs)
-        self.recorder = TimelineRecorder()
+        self.recorder = PowerLedger()
         self.cpu = Cpu(
             self.sim, self.recorder, self.calibration.cpu, cpu_initial_state
         )

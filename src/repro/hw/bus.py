@@ -11,11 +11,11 @@ from __future__ import annotations
 from typing import Generator
 
 from ..calibration import BoardCalibration, BusCalibration
+from ..energy.ledger import PowerLedger
 from ..errors import BusError
 from ..sim.kernel import Simulator
 from ..sim.process import Delay
 from ..sim.resources import Resource
-from ..sim.trace import TimelineRecorder
 from .power import PowerStateMachine, Routine
 
 
@@ -28,7 +28,7 @@ class PioBus:
     def __init__(
         self,
         sim: Simulator,
-        recorder: TimelineRecorder,
+        recorder: PowerLedger,
         cal: BusCalibration,
         name: str = "pio_bus",
     ):
@@ -72,7 +72,7 @@ class NetworkInterface:
     def __init__(
         self,
         sim: Simulator,
-        recorder: TimelineRecorder,
+        recorder: PowerLedger,
         cal: BoardCalibration,
         name: str = "nic",
     ):

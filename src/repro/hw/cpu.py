@@ -19,11 +19,11 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..calibration import CpuCalibration
+from ..energy.ledger import PowerLedger
 from ..errors import HardwareError
 from ..sim.kernel import Simulator
 from ..sim.process import Delay
 from ..sim.resources import Resource
-from ..sim.trace import TimelineRecorder
 from .power import PowerStateMachine
 
 
@@ -43,7 +43,7 @@ class Cpu:
     def __init__(
         self,
         sim: Simulator,
-        recorder: TimelineRecorder,
+        recorder: PowerLedger,
         cal: CpuCalibration,
         initial_state: str = CpuState.DEEP_SLEEP,
     ):

@@ -11,11 +11,11 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..calibration import McuCalibration
+from ..energy.ledger import PowerLedger
 from ..errors import HardwareError
 from ..sim.kernel import Simulator
 from ..sim.process import Delay
 from ..sim.resources import Resource
-from ..sim.trace import TimelineRecorder
 from .memory import MemoryRegion
 from .power import PowerStateMachine
 
@@ -34,7 +34,7 @@ class Mcu:
     def __init__(
         self,
         sim: Simulator,
-        recorder: TimelineRecorder,
+        recorder: PowerLedger,
         cal: McuCalibration,
         initial_state: str = McuState.SLEEP,
     ):

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from ..errors import PowerStateError
 from ..sim.kernel import Simulator
-from ..sim.trace import StateChange, TimelineRecorder
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..energy.ledger import PowerLedger
 
 
 class Routine:
@@ -45,7 +47,8 @@ BUSY_STATES = frozenset({"busy", "read", "active", "tx"})
 class PowerStateMachine:
     """Tracks one component's power state and routine attribution.
 
-    Every transition is logged to the shared timeline.  States are declared
+    Every transition is appended to the component's timeline in the hub's
+    :class:`~repro.energy.ledger.PowerLedger`.  States are declared
     up front with their power draw; attempting to enter an undeclared state
     raises :class:`PowerStateError` (catching typos early matters because a
     mis-tagged state silently corrupts the energy accounting).
@@ -54,7 +57,7 @@ class PowerStateMachine:
     def __init__(
         self,
         sim: Simulator,
-        recorder: TimelineRecorder,
+        recorder: PowerLedger,
         component: str,
         states: Dict[str, float],
         initial_state: str,
@@ -63,7 +66,7 @@ class PowerStateMachine:
         if initial_state not in states:
             raise PowerStateError(f"unknown initial state {initial_state!r}")
         self._sim = sim
-        self._recorder = recorder
+        self._history = recorder.timeline(component).changes
         self.component = component
         self._states = dict(states)
         self.state = initial_state
@@ -102,12 +105,6 @@ class PowerStateMachine:
         self.set_state(self.state, routine)
 
     def _record(self) -> None:
-        self._recorder.record(
-            StateChange(
-                time=self._sim.now,
-                component=self.component,
-                state=self.state,
-                power_w=self.power_w,
-                routine=self.routine,
-            )
+        self._history.append(
+            (self._sim.now, self.state, self._states[self.state], self.routine)
         )

@@ -23,7 +23,7 @@ from typing import IO, Any, Dict, Iterable, List, Optional
 from ..errors import ReproError
 from ..units import to_ms, to_us, us
 from .metrics import EngineMetrics, Metrics
-from .recorder import SIM_TRACK, Span, TraceRecorder
+from .recorder import SIM_TRACK, TraceRecorder
 
 #: Bump when the JSONL record layout changes.
 TRACE_SCHEMA_VERSION = 1

@@ -43,7 +43,6 @@ from ..core.engine import FIDELITIES, Outcome, ScenarioEngine
 from ..core.scenario import Scenario
 from ..errors import (
     JobSpecError,
-    QuotaError,
     ReproError,
     ServeError,
     ServiceClosedError,

@@ -12,7 +12,6 @@ processes; the kernel knows nothing about power or energy.
 from .events import Event, EventQueue
 from .kernel import Simulator
 from .process import Delay, Join, Process, Signal, Wait
-from .trace import StateChange, TimelineRecorder
 
 __all__ = [
     "Delay",
@@ -22,7 +21,5 @@ __all__ = [
     "Process",
     "Signal",
     "Simulator",
-    "StateChange",
-    "TimelineRecorder",
     "Wait",
 ]

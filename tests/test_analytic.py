@@ -28,8 +28,10 @@ from repro.core import (
     supports_analytic,
 )
 from repro.core.analytic import model
+from repro.core.analytic.context import AnalyticRun
 from repro.core.cache import DiskResultCache
 from repro.core.schemes.base import execute_scenario
+from repro.energy.ledger import CycleTally, integrate
 from repro.errors import AnalyticUnsupported, ReproError
 from repro.obs import TraceRecorder
 
@@ -161,6 +163,64 @@ def test_analytic_matches_des_multi_window(apps, scheme):
 def full_scan(scenario):
     """The whole-horizon scan extrapolation replaces (the reference)."""
     return model._full_scan(scenario, model._plan_for(scenario))
+
+
+# ----------------------------------------------------------------------
+# the shared power ledger: an exact cross-tier oracle
+# ----------------------------------------------------------------------
+EXACT_CASES = [(("A2",), scheme) for scheme in SCHEMES] + [
+    (("A2", "A7"), scheme) for scheme in ("baseline", "beam", "bcom")
+]
+
+
+@pytest.mark.parametrize("windows", [1, 3])
+@pytest.mark.parametrize(
+    "apps, scheme", EXACT_CASES,
+    ids=["+".join(apps) + "-" + scheme for apps, scheme in EXACT_CASES],
+)
+def test_full_scan_equals_des_exactly(apps, scheme, windows):
+    """Both tiers feed one ``integrate`` in one component order, so a
+    full scan reproduces the DES bit for bit, not just within the band."""
+    scenario = Scenario.of(list(apps), scheme=scheme, windows=windows)
+    ana = full_scan(scenario)
+    des = execute_scenario(scenario)
+    assert list(ana.energy.by_component_routine.items()) == list(
+        des.energy.by_component_routine.items()
+    )
+    assert list(ana.busy_times.items()) == list(des.busy_times.items())
+    assert ana.duration_s == des.duration_s
+    assert (ana.interrupt_count, ana.cpu_wake_count, ana.bus_bytes) == (
+        des.interrupt_count, des.cpu_wake_count, des.bus_bytes
+    )
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_des_cycle_tally_matches_analytic_windows(scheme):
+    """A DES run tallied per window agrees with the truncated analytic
+    scan window by window, and its buckets sum to its untallied totals."""
+    scenario = Scenario.of(["A3"], scheme=scheme, windows=model.TRUNCATED_WINDOWS)
+    window_s = scenario.apps[0].profile.window_s
+    des = execute_scenario(scenario)
+    tally = CycleTally(window_s, model.TRUNCATED_WINDOWS)
+    integrate(des.hub.recorder.timelines(), des.duration_s, tally)
+    plan = model._plan_for(scenario)
+    run = AnalyticRun(scenario, plan)
+    run.cycles = CycleTally(window_s, model.TRUNCATED_WINDOWS)
+    model._scan(run, plan)
+    for buckets, expected_buckets in (
+        (tally.energy, run.cycles.energy), (tally.busy, run.cycles.busy)
+    ):
+        for bucket, expected in zip(buckets, expected_buckets):
+            for key in set(bucket) | set(expected):
+                assert _close(expected.get(key, 0.0), bucket.get(key, 0.0)), key
+    for buckets, totals in (
+        (tally.energy, des.energy.by_component_routine),
+        (tally.busy, des.busy_times),
+    ):
+        assert {key for bucket in buckets for key in bucket} <= set(totals)
+        for key, total in totals.items():
+            summed = sum(bucket.get(key, 0.0) for bucket in buckets)
+            assert abs(summed - total) <= 1e-12 * abs(total), key
 
 
 def evaluate(apps, scheme, windows):

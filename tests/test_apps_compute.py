@@ -1,6 +1,5 @@
 """Functional tests: each app's computation produces correct results."""
 
-import numpy as np
 import pytest
 
 from repro.apps import create_app

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps import APP_FACTORIES, all_ids, create_app, light_weight_ids
+from repro.apps import all_ids, create_app, light_weight_ids
 from repro.calibration import default_calibration
 from repro.errors import WorkloadError
 from repro.units import to_kib

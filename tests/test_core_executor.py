@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Scenario, Scheme, run_apps, run_scenario
+from repro.core import Scenario, Scheme, run_apps
 from repro.errors import OffloadError, WorkloadError
 from repro.hw.cpu import CpuState
 from repro.hw.power import Routine

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import Scheme, run_apps
 from repro.energy import (
-    PowerMonitor,
     power_csv_string,
     power_sparkline,
     sparkline,
@@ -19,14 +18,13 @@ from repro.cli import main
 @pytest.fixture(scope="module")
 def measured():
     result = run_apps(["A2"], Scheme.BATCHING)
-    monitor = PowerMonitor(result.hub.recorder, result.energy.idle_floor_power_w)
-    return result, monitor
+    return result, result.hub.recorder
 
 
 def test_power_csv_rows_and_header(measured):
-    result, monitor = measured
+    result, ledger = measured
     buffer = io.StringIO()
-    rows = write_power_csv(monitor, result.duration_s, 0.01, buffer)
+    rows = write_power_csv(ledger, result.duration_s, 0.01, buffer)
     lines = buffer.getvalue().strip().splitlines()
     assert lines[0] == "time_s,power_w"
     assert len(lines) == rows + 1
@@ -45,9 +43,9 @@ def test_power_csv_integrates_to_total_energy(measured):
     samples alias onto the read bursts (a real measurement pitfall — the
     Monsoon avoids it by sampling at 10 MHz).
     """
-    result, monitor = measured
+    result, ledger = measured
     interval = 0.000317
-    text = power_csv_string(monitor, result.duration_s, interval)
+    text = power_csv_string(ledger, result.duration_s, interval)
     rows = [line.split(",") for line in text.strip().splitlines()[1:]]
     powers = [float(power) for _, power in rows]
     approx_energy = sum(powers) * interval
@@ -55,9 +53,9 @@ def test_power_csv_integrates_to_total_energy(measured):
 
 
 def test_state_csv_covers_all_components(measured):
-    result, monitor = measured
+    result, ledger = measured
     buffer = io.StringIO()
-    rows = write_state_csv(result.hub.recorder, result.duration_s, buffer)
+    rows = write_state_csv(ledger, result.duration_s, buffer)
     text = buffer.getvalue()
     assert rows > 10
     for component in ("cpu", "mcu", "sensor:S4", "board"):
@@ -75,8 +73,8 @@ def test_sparkline_shapes():
 
 
 def test_power_sparkline_bounds(measured):
-    result, monitor = measured
-    strip, low, high = power_sparkline(monitor, result.duration_s, width=32)
+    result, ledger = measured
+    strip, low, high = power_sparkline(ledger, result.duration_s, width=32)
     assert len(strip) == 32
     assert 0.0 < low < high < 20.0
 

@@ -2,51 +2,48 @@
 
 import pytest
 
-from repro.energy import EnergyReport, PowerMonitor
+from repro.energy import EnergyReport, PowerLedger, integrate
 from repro.hw.power import Routine
-from repro.sim.trace import StateChange, TimelineRecorder
 
 
-def record(recorder, time, component, state, power, routine):
-    recorder.record(
-        StateChange(
-            time=time,
-            component=component,
-            state=state,
-            power_w=power,
-            routine=routine,
-        )
+def record(ledger, time, component, state, power, routine):
+    ledger.timeline(component).changes.append((time, state, power, routine))
+
+
+def measure(ledger, end_time, idle_floor_power_w):
+    energy, _ = integrate(ledger.timelines(), end_time)
+    return EnergyReport(
+        duration_s=end_time,
+        idle_floor_power_w=idle_floor_power_w,
+        by_component_routine=energy,
     )
 
 
 def test_integration_is_power_times_time():
-    recorder = TimelineRecorder()
-    record(recorder, 0.0, "cpu", "busy", 5.0, Routine.APP_COMPUTE)
-    monitor = PowerMonitor(recorder, idle_floor_power_w=0.5)
-    report = monitor.measure(end_time=2.0)
+    ledger = PowerLedger()
+    record(ledger, 0.0, "cpu", "busy", 5.0, Routine.APP_COMPUTE)
+    report = measure(ledger, end_time=2.0, idle_floor_power_w=0.5)
     assert report.total_j == pytest.approx(10.0)
     assert report.routine_j(Routine.APP_COMPUTE) == pytest.approx(10.0)
 
 
 def test_routine_attribution_splits():
-    recorder = TimelineRecorder()
-    record(recorder, 0.0, "cpu", "busy", 5.0, Routine.INTERRUPT)
-    record(recorder, 1.0, "cpu", "busy", 5.0, Routine.DATA_TRANSFER)
-    record(recorder, 3.0, "cpu", "idle", 2.5, Routine.DATA_TRANSFER)
-    monitor = PowerMonitor(recorder, idle_floor_power_w=0.0)
-    report = monitor.measure(end_time=4.0)
+    ledger = PowerLedger()
+    record(ledger, 0.0, "cpu", "busy", 5.0, Routine.INTERRUPT)
+    record(ledger, 1.0, "cpu", "busy", 5.0, Routine.DATA_TRANSFER)
+    record(ledger, 3.0, "cpu", "idle", 2.5, Routine.DATA_TRANSFER)
+    report = measure(ledger, end_time=4.0, idle_floor_power_w=0.0)
     assert report.routine_j(Routine.INTERRUPT) == pytest.approx(5.0)
     assert report.routine_j(Routine.DATA_TRANSFER) == pytest.approx(12.5)
     assert report.total_j == pytest.approx(17.5)
 
 
 def test_energy_conservation_across_views():
-    recorder = TimelineRecorder()
-    record(recorder, 0.0, "cpu", "busy", 5.0, Routine.APP_COMPUTE)
-    record(recorder, 0.5, "cpu", "idle", 2.5, Routine.IDLE)
-    record(recorder, 0.0, "mcu", "busy", 0.35, Routine.DATA_COLLECTION)
-    monitor = PowerMonitor(recorder, idle_floor_power_w=0.1)
-    report = monitor.measure(end_time=2.0)
+    ledger = PowerLedger()
+    record(ledger, 0.0, "cpu", "busy", 5.0, Routine.APP_COMPUTE)
+    record(ledger, 0.5, "cpu", "idle", 2.5, Routine.IDLE)
+    record(ledger, 0.0, "mcu", "busy", 0.35, Routine.DATA_COLLECTION)
+    report = measure(ledger, end_time=2.0, idle_floor_power_w=0.1)
     assert sum(report.by_routine.values()) == pytest.approx(report.total_j)
     assert sum(report.by_component.values()) == pytest.approx(report.total_j)
 
@@ -95,11 +92,10 @@ def test_scaled_routine_bars_sum_to_normalized_total():
 
 
 def test_sample_trace_matches_instantaneous_power():
-    recorder = TimelineRecorder()
-    record(recorder, 0.0, "cpu", "idle", 2.5, Routine.IDLE)
-    record(recorder, 1.0, "cpu", "busy", 5.0, Routine.APP_COMPUTE)
-    record(recorder, 0.0, "mcu", "sleep", 0.01, Routine.IDLE)
-    monitor = PowerMonitor(recorder, idle_floor_power_w=0.0)
-    samples = monitor.sample_trace(end_time=2.0, sample_interval_s=0.5)
+    ledger = PowerLedger()
+    record(ledger, 0.0, "cpu", "idle", 2.5, Routine.IDLE)
+    record(ledger, 1.0, "cpu", "busy", 5.0, Routine.APP_COMPUTE)
+    record(ledger, 0.0, "mcu", "sleep", 0.01, Routine.IDLE)
+    samples = ledger.sample_trace(end_time=2.0, sample_interval_s=0.5)
     assert samples[0] == (0.0, pytest.approx(2.51))
     assert samples[-1] == (2.0, pytest.approx(5.01))

@@ -4,17 +4,17 @@ import pytest
 
 from repro.apps import create_app, light_weight_ids
 from repro.calibration import default_calibration
+from repro.energy import PowerLedger
 from repro.hubos import CpuRestPolicy, SleepGovernor, characterize_apps, cpu_transfer
 from repro.hubos.interrupts import service_interrupt
 from repro.hw import IoTHub
 from repro.hw.cpu import Cpu, CpuState
 from repro.sim import Simulator
-from repro.sim.trace import TimelineRecorder
 
 
 def make_cpu(state=CpuState.IDLE):
     sim = Simulator()
-    recorder = TimelineRecorder()
+    recorder = PowerLedger()
     return Cpu(sim, recorder, default_calibration().cpu, state)
 
 

@@ -4,13 +4,22 @@ import pytest
 
 from repro.apps import create_app
 from repro.apps.offline import collect_window
-from repro.energy import PowerMonitor
+from repro.energy import EnergyReport, integrate
 from repro.firmware import run_offloaded_compute
 from repro.hubos.polling import cpu_blocking_read
 from repro.hw import IoTHub
 from repro.hw.cpu import CpuState
 from repro.sensors import ConstantWaveform, SensorDevice
 from repro.sim import Delay
+
+
+def measure(hub, end_time):
+    energy, _ = integrate(hub.recorder.timelines(), end_time)
+    return EnergyReport(
+        duration_s=end_time,
+        idle_floor_power_w=hub.idle_power_w,
+        by_component_routine=energy,
+    )
 
 
 def test_constant_board_loads_always_draw():
@@ -21,7 +30,7 @@ def test_constant_board_loads_always_draw():
 
     hub.sim.spawn(idle_for_a_second())
     hub.run()
-    report = PowerMonitor(hub.recorder, hub.idle_power_w).measure(1.0)
+    report = measure(hub, 1.0)
     board = report.component_j("board")
     carrier = report.component_j("mcu_board")
     assert board == pytest.approx(hub.calibration.board.overhead_power_w)
@@ -38,7 +47,7 @@ def test_idle_hub_total_matches_declared_floor():
 
     hub.sim.spawn(wait())
     hub.run()
-    report = PowerMonitor(hub.recorder, hub.idle_power_w).measure(2.0)
+    report = measure(hub, 2.0)
     assert report.total_j == pytest.approx(hub.idle_power_w * 2.0)
     assert report.marginal_j == pytest.approx(0.0, abs=1e-9)
 

@@ -3,15 +3,15 @@
 import pytest
 
 from repro.calibration import default_calibration
+from repro.energy import PowerLedger
 from repro.errors import BusError
 from repro.hw import InterruptController, IoTHub, NetworkInterface, PioBus
 from repro.sim import Delay, Simulator
-from repro.sim.trace import TimelineRecorder
 
 
 def make_bus():
     sim = Simulator()
-    recorder = TimelineRecorder()
+    recorder = PowerLedger()
     bus = PioBus(sim, recorder, default_calibration().bus)
     return sim, recorder, bus
 
@@ -66,7 +66,7 @@ def test_bus_power_active_only_during_transfer():
 
 def test_nic_send():
     sim = Simulator()
-    recorder = TimelineRecorder()
+    recorder = PowerLedger()
     nic = NetworkInterface(sim, recorder, default_calibration().board)
 
     def sender():

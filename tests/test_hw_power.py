@@ -3,17 +3,17 @@
 import pytest
 
 from repro.calibration import default_calibration
+from repro.energy import PowerLedger
 from repro.errors import CapacityError, HardwareError, PowerStateError
 from repro.hw import Cpu, CpuState, Mcu, McuState, MemoryRegion, Routine
 from repro.hw.power import PowerStateMachine
 from repro.sim import Simulator
-from repro.sim.trace import TimelineRecorder
 
 
 @pytest.fixture
 def rig():
     sim = Simulator()
-    recorder = TimelineRecorder()
+    recorder = PowerLedger()
     return sim, recorder
 
 
@@ -24,8 +24,9 @@ def test_psm_records_initial_state(rig):
     )
     changes = recorder.changes("widget")
     assert len(changes) == 1
-    assert changes[0].state == "off"
-    assert changes[0].power_w == 0.0
+    _, state, power_w, _ = changes[0]
+    assert state == "off"
+    assert power_w == 0.0
 
 
 def test_psm_rejects_unknown_state(rig):
@@ -118,7 +119,7 @@ def test_cpu_cannot_sleep_while_busy(rig):
 
 def test_cpu_compute_time_from_instructions():
     sim = Simulator()
-    cpu = Cpu(sim, TimelineRecorder(), default_calibration().cpu, CpuState.IDLE)
+    cpu = Cpu(sim, PowerLedger(), default_calibration().cpu, CpuState.IDLE)
     # 24,000 MIPS -> 24e9 instructions per second.
     assert cpu.compute_time(24e9) == pytest.approx(1.0)
     with pytest.raises(HardwareError):

@@ -3,7 +3,6 @@ rule selection, reporters, CLI plumbing — and the meta-test pinning the
 shipped tree lint-clean."""
 
 import json
-import textwrap
 from pathlib import Path
 
 import pytest

@@ -9,7 +9,6 @@ receiver-type, registry dispatch)."""
 import json
 import shutil
 import subprocess
-import textwrap
 from pathlib import Path
 
 import pytest

@@ -1,15 +1,14 @@
 """Property-based tests: energy integration and memory accounting."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.energy import EnergyReport, PowerMonitor
+from repro.energy import EnergyReport
+from repro.energy.ledger import CycleTally, PowerLedger, integrate
 from repro.errors import CapacityError
 from repro.hw.memory import MemoryRegion
 from repro.hw.power import Routine
-from repro.sim.trace import StateChange, TimelineRecorder
 
 routines = st.sampled_from([r for r in Routine.ORDER])
 
@@ -41,31 +40,42 @@ def power_traces(draw):
 @given(
     st.dictionaries(
         st.sampled_from(["cpu", "mcu", "bus"]), power_traces(), min_size=1
-    )
+    ),
+    st.floats(min_value=0.25, max_value=20.0),
 )
-def test_integration_matches_manual_sum(traces):
-    recorder = TimelineRecorder()
+def test_integration_matches_manual_sum(traces, cycle_s):
+    ledger = PowerLedger()
     end_time = 10.0
     expected = 0.0
     for component, trace in traces.items():
         for index, (time, power, routine) in enumerate(trace):
-            recorder.record(
-                StateChange(
-                    time=time,
-                    component=component,
-                    state=f"s{index}",
-                    power_w=power,
-                    routine=routine,
-                )
+            # Odd changes enter a busy state, so busy time is exercised too.
+            state = "busy" if index % 2 else f"s{index}"
+            ledger.timeline(component).changes.append(
+                (time, state, power, routine)
             )
         for (time, power, _), nxt in zip(trace, trace[1:] + [None]):
             next_time = nxt[0] if nxt else end_time
             expected += power * max(0.0, next_time - time)
-    report = PowerMonitor(recorder, idle_floor_power_w=0.0).measure(end_time)
+    energy, busy = integrate(ledger.timelines(), end_time)
+    report = EnergyReport(
+        duration_s=end_time, idle_floor_power_w=0.0, by_component_routine=energy
+    )
     assert report.total_j == pytest.approx(expected, rel=1e-9, abs=1e-9)
     # Conservation across both views.
     assert sum(report.by_routine.values()) == pytest.approx(report.total_j)
     assert sum(report.by_component.values()) == pytest.approx(report.total_j)
+    # Splitting the same walk into cycles only regroups it: the tallied
+    # buckets sum back to the untallied totals.
+    tally = CycleTally(cycle_s, int(end_time // cycle_s))
+    integrate(ledger.timelines(), end_time, tally)
+    for key, joules in energy.items():
+        tallied = sum(bucket.get(key, 0.0) for bucket in tally.energy)
+        assert tallied == pytest.approx(joules, rel=1e-9, abs=1e-9)
+    for routine, seconds in busy.items():
+        tallied = sum(bucket.get(routine, 0.0) for bucket in tally.busy)
+        assert tallied == pytest.approx(seconds, rel=1e-9, abs=1e-9)
+    assert {key for bucket in tally.energy for key in bucket} == set(energy)
 
 
 @settings(max_examples=100)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps import create_app
 from repro.apps.offline import collect_window
-from repro.calibration import Calibration, default_calibration
+from repro.calibration import default_calibration
 from repro.core import Scenario, Scheme, compare_schemes, savings_table
 from repro.core.compare import average_savings
 from repro.energy.report import ROUTINE_LABELS, format_breakdown_table, format_series

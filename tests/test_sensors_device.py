@@ -57,12 +57,12 @@ def test_rail_power_high_only_during_read():
     )
     assert active == pytest.approx(get_spec("S1").read_time_s)
     # Burst power includes the MCU IO-controller rail.
-    read_change = hub.recorder.changes("sensor:S1")[1]
+    _, _, read_power_w, _ = hub.recorder.changes("sensor:S1")[1]
     expected = (
         get_spec("S1").typical_power_w
         + hub.calibration.mcu.sensor_read_power_w
     )
-    assert read_change.power_w == pytest.approx(expected)
+    assert read_power_w == pytest.approx(expected)
 
 
 def test_default_waveform_used_when_not_injected():

@@ -1,71 +1,75 @@
-"""Unit tests for the timeline recorder."""
+"""Unit tests for the hub's power ledger: recording and its queries."""
 
 import pytest
 
-from repro.sim.trace import StateChange, TimelineRecorder
+from repro.energy.ledger import PowerLedger, integrate
 
 
-def change(time, component="cpu", state="busy", power=5.0, routine="idle"):
-    return StateChange(
-        time=time, component=component, state=state, power_w=power, routine=routine
-    )
+def change(ledger, time, component="cpu", state="busy", power=5.0, routine="idle"):
+    ledger.timeline(component).changes.append((time, state, power, routine))
 
 
 def test_intervals_close_at_end_time():
-    recorder = TimelineRecorder()
-    recorder.record(change(0.0, state="idle", power=2.5))
-    recorder.record(change(1.0, state="busy", power=5.0))
-    intervals = list(recorder.intervals("cpu", end_time=3.0))
-    assert [(c.state, d) for c, d in intervals] == [("idle", 1.0), ("busy", 2.0)]
+    ledger = PowerLedger()
+    change(ledger, 0.0, state="idle", power=2.5)
+    change(ledger, 1.0, state="busy", power=5.0)
+    intervals = list(ledger.intervals("cpu", end_time=3.0))
+    assert [(state, t1 - t0) for t0, t1, state, _, _ in intervals] == [
+        ("idle", 1.0),
+        ("busy", 2.0),
+    ]
 
 
 def test_zero_length_intervals_skipped():
-    recorder = TimelineRecorder()
-    recorder.record(change(0.0, state="idle"))
-    recorder.record(change(1.0, state="busy"))
-    recorder.record(change(1.0, state="sleep", power=1.5))
-    intervals = list(recorder.intervals("cpu", end_time=2.0))
-    assert [c.state for c, _ in intervals] == ["idle", "sleep"]
+    ledger = PowerLedger()
+    change(ledger, 0.0, state="idle")
+    change(ledger, 1.0, state="busy")
+    change(ledger, 1.0, state="sleep", power=1.5)
+    intervals = list(ledger.intervals("cpu", end_time=2.0))
+    assert [state for _, _, state, _, _ in intervals] == ["idle", "sleep"]
 
 
 def test_out_of_order_record_rejected():
-    recorder = TimelineRecorder()
-    recorder.record(change(2.0))
+    ledger = PowerLedger()
+    change(ledger, 2.0)
+    change(ledger, 1.0)
     with pytest.raises(ValueError):
-        recorder.record(change(1.0))
+        integrate(ledger.timelines(), 3.0)
+    with pytest.raises(ValueError):
+        ledger.changes("cpu")
 
 
 def test_state_at_returns_latest_change():
-    recorder = TimelineRecorder()
-    recorder.record(change(0.0, state="sleep"))
-    recorder.record(change(5.0, state="busy"))
-    assert recorder.state_at("cpu", 2.0).state == "sleep"
-    assert recorder.state_at("cpu", 5.0).state == "busy"
-    assert recorder.state_at("cpu", 9.0).state == "busy"
-    assert recorder.state_at("mcu", 1.0) is None
+    ledger = PowerLedger()
+    change(ledger, 0.0, state="sleep")
+    change(ledger, 5.0, state="busy")
+    assert ledger.state_at("cpu", 2.0)[1] == "sleep"
+    assert ledger.state_at("cpu", 5.0)[1] == "busy"
+    assert ledger.state_at("cpu", 9.0)[1] == "busy"
+    assert ledger.state_at("mcu", 1.0) is None
 
 
 def test_time_in_state():
-    recorder = TimelineRecorder()
-    recorder.record(change(0.0, state="sleep"))
-    recorder.record(change(4.0, state="busy"))
-    recorder.record(change(6.0, state="sleep"))
-    assert recorder.time_in_state("cpu", "sleep", end_time=10.0) == pytest.approx(8.0)
-    assert recorder.time_in_state("cpu", "busy", end_time=10.0) == pytest.approx(2.0)
+    ledger = PowerLedger()
+    change(ledger, 0.0, state="sleep")
+    change(ledger, 4.0, state="busy")
+    change(ledger, 6.0, state="sleep")
+    assert ledger.time_in_state("cpu", "sleep", end_time=10.0) == pytest.approx(8.0)
+    assert ledger.time_in_state("cpu", "busy", end_time=10.0) == pytest.approx(2.0)
 
 
 def test_components_sorted():
-    recorder = TimelineRecorder()
-    recorder.record(change(0.0, component="mcu"))
-    recorder.record(change(0.0, component="cpu"))
-    assert recorder.components == ("cpu", "mcu")
+    ledger = PowerLedger()
+    change(ledger, 0.0, component="mcu")
+    change(ledger, 0.0, component="cpu")
+    assert ledger.components == ("cpu", "mcu")
 
 
 def test_render_ascii_strip():
-    recorder = TimelineRecorder()
-    recorder.record(change(0.0, state="sleep"))
-    recorder.record(change(0.5, state="busy"))
-    strip = recorder.render_ascii(
+    ledger = PowerLedger()
+    change(ledger, 0.0, state="sleep")
+    change(ledger, 0.5, state="busy")
+    strip = ledger.render_ascii(
         "cpu", end_time=1.0, width=10, state_chars={"sleep": ".", "busy": "#"}
     )
     assert strip == "....." + "#####"
