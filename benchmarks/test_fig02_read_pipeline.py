@@ -10,7 +10,8 @@ import pytest
 
 from conftest import run_once
 
-from repro.firmware.driver import mcu_transfer_busy, raise_interrupt, read_and_decode
+from repro.core import SchemePlan
+from repro.firmware.driver import read_and_decode, run_ops
 from repro.hubos.interrupts import service_interrupt
 from repro.hubos.transfer import cpu_transfer
 from repro.hw import IoTHub
@@ -22,14 +23,18 @@ def _measure():
     hub = IoTHub(cpu_initial_state=CpuState.IDLE)
     device = SensorDevice.attach(hub, "S4", ConstantWaveform(1.0))
     marks = {}
+    # The per-sample chain after the decode: raise, then transfer.
+    raise_op, transfer_op = SchemePlan(family="interrupting").sample_ops(
+        hub.calibration
+    )
 
     def mcu_side():
         marks["read_start"] = hub.sim.now
         sample = yield from read_and_decode(hub, device)
         marks["decoded"] = hub.sim.now
-        yield from raise_interrupt(hub, "sample", sample)
+        yield from run_ops(hub, (raise_op,), sample)
         marks["irq_raised"] = hub.sim.now
-        yield from mcu_transfer_busy(hub, 1, bulk=False)
+        yield from run_ops(hub, (transfer_op,), None)
 
     def cpu_side():
         request = yield from hub.irq.wait()

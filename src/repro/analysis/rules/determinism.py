@@ -7,7 +7,8 @@ RNG or hash-order-dependent iteration inside the simulation core breaks
 that silently — the cache then stores whichever result happened first.
 These rules keep the deterministic core honest; host-side tooling
 (profilers, CLI glue) outside the scoped directories may legitimately
-read the clock.
+read the clock.  Builtin ``hash()`` has no legitimate reading anywhere
+a value can reach a result, so that rule covers every file.
 """
 
 from __future__ import annotations
@@ -211,3 +212,24 @@ class SetOrderRule(DeterminismRule):
         elif isinstance(node.func, ast.Attribute):
             if node.func.attr == "join":
                 self._flag(ctx, node.args[0])
+
+
+@register_rule
+class BuiltinHashRule(Rule):
+    """Builtin ``hash()`` calls anywhere in the library."""
+
+    rule_id = "det-builtin-hash"
+    description = (
+        "builtin hash() — str/bytes hashes are salted per process"
+        " (PYTHONHASHSEED); derive seeds from zlib.crc32 or hashlib"
+    )
+
+    def visit_Call(self, ctx: FileContext, node: ast.Call) -> None:
+        """Flag ``hash(...)`` (not ``obj.hash(...)``)."""
+        if isinstance(node.func, ast.Name) and node.func.id == "hash":
+            self.emit(
+                ctx,
+                node,
+                "builtin hash() differs between interpreters for str/bytes;"
+                " use a stable digest such as zlib.crc32",
+            )

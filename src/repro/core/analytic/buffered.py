@@ -16,11 +16,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ...apps.base import IoTApp
 from ...errors import AnalyticUnsupported
 from ...hubos.governor import CpuRestPolicy, rest_state
+from ...hubos.transfer import cpu_transfer_time
 from ...hw.cpu import CpuState
 from ...hw.power import Routine
 from ..schemes.base import SchemePlan, Stream, build_streams
 from .context import AnalyticRun
-from .mcu_scan import McuOp, scan_streams
+from .mcu_scan import scan_streams
 
 #: One pending interrupt: (fire, vector, app, window, count, nbytes).
 _Irq = Tuple[float, str, IoTApp, int, int, int]
@@ -55,15 +56,11 @@ def run_buffered(run: AnalyticRun, plan: SchemePlan) -> None:
     # Streams in DES spawn order: COM apps first, then batch apps; each
     # app's streams are per-app (unshared).
     streams: List[Stream] = []
-    info: List[Tuple[IoTApp, bool]] = []  # (app, is_com) per stream
-    for app in plan.com_apps:
+    owner: Dict[int, IoTApp] = {}
+    for app in plan.com_apps + plan.batch_apps:
         for stream in build_streams([app], shared=False):
             streams.append(stream)
-            info.append((app, True))
-    for app in plan.batch_apps:
-        for stream in build_streams([app], shared=False):
-            streams.append(stream)
-            info.append((app, False))
+            owner[id(stream)] = app
 
     # MCU RAM ledger: COM footprints are resident for the whole run;
     # batch buffers grow per sample.  An overflow would make the DES drop
@@ -79,80 +76,43 @@ def run_buffered(run: AnalyticRun, plan: SchemePlan) -> None:
         app.name: _AppBuffer() for app in plan.batch_apps
     }
     coordinator: Dict[Tuple[str, int], int] = {}
-    index_of = {id(stream): i for i, stream in enumerate(streams)}
 
-    def sample_ops(stream: Stream, w: int, k: int) -> List[McuOp]:
-        app, is_com = info[index_of[id(stream)]]
-
-        def buffered(decoded: float) -> None:
-            buffer = buffers[app.name]
-            buffer.bytes += stream.sample_bytes
-            buffer.count += 1
-            if resident + sum(b.bytes for b in buffers.values()) > capacity:
-                raise AnalyticUnsupported(
-                    f"{app.name} batch buffer overflows MCU RAM; DES required"
-                )
-
-        return [
-            McuOp(
-                cal.mcu.decode_time_per_sample_s,
-                Routine.DATA_COLLECTION,
-                on_end=None if is_com else buffered,
+    def on_decode(stream: Stream) -> None:
+        app = owner[id(stream)]
+        buffer = buffers.get(app.name)
+        if buffer is None:
+            return  # COM samples stream through the resident ring
+        buffer.bytes += stream.sample_bytes
+        buffer.count += 1
+        if resident + sum(b.bytes for b in buffers.values()) > capacity:
+            raise AnalyticUnsupported(
+                f"{app.name} batch buffer overflows MCU RAM; DES required"
             )
-        ]
 
-    def window_done(stream: Stream, w: int) -> List[McuOp]:
-        app, is_com = info[index_of[id(stream)]]
+    def on_window(stream: Stream, w: int):
+        app = owner[id(stream)]
         key = (app.name, w)
         coordinator[key] = coordinator.get(key, 0) + 1
         if coordinator[key] < len(app.profile.sensor_ids):
-            return []
-
-        def fire(vector: str, count: int, nbytes: int):
-            def record(raised: float) -> None:
-                run.raise_interrupt(raised)
-                irqs.append((raised, vector, app, w, count, nbytes))
-
-            return record
-
-        if is_com:
-            # com_handoff: offloaded compute, result interrupt, transfer.
-            return [
-                McuOp(
-                    app.profile.mcu_compute_time_s(cal),
-                    Routine.APP_COMPUTE,
-                    after_routine=Routine.IDLE,
-                ),
-                McuOp(
-                    cal.mcu.interrupt_raise_time_s,
-                    Routine.INTERRUPT,
-                    on_end=fire("result", 1, app.profile.output_bytes),
-                ),
-                McuOp(
-                    cal.mcu.transfer_time_per_sample_s, Routine.DATA_TRANSFER
-                ),
-            ]
-        # batch_handoff / ship_batch: drain the buffer synchronously
-        # (concurrently polling streams start filling a fresh batch),
-        # then interrupt + bulk put.
-        buffer = buffers[app.name]
+            return None
+        buffer = buffers.get(app.name)
+        if buffer is None:
+            return (
+                plan.handoff_ops(app, cal, 1),
+                (app, w, 1, app.profile.output_bytes),
+            )
+        # Drain the buffer synchronously (concurrently polling streams
+        # start filling a fresh batch), as the DES hand-off does.
         nbytes = max(1, buffer.bytes)
         count = buffer.count
         buffer.bytes = 0
         buffer.count = 0
-        return [
-            McuOp(
-                cal.mcu.interrupt_raise_time_s,
-                Routine.INTERRUPT,
-                on_end=fire("batch", count, nbytes),
-            ),
-            McuOp(
-                cal.mcu.transfer_time_per_sample_s / 4.0 * max(1, count),
-                Routine.DATA_TRANSFER,
-            ),
-        ]
+        return plan.handoff_ops(app, cal, count), (app, w, count, nbytes)
 
-    scan_streams(run, streams, sample_ops, window_done)
+    def on_irq(vector: str, raised: float, payload) -> None:
+        irqs.append((raised, vector) + payload)
+
+    scan_streams(run, streams, plan, on_irq, on_decode, on_window)
     _cpu_replay(run, plan, irqs)
 
 
@@ -186,15 +146,8 @@ def _cpu_replay(run: AnalyticRun, plan: SchemePlan, irqs: List[_Irq]) -> None:
         service_end = run.cpu_op(
             t, cal.cpu.interrupt_handling_time_s, Routine.INTERRUPT
         )
-        if vector == "batch":
-            duration = (
-                cal.cpu.bulk_transfer_time_per_sample_s * max(1, count)
-                + run.wire_time(nbytes)
-            )
-        else:
-            duration = cal.cpu.transfer_time_per_sample_s + run.wire_time(
-                nbytes
-            )
+        bulk = vector == "batch"
+        duration = cpu_transfer_time(cal, nbytes, max(1, count), bulk)
         run.bus_transfer(max(service_end, run.cpu_core_free), nbytes)
         transfer_end = run.cpu_op(service_end, duration, Routine.DATA_TRANSFER)
         if vector == "batch":

@@ -10,10 +10,11 @@ with operation intervals instead of simulated processes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
 from ...apps.base import AppResult, IoTApp
 from ...energy.ledger import CycleTally, Schedule
+from ...hw.bus import wire_time
 from ...hw.cpu import CpuState
 from ...hw.mcu import McuState
 from ...hw.power import Routine
@@ -80,6 +81,9 @@ class AnalyticRun:
         self.result_times: Dict[str, List[float]] = {
             app.name: [] for app in scenario.apps
         }
+        #: Per-(app, window) sample tallies toward window completion.
+        self._tallies: Dict[Tuple[str, int], Dict[str, int]] = {}
+        self._completed: Set[Tuple[str, int]] = set()
         #: High-water mark of emitted activity, for the run duration.
         self.last_activity = 0.0
         #: Per-cycle bookkeeping; only a truncated scan attaches one
@@ -89,11 +93,6 @@ class AnalyticRun:
     # ------------------------------------------------------------------
     # shared op primitives
     # ------------------------------------------------------------------
-    def wire_time(self, nbytes: int) -> float:
-        """PIO wire time for one transfer (setup + payload)."""
-        bus = self.cal.bus
-        return bus.setup_time_s + max(1, nbytes) / bus.bandwidth_bytes_per_s
-
     def rail_read(self, sensor_id: str, ready: float) -> float:
         """One rail read: FIFO grant, read burst, back to standby.
 
@@ -176,7 +175,7 @@ class AnalyticRun:
 
     def bus_transfer(self, start: float, nbytes: int) -> float:
         """Bus-side activity concurrent with a CPU transfer op."""
-        end = start + self.wire_time(nbytes)
+        end = start + wire_time(self.cal.bus, max(1, nbytes))
         self.bus.set(start, "active", self.cal.bus.active_power_w,
                      Routine.DATA_TRANSFER)
         self.bus.set(end, "idle", 0.0, Routine.IDLE)
@@ -185,7 +184,7 @@ class AnalyticRun:
             self.cycles.bus_bytes[self.cycles.index(start)] += max(1, nbytes)
         return end
 
-    def raise_interrupt(self, t: float) -> None:
+    def count_interrupt(self, t: float) -> None:
         """Count one MCU-to-CPU interrupt raised at ``t``."""
         self.interrupt_count += 1
         if self.cycles is not None:
@@ -203,8 +202,25 @@ class AnalyticRun:
         return end
 
     # ------------------------------------------------------------------
-    # results + QoS
+    # windows, results + QoS
     # ------------------------------------------------------------------
+    def tally_sample(self, app: IoTApp, window_index: int, sensor_id: str) -> bool:
+        """Count one sample delivered to ``app``'s window; True exactly
+        once, when the window has every sample it expects
+        (:meth:`~repro.core.schemes.base.WindowState.register`)."""
+        key = (app.name, window_index)
+        tally = self._tallies.setdefault(key, {})
+        tally[sensor_id] = tally.get(sensor_id, 0) + 1
+        if key in self._completed:
+            return False
+        if all(
+            tally.get(needed, 0) >= app.profile.samples_per_window(needed)
+            for needed in app.profile.sensor_ids
+        ):
+            self._completed.add(key)
+            return True
+        return False
+
     def record_result(self, app: IoTApp, window_index: int, t: float) -> None:
         """Log one delivered window result; same deadline rule as the DES."""
         self.app_results[app.name].append(

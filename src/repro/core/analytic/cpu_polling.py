@@ -11,15 +11,12 @@ and compute jobs.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Tuple
 
+from ...hubos.polling import STORE_TIME_S
 from ...hw.cpu import CpuState
 from ...hw.power import Routine
 from ..schemes.base import SchemePlan, build_streams
 from .context import AnalyticRun
-
-#: hubos.polling.STORE_TIME_S — the busy store after each blocking read.
-STORE_TIME_S = 20e-6
 
 
 def run_cpu_polling(run: AnalyticRun, plan: SchemePlan) -> None:
@@ -31,8 +28,6 @@ def run_cpu_polling(run: AnalyticRun, plan: SchemePlan) -> None:
     # t=0 rest(): governor off -> idle at the DATA_TRANSFER wait routine.
     run.cpu.set(0.0, CpuState.IDLE, cal.cpu.idle_power_w, Routine.DATA_TRANSFER)
 
-    counts: Dict[Tuple[str, int], Dict[str, int]] = {}
-    completed: Dict[Tuple[str, int], bool] = {}
     heap = []
     seq = 0
     # (w, k) cursor per stream; request time per stream.
@@ -45,17 +40,7 @@ def run_cpu_polling(run: AnalyticRun, plan: SchemePlan) -> None:
         """Tally the sample; queue computes for any completed windows."""
         nonlocal seq
         for app in stream.subscribers:
-            key = (app.name, w)
-            tally = counts.setdefault(key, {})
-            tally[stream.sensor_id] = tally.get(stream.sensor_id, 0) + 1
-            if completed.get(key):
-                continue
-            if all(
-                tally.get(sensor_id, 0)
-                >= app.profile.samples_per_window(sensor_id)
-                for sensor_id in app.profile.sensor_ids
-            ):
-                completed[key] = True
+            if run.tally_sample(app, w, stream.sensor_id):
                 # deliver() fires synchronously: the waiting compute
                 # process requests the core at the chain end, ahead of
                 # this stream's next poll (same request time, lower seq).

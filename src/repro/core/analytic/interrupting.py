@@ -9,12 +9,13 @@ preempts the next queued interrupt service, as in the DES).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
+from ...hubos.transfer import cpu_transfer_time
 from ...hw.power import Routine
 from ..schemes.base import SchemePlan, Stream, build_streams
 from .context import AnalyticRun
-from .mcu_scan import McuOp, scan_streams
+from .mcu_scan import scan_streams
 
 #: One pending interrupt: (fire_time, stream, window_index, sample_index).
 _Irq = Tuple[float, Stream, int, int]
@@ -22,23 +23,13 @@ _Irq = Tuple[float, Stream, int, int]
 
 def run_interrupting(run: AnalyticRun, plan: SchemePlan) -> None:
     """Populate ``run`` with the baseline/BEAM schedule and energy."""
-    cal = run.cal
-    streams = build_streams(run.scenario.apps, plan.shared)
     irqs: List[_Irq] = []
 
-    def sample_ops(stream: Stream, w: int, k: int) -> List[McuOp]:
-        def fire(raised: float) -> None:
-            irqs.append((raised, stream, w, k))
-            run.raise_interrupt(raised)
+    def on_irq(vector: str, raised: float, payload) -> None:
+        irqs.append((raised,) + payload)
 
-        return [
-            McuOp(cal.mcu.decode_time_per_sample_s, Routine.DATA_COLLECTION),
-            McuOp(cal.mcu.interrupt_raise_time_s, Routine.INTERRUPT,
-                  on_end=fire),
-            McuOp(cal.mcu.transfer_time_per_sample_s, Routine.DATA_TRANSFER),
-        ]
-
-    scan_streams(run, streams, sample_ops)
+    streams = build_streams(run.scenario.apps, plan.shared)
+    scan_streams(run, streams, plan, on_irq)
     _cpu_replay(run, irqs)
 
 
@@ -48,16 +39,11 @@ def _cpu_replay(run: AnalyticRun, irqs: List[_Irq]) -> None:
     # build_context's t=0 rest(): governor off -> idle at the default
     # DATA_TRANSFER wait routine.
     run.cpu.set(0.0, "idle", cal.cpu.idle_power_w, Routine.DATA_TRANSFER)
-    # Per-(app, window) sample tallies toward window completion.
-    counts: Dict[Tuple[str, int], Dict[str, int]] = {}
-    completed: Dict[Tuple[str, int], bool] = {}
     for fire, stream, w, k in irqs:
         service_end = run.cpu_op(
             fire, cal.cpu.interrupt_handling_time_s, Routine.INTERRUPT
         )
-        duration = cal.cpu.transfer_time_per_sample_s + run.wire_time(
-            stream.sample_bytes
-        )
+        duration = cpu_transfer_time(cal, stream.sample_bytes, 1, bulk=False)
         run.bus_transfer(service_end, stream.sample_bytes)
         transfer_end = run.cpu_op(
             service_end, duration, Routine.DATA_TRANSFER
@@ -65,17 +51,7 @@ def _cpu_replay(run: AnalyticRun, irqs: List[_Irq]) -> None:
         for app in stream.subscribers:
             if k % stream.stride(app) != 0:
                 continue  # decimated subscriber skips this sample
-            key = (app.name, w)
-            tally = counts.setdefault(key, {})
-            tally[stream.sensor_id] = tally.get(stream.sensor_id, 0) + 1
-            if completed.get(key):
-                continue
-            if all(
-                tally.get(sensor_id, 0)
-                >= app.profile.samples_per_window(sensor_id)
-                for sensor_id in app.profile.sensor_ids
-            ):
-                completed[key] = True
+            if run.tally_sample(app, w, stream.sensor_id):
                 # Window delivered: the compute process acquires the
                 # core ahead of the next queued interrupt service.
                 compute_end = run.cpu_op(

@@ -1,53 +1,44 @@
-"""MCU-side stream scan: the closed-form counterpart of the poll loops.
+"""MCU-side stream scan: the closed-form counterpart of the poll loop.
 
 Replays every stream's poll schedule at *operation* granularity: sensor
 rails and the MCU core are FIFO resources granted in request-arrival
 order (matching :class:`~repro.sim.resources.Resource`), so a stream
 blocked in a long rail read never holds the core, and chains from
 different streams interleave exactly as the kernel's processes do.  The
-family models supply the per-sample and per-window core-op chains.
+chains are the ones the DES runs: the driver's decode after each read,
+then the plan's :meth:`~repro.core.schemes.base.SchemePlan.sample_ops`,
+plus whatever hand-off the family's ``on_window`` returns.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional
+from typing import Callable, Optional, Sequence, Tuple
 
+from ...firmware.driver import McuOp, decode_op
 from ...hw.mcu import McuState
 from ...hw.power import Routine
-from ..schemes.base import Stream
+from ..schemes.base import SchemePlan, Stream
 from .context import AnalyticRun
 
-
-class McuOp:
-    """One MCU-core operation of a stream's chain."""
-
-    __slots__ = ("duration", "routine", "after_routine", "on_end")
-
-    def __init__(
-        self,
-        duration: float,
-        routine: str,
-        after_routine: Optional[str] = None,
-        on_end: Optional[Callable[[float], None]] = None,
-    ):
-        self.duration = duration
-        self.routine = routine
-        self.after_routine = after_routine
-        self.on_end = on_end
+#: A hand-off returned by ``on_window``: the chain and its irq payload.
+Handoff = Tuple[Sequence[McuOp], object]
 
 
 class _Cursor:
     """Iteration state of one polling stream."""
 
-    __slots__ = ("stream", "index", "w", "k", "pending", "in_handoff")
+    __slots__ = ("stream", "index", "w", "k", "ops", "pos", "payload",
+                 "in_handoff")
 
     def __init__(self, stream: Stream, index: int):
         self.stream = stream
         self.index = index
         self.w = 0
         self.k = 0
-        self.pending: List[McuOp] = []
+        self.ops: Sequence[McuOp] = ()
+        self.pos = 0
+        self.payload: object = None
         self.in_handoff = False
 
     def target(self) -> float:
@@ -59,20 +50,25 @@ class _Cursor:
 
 def scan_streams(
     run: AnalyticRun,
-    streams: List[Stream],
-    sample_ops: Callable[[Stream, int, int], List[McuOp]],
-    window_done: Optional[Callable[[Stream, int], List[McuOp]]] = None,
+    streams: Sequence[Stream],
+    plan: SchemePlan,
+    on_irq: Callable[[str, float, object], None],
+    on_decode: Optional[Callable[[Stream], None]] = None,
+    on_window: Optional[Callable[[Stream, int], Optional[Handoff]]] = None,
 ) -> None:
-    """Drive every stream's poll schedule through the op chains.
+    """Drive every stream's poll schedule through its op chains.
 
-    ``sample_ops(stream, w, k)`` returns the core ops that follow one
-    rail read; ``window_done(stream, w)`` returns extra ops to run after
+    After each rail read a stream runs the driver's decode and the
+    plan's sample ops (irq payload ``(stream, w, k)``);
+    ``on_window(stream, w)`` may return ``(ops, payload)`` to run after
     a stream finishes a window's sample loop (the buffered hand-off —
-    family closures own the per-app coordinator and return ``[]`` for
-    non-final streams).  Op ``on_end`` callbacks fire at the op's end
-    time in chronological grant order, which is where interrupt raises
-    are recorded.
+    the family owns the per-app coordinator and returns ``None`` for
+    non-final streams).  Callbacks fire at op end in grant order:
+    ``on_decode(stream)`` after each decode, ``on_irq(vector, t,
+    payload)`` for each op that raises an interrupt.
     """
+    decode = decode_op(run.cal)
+    chain = (decode,) + plan.sample_ops(run.cal)
     windows = run.scenario.windows
     cursors = [_Cursor(stream, i) for i, stream in enumerate(streams)]
     #: The MCU nap governor's per-stream "next scheduled poll" table.
@@ -103,17 +99,24 @@ def scan_streams(
         if kind == "poll":
             read_start = max(t, run.rail_free[cursor.stream.sensor_id])
             read_end = run.rail_read(cursor.stream.sensor_id, t)
-            cursor.pending = list(sample_ops(cursor.stream, cursor.w, cursor.k))
+            cursor.ops = chain
+            cursor.pos = 0
+            cursor.payload = (cursor.stream, cursor.w, cursor.k)
             heapq.heappush(heap, (read_end, read_start, seq, "op", index))
             seq += 1
             continue
         # One core op: FIFO grant at request-arrival order (= pop order).
-        op = cursor.pending.pop(0)
+        op = cursor.ops[cursor.pos]
+        cursor.pos += 1
         start = max(t, run.mcu_core_free)
         end = run.mcu_op(t, op.duration, op.routine, op.after_routine)
-        if op.on_end is not None:
-            op.on_end(end)
-        if cursor.pending:
+        if op is decode:
+            if on_decode is not None:
+                on_decode(cursor.stream)
+        elif op.vector is not None:
+            run.count_interrupt(end)
+            on_irq(op.vector, end, cursor.payload)
+        if cursor.pos < len(cursor.ops):
             heapq.heappush(heap, (end, start, seq, "op", index))
             seq += 1
             continue
@@ -127,10 +130,11 @@ def scan_streams(
             if cursor.k >= cursor.stream.samples_per_window:
                 cursor.k = 0
                 cursor.w += 1
-            if last_of_window and window_done is not None:
-                extra = list(window_done(cursor.stream, w))
-                if extra:
-                    cursor.pending = extra
+            if last_of_window and on_window is not None:
+                handoff = on_window(cursor.stream, w)
+                if handoff is not None:
+                    cursor.ops, cursor.payload = handoff
+                    cursor.pos = 0
                     cursor.in_handoff = True
                     heapq.heappush(heap, (end, start, seq, "op", index))
                     seq += 1

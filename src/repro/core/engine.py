@@ -69,7 +69,10 @@ from .schemes.base import execute_scenario
 #: but not bit for bit.
 #: v6: the ``fast_forward`` flag left the payload (DES fast-forward was
 #: removed; the DES always simulates every event).
-FINGERPRINT_VERSION = 6
+#: v7: failure injection seeds its noise from ``zlib.crc32`` of the
+#: sensor id instead of the per-process salted ``hash()``, so v6 entries
+#: for scenarios with ``sensor_failure_rates`` hold other numbers.
+FINGERPRINT_VERSION = 7
 
 #: Fidelity tiers an engine can run at.  ``"des"`` is the discrete-event
 #: simulation (the authoritative tier), ``"analytic"`` the closed-form

@@ -4,11 +4,13 @@ A scheme is a small class: a :class:`SchemeExecutor` subclass whose
 ``plan`` returns a :class:`SchemePlan` — which family of wiring it uses,
 whether streams are shared, which apps compute on the MCU.  That one
 declaration is all a scheme states; both tiers interpret it.  The
-discrete-event simulation wires it through :func:`build_context` (one
-wiring function per family over the primitives
-:class:`SchemeContext` owns — the hub, the sensor devices, window
-bookkeeping, the interrupt dispatcher, the CPU compute loop and the
-sleep governor), and the closed-form tier in
+MCU's op chains are stated once, on the plan
+(:meth:`SchemePlan.sample_ops`, :meth:`SchemePlan.handoff_ops`).  The
+discrete-event simulation wires the plan through :func:`build_context`
+(one wiring function per family over the primitives
+:class:`SchemeContext` owns — the hub, the sensor devices, the one poll
+loop, window bookkeeping, the interrupt dispatcher, the CPU compute
+loop and the sleep governor), and the closed-form tier in
 :mod:`repro.core.analytic` scans it.
 
 :func:`execute_scenario` is the single entry point: look the scheme up
@@ -28,11 +30,11 @@ from ...errors import CapacityError, WorkloadError
 from ...firmware.batching import BatchBuffer
 from ...firmware.capability import OffloadReport
 from ...firmware.driver import (
-    mcu_transfer_busy,
-    raise_interrupt,
+    McuOp,
+    mcu_transfer_time,
     read_and_decode,
+    run_ops,
 )
-from ...firmware.runtime import run_offloaded_compute
 from ...hubos.governor import CpuRestPolicy, SleepGovernor
 from ...hubos.interrupts import service_interrupt
 from ...hubos.polling import cpu_blocking_read
@@ -291,6 +293,55 @@ class SchemePlan:
                 times.extend(samples[:: scenario.batch_size])
         return times
 
+    # ------------------------------------------------------------------
+    # MCU op chains: the one statement of each hand-off, run by the
+    # DES (firmware.driver.run_ops) and scanned by the analytic tier.
+    # ------------------------------------------------------------------
+    def sample_ops(self, cal) -> Tuple[McuOp, ...]:
+        """The core ops after each decoded read: the interrupting
+        family's per-sample raise → transfer; none for the others."""
+        if self.family != "interrupting":
+            return ()
+        return _hand_over(cal, "sample", 1, bulk=False)
+
+    def handoff_ops(self, app: IoTApp, cal, count: int) -> Tuple[McuOp, ...]:
+        """One buffered hand-off of ``app``'s data (``count`` samples).
+
+        A COM app computes on the MCU and ships only its result; a batch
+        app raises one interrupt and bulk-transfers its buffer.
+        """
+        if app in self.com_apps:
+            compute = McuOp(
+                app.profile.mcu_compute_time_s(cal),
+                Routine.APP_COMPUTE,
+                after_routine=Routine.IDLE,
+                instructions=app.profile.instructions,
+                span=("compute", f"mcu:{app.name}"),
+            )
+            return (compute,) + _hand_over(cal, "result", 1, bulk=False)
+        return _hand_over(cal, "batch", max(1, count), bulk=True)
+
+
+def _hand_over(cal, vector: str, samples: int, bulk: bool) -> Tuple[McuOp, ...]:
+    """Raise ``vector`` toward the CPU, then put ``samples`` on the bus.
+
+    After its side of the handshake the MCU waits for the CPU to drain
+    the PIO bus; that wait belongs to the transfer routine (Fig. 4).
+    """
+    return (
+        McuOp(
+            cal.mcu.interrupt_raise_time_s,
+            Routine.INTERRUPT,
+            vector=vector,
+            span=("irq", vector),
+        ),
+        McuOp(
+            mcu_transfer_time(cal.mcu, samples, bulk),
+            Routine.DATA_TRANSFER,
+            span=("transfer", f"mcu:{vector}"),
+        ),
+    )
+
 
 class SchemeContext:
     """Shared stream/window/governor plumbing the DES wiring composes.
@@ -401,64 +452,33 @@ class SchemeContext:
         if violation is not None:
             self.qos_violations.append(violation)
 
+    def deliver_sample(self, stream: Stream, w: int, k: int, sample) -> None:
+        """Hand one CPU-visible sample to its subscribers' windows."""
+        for app in stream.subscribers:
+            if k % stream.stride(app) != 0:
+                continue  # decimated subscriber skips this sample
+            state = self.window_state(app, w)
+            if state.register(sample):
+                state.deliver()
+
     # ------------------------------------------------------------------
     # MCU-side processes
     # ------------------------------------------------------------------
-    def poll_stream_interrupting(self, stream: Stream):
-        """Baseline/BEAM: poll and interrupt the CPU per sample."""
-        device = self.devices[stream.sensor_id]
-        # Hoisted out of the per-sample loop: stream.key builds a string
-        # per call, sim.now is a property read, and the enabled flag and
-        # span method are attribute lookups the loop repeats thousands of
-        # times.  The recorder never changes mid-run, so this is safe.
-        obs = self.obs
-        observing = obs.enabled
-        span = obs.span
-        sim = self.hub.sim
-        key = stream.key
-        for window_index in range(self.scenario.windows):
-            window_start = window_index * stream.window_s
-            for k in range(stream.samples_per_window):
-                target = window_start + k / stream.rate_hz
-                now = sim.now
-                if target > now:
-                    self.mcu_rest(key, target)
-                    yield Delay(target - now)
-                self.mcu_wake()
-                if observing:
-                    t0 = sim.now
-                sample = yield from read_and_decode(self.hub, device)
-                if observing:
-                    t1 = sim.now
-                    span("sense", key, t0, t1)
-                yield from raise_interrupt(
-                    self.hub, "sample", (stream, window_index, k, sample)
-                )
-                if observing:
-                    t2 = sim.now
-                    span("irq", "sample", t1, t2)
-                yield from mcu_transfer_busy(self.hub, 1, bulk=False)
-                if observing:
-                    span("transfer", "mcu:sample", t2, sim.now)
-        self._mcu_next_polls.pop(key, None)
+    def poll_stream(self, stream: Stream, on_sample=None, on_window=None):
+        """One stream's poll loop: wait for each sample, read, run ops.
 
-    def poll_stream_buffering(
-        self,
-        stream: Stream,
-        app: IoTApp,
-        coordinator: Dict[int, int],
-        buffer: BatchBuffer,
-        on_window_full,
-    ):
-        """Batching/COM: poll into MCU RAM; last stream triggers hand-off.
-
-        ``buffer`` is shared among the app's streams; ``coordinator``
-        counts completed streams per window, and whichever stream finishes
-        an app window last invokes the ``on_window_full(window_index,
-        buffer)`` generator.
+        The MCU reads and decodes (the CPU blocks on the read under
+        main-board polling), then runs the plan's
+        :meth:`~SchemePlan.sample_ops`.  ``on_sample(stream, w, k,
+        sample)`` runs after each read and ``on_window(stream, w)``
+        after each window's last sample; either may return ``(ops,
+        payload)`` — a hand-off chain for :func:`run_ops` to run now.
         """
+        hub = self.hub
         device = self.devices[stream.sensor_id]
-        stream_count = len(app.profile.sensor_ids)
+        mcu_polls = self.plan.mcu_owns_sensing
+        read = read_and_decode if mcu_polls else cpu_blocking_read
+        ops = self.plan.sample_ops(self.cal)
         # Hoisted out of the per-sample loop: stream.key builds a string
         # per call, sim.now is a property read, and the enabled flag and
         # span method are attribute lookups the loop repeats thousands of
@@ -466,7 +486,7 @@ class SchemeContext:
         obs = self.obs
         observing = obs.enabled
         span = obs.span
-        sim = self.hub.sim
+        sim = hub.sim
         key = stream.key
         for window_index in range(self.scenario.windows):
             window_start = window_index * stream.window_s
@@ -474,123 +494,83 @@ class SchemeContext:
                 target = window_start + k / stream.rate_hz
                 now = sim.now
                 if target > now:
-                    self.mcu_rest(key, target)
+                    if mcu_polls:
+                        self.mcu_rest(key, target)
                     yield Delay(target - now)
-                self.mcu_wake()
+                if mcu_polls:
+                    self.mcu_wake()
                 if observing:
                     t0 = sim.now
-                sample = yield from read_and_decode(self.hub, device)
+                sample = yield from read(hub, device)
                 if observing:
                     span("sense", key, t0, sim.now)
-                if buffer is not None:
-                    try:
-                        buffer.add(sample, stream.sample_bytes)
-                    except CapacityError as exc:
-                        self.qos_violations.append(str(exc))
-                state = self.window_state(app, window_index)
-                state.register(sample)
-                if (
-                    buffer is not None
-                    and self.scenario.batch_size is not None
-                    and buffer.sample_count >= self.scenario.batch_size
-                    and not state.complete
-                ):
-                    # Partial flush: ship the accumulated batch early.
-                    yield from self.ship_batch(
-                        app, window_index, buffer, final=False
+                if ops:
+                    yield from run_ops(
+                        hub, ops, (stream, window_index, k, sample)
                     )
-            coordinator[window_index] = coordinator.get(window_index, 0) + 1
-            if coordinator[window_index] == stream_count:
-                yield from on_window_full(window_index, buffer)
+                if on_sample is not None:
+                    handoff = on_sample(stream, window_index, k, sample)
+                    if handoff is not None:
+                        yield from run_ops(hub, *handoff)
+            if on_window is not None:
+                handoff = on_window(stream, window_index)
+                if handoff is not None:
+                    yield from run_ops(hub, *handoff)
         self._mcu_next_polls.pop(key, None)
 
-    def ship_batch(
-        self, app: IoTApp, window_index: int, buffer: BatchBuffer, final: bool
-    ):
-        """MCU side of one batch hand-off (interrupt + bulk put).
+    def buffered_handoffs(self, app: IoTApp, buffer: Optional[BatchBuffer]):
+        """The buffered family's per-app bookkeeping, as the
+        ``(on_sample, on_window)`` pair every stream of ``app`` shares.
 
-        The buffer is drained synchronously here so concurrently polling
-        streams start filling a fresh batch; its RAM is released once the
-        payload is on the bus.
+        Samples register into the app's window (and ``buffer``, for a
+        batch app); a full ``batch_size`` ships a partial batch.  The
+        stream that finishes a window last hands it off: a batch app
+        ships the buffer, a COM app (``buffer`` is ``None``) its result.
         """
-        nbytes = max(1, buffer.buffered_bytes)
-        samples = buffer.flush()
-        count = len(samples)
-        obs = self.obs
-        if obs.enabled:
-            t0 = self.hub.sim.now
-        yield from raise_interrupt(
-            self.hub, "batch", (app, window_index, count, nbytes, final)
-        )
-        if obs.enabled:
-            t1 = self.hub.sim.now
-            obs.span("irq", "batch", t0, t1)
-        yield from mcu_transfer_busy(self.hub, max(1, count), bulk=True)
-        if obs.enabled:
-            obs.span("transfer", "mcu:batch", t1, self.hub.sim.now)
+        plan = self.plan
+        cal = self.cal
+        batch_size = self.scenario.batch_size
+        stream_count = len(app.profile.sensor_ids)
+        finished: Dict[int, int] = {}
 
-    def batch_handoff(self, app: IoTApp):
-        """Make the batching hand-off generator for one app."""
+        def ship(window_index: int, final: bool):
+            # Drained synchronously so concurrently polling streams
+            # start filling a fresh batch.
+            nbytes = max(1, buffer.buffered_bytes)
+            count = len(buffer.flush())
+            return (
+                plan.handoff_ops(app, cal, count),
+                (app, window_index, count, nbytes, final),
+            )
 
-        def handoff(window_index: int, buffer: BatchBuffer):
-            yield from self.ship_batch(app, window_index, buffer, final=True)
-
-        return handoff
-
-    def com_handoff(self, app: IoTApp):
-        """Make the COM hand-off: compute on MCU, ship only the result."""
-
-        def handoff(window_index: int, buffer):
-            obs = self.obs
+        def on_sample(stream: Stream, window_index: int, k: int, sample):
+            if buffer is not None:
+                try:
+                    buffer.add(sample, stream.sample_bytes)
+                except CapacityError as exc:
+                    self.qos_violations.append(str(exc))
             state = self.window_state(app, window_index)
-            if obs.enabled:
-                t0 = self.hub.sim.now
-            result = yield from run_offloaded_compute(
-                self.hub, app, state.window
-            )
-            if obs.enabled:
-                t1 = self.hub.sim.now
-                obs.span("compute", f"mcu:{app.name}", t0, t1)
-            yield from raise_interrupt(
-                self.hub, "result", (app, window_index, result)
-            )
-            if obs.enabled:
-                t2 = self.hub.sim.now
-                obs.span("irq", "result", t1, t2)
-            yield from mcu_transfer_busy(self.hub, 1, bulk=False)
-            if obs.enabled:
-                obs.span("transfer", "mcu:result", t2, self.hub.sim.now)
+            state.register(sample)
+            if (
+                buffer is not None
+                and batch_size is not None
+                and buffer.sample_count >= batch_size
+                and not state.complete
+            ):
+                # Partial flush: ship the accumulated batch early.
+                return ship(window_index, final=False)
+            return None
 
-        return handoff
+        def on_window(stream: Stream, window_index: int):
+            finished[window_index] = finished.get(window_index, 0) + 1
+            if finished[window_index] < stream_count:
+                return None
+            if buffer is not None:
+                return ship(window_index, final=True)
+            result = app.compute(self.window_state(app, window_index).window)
+            return plan.handoff_ops(app, cal, 1), (app, window_index, result)
 
-    def poll_stream_cpu(self, stream: Stream):
-        """§II-A main-board polling: the CPU blocks on each read."""
-        device = self.devices[stream.sensor_id]
-        # Hoisted out of the per-sample loop: stream.key builds a string
-        # per call, sim.now is a property read, and the enabled flag and
-        # span method are attribute lookups the loop repeats thousands of
-        # times.  The recorder never changes mid-run, so this is safe.
-        obs = self.obs
-        observing = obs.enabled
-        span = obs.span
-        sim = self.hub.sim
-        key = stream.key
-        for window_index in range(self.scenario.windows):
-            window_start = window_index * stream.window_s
-            for k in range(stream.samples_per_window):
-                target = window_start + k / stream.rate_hz
-                now = sim.now
-                if target > now:
-                    yield Delay(target - now)
-                if observing:
-                    t0 = sim.now
-                sample = yield from cpu_blocking_read(self.hub, device)
-                if observing:
-                    span("sense", key, t0, sim.now)
-                for app in stream.subscribers:
-                    state = self.window_state(app, window_index)
-                    if state.register(sample):
-                        state.deliver()
+        return on_sample, on_window
 
     # ------------------------------------------------------------------
     # CPU-side processes
@@ -618,12 +598,7 @@ class SchemeContext:
                 )
                 if obs.enabled:
                     obs.span("transfer", "cpu:sample", t1, self.hub.sim.now)
-                for app in stream.subscribers:
-                    if k % stream.stride(app) != 0:
-                        continue  # decimated subscriber skips this sample
-                    state = self.window_state(app, window_index)
-                    if state.register(sample):
-                        state.deliver()
+                self.deliver_sample(stream, window_index, k, sample)
             elif request.vector == "batch":
                 app, window_index, count, nbytes, final = request.payload
                 yield from cpu_transfer(
@@ -724,10 +699,7 @@ def wire_interrupting(ctx: SchemeContext) -> None:
     """Baseline/BEAM: the MCU polls and interrupts the CPU per sample."""
     apps = ctx.scenario.apps
     for stream in build_streams(apps, ctx.plan.shared):
-        ctx.hub.sim.spawn(
-            ctx.poll_stream_interrupting(stream),
-            name=f"poll:{stream.key}",
-        )
+        ctx.hub.sim.spawn(ctx.poll_stream(stream), name=f"poll:{stream.key}")
     ctx.hub.sim.spawn(ctx.dispatcher(), name="dispatcher")
     for app in apps:
         ctx.hub.sim.spawn(
@@ -740,7 +712,8 @@ def wire_cpu_polling(ctx: SchemeContext) -> None:
     apps = ctx.scenario.apps
     for stream in build_streams(apps, shared=False):
         ctx.hub.sim.spawn(
-            ctx.poll_stream_cpu(stream), name=f"cpupoll:{stream.key}"
+            ctx.poll_stream(stream, on_sample=ctx.deliver_sample),
+            name=f"cpupoll:{stream.key}",
         )
     for app in apps:
         ctx.hub.sim.spawn(
@@ -757,24 +730,18 @@ def wire_buffered(ctx: SchemeContext) -> None:
         ctx.hub.mcu.ram.allocate(
             f"app:{app.name}", app.profile.mcu_footprint_bytes
         )
-        coordinator: Dict[int, int] = {}
-        handoff = ctx.com_handoff(app)
+        on_sample, on_window = ctx.buffered_handoffs(app, None)
         for stream in build_streams([app], shared=False):
             ctx.hub.sim.spawn(
-                ctx.poll_stream_buffering(
-                    stream, app, coordinator, None, handoff
-                ),
+                ctx.poll_stream(stream, on_sample, on_window),
                 name=f"com:{stream.key}",
             )
     for app in ctx.plan.batch_apps:
-        coordinator = {}
         buffer = BatchBuffer(ctx.hub.mcu.ram, f"batch:{app.name}")
-        handoff = ctx.batch_handoff(app)
+        on_sample, on_window = ctx.buffered_handoffs(app, buffer)
         for stream in build_streams([app], shared=False):
             ctx.hub.sim.spawn(
-                ctx.poll_stream_buffering(
-                    stream, app, coordinator, buffer, handoff
-                ),
+                ctx.poll_stream(stream, on_sample, on_window),
                 name=f"batch:{stream.key}",
             )
         ctx.hub.sim.spawn(

@@ -19,6 +19,11 @@ from ..sim.resources import Resource
 from .power import PowerStateMachine, Routine
 
 
+def wire_time(cal: BusCalibration, nbytes: int) -> float:
+    """Wire time for one PIO transfer of ``nbytes`` (setup + payload)."""
+    return cal.setup_time_s + nbytes / cal.bandwidth_bytes_per_s
+
+
 class PioBus:
     """Serialized, bandwidth-limited link between the MCU and the CPU."""
 
@@ -49,7 +54,7 @@ class PioBus:
         """Wire time for one transfer of ``nbytes``."""
         if nbytes <= 0:
             raise BusError(f"transfer of {nbytes} bytes")
-        return self.cal.setup_time_s + nbytes / self.cal.bandwidth_bytes_per_s
+        return wire_time(self.cal, nbytes)
 
     def transfer(self, nbytes: int, routine: str = Routine.DATA_TRANSFER) -> Generator:
         """Generator: occupy the bus for one transfer of ``nbytes``."""

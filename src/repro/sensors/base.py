@@ -9,6 +9,7 @@ modelled by the firmware layer, not here.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, Optional
 
@@ -133,9 +134,9 @@ class SensorDevice:
         """Deterministic pseudo-random availability-check outcome."""
         if self.failure_rate <= 0.0:
             return False
-        noise = pseudo_noise(
-            self.read_count + attempt * 0.137, seed=hash(self.spec.sensor_id) % 997
-        )
+        # A stable digest, not hash(): str hashes are salted per process.
+        seed = zlib.crc32(self.spec.sensor_id.encode()) % 997
+        noise = pseudo_noise(self.read_count + attempt * 0.137, seed=seed)
         return (noise + 1.0) / 2.0 < self.failure_rate
 
     def acquire(self, routine: str = Routine.DATA_COLLECTION) -> Generator:

@@ -1,11 +1,12 @@
-"""Board-level details: constant loads, idle floor, offload runtime."""
+"""Board-level details: constant loads, idle floor, offloaded compute."""
 
 import pytest
 
 from repro.apps import create_app
 from repro.apps.offline import collect_window
 from repro.energy import EnergyReport, integrate
-from repro.firmware import run_offloaded_compute
+from repro.core import SchemePlan
+from repro.firmware import run_ops
 from repro.hubos.polling import cpu_blocking_read
 from repro.hw import IoTHub
 from repro.hw.cpu import CpuState
@@ -58,10 +59,13 @@ def test_offloaded_compute_runs_real_algorithm_on_mcu():
     app = create_app("A2")
     window = collect_window(app)
     results = []
+    # The COM hand-off's first op is the offloaded computation.
+    plan = SchemePlan(family="buffered", com_apps=[app])
+    compute = plan.handoff_ops(app, hub.calibration, 1)[0]
 
     def offload():
-        result = yield from run_offloaded_compute(hub, app, window)
-        results.append(result)
+        results.append(app.compute(window))
+        yield from run_ops(hub, (compute,), None)
 
     hub.sim.spawn(offload())
     hub.run()

@@ -6,13 +6,14 @@ This file pins, as exact ``float.hex()`` values, every
 ``by_component_routine`` entry in insertion order, every
 ``busy_times`` entry in insertion order, and the three run counters
 (interrupts, CPU wakes, bus bytes) for the same twelve scenario/scheme
-pairs.  The simulator is deterministic, so any change to recording or
-integration must reproduce these bit for bit.
+pairs, plus four partial-batch runs.  The simulator is deterministic, so
+any change to recording or integration must reproduce these bit for
+bit.
 """
 
 import pytest
 
-from repro.core import run_apps
+from repro.core import Scenario, run_apps, run_scenario
 from .test_energy_parity import APPS
 
 #: (scenario label, scheme) -> {"energy": [(component, routine, joules
@@ -341,6 +342,139 @@ GOLDEN = {
 }
 
 
+#: Partial-batch DES runs, in the same format, keyed by (scenario label,
+#: scheme, batch size): a ``batch_size`` flushes the MCU buffer before
+#: each window closes, a hand-off path the table above never takes (the
+#: analytic tier defers these scenarios to the DES).
+PARTIAL_BATCH_GOLDEN = {
+    ('A2', 'batching', 50): {
+        "energy": [
+            ('board', 'idle', '0x1.efbe8993113f4p-4'),
+            ('cpu', 'data_transfer', '0x1.d0c3adf88499dp+0'),
+            ('cpu', 'interrupt', '0x1.74bc6a7ef9edbp-4'),
+            ('cpu', 'app_compute', '0x1.6c72192210000p-7'),
+            ('mcu', 'data_collection', '0x1.067381d7dbe66p-4'),
+            ('mcu', 'interrupt', '0x1.2599ed7c72a9ap-15'),
+            ('mcu', 'data_transfer', '0x1.d7d272b765f2cp-9'),
+            ('mcu_board', 'idle', '0x1.4a7f06620b7f8p-6'),
+            ('nic', 'idle', '0x0.0p+0'),
+            ('nic', 'app_compute', '0x1.77cf447653333p-17'),
+            ('pio_bus', 'idle', '0x0.0p+0'),
+            ('pio_bus', 'data_transfer', '0x1.589c31b2b8dfcp-5'),
+            ('sensor:S4', 'data_collection', '0x1.005532617c090p-1'),
+            ('sensor:S4', 'idle', '0x1.4ffa97f7e02fep-12'),
+        ],
+        "busy": [
+            ('data_collection', '0x1.1999999999876p-1'),
+            ('interrupt', '0x1.2d77318fc57b0p-9'),
+            ('data_transfer', '0x1.368b897d337a4p-3'),
+            ('app_compute', '0x1.23c42a66dbe00p-9'),
+            ('idle', '0x0.0p+0'),
+        ],
+        "counters": (20, 20, 12000),
+    },
+    ('A2', 'batching', 250): {
+        "energy": [
+            ('board', 'idle', '0x1.f9bd10164d9f6p-4'),
+            ('cpu', 'data_transfer', '0x1.e2cab98580965p+0'),
+            ('cpu', 'interrupt', '0x1.2a3055326191cp-6'),
+            ('cpu', 'app_compute', '0x1.6c72192210000p-7'),
+            ('mcu', 'data_collection', '0x1.08af81626b219p-4'),
+            ('mcu', 'interrupt', '0x1.d5c31593eaccdp-18'),
+            ('mcu', 'data_transfer', '0x1.0b0d32a6d4a3bp-8'),
+            ('mcu_board', 'idle', '0x1.5128b56433bfap-6'),
+            ('nic', 'idle', '0x0.0p+0'),
+            ('nic', 'app_compute', '0x1.77cf447653333p-17'),
+            ('pio_bus', 'idle', '0x0.0p+0'),
+            ('pio_bus', 'data_transfer', '0x1.55fd1b019c700p-5'),
+            ('sensor:S4', 'data_collection', '0x1.005532617c090p-1'),
+            ('sensor:S4', 'idle', '0x1.5d6940771acdep-12'),
+        ],
+        "busy": [
+            ('data_collection', '0x1.1999999999876p-1'),
+            ('interrupt', '0x1.e2584f4c6f600p-12'),
+            ('data_transfer', '0x1.353bfe24a5429p-3'),
+            ('app_compute', '0x1.23c42a66dbe00p-9'),
+            ('idle', '0x0.0p+0'),
+        ],
+        "counters": (4, 4, 12000),
+    },
+    ('A11+A6', 'bcom', 250): {
+        "energy": [
+            ('board', 'idle', '0x1.d829e852a15c7p-2'),
+            ('cpu', 'data_transfer', '0x1.0d72d66a85dc3p+1'),
+            ('cpu', 'interrupt', '0x1.3333333333374p-6'),
+            ('cpu', 'app_compute', '0x1.a4480b3a44eccp+3'),
+            ('mcu', 'data_collection', '0x1.83d25247cb6cep-4'),
+            ('mcu', 'interrupt', '0x1.2599ed7c73ccdp-17'),
+            ('mcu', 'data_transfer', '0x1.14b2fe446ece5p-3'),
+            ('mcu', 'app_compute', '0x1.1302d46c1c050p-4'),
+            ('mcu_board', 'idle', '0x1.3ac69ae1c0e85p-4'),
+            ('nic', 'idle', '0x0.0p+0'),
+            ('nic', 'app_compute', '0x1.0b2d5aac1ecccp-12'),
+            ('pio_bus', 'idle', '0x0.0p+0'),
+            ('pio_bus', 'data_transfer', '0x1.791ae5a6293b0p-6'),
+            ('sensor:S8', 'data_collection', '0x1.a9fbe76c8b243p-3'),
+            ('sensor:S8', 'idle', '0x1.dd6d4817b1ff9p-5'),
+            ('sensor:S9', 'data_collection', '0x1.d70a3d70a3b88p-3'),
+            ('sensor:S9', 'idle', '0x1.bf96739636df0p-2'),
+        ],
+        "busy": [
+            ('data_collection', '0x1.1999999999783p-1'),
+            ('interrupt', '0x1.2d77318fc5300p-11'),
+            ('data_transfer', '0x1.d1b019c709ccep-4'),
+            ('app_compute', '0x1.68d38792b744cp+1'),
+            ('idle', '0x0.0p+0'),
+        ],
+        "counters": (5, 4, 6600),
+    },
+    ('A11+A6', 'batching', 1000): {
+        "energy": [
+            ('board', 'idle', '0x1.d2ec894eafa87p-2'),
+            ('cpu', 'data_transfer', '0x1.4b395810624dbp+1'),
+            ('cpu', 'interrupt', '0x1.3c36113404e30p-7'),
+            ('cpu', 'app_compute', '0x1.a5f0a74cbda17p+3'),
+            ('mcu', 'data_collection', '0x1.836deb95e5ac5p-4'),
+            ('mcu', 'interrupt', '0x1.6052502ef0ccdp-18'),
+            ('mcu', 'data_transfer', '0x1.2d5eff6407b3ep-3'),
+            ('mcu_board', 'idle', '0x1.37485b89ca705p-4'),
+            ('nic', 'idle', '0x0.0p+0'),
+            ('nic', 'app_compute', '0x1.0b2d5aac1ecccp-12'),
+            ('pio_bus', 'idle', '0x0.0p+0'),
+            ('pio_bus', 'data_transfer', '0x1.003eea209aa98p-4'),
+            ('sensor:S8', 'data_collection', '0x1.a9fbe76c8b243p-3'),
+            ('sensor:S8', 'idle', '0x1.d7d67c57c13f9p-5'),
+            ('sensor:S9', 'data_collection', '0x1.d70a3d70a3b88p-3'),
+            ('sensor:S9', 'idle', '0x1.ba591492452b0p-2'),
+        ],
+        "busy": [
+            ('data_collection', '0x1.1999999999785p-1'),
+            ('interrupt', '0x1.69c23b7952c00p-12'),
+            ('data_transfer', '0x1.4f7b9e060fe43p-2'),
+            ('app_compute', '0x1.5190672b4168fp+1'),
+            ('idle', '0x0.0p+0'),
+        ],
+        "counters": (3, 2, 18000),
+    },
+}
+
+def ledger_of(result):
+    """A result's ledger in the tables' format."""
+    return {
+        "energy": [
+            (component, routine, joules.hex())
+            for (component, routine), joules
+            in result.energy.by_component_routine.items()
+        ],
+        "busy": [
+            (routine, seconds.hex()) for routine, seconds in result.busy_times.items()
+        ],
+        "counters": (
+            result.interrupt_count, result.cpu_wake_count, result.bus_bytes
+        ),
+    }
+
+
 @pytest.mark.parametrize(
     "label,scheme",
     sorted(GOLDEN),
@@ -349,19 +483,26 @@ GOLDEN = {
 def test_ledger_bit_identical(label, scheme):
     golden = GOLDEN[(label, scheme)]
     result = run_apps(APPS[label], scheme)
-    energy = [
-        (component, routine, joules.hex())
-        for (component, routine), joules
-        in result.energy.by_component_routine.items()
-    ]
-    busy = [(routine, seconds.hex()) for routine, seconds in result.busy_times.items()]
-    counters = (result.interrupt_count, result.cpu_wake_count, result.bus_bytes)
-    assert energy == golden["energy"]
-    assert busy == golden["busy"]
-    assert counters == golden["counters"]
+    assert ledger_of(result) == golden
 
 
 def test_golden_covers_energy_parity_pairs():
     from .test_energy_parity import GOLDEN as PARITY
 
     assert set(GOLDEN) == set(PARITY)
+
+
+@pytest.mark.parametrize(
+    "label,scheme,batch_size",
+    sorted(PARTIAL_BATCH_GOLDEN),
+    ids=[
+        f"{label}-{scheme}-b{size}"
+        for label, scheme, size in sorted(PARTIAL_BATCH_GOLDEN)
+    ],
+)
+def test_partial_batch_ledger_bit_identical(label, scheme, batch_size):
+    golden = PARTIAL_BATCH_GOLDEN[(label, scheme, batch_size)]
+    result = run_scenario(
+        Scenario.of(APPS[label], scheme=scheme, batch_size=batch_size)
+    )
+    assert ledger_of(result) == golden

@@ -143,6 +143,30 @@ class TestDeterminism:
         assert "det-wallclock" in rule_ids(snippet, path=SCHEME_PATH)
 
 
+class TestBuiltinHash:
+    """``det-builtin-hash`` covers every file, not just the scoped dirs."""
+
+    @pytest.mark.parametrize(
+        "path",
+        [SIM_PATH, NEUTRAL_PATH, "src/repro/sensors/fixture.py"],
+    )
+    def test_flags_builtin_hash_anywhere(self, path):
+        snippet = "seed = hash(sensor_id) % 997"
+        assert rule_ids(snippet, path=path) == ["det-builtin-hash"]
+
+    @pytest.mark.parametrize(
+        "snippet",
+        [
+            "import zlib\nseed = zlib.crc32(sensor_id.encode()) % 997",
+            "import hashlib\nh = hashlib.sha256(b'x').hexdigest()",
+            "digest = cache.hash(key)",  # a method, not the builtin
+            "seed = hash(key)  # repro-lint: disable=det-builtin-hash",
+        ],
+    )
+    def test_stable_digests_pass(self, snippet):
+        assert rule_ids(snippet, path=NEUTRAL_PATH) == []
+
+
 # ----------------------------------------------------------------------
 # error-surface
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import repro
 from repro.apps import create_app
 from repro.core import Scenario, Scheme
 from repro.errors import WorkloadError
-from repro.firmware.driver import mcu_transfer_busy
+from repro.firmware.driver import McuOp, mcu_transfer_time, run_ops
 from repro.hw import InterruptController, IoTHub
 from repro.sim import Delay, Simulator
 
@@ -62,7 +62,8 @@ def test_mcu_bulk_transfer_is_cheaper_per_sample():
         hub.mcu.set_idle("data_collection")
 
         def mover():
-            yield from mcu_transfer_busy(hub, 100, bulk=bulk)
+            duration = mcu_transfer_time(hub.calibration.mcu, 100, bulk)
+            yield from run_ops(hub, (McuOp(duration, "data_transfer"),), None)
 
         hub.sim.spawn(mover())
         hub.run()

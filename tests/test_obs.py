@@ -31,7 +31,7 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.obs.export import TraceFormatError
-from repro.obs.metrics import EngineMetrics
+from repro.obs.metrics import EngineMetrics, Metrics
 from repro.obs.recorder import SIM_TRACK, WALL_TRACK
 from repro.units import ms
 
@@ -162,6 +162,92 @@ class TestInstrumentedRun:
         assert first.counters == second.counters
         assert first.gauges == second.gauges
 
+
+#: Per-family sim-span pins: (app set, scheme, batch size) -> (cat, name)
+#: -> (count, ``float.hex`` total seconds).  One scenario per wiring
+#: family and hand-off (per-sample interrupts, shared streams, final and
+#: partial batches, main-board polling, MCU compute); a reordered or
+#: re-timed operation moves a count or the last bit of a total.
+SPAN_TOTALS = {
+    ('A2+A7', 'baseline', None): {
+        ('compute', 'cpu:earthquake'): (1, '0x1.b4868600ef860p-5'),
+        ('compute', 'cpu:stepcounter'): (1, '0x1.21ab4b72c5100p-9'),
+        ('irq', 'sample'): (2000, '0x1.47ae147ae48bep-7'),
+        ('irq', 'service:sample'): (2000, '0x1.c6ae0d7d4fe84p-3'),
+        ('kernel', 'run'): (1, '0x1.0e44a867a0282p+0'),
+        ('sense', 'S4@earthquake'): (1000, '0x1.ee1f9f01b86adp-1'),
+        ('sense', 'S4@stepcounter'): (1000, '0x1.1999999999bbbp-1'),
+        ('transfer', 'cpu:sample'): (2000, '0x1.8888888888a61p-2'),
+        ('transfer', 'mcu:sample'): (2000, '0x1.eb851eb8509b3p-5'),
+    },
+    ('A4+A5', 'beam', None): {
+        ('compute', 'cpu:blynk'): (1, '0x1.9d8ceabd84980p-6'),
+        ('compute', 'cpu:m2x'): (1, '0x1.0151fe2647220p-6'),
+        ('irq', 'sample'): (2221, '0x1.7de939eae0fbcp-7'),
+        ('irq', 'service:sample'): (2221, '0x1.f458cd20b028cp-3'),
+        ('kernel', 'run'): (1, '0x1.0a93a4d6d5f4fp+0'),
+        ('sense', 'S10@blynk'): (1, '0x1.78327674d1633p-3'),
+        ('sense', 'S1@m2x+blynk'): (10, '0x1.809d495182a93p-2'),
+        ('sense', 'S2@m2x+blynk'): (10, '0x1.810624dd2f1afp-3'),
+        ('sense', 'S4@m2x+blynk'): (1000, '0x1.19ce075f6fbfep-1'),
+        ('sense', 'S5@m2x+blynk'): (200, '0x1.9db22d0e55fa5p-3'),
+        ('sense', 'S7@m2x'): (1000, '0x1.333333333312ap-3'),
+        ('transfer', 'cpu:sample'): (2221, '0x1.f65e63d9f40d8p-2'),
+        ('transfer', 'mcu:sample'): (2221, '0x1.12599ed7c6413p-4'),
+    },
+    ('A3', 'batching', 50): {
+        ('compute', 'cpu:arduinojson'): (1, '0x1.b91ed8419e800p-8'),
+        ('irq', 'batch'): (1, '0x1.4f8b588e40000p-18'),
+        ('irq', 'service:batch'): (1, '0x1.c044284dfd000p-10'),
+        ('kernel', 'run'): (1, '0x1.e563dcf468e68p-1'),
+        ('sense', 'S1@arduinojson'): (10, '0x1.8083126e978d2p-2'),
+        ('sense', 'S2@arduinojson'): (10, '0x1.810624dd2f1afp-3'),
+        ('transfer', 'cpu:batch'): (1, '0x1.d173842c61e00p-10'),
+        ('transfer', 'mcu:batch'): (1, '0x1.3a92a30553000p-13'),
+    },
+    ('A2', 'batching', 50): {
+        ('compute', 'cpu:stepcounter'): (1, '0x1.21ab4b72c5200p-9'),
+        ('irq', 'batch'): (20, '0x1.a36e2eb1c8600p-14'),
+        ('irq', 'service:batch'): (20, '0x1.182a9930be177p-5'),
+        ('kernel', 'run'): (1, '0x1.02333cfc98fbap+0'),
+        ('sense', 'S4@stepcounter'): (1000, '0x1.1999999999876p-1'),
+        ('transfer', 'cpu:batch'): (20, '0x1.a210a83585652p-4'),
+        ('transfer', 'mcu:batch'): (20, '0x1.eb851eb851f80p-8'),
+    },
+    ('A2', 'polling', None): {
+        ('compute', 'cpu:stepcounter'): (1, '0x1.21ab4b72c5200p-9'),
+        ('kernel', 'run'): (1, '0x1.00726d04e618dp+0'),
+        ('sense', 'S4@stepcounter'): (1000, '0x1.0a3d70a3d7030p-1'),
+    },
+    ('A2', 'com', None): {
+        ('compute', 'mcu:stepcounter'): (1, '0x1.62d83c6c97d80p-6'),
+        ('irq', 'result'): (1, '0x1.4f8b588e40000p-18'),
+        ('irq', 'service:result'): (1, '0x1.4b48d3ae68600p-7'),
+        ('kernel', 'run'): (1, '0x1.0816f1e3c5ae2p+0'),
+        ('sense', 'S4@stepcounter'): (1000, '0x1.1999999999876p-1'),
+        ('transfer', 'cpu:result'): (1, '0x1.11cb7aecee000p-12'),
+        ('transfer', 'mcu:result'): (1, '0x1.f75104d550000p-16'),
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "label,scheme,batch_size",
+    list(SPAN_TOTALS),
+    ids=[f"{label}-{scheme}-b{size}" for label, scheme, size in SPAN_TOTALS],
+)
+def test_sim_span_totals_are_pinned(label, scheme, batch_size):
+    recorder = TraceRecorder()
+    execute_scenario(
+        Scenario.of(label.split("+"), scheme=scheme, batch_size=batch_size),
+        obs=recorder,
+    )
+    metrics = Metrics.from_recorder(recorder)
+    totals = {
+        key: (stat.count, stat.total_s.hex())
+        for key, stat in metrics.by_name.items()
+    }
+    assert totals == SPAN_TOTALS[(label, scheme, batch_size)]
 
 # ----------------------------------------------------------------------
 # exporters

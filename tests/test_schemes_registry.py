@@ -14,6 +14,7 @@ from repro.core import (
     scheme_names,
 )
 from repro.core.schemes import get_scheme, iter_schemes, unregister_scheme
+from repro.core.schemes.base import build_context
 from repro.errors import WorkloadError
 
 
@@ -72,3 +73,47 @@ def test_unknown_family_is_a_typed_error_in_both_tiers():
             analytic_scenario_result(Scenario.of(["A2"], scheme="warp-test"))
     finally:
         unregister_scheme("warp-test")
+
+
+#: Process names in spawn order, per (app set, scheme).  The kernel
+#: breaks ties between simultaneous events by spawn order, so a wiring
+#: change that reorders these can move numbers without failing a total.
+SPAWN_ORDER = {
+    ("A2+A7", "baseline"): [
+        "poll:S4@stepcounter", "poll:S4@earthquake", "dispatcher",
+        "compute:stepcounter", "compute:earthquake",
+    ],
+    ("A2+A7", "batching"): [
+        "batch:S4@stepcounter", "compute:stepcounter",
+        "batch:S4@earthquake", "compute:earthquake", "dispatcher",
+    ],
+    ("A2+A7", "com"): ["com:S4@stepcounter", "com:S4@earthquake", "dispatcher"],
+    ("A2+A7", "beam"): [
+        "poll:S4@stepcounter+earthquake", "dispatcher",
+        "compute:stepcounter", "compute:earthquake",
+    ],
+    ("A2+A7", "bcom"): ["com:S4@earthquake", "com:S4@stepcounter", "dispatcher"],
+    ("A2+A7", "polling"): [
+        "cpupoll:S4@stepcounter", "cpupoll:S4@earthquake",
+        "compute:stepcounter", "compute:earthquake",
+    ],
+    ("A2+A4+A5", "bcom"): [
+        "com:S4@stepcounter", "com:S1@m2x", "com:S2@m2x", "com:S4@m2x",
+        "com:S5@m2x", "com:S7@m2x", "com:S1@blynk", "com:S2@blynk",
+        "com:S4@blynk", "com:S5@blynk", "com:S10@blynk", "dispatcher",
+    ],
+    ("A11+A6", "batching"): [
+        "batch:S8@speech2text", "compute:speech2text", "batch:S8@dropbox",
+        "batch:S9@dropbox", "compute:dropbox", "dispatcher",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "label,scheme",
+    sorted(SPAWN_ORDER),
+    ids=[f"{label}-{scheme}" for label, scheme in sorted(SPAWN_ORDER)],
+)
+def test_spawn_order_is_pinned(label, scheme):
+    ctx = build_context(Scenario.of(label.split("+"), scheme=scheme))
+    assert [p.name for p in ctx.hub.sim.processes] == SPAWN_ORDER[(label, scheme)]

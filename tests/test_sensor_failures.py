@@ -1,5 +1,10 @@
 """Tests for sensor availability-check failure injection (§II-B Task I)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core import Scenario, Scheme, run_scenario
@@ -101,3 +106,36 @@ def test_failure_injection_is_deterministic():
         return device.failed_checks, device.stale_samples
 
     assert run() == run()
+
+
+#: Runs one failure-injection scenario and prints its total energy and
+#: S4 read time as ``float.hex``.
+_FAILURE_RUN = """
+from repro.core import Scenario, run_scenario
+result = run_scenario(
+    Scenario.of(["A2"], scheme="baseline", sensor_failure_rates={"S4": 0.15})
+)
+read_s = result.hub.recorder.time_in_state("sensor:S4", "read", result.duration_s)
+print(result.energy.total_j.hex(), read_s.hex())
+"""
+
+
+def test_failure_injection_is_identical_across_hash_seeds():
+    """Failure noise must not depend on the interpreter's string-hash
+    salt: a disk-cache entry written by one process is served to others."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+
+    def run(hash_seed):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        return subprocess.run(
+            [sys.executable, "-c", _FAILURE_RUN],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+
+    assert run("1") == run("2")
