@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+from heapq import heappop
 from typing import Any, Callable, Generator, Optional
 
 from ..errors import SchedulingError, SimulationError
 from ..obs.recorder import NULL_RECORDER, NullRecorder
-from .events import Event, EventQueue
+from .events import EventQueue
 from .process import Process
+
+
+def _call(callback: Callable[[], None]) -> None:
+    """Run a zero-argument :meth:`Simulator.schedule` callback as ``fn(arg)``."""
+    callback()
 
 
 class Simulator:
@@ -48,53 +54,51 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of scheduled, non-cancelled events."""
+        """Number of scheduled events."""
         return len(self._queue)
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` after ``delay`` seconds of virtual time."""
         if delay < 0:
             raise SchedulingError(f"cannot schedule {delay:g}s in the past")
-        return self._queue.push(self._now + delay, callback)
+        self._queue.push(self._now + delay, _call, callback)
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
+    def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` at absolute virtual ``time``."""
         if time < self._now:
             raise SchedulingError(
                 f"cannot schedule at t={time:g} before now={self._now:g}"
             )
-        return self._queue.push(time, callback)
+        self._queue.push(time, _call, callback)
 
     def spawn(
         self,
         generator: Generator[Any, Any, Any],
         name: Optional[str] = None,
     ) -> Process:
-        """Start a generator-based process at the current time."""
-        process = Process(self, generator, name=name)
-        self._processes.append(process)
+        """Start a generator-based process at the current time.
+
+        An unnamed process is called ``process-N``, ``N`` counting
+        every process this simulator has spawned, this one included.
+        """
+        processes = self._processes
+        process = Process(self, generator, name or f"process-{len(processes) + 1}")
+        processes.append(process)
         process.start()
         return process
 
     def next_event_time(self) -> Optional[float]:
-        """Time of the next scheduled event (used by sleep governors)."""
+        """Time of the next scheduled event, or ``None`` if none is pending.
+
+        An inspection aid for tests and tools; :meth:`run` peeks the
+        heap itself.
+        """
         return self._queue.peek_time()
 
     @property
     def processes(self) -> tuple:
         """Every process ever spawned, finished ones included."""
         return tuple(self._processes)
-
-    def step(self) -> bool:
-        """Execute the next event; return ``False`` if the queue was empty."""
-        if not self._queue:
-            return False
-        event = self._queue.pop()
-        if event.time < self._now:
-            raise SimulationError("event queue returned an event in the past")
-        self._now = event.time
-        event.callback()
-        return True
 
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> float:
         """Run until the queue drains or virtual time reaches ``until``.
@@ -109,33 +113,28 @@ class Simulator:
         observing = obs.enabled
         started_at = self._now
         max_depth = 0
-        heap = self._queue.raw_heap()
+        heap = self._queue.heap
+        horizon = float("inf") if until is None else until
+        now = self._now
+        executed = 0
         try:
-            executed = 0
-            # One queue access per event: pop_due prunes cancelled
-            # entries and pops the next live event in a single descent
-            # (peek_time() followed by step()->pop() would walk the same
-            # cancelled run twice).
-            while True:
-                event = self._queue.pop_due(until)
-                if event is None:
-                    if until is not None and self._queue:
-                        # Live events remain beyond the horizon: park the
-                        # clock at ``until`` exactly, as before.
-                        self._now = until
+            while heap:
+                if heap[0][0] > horizon:
+                    # Events remain beyond the horizon: park the clock
+                    # at ``until`` exactly.
+                    self._now = until
                     break
                 if observing:
-                    # +1: the popped event itself, so the gauge matches
-                    # the historical sample taken before each pop.
-                    depth = len(heap) + 1
+                    depth = len(heap)
                     if depth > max_depth:
                         max_depth = depth
-                if event.time < self._now:
+                time, _, fn, arg = heappop(heap)
+                if time < now:
                     raise SimulationError(
                         "event queue returned an event in the past"
                     )
-                self._now = event.time
-                event.callback()
+                self._now = now = time
+                fn(arg)
                 executed += 1
                 if executed > max_events:
                     raise SimulationError(

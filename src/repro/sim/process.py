@@ -88,36 +88,47 @@ class Join:
 
 
 class Process:
-    """Driver for one generator coroutine inside a :class:`Simulator`."""
+    """Driver for one generator coroutine inside a :class:`Simulator`.
 
-    _ids = 0
+    Every event a process schedules for itself is the entry
+    ``(time, seq, resume, value)``, where ``resume`` is the bound
+    :meth:`_advance` cached at construction, so no resume allocates a
+    closure.
+    """
 
     def __init__(
         self,
         sim: "Simulator",
         generator: Generator[Any, Any, Any],
-        name: Optional[str] = None,
+        name: str,
     ):
-        Process._ids += 1
         self.sim = sim
         self.generator = generator
-        self.name = name or f"process-{Process._ids}"
+        self.name = name
         self.finished = False
+        #: Set by :meth:`interrupt`; a resume entry still queued for an
+        #: interrupted process is dropped when it comes due.
+        self.interrupted = False
         self.result: Any = None
         self.finish_time: Optional[float] = None
         self._completion = Signal(f"{self.name}.done")
         self._waiting_on: Optional[Signal] = None
         #: Counter label cached so waits don't rebuild the f-string.
         self._wait_label: Optional[str] = None
+        self._resume = self._advance
 
     @property
     def waiting_on(self) -> Optional[Signal]:
-        """The signal this process is blocked on, if any."""
+        """The signal this process is blocked on, if any.
+
+        A ``Wait``'s signal, or the completion signal of the process a
+        ``Join`` waits for.
+        """
         return self._waiting_on
 
     def start(self) -> None:
         """Schedule the first step of the generator at the current time."""
-        self.sim.schedule(0.0, lambda: self._advance(None))
+        self.sim._queue.push(self.sim.now, self._resume)
 
     def wake(self, payload: Any = None) -> None:
         """Resume a process blocked on a signal, delivering ``payload``."""
@@ -125,18 +136,19 @@ class Process:
         self._advance(payload)
 
     def _advance(self, value: Any) -> None:
+        """Send ``value`` into the generator and act on the command it yields."""
         if self.finished:
+            if self.interrupted:
+                return
             raise SimulationError(f"{self.name} resumed after finishing")
         try:
             command = self.generator.send(value)
         except StopIteration as stop:
             self._finish(stop.value)
             return
-        self._dispatch(command)
-
-    def _dispatch(self, command: Any) -> None:
         if isinstance(command, Delay):
-            self.sim.schedule(command.duration, lambda: self._advance(None))
+            sim = self.sim
+            sim._queue.push(sim._now + command.duration, self._resume)
         elif isinstance(command, Wait):
             obs = self.sim.obs
             if obs.enabled:
@@ -149,8 +161,9 @@ class Process:
         elif isinstance(command, Join):
             target = command.process
             if target.finished:
-                self.sim.schedule(0.0, lambda: self._advance(target.result))
+                self.sim._queue.push(self.sim._now, self._resume, target.result)
             else:
+                self._waiting_on = target._completion
                 target._completion.add_waiter(self)
         else:
             raise SimulationError(
@@ -164,12 +177,18 @@ class Process:
         self._completion.fire(result)
 
     def interrupt(self) -> None:
-        """Abandon the process (used by failure-injection tests)."""
+        """Abandon the process (used by failure-injection tests).
+
+        A process blocked in ``Wait`` or ``Join`` leaves its signal; one
+        sleeping in ``Delay`` (or not yet started) keeps its queued
+        resume entry, which then does nothing when it comes due.
+        """
         if self.finished:
             return
         if self._waiting_on is not None:
             self._waiting_on.remove_waiter(self)
             self._waiting_on = None
+        self.interrupted = True
         self.generator.close()
         self._finish(None)
 

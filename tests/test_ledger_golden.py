@@ -9,6 +9,10 @@ This file pins, as exact ``float.hex()`` values, every
 pairs, plus four partial-batch runs.  The simulator is deterministic, so
 any change to recording or integration must reproduce these bit for
 bit.
+
+``EVENT_GOLDEN`` pins the kernel's side of the same sixteen runs: the
+events the simulator executed and each component's ledger change
+count.  A faster event loop must neither add nor drop an event.
 """
 
 import pytest
@@ -458,6 +462,210 @@ PARTIAL_BATCH_GOLDEN = {
     },
 }
 
+#: The same sixteen runs, keyed by (scenario label, scheme, batch size
+#: or ``None``) -> (``hub.sim.events_executed``, ((component,
+#: ``len(timeline.changes)``), ...) in ledger order).
+EVENT_GOLDEN = {
+    ('A11+A6', 'baseline', None): (
+        27007,
+        (
+            ('cpu', 13006),
+            ('mcu', 18002),
+            ('pio_bus', 6001),
+            ('nic', 5),
+            ('board', 1),
+            ('mcu_board', 1),
+            ('sensor:S8', 4001),
+            ('sensor:S9', 2001),
+        ),
+    ),
+    ('A11+A6', 'batching', None): (
+        9020,
+        (
+            ('cpu', 17),
+            ('mcu', 6010),
+            ('pio_bus', 5),
+            ('nic', 5),
+            ('board', 1),
+            ('mcu_board', 1),
+            ('sensor:S8', 4001),
+            ('sensor:S9', 2001),
+        ),
+    ),
+    ('A11+A6', 'bcom', None): (
+        9019,
+        (
+            ('cpu', 15),
+            ('mcu', 6012),
+            ('pio_bus', 5),
+            ('nic', 5),
+            ('board', 1),
+            ('mcu_board', 1),
+            ('sensor:S8', 4001),
+            ('sensor:S9', 2001),
+        ),
+    ),
+    ('A2', 'baseline', None): (
+        9004,
+        (
+            ('cpu', 5004),
+            ('mcu', 6002),
+            ('pio_bus', 2001),
+            ('nic', 3),
+            ('board', 1),
+            ('mcu_board', 1),
+            ('sensor:S4', 2001),
+        ),
+    ),
+    ('A2', 'batching', None): (
+        3011,
+        (
+            ('cpu', 11),
+            ('mcu', 2006),
+            ('pio_bus', 3),
+            ('nic', 3),
+            ('board', 1),
+            ('mcu_board', 1),
+            ('sensor:S4', 2001),
+        ),
+    ),
+    ('A2', 'bcom', None): (
+        3010,
+        (
+            ('cpu', 9),
+            ('mcu', 2008),
+            ('pio_bus', 3),
+            ('nic', 3),
+            ('board', 1),
+            ('mcu_board', 1),
+            ('sensor:S4', 2001),
+        ),
+    ),
+    ('A2', 'beam', None): (
+        9004,
+        (
+            ('cpu', 5004),
+            ('mcu', 6002),
+            ('pio_bus', 2001),
+            ('nic', 3),
+            ('board', 1),
+            ('mcu_board', 1),
+            ('sensor:S4', 2001),
+        ),
+    ),
+    ('A2', 'com', None): (
+        3010,
+        (
+            ('cpu', 9),
+            ('mcu', 2008),
+            ('pio_bus', 3),
+            ('nic', 3),
+            ('board', 1),
+            ('mcu_board', 1),
+            ('sensor:S4', 2001),
+        ),
+    ),
+    ('A2', 'polling', None): (
+        3003,
+        (
+            ('cpu', 4005),
+            ('mcu', 1),
+            ('pio_bus', 1),
+            ('nic', 3),
+            ('board', 1),
+            ('mcu_board', 1),
+            ('sensor:S4', 2001),
+        ),
+    ),
+    ('A2+A7', 'baseline', None): (
+        17008,
+        (
+            ('cpu', 10005),
+            ('mcu', 12002),
+            ('pio_bus', 4001),
+            ('nic', 5),
+            ('board', 1),
+            ('mcu_board', 1),
+            ('sensor:S4', 4001),
+        ),
+    ),
+    ('A2+A7', 'bcom', None): (
+        5020,
+        (
+            ('cpu', 16),
+            ('mcu', 4014),
+            ('pio_bus', 5),
+            ('nic', 5),
+            ('board', 1),
+            ('mcu_board', 1),
+            ('sensor:S4', 4001),
+        ),
+    ),
+    ('A2+A7', 'beam', None): (
+        9007,
+        (
+            ('cpu', 5006),
+            ('mcu', 6002),
+            ('pio_bus', 2001),
+            ('nic', 5),
+            ('board', 1),
+            ('mcu_board', 1),
+            ('sensor:S4', 2001),
+        ),
+    ),
+    ('A11+A6', 'batching', 1000): (
+        9002,
+        (
+            ('cpu', 24),
+            ('mcu', 6014),
+            ('pio_bus', 7),
+            ('nic', 5),
+            ('board', 1),
+            ('mcu_board', 1),
+            ('sensor:S8', 4001),
+            ('sensor:S9', 2001),
+        ),
+    ),
+    ('A11+A6', 'bcom', 250): (
+        9028,
+        (
+            ('cpu', 36),
+            ('mcu', 6024),
+            ('pio_bus', 11),
+            ('nic', 5),
+            ('board', 1),
+            ('mcu_board', 1),
+            ('sensor:S8', 4001),
+            ('sensor:S9', 2001),
+        ),
+    ),
+    ('A2', 'batching', 50): (
+        3144,
+        (
+            ('cpu', 144),
+            ('mcu', 2082),
+            ('pio_bus', 41),
+            ('nic', 3),
+            ('board', 1),
+            ('mcu_board', 1),
+            ('sensor:S4', 2001),
+        ),
+    ),
+    ('A2', 'batching', 250): (
+        3020,
+        (
+            ('cpu', 32),
+            ('mcu', 2018),
+            ('pio_bus', 9),
+            ('nic', 3),
+            ('board', 1),
+            ('mcu_board', 1),
+            ('sensor:S4', 2001),
+        ),
+    ),
+}
+
+
 def ledger_of(result):
     """A result's ledger in the tables' format."""
     return {
@@ -506,3 +714,35 @@ def test_partial_batch_ledger_bit_identical(label, scheme, batch_size):
         Scenario.of(APPS[label], scheme=scheme, batch_size=batch_size)
     )
     assert ledger_of(result) == golden
+
+
+def events_of(result):
+    """A DES result's kernel output in ``EVENT_GOLDEN``'s format."""
+    return (
+        result.hub.sim.events_executed,
+        tuple(
+            (timeline.component, len(timeline.changes))
+            for timeline in result.hub.recorder.timelines()
+        ),
+    )
+
+
+def test_event_golden_covers_both_tables():
+    assert set(EVENT_GOLDEN) == {
+        (label, scheme, None) for label, scheme in GOLDEN
+    } | set(PARTIAL_BATCH_GOLDEN)
+
+
+@pytest.mark.parametrize(
+    "label,scheme,batch_size",
+    list(EVENT_GOLDEN),
+    ids=[
+        f"{label}-{scheme}" + (f"-b{size}" if size else "")
+        for label, scheme, size in EVENT_GOLDEN
+    ],
+)
+def test_event_count_and_ledger_changes_pinned(label, scheme, batch_size):
+    result = run_scenario(
+        Scenario.of(APPS[label], scheme=scheme, batch_size=batch_size)
+    )
+    assert events_of(result) == EVENT_GOLDEN[(label, scheme, batch_size)]

@@ -9,18 +9,22 @@ from repro.sim.events import EventQueue
 from repro.sim.resources import Resource
 
 delays = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
+#: Few distinct times, so most lists push several entries at one instant.
+tied_times = st.sampled_from((0.0, 0.5, 1.0, 2.5))
 
 
 @settings(max_examples=100)
-@given(st.lists(delays, min_size=1, max_size=50))
+@given(st.lists(tied_times, min_size=1, max_size=50))
 def test_events_always_fire_in_time_order(times):
+    """Entries run in ``(time, push index)`` order: by time, FIFO at ties."""
     queue = EventQueue()
     fired = []
-    for time in times:
-        queue.push(time, lambda t=time: fired.append(t))
+    for index, time in enumerate(times):
+        queue.push(time, fired.append, (time, index))
     while queue:
-        queue.pop().callback()
-    assert fired == sorted(times)
+        _time, _seq, fn, arg = queue.pop()
+        fn(arg)
+    assert fired == sorted((time, index) for index, time in enumerate(times))
 
 
 @settings(max_examples=100)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.obs import TraceRecorder
 from repro.sim import Delay, Join, Signal, Simulator, Wait
 
 
@@ -136,6 +137,83 @@ def test_interrupt_cancels_waiting_process():
     assert process.finished
     assert log == []
     assert gate.fire() == 0  # waiter was removed from the signal
+
+
+def test_interrupt_during_delay_drops_the_pending_resume():
+    sim = Simulator()
+    log = []
+
+    def sleeper():
+        yield Delay(5.0)
+        log.append("should not happen")
+
+    process = sim.spawn(sleeper())
+
+    def killer():
+        yield Delay(1.0)
+        process.interrupt()
+
+    sim.spawn(killer())
+    sim.run()
+    assert process.finished and process.interrupted
+    assert process.finish_time == 1.0
+    assert log == []
+
+
+def test_interrupt_during_join_leaves_the_target():
+    sim = Simulator()
+    log = []
+
+    def worker():
+        yield Delay(3.0)
+        return 42
+
+    child = sim.spawn(worker())
+
+    def joiner():
+        value = yield Join(child)
+        log.append(value)
+
+    process = sim.spawn(joiner())
+
+    def killer():
+        yield Delay(1.0)
+        assert process.waiting_on is not None
+        process.interrupt()
+
+    sim.spawn(killer())
+    sim.run()
+    assert process.finished and process.waiting_on is None
+    assert child.finished and child.result == 42
+    assert log == []
+
+
+def test_unnamed_processes_are_numbered_per_simulator():
+    """Two identical runs in one interpreter name and count alike."""
+
+    def run():
+        recorder = TraceRecorder()
+        sim = Simulator(obs=recorder)
+        gate = Signal()
+
+        def waiter():
+            yield Wait(gate)
+
+        def firer():
+            yield Delay(1.0)
+            gate.fire()
+
+        sim.spawn(waiter())
+        sim.spawn(firer(), name="firer")
+        sim.spawn(waiter())
+        sim.run()
+        return recorder.counters, [process.name for process in sim.processes]
+
+    first = run()
+    assert first == run()
+    counters, names = first
+    assert names == ["process-1", "firer", "process-3"]
+    assert counters["sim.wait.process-1"] == counters["sim.wait.process-3"] == 1
 
 
 def test_process_finish_time_recorded():
