@@ -28,6 +28,7 @@ from repro.core import (
 from repro.core.analytic import model as analytic_model
 from repro.obs import Metrics, TraceRecorder
 from repro.sim import Delay, Simulator
+from repro.workloads import FIG11_COMBOS
 
 #: Committed throughput/instrumentation baseline (see the bench below).
 BASELINE_PATH = os.path.join(
@@ -56,6 +57,20 @@ LONG_HORIZON_GRID = [
     for scheme in ("baseline", "beam", "bcom")
 ]
 LONG_HORIZON_GRID_WINDOWS = 30
+
+#: The 72 points of the repository benchmark's ``analytic-grid``
+#: workload (``bench/workloads.py``), at one window: Figure 10's ten
+#: apps under three schemes and Figure 11's fourteen combinations under
+#: three more.
+ANALYTIC_GRID = [
+    ((f"A{index}",), scheme)
+    for index in range(1, 11)
+    for scheme in ("baseline", "batching", "com")
+] + [
+    (combo, scheme)
+    for combo in FIG11_COMBOS
+    for scheme in ("baseline", "beam", "bcom")
+]
 
 
 def _load_baseline() -> dict:
@@ -291,7 +306,72 @@ def _median_wall_s(fn, rounds=5):
     return statistics.median(walls)
 
 
-def test_analytic_long_horizon(benchmark, figure_printer, monkeypatch):
+def _count_scans(patch):
+    """Record every analytic scan's work, wrapping the tier's ``_scan``.
+
+    Returns the list each scan appends one record to: the windows
+    scanned, the ``Schedule`` entries emitted, the segments
+    :func:`~repro.energy.ledger.integrate` walked, and the host seconds
+    of the scan proper and of ``integrate``.  Entries and segments are
+    counted after the scan returns, so the scan itself runs unchanged.
+    """
+    scans = []
+    scan, integrate = analytic_model._scan, analytic_model.integrate
+    integrate_s = []
+
+    def timed_integrate(*args):
+        started = time.perf_counter()
+        try:
+            return integrate(*args)
+        finally:
+            integrate_s.append(time.perf_counter() - started)
+
+    def counting_scan(run, plan):
+        started = time.perf_counter()
+        energy, busy, end_time = scan(run, plan)
+        wall_s = time.perf_counter() - started
+        schedules = run.timelines()
+        scans.append({
+            "windows": run.scenario.windows,
+            "entries": sum(len(schedule._events) for schedule in schedules),
+            "segments": sum(
+                1 for schedule in schedules
+                for _ in schedule.segments(end_time)
+            ),
+            "scan_s": wall_s - integrate_s[-1],
+            "integrate_s": integrate_s[-1],
+        })
+        return energy, busy, end_time
+
+    patch.setattr(analytic_model, "integrate", timed_integrate)
+    patch.setattr(analytic_model, "_scan", counting_scan)
+    return scans
+
+
+@pytest.fixture(scope="module")
+def long_horizon_grid():
+    """The long-horizon benchmark's 18 points, each evaluated once for
+    every test that reads them: each point's ``analytic.*`` counters,
+    and the record of every scan they made (see :func:`_count_scans`)."""
+    with pytest.MonkeyPatch.context() as patch:
+        scans = _count_scans(patch)
+        counters = []
+        for apps, scheme in LONG_HORIZON_GRID:
+            point = TraceRecorder()
+            analytic_scenario_result(
+                Scenario.of(
+                    list(apps), scheme=scheme,
+                    windows=LONG_HORIZON_GRID_WINDOWS,
+                ),
+                obs=point,
+            )
+            counters.append(point.counters)
+    return counters, scans
+
+
+def test_analytic_long_horizon(
+    benchmark, figure_printer, monkeypatch, long_horizon_grid
+):
     """Analytic cycle extrapolation: a 600-window scenario scans 6
     windows where the DES executes every one of its events, and 14 of
     the long-horizon benchmark's 18 points are extrapolated.
@@ -301,14 +381,7 @@ def test_analytic_long_horizon(benchmark, figure_printer, monkeypatch):
     DES event count from ``sim.events``; all are deterministic and
     asserted exactly.  Wall times are informational.
     """
-    scanned = []
-    scan = analytic_model._scan
-
-    def counting_scan(run, plan):
-        scanned.append(run.scenario.windows)
-        return scan(run, plan)
-
-    monkeypatch.setattr(analytic_model, "_scan", counting_scan)
+    scans = _count_scans(monkeypatch)
 
     def scenario():
         return Scenario.of(
@@ -321,12 +394,13 @@ def test_analytic_long_horizon(benchmark, figure_printer, monkeypatch):
         recorder = TraceRecorder()
         fast = analytic_scenario_result(scenario(), obs=recorder)
         long_run = {
-            "windows_scanned": sum(scanned),
+            "windows_scanned": sum(scan["windows"] for scan in scans),
             "cycles_skipped": recorder.counters["analytic.cycles_skipped"],
         }
         full = analytic_model._full_scan(
             scenario(), analytic_model._plan_for(scenario())
         )
+        monkeypatch.undo()
         des_recorder = TraceRecorder()
         run_apps(
             LONG_HORIZON_APPS,
@@ -335,17 +409,9 @@ def test_analytic_long_horizon(benchmark, figure_printer, monkeypatch):
             obs=des_recorder,
         )
         grid = {"extrapolated": 0, "fallbacks": {}}
-        scanned.clear()
-        for apps, scheme in LONG_HORIZON_GRID:
-            point = TraceRecorder()
-            analytic_scenario_result(
-                Scenario.of(
-                    list(apps), scheme=scheme,
-                    windows=LONG_HORIZON_GRID_WINDOWS,
-                ),
-                obs=point,
-            )
-            for key in point.counters:
+        point_counters, grid_scans = long_horizon_grid
+        for counters in point_counters:
+            for key in counters:
                 if key == "analytic.cycles_skipped":
                     grid["extrapolated"] += 1
                 elif key.startswith("analytic.extrapolation.fallback."):
@@ -354,7 +420,7 @@ def test_analytic_long_horizon(benchmark, figure_printer, monkeypatch):
                         grid["fallbacks"].get(reason, 0) + 1
                     )
         grid["points"] = len(LONG_HORIZON_GRID)
-        grid["windows_scanned"] = sum(scanned)
+        grid["windows_scanned"] = sum(scan["windows"] for scan in grid_scans)
         walls = {
             "full_scan_wall_s": _median_wall_s(
                 lambda: analytic_model._full_scan(
@@ -427,4 +493,73 @@ def test_analytic_long_horizon(benchmark, figure_printer, monkeypatch):
     assert (
         deterministic
         == _load_baseline()["analytic_long_horizon"]["deterministic"]
+    )
+
+
+def test_analytic_scan_work(
+    benchmark, figure_printer, monkeypatch, long_horizon_grid
+):
+    """The analytic tier's work: scans, ``Schedule`` entries and
+    integrated segments over the 72 ``analytic-grid`` points at one
+    window and the 18 ``long-horizon`` points at 30 windows.
+
+    The counts are deterministic and asserted exactly, so a faster scan
+    must emit and integrate the same entries as the one it replaces.
+    Scan and ``integrate`` seconds are informational.
+    """
+
+    def measure():
+        scans = _count_scans(monkeypatch)
+        for apps, scheme in ANALYTIC_GRID:
+            analytic_scenario_result(Scenario.of(list(apps), scheme=scheme))
+        return scans
+
+    workloads = {
+        "analytic_grid": (len(ANALYTIC_GRID), run_once(benchmark, measure)),
+        "long_horizon": (len(LONG_HORIZON_GRID), long_horizon_grid[1]),
+    }
+    deterministic = {
+        name: {
+            "points": points,
+            "scans": len(scans),
+            "entries": sum(scan["entries"] for scan in scans),
+            "segments": sum(scan["segments"] for scan in scans),
+        }
+        for name, (points, scans) in workloads.items()
+    }
+    walls = {
+        name: {
+            key: round(sum(scan[key] for scan in scans), 4)
+            for key in ("scan_s", "integrate_s")
+        }
+        for name, (_, scans) in workloads.items()
+    }
+    if os.environ.get("REPRO_BENCH_UPDATE"):
+        _update_baseline(
+            "analytic_scan",
+            {
+                "scenario": {
+                    "analytic_grid_windows": 1,
+                    "long_horizon_windows": LONG_HORIZON_GRID_WINDOWS,
+                },
+                "deterministic": deterministic,
+                "wall_informational": {
+                    "generated_on": time.strftime("%Y-%m-%d"),
+                    "host": _host(),
+                    **walls,
+                },
+            },
+        )
+    figure_printer(
+        "Infra — analytic scan work",
+        "\n".join(
+            f"{name}: {counts['points']} points, {counts['scans']} scans, "
+            f"{counts['entries']:,} entries, {counts['segments']:,} "
+            f"segments; scan {walls[name]['scan_s']:.3f} s, integrate "
+            f"{walls[name]['integrate_s']:.3f} s"
+            for name, counts in deterministic.items()
+        ),
+    )
+    assert (
+        deterministic == _load_baseline()["analytic_scan"]["deterministic"]
     )

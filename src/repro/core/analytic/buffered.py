@@ -75,21 +75,26 @@ def run_buffered(run: AnalyticRun, plan: SchemePlan) -> None:
     buffers: Dict[str, _AppBuffer] = {
         app.name: _AppBuffer() for app in plan.batch_apps
     }
+    #: Bytes held in every batch buffer together.
+    buffered = 0
     coordinator: Dict[Tuple[str, int], int] = {}
 
     def on_decode(stream: Stream) -> None:
+        nonlocal buffered
         app = owner[id(stream)]
         buffer = buffers.get(app.name)
         if buffer is None:
             return  # COM samples stream through the resident ring
         buffer.bytes += stream.sample_bytes
         buffer.count += 1
-        if resident + sum(b.bytes for b in buffers.values()) > capacity:
+        buffered += stream.sample_bytes
+        if resident + buffered > capacity:
             raise AnalyticUnsupported(
                 f"{app.name} batch buffer overflows MCU RAM; DES required"
             )
 
     def on_window(stream: Stream, w: int):
+        nonlocal buffered
         app = owner[id(stream)]
         key = (app.name, w)
         coordinator[key] = coordinator.get(key, 0) + 1
@@ -105,6 +110,7 @@ def run_buffered(run: AnalyticRun, plan: SchemePlan) -> None:
         # start filling a fresh batch), as the DES hand-off does.
         nbytes = max(1, buffer.bytes)
         count = buffer.count
+        buffered -= buffer.bytes
         buffer.bytes = 0
         buffer.count = 0
         return plan.handoff_ops(app, cal, count), (app, w, count, nbytes)

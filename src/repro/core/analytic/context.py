@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from ...apps.base import AppResult, IoTApp
-from ...energy.ledger import CycleTally, Schedule
+from ...energy.ledger import CycleTally, Entry, Schedule
 from ...hw.bus import wire_time
 from ...hw.cpu import CpuState
 from ...hw.mcu import McuState
@@ -57,12 +57,19 @@ class AnalyticRun:
             "mcu_board", "on", cal.board.mcu_overhead_power_w
         )
         self.sensors: Dict[str, Schedule] = {}
-        self.sensor_specs = {}
+        #: Per rail: read time, read power, standby power and the
+        #: sensor schedule's entry list, for :meth:`rail_read`.
+        self._rails: Dict[str, Tuple[float, float, float, List[Entry]]] = {}
         for sensor_id in scenario.sensor_ids:
             spec = get_spec(sensor_id)
-            self.sensor_specs[sensor_id] = spec
-            self.sensors[sensor_id] = Schedule(
+            schedule = self.sensors[sensor_id] = Schedule(
                 f"sensor:{sensor_id}", SensorDevice.STANDBY, spec.min_power_w
+            )
+            self._rails[sensor_id] = (
+                spec.read_time_s,
+                spec.typical_power_w + cal.mcu.sensor_read_power_w,
+                spec.min_power_w,
+                schedule._events,
             )
         #: FIFO cursors: earliest time each serialized resource frees up.
         self.rail_free: Dict[str, float] = {s: 0.0 for s in self.sensors}
@@ -73,13 +80,21 @@ class AnalyticRun:
         self.interrupt_count = 0
         self.cpu_wake_count = 0
         self.bus_bytes = 0
-        self.sensor_reads: Dict[str, int] = {s: 0 for s in self.sensors}
         self.qos_violations: List[str] = []
         self.app_results: Dict[str, List[AppResult]] = {
             app.name: [] for app in scenario.apps
         }
         self.result_times: Dict[str, List[float]] = {
             app.name: [] for app in scenario.apps
+        }
+        #: Per app: the ``(sensor_id, samples per window)`` a window
+        #: needs before it completes.
+        self._needs: Dict[str, Tuple[Tuple[str, int], ...]] = {
+            app.name: tuple(
+                (sensor_id, app.profile.samples_per_window(sensor_id))
+                for sensor_id in app.profile.sensor_ids
+            )
+            for app in scenario.apps
         }
         #: Per-(app, window) sample tallies toward window completion.
         self._tallies: Dict[Tuple[str, int], Dict[str, int]] = {}
@@ -93,25 +108,29 @@ class AnalyticRun:
     # ------------------------------------------------------------------
     # shared op primitives
     # ------------------------------------------------------------------
+    # Each primitive appends its two entries to the schedule directly,
+    # keeping ``state`` current for the cores (a rail, the bus and the
+    # NIC always end in the state they start from), and picks the later
+    # of two times by comparison, the way ``max`` would: the first
+    # argument unless the second is greater.
     def rail_read(self, sensor_id: str, ready: float) -> float:
         """One rail read: FIFO grant, read burst, back to standby.
 
         Returns the read-end time (when the sample exists).
         """
-        spec = self.sensor_specs[sensor_id]
-        grant = max(ready, self.rail_free[sensor_id])
-        end = grant + spec.read_time_s
-        timeline = self.sensors[sensor_id]
-        timeline.set(
-            grant,
-            SensorDevice.READ,
-            spec.typical_power_w + self.cal.mcu.sensor_read_power_w,
-            Routine.DATA_COLLECTION,
+        read_s, read_w, standby_w, entries = self._rails[sensor_id]
+        free = self.rail_free[sensor_id]
+        grant = free if free > ready else ready
+        end = grant + read_s
+        entries.append(
+            (grant, SensorDevice.READ, read_w, Routine.DATA_COLLECTION, None)
         )
-        timeline.set(end, SensorDevice.STANDBY, spec.min_power_w, Routine.IDLE)
+        entries.append(
+            (end, SensorDevice.STANDBY, standby_w, Routine.IDLE, None)
+        )
         self.rail_free[sensor_id] = end
-        self.sensor_reads[sensor_id] += 1
-        self.last_activity = max(self.last_activity, end)
+        if end > self.last_activity:
+            self.last_activity = end
         return end
 
     def mcu_op(
@@ -122,15 +141,23 @@ class AnalyticRun:
         after_routine: str = None,
     ) -> float:
         """One MCU-core execution: FIFO grant, busy burst, idle after."""
-        start = max(ready, self.mcu_core_free)
+        free = self.mcu_core_free
+        start = free if free > ready else ready
         end = start + duration
         cal = self.cal.mcu
-        self.mcu.set(start, McuState.BUSY, cal.active_power_w, routine)
-        self.mcu.set(
-            end, McuState.IDLE, cal.idle_power_w, after_routine or routine
+        mcu = self.mcu
+        entries = mcu._events
+        entries.append(
+            (start, McuState.BUSY, cal.active_power_w, routine, None)
         )
+        entries.append(
+            (end, McuState.IDLE, cal.idle_power_w, after_routine or routine,
+             None)
+        )
+        mcu.state = McuState.IDLE
         self.mcu_core_free = end
-        self.last_activity = max(self.last_activity, end)
+        if end > self.last_activity:
+            self.last_activity = end
         return end
 
     def cpu_op(
@@ -141,32 +168,46 @@ class AnalyticRun:
         after_routine: str = None,
     ) -> float:
         """One CPU-core execution: FIFO grant, busy burst, idle after."""
-        start = max(ready, self.cpu_core_free)
+        free = self.cpu_core_free
+        start = free if free > ready else ready
         end = start + duration
         cal = self.cal.cpu
-        self.cpu.set(start, CpuState.BUSY, cal.active_power_w, routine)
-        self.cpu.set(
-            end, CpuState.IDLE, cal.idle_power_w, after_routine or routine
+        cpu = self.cpu
+        entries = cpu._events
+        entries.append(
+            (start, CpuState.BUSY, cal.active_power_w, routine, None)
         )
+        entries.append(
+            (end, CpuState.IDLE, cal.idle_power_w, after_routine or routine,
+             None)
+        )
+        cpu.state = CpuState.IDLE
         self.cpu_core_free = end
-        self.last_activity = max(self.last_activity, end)
+        if end > self.last_activity:
+            self.last_activity = end
         return end
 
     def cpu_wake(self, t: float, routine: str) -> float:
         """Wake the CPU from (deep) sleep; returns the awake time."""
         cal = self.cal.cpu
-        duration = (
+        cpu = self.cpu
+        awake = t + (
             cal.deep_transition_time_s
-            if self.cpu.state == CpuState.DEEP_SLEEP
+            if cpu.state == CpuState.DEEP_SLEEP
             else cal.transition_time_s
         )
-        self.cpu.set(t, CpuState.TRANSITION, cal.transition_power_w, routine)
-        self.cpu.set(t + duration, CpuState.IDLE, cal.idle_power_w, routine)
+        entries = cpu._events
+        entries.append(
+            (t, CpuState.TRANSITION, cal.transition_power_w, routine, None)
+        )
+        entries.append((awake, CpuState.IDLE, cal.idle_power_w, routine, None))
+        cpu.state = CpuState.IDLE
         self.cpu_wake_count += 1
         if self.cycles is not None:
             self.cycles.cpu_wakes[self.cycles.index(t)] += 1
-        self.last_activity = max(self.last_activity, t + duration)
-        return t + duration
+        if awake > self.last_activity:
+            self.last_activity = awake
+        return awake
 
     @property
     def cpu_asleep(self) -> bool:
@@ -175,13 +216,18 @@ class AnalyticRun:
 
     def bus_transfer(self, start: float, nbytes: int) -> float:
         """Bus-side activity concurrent with a CPU transfer op."""
-        end = start + wire_time(self.cal.bus, max(1, nbytes))
-        self.bus.set(start, "active", self.cal.bus.active_power_w,
-                     Routine.DATA_TRANSFER)
-        self.bus.set(end, "idle", 0.0, Routine.IDLE)
-        self.bus_bytes += max(1, nbytes)
+        if nbytes < 1:
+            nbytes = 1
+        cal = self.cal.bus
+        end = start + wire_time(cal, nbytes)
+        entries = self.bus._events
+        entries.append(
+            (start, "active", cal.active_power_w, Routine.DATA_TRANSFER, None)
+        )
+        entries.append((end, "idle", 0.0, Routine.IDLE, None))
+        self.bus_bytes += nbytes
         if self.cycles is not None:
-            self.cycles.bus_bytes[self.cycles.index(start)] += max(1, nbytes)
+            self.cycles.bus_bytes[self.cycles.index(start)] += nbytes
         return end
 
     def count_interrupt(self, t: float) -> None:
@@ -192,13 +238,18 @@ class AnalyticRun:
 
     def nic_send(self, ready: float, nbytes: int) -> float:
         """One uplink publish; FIFO on the NIC lock."""
-        start = max(ready, self.nic_free)
-        end = start + nbytes / self.cal.board.nic_bandwidth_bytes_per_s
-        self.nic.set(start, "tx", self.cal.board.nic_tx_power_w,
-                     Routine.APP_COMPUTE)
-        self.nic.set(end, "idle", 0.0, Routine.IDLE)
+        free = self.nic_free
+        start = free if free > ready else ready
+        cal = self.cal.board
+        end = start + nbytes / cal.nic_bandwidth_bytes_per_s
+        entries = self.nic._events
+        entries.append(
+            (start, "tx", cal.nic_tx_power_w, Routine.APP_COMPUTE, None)
+        )
+        entries.append((end, "idle", 0.0, Routine.IDLE, None))
         self.nic_free = end
-        self.last_activity = max(self.last_activity, end)
+        if end > self.last_activity:
+            self.last_activity = end
         return end
 
     # ------------------------------------------------------------------
@@ -208,18 +259,19 @@ class AnalyticRun:
         """Count one sample delivered to ``app``'s window; True exactly
         once, when the window has every sample it expects
         (:meth:`~repro.core.schemes.base.WindowState.register`)."""
-        key = (app.name, window_index)
-        tally = self._tallies.setdefault(key, {})
+        name = app.name
+        key = (name, window_index)
+        tally = self._tallies.get(key)
+        if tally is None:
+            tally = self._tallies[key] = {}
         tally[sensor_id] = tally.get(sensor_id, 0) + 1
         if key in self._completed:
             return False
-        if all(
-            tally.get(needed, 0) >= app.profile.samples_per_window(needed)
-            for needed in app.profile.sensor_ids
-        ):
-            self._completed.add(key)
-            return True
-        return False
+        for needed_id, needed in self._needs[name]:
+            if tally.get(needed_id, 0) < needed:
+                return False
+        self._completed.add(key)
+        return True
 
     def record_result(self, app: IoTApp, window_index: int, t: float) -> None:
         """Log one delivered window result; same deadline rule as the DES."""

@@ -17,8 +17,9 @@ from ..schemes.base import SchemePlan, Stream, build_streams
 from .context import AnalyticRun
 from .mcu_scan import scan_streams
 
-#: One pending interrupt: (fire_time, stream, window_index, sample_index).
-_Irq = Tuple[float, Stream, int, int]
+#: One pending interrupt: (fire_time, (stream, window_index,
+#: sample_index)).
+_Irq = Tuple[float, Tuple[Stream, int, int]]
 
 
 def run_interrupting(run: AnalyticRun, plan: SchemePlan) -> None:
@@ -26,30 +27,41 @@ def run_interrupting(run: AnalyticRun, plan: SchemePlan) -> None:
     irqs: List[_Irq] = []
 
     def on_irq(vector: str, raised: float, payload) -> None:
-        irqs.append((raised,) + payload)
+        irqs.append((raised, payload))
 
     streams = build_streams(run.scenario.apps, plan.shared)
     scan_streams(run, streams, plan, on_irq)
-    _cpu_replay(run, irqs)
+    _cpu_replay(run, streams, irqs)
 
 
-def _cpu_replay(run: AnalyticRun, irqs: List[_Irq]) -> None:
+def _cpu_replay(
+    run: AnalyticRun, streams: List[Stream], irqs: List[_Irq]
+) -> None:
     """Dispatcher + compute replay with the governor off (never sleeps)."""
     cal = run.cal
     # build_context's t=0 rest(): governor off -> idle at the default
     # DATA_TRANSFER wait routine.
     run.cpu.set(0.0, "idle", cal.cpu.idle_power_w, Routine.DATA_TRANSFER)
-    for fire, stream, w, k in irqs:
+    # Per stream: the CPU time of one sample's transfer, and each
+    # subscriber with its delivery stride.
+    per_stream = {
+        id(stream): (
+            cpu_transfer_time(cal, stream.sample_bytes, 1, bulk=False),
+            [(app, stream.stride(app)) for app in stream.subscribers],
+        )
+        for stream in streams
+    }
+    for fire, (stream, w, k) in irqs:
+        duration, subscribers = per_stream[id(stream)]
         service_end = run.cpu_op(
             fire, cal.cpu.interrupt_handling_time_s, Routine.INTERRUPT
         )
-        duration = cpu_transfer_time(cal, stream.sample_bytes, 1, bulk=False)
         run.bus_transfer(service_end, stream.sample_bytes)
         transfer_end = run.cpu_op(
             service_end, duration, Routine.DATA_TRANSFER
         )
-        for app in stream.subscribers:
-            if k % stream.stride(app) != 0:
+        for app, stride in subscribers:
+            if k % stride != 0:
                 continue  # decimated subscriber skips this sample
             if run.tally_sample(app, w, stream.sensor_id):
                 # Window delivered: the compute process acquires the

@@ -26,7 +26,11 @@ Handoff = Tuple[Sequence[McuOp], object]
 
 
 class _Cursor:
-    """Iteration state of one polling stream."""
+    """Iteration state of one polling stream.
+
+    ``ops`` is ``None`` while the stream's next heap entry is a poll,
+    else the chain whose op at ``pos`` the entry runs.
+    """
 
     __slots__ = ("stream", "index", "w", "k", "ops", "pos", "payload",
                  "in_handoff")
@@ -36,16 +40,10 @@ class _Cursor:
         self.index = index
         self.w = 0
         self.k = 0
-        self.ops: Sequence[McuOp] = ()
+        self.ops: Optional[Sequence[McuOp]] = None
         self.pos = 0
         self.payload: object = None
         self.in_handoff = False
-
-    def target(self) -> float:
-        return self.w * self.stream.window_s + self.k / self.stream.rate_hz
-
-    def done(self, windows: int) -> bool:
-        return self.w >= windows
 
 
 def scan_streams(
@@ -70,89 +68,94 @@ def scan_streams(
     decode = decode_op(run.cal)
     chain = (decode,) + plan.sample_ops(run.cal)
     windows = run.scenario.windows
-    cursors = [_Cursor(stream, i) for i, stream in enumerate(streams)]
+    rail_free = run.rail_free
+    mcu_op = run.mcu_op
+    heappush, heappop = heapq.heappush, heapq.heappop
     #: The MCU nap governor's per-stream "next scheduled poll" table.
     #: Entries appear the first time a stream actually waits (exactly
     #: like ``SchemeContext._mcu_next_polls``); a stream mid-chain keeps
     #: its stale (past) target, which blocks any sleep decision.
     next_polls = {}
-    # Heap keys are (fire, scheduled, seq): ``scheduled`` is the instant
-    # the kernel would have *inserted* the corresponding event — read
-    # start for a read-end, execute start for an execute-end, chain end
-    # for a poll timeout.  The kernel's queue breaks equal-fire ties by
-    # insertion order, so two chains whose reads end at the same instant
-    # are serviced in read-*start* order (the contended-rail loser, whose
-    # read started later, queues behind) — not in poll-pop order.
-    heap = []
-    seq = 0
-    # Kernel spawn order: every stream requests its first read at t=0
-    # (or its first target) in list order.
-    for cursor in cursors:
-        if not cursor.done(windows):
-            heapq.heappush(
-                heap, (cursor.target(), 0.0, seq, "poll", cursor.index)
-            )
-            seq += 1
+    # Heap entries are (fire, scheduled, seq, cursor): ``scheduled`` is
+    # the instant the kernel would have *inserted* the corresponding
+    # event — read start for a read-end, execute start for an
+    # execute-end, chain end for a poll timeout.  The kernel's queue
+    # breaks equal-fire ties by insertion order, so two chains whose
+    # reads end at the same instant are serviced in read-*start* order
+    # (the contended-rail loser, whose read started later, queues
+    # behind) — not in poll-pop order.  ``seq`` is unique, so the
+    # comparison never reaches the cursor.
+    # Kernel spawn order: every stream requests its first read at its
+    # first target, t=0, in list order; that list is already a heap.
+    heap = [
+        (0.0, 0.0, index, _Cursor(stream, index))
+        for index, stream in enumerate(streams)
+    ]
+    seq = len(heap)
     while heap:
-        t, _, _, kind, index = heapq.heappop(heap)
-        cursor = cursors[index]
-        if kind == "poll":
-            read_start = max(t, run.rail_free[cursor.stream.sensor_id])
-            read_end = run.rail_read(cursor.stream.sensor_id, t)
+        t, _, _, cursor = heappop(heap)
+        stream = cursor.stream
+        ops = cursor.ops
+        if ops is None:
+            # A poll: the rail read, then the sample chain.
+            free = rail_free[stream.sensor_id]
+            read_start = free if free > t else t
+            read_end = run.rail_read(stream.sensor_id, t)
             cursor.ops = chain
             cursor.pos = 0
-            cursor.payload = (cursor.stream, cursor.w, cursor.k)
-            heapq.heappush(heap, (read_end, read_start, seq, "op", index))
+            cursor.payload = (stream, cursor.w, cursor.k)
+            heappush(heap, (read_end, read_start, seq, cursor))
             seq += 1
             continue
         # One core op: FIFO grant at request-arrival order (= pop order).
-        op = cursor.ops[cursor.pos]
+        op = ops[cursor.pos]
         cursor.pos += 1
-        start = max(t, run.mcu_core_free)
-        end = run.mcu_op(t, op.duration, op.routine, op.after_routine)
+        free = run.mcu_core_free
+        start = free if free > t else t
+        end = mcu_op(t, op.duration, op.routine, op.after_routine)
         if op is decode:
             if on_decode is not None:
-                on_decode(cursor.stream)
+                on_decode(stream)
         elif op.vector is not None:
             run.count_interrupt(end)
             on_irq(op.vector, end, cursor.payload)
-        if cursor.pos < len(cursor.ops):
-            heapq.heappush(heap, (end, start, seq, "op", index))
+        if cursor.pos < len(ops):
+            heappush(heap, (end, start, seq, cursor))
             seq += 1
             continue
         # Chain complete: window hand-off, then schedule the next poll.
+        cursor.ops = None
         if cursor.in_handoff:
             cursor.in_handoff = False
         else:
-            last_of_window = cursor.k == cursor.stream.samples_per_window - 1
             w = cursor.w
             cursor.k += 1
-            if cursor.k >= cursor.stream.samples_per_window:
+            if cursor.k >= stream.samples_per_window:
                 cursor.k = 0
                 cursor.w += 1
-            if last_of_window and on_window is not None:
-                handoff = on_window(cursor.stream, w)
-                if handoff is not None:
-                    cursor.ops, cursor.payload = handoff
-                    cursor.pos = 0
-                    cursor.in_handoff = True
-                    heapq.heappush(heap, (end, start, seq, "op", index))
-                    seq += 1
-                    continue
-        if cursor.done(windows):
-            next_polls.pop(index, None)
+                if on_window is not None:
+                    handoff = on_window(stream, w)
+                    if handoff is not None:
+                        cursor.ops, cursor.payload = handoff
+                        cursor.pos = 0
+                        cursor.in_handoff = True
+                        heappush(heap, (end, start, seq, cursor))
+                        seq += 1
+                        continue
+        if cursor.w >= windows:
+            next_polls.pop(cursor.index, None)
             continue
-        target = cursor.target()
+        target = cursor.w * stream.window_s + cursor.k / stream.rate_hz
         if target > end:
             # The stream is about to wait: refresh its poll entry and
             # evaluate the nap governor at the pre-wait instant.
-            next_polls[index] = target
+            next_polls[cursor.index] = target
             _maybe_sleep(run, end, next_polls)
-            heapq.heappush(heap, (target, end, seq, "poll", index))
+            heappush(heap, (target, end, seq, cursor))
         else:
             # No wait: the process rolls straight from the execute-end
             # event (scheduled at the op's start) into the next read.
-            heapq.heappush(heap, (end, start, seq, "poll", index))
+            heappush(heap, (end, start, seq, cursor))
         seq += 1
 
 

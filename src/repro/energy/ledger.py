@@ -11,7 +11,8 @@ software stand-in for the paper's Monsoon monitor (§III-B).
   those timelines and answers the Figure 5 queries.
 * The analytic tier knows its operation intervals up front and emits
   them slightly out of order into a :class:`Schedule`, which replays
-  them sorted by ``(t, seq)`` — the kernel's FIFO order for ties.
+  them with a stable sort on time: entries at one instant keep their
+  emission order, the kernel's FIFO order for ties.
 
 Both hand :func:`integrate` the same stream of constant-power
 segments, so both tiers share one summation order: components in
@@ -24,7 +25,7 @@ gets its energy and busy time per cycle from the same walk.
 from __future__ import annotations
 
 import math
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..hw.power import BUSY_STATES, Routine
@@ -78,25 +79,32 @@ class Timeline:
             yield (since, end_time, state, power, routine)
 
 
-#: One emitted event: (time, seq, state, power_w, routine, mode).
-#: ``mode`` is ``""`` for unconditional, ``"rest"`` for skipped-if-busy
-#: (another process took the core meanwhile) and ``"wake"`` for
-#: applied-only-if-still-sleeping (a mid-sleep operation may have woken
-#: the component before its scheduled wake, in which case the kernel's
-#: wake event never fires).
-_Event = Tuple[float, int, str, float, Optional[str], str]
+#: One emitted entry: ``(t, state, power_w, routine, mode)``.
+#: ``routine=None`` keeps the current tag.  ``mode`` is ``None`` for
+#: unconditional, ``"rest"`` for skipped-if-busy (another process took
+#: the core meanwhile) and ``"wake"`` for applied-only-if-still-sleeping
+#: (a mid-sleep operation may have woken the component before its
+#: scheduled wake, in which case the kernel's wake event never fires).
+Entry = Tuple[float, str, float, Optional[str], Optional[str]]
 
-#: States a ``"wake"`` event can interrupt.
+#: States a ``"wake"`` entry can interrupt.
 SLEEP_STATES = frozenset({"sleep", "deep_sleep"})
+
+_by_time = itemgetter(0)
 
 
 class Schedule:
     """A component's power history emitted ahead of time, out of order.
 
-    The analytic models interleave per-process chains, so events arrive
-    slightly out of time order; :meth:`segments` replays them sorted by
-    time with a stable insertion sequence for ties.
+    The analytic models interleave per-process chains, so entries arrive
+    slightly out of time order; :meth:`segments` replays them with a
+    stable sort on time, so entries at one instant apply in emission
+    order.  The analytic tier's op primitives append :data:`Entry`
+    tuples to ``_events`` directly; :meth:`set`, :meth:`rest` and
+    :meth:`wake` append one each.
     """
+
+    __slots__ = ("component", "_initial", "_events", "state")
 
     def __init__(
         self,
@@ -107,13 +115,11 @@ class Schedule:
     ):
         self.component = component
         self._initial = (state, power_w, routine)
-        self._events: List[_Event] = []
-        self._seq = 0
+        self._events: List[Entry] = []
         #: Procedural view of the *latest emitted* state, for models that
         #: need to know whether the component currently sleeps.  Only
-        #: meaningful while events are emitted in time order.
+        #: meaningful while entries are emitted in time order.
         self.state = state
-        self.routine = routine
 
     def set(
         self,
@@ -123,11 +129,8 @@ class Schedule:
         routine: Optional[str] = None,
     ) -> None:
         """Enter ``state`` at ``t``; ``routine=None`` keeps the current tag."""
-        self._events.append((t, self._seq, state, power_w, routine, ""))
-        self._seq += 1
+        self._events.append((t, state, power_w, routine, None))
         self.state = state
-        if routine is not None:
-            self.routine = routine
 
     def rest(
         self,
@@ -139,8 +142,7 @@ class Schedule:
         """Like :meth:`set`, but skipped at replay if the component is
         busy at ``t`` — the governor-off ``rest()`` semantics (another
         process may have started an operation in the meantime)."""
-        self._events.append((t, self._seq, state, power_w, routine, "rest"))
-        self._seq += 1
+        self._events.append((t, state, power_w, routine, "rest"))
 
     def wake(
         self,
@@ -152,22 +154,23 @@ class Schedule:
         """Like :meth:`set`, but applied at replay only while the
         component still sleeps at ``t`` — a scheduled wake that a
         mid-sleep operation (e.g. a rail read ending) may preempt."""
-        self._events.append((t, self._seq, state, power_w, routine, "wake"))
-        self._seq += 1
+        self._events.append((t, state, power_w, routine, "wake"))
         self.state = state
-        if routine is not None:
-            self.routine = routine
 
     def segments(self, end_time: float) -> Iterator[Segment]:
-        """Replay the events in time order as constant-power segments."""
+        """Replay the entries in time order as constant-power segments.
+
+        Sorts the entries in place; the sort is stable, so a replay
+        after further emissions still applies ties in emission order.
+        """
+        self._events.sort(key=_by_time)
         state, power, routine = self._initial
         since = 0.0
-        for t, _, new_state, new_power, new_routine, mode in sorted(
-            self._events
-        ):
-            if mode == "rest" and state == "busy":
-                continue
-            if mode == "wake" and state not in SLEEP_STATES:
+        for t, new_state, new_power, new_routine, mode in self._events:
+            if mode is not None and (
+                state == "busy" if mode == "rest"
+                else state not in SLEEP_STATES
+            ):
                 continue
             if t > end_time:
                 break
@@ -219,12 +222,12 @@ def integrate(
     seconds by routine).
 
     ``timelines`` are :class:`Timeline` or :class:`Schedule` objects,
-    walked once each in sorted component order up to ``end_time``.  Only
-    busy states (:data:`~repro.hw.power.BUSY_STATES`) count towards busy
-    time.  With a ``cycles`` tally, segments are split at cycle edges,
-    each cycle's energy and busy time fill its buckets, and the totals
-    sum the buckets; without one the whole run is one bucket, which is
-    the plain running sum.
+    one per component, walked once each in sorted component order up to
+    ``end_time``.  Only busy states (:data:`~repro.hw.power.BUSY_STATES`)
+    count towards busy time.  With a ``cycles`` tally, segments are
+    split at cycle edges, each cycle's energy and busy time fill its
+    buckets, and the totals sum the buckets; without one the whole run
+    is one bucket, which is the plain running sum.
     """
     if cycles is None:
         cycles = CycleTally(math.inf, 0)
@@ -232,26 +235,33 @@ def integrate(
     for timeline in sorted(timelines, key=attrgetter("component")):
         component = timeline.component
         index, edge = 0, cycle_s
-        energy, busy = cycles.energy[0], cycles.busy[0]
-        # Segments are contiguous and time-ordered, so one cursor per
-        # timeline walks the cycles.
+        busy = cycles.busy[0]
+        # The walk visits each cycle in one stretch, so a component's
+        # energy for the cycle is summed per routine here, in segment
+        # order, and lands in the cycle's (component, routine) keys when
+        # the walk leaves it.  Busy time is summed across components, so
+        # it goes straight into the shared bucket.
+        energy: Dict[str, float] = {}
         for t0, t1, state, power, routine in timeline.segments(end_time):
-            key = (component, routine)
-            is_busy = state in BUSY_STATES
             while t1 > edge:
-                energy[key] = energy.get(key, 0.0) + power * (edge - t0)
-                if is_busy:
-                    busy[routine] = busy.get(routine, 0.0) + (edge - t0)
+                span = edge - t0
+                energy[routine] = energy.get(routine, 0.0) + power * span
+                if state in BUSY_STATES:
+                    busy[routine] = busy.get(routine, 0.0) + span
                 t0 = edge
+                _fold(cycles.energy[index], component, energy)
+                energy = {}
                 index += 1
                 edge = (
                     (index + 1) * cycle_s if index < cycles.last
                     else math.inf
                 )
-                energy, busy = cycles.energy[index], cycles.busy[index]
-            energy[key] = energy.get(key, 0.0) + power * (t1 - t0)
-            if is_busy:
-                busy[routine] = busy.get(routine, 0.0) + (t1 - t0)
+                busy = cycles.busy[index]
+            span = t1 - t0
+            energy[routine] = energy.get(routine, 0.0) + power * span
+            if state in BUSY_STATES:
+                busy[routine] = busy.get(routine, 0.0) + span
+        _fold(cycles.energy[index], component, energy)
     energy_total: Dict[Tuple[str, str], float] = {}
     busy_total: Dict[str, float] = {routine: 0.0 for routine in Routine.ORDER}
     for totals, buckets in (
@@ -261,6 +271,17 @@ def integrate(
             for key, value in bucket.items():
                 totals[key] = totals.get(key, 0.0) + value
     return energy_total, busy_total
+
+
+def _fold(
+    bucket: Dict[Tuple[str, str], float],
+    component: str,
+    energy: Dict[str, float],
+) -> None:
+    """Add one component's per-routine cycle energy to a cycle bucket."""
+    for routine, joules in energy.items():
+        key = (component, routine)
+        bucket[key] = bucket.get(key, 0.0) + joules
 
 
 class PowerLedger:

@@ -75,8 +75,27 @@ class JobState:
     ORDER = (PENDING, RUNNING, DONE, FAILED, CANCELLED)
 
 
-def _point_scenario(point: Dict[str, Any]) -> Scenario:
+def _spec_int(
+    spec: Dict[str, Any], key: str, default: Optional[int]
+) -> Optional[int]:
+    """``spec[key]`` as a JSON integer, or ``default`` when absent/null.
+
+    A float, string or bool (JSON ``true`` is a Python ``int``) raises
+    :class:`~repro.errors.JobSpecError` instead of being truncated or
+    failing later.
+    """
+    value = spec.get(key)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise JobSpecError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _point_scenario(point: Any) -> Scenario:
     """One scenario from a point spec (``apps`` + knobs)."""
+    if not isinstance(point, dict):
+        raise JobSpecError(f"a point must be a JSON object, got {point!r}")
     apps = point.get("apps")
     if not isinstance(apps, list) or not all(
         isinstance(app, str) for app in apps
@@ -88,8 +107,8 @@ def _point_scenario(point: Dict[str, Any]) -> Scenario:
     return Scenario.of(
         apps,
         scheme=point.get("scheme", "baseline"),
-        windows=int(point.get("windows", 1)),
-        batch_size=point.get("batch_size"),
+        windows=_spec_int(point, "windows", 1),
+        batch_size=_spec_int(point, "batch_size", None),
     )
 
 
@@ -101,7 +120,9 @@ def scenarios_from_spec(
     ``run`` is a single point, ``sweep`` an explicit point list, and
     ``grid`` the cross product of ``app_sets`` × ``schemes`` in the same
     order :func:`~repro.core.compare.compare_grid` uses, so a grid job's
-    points map back onto the grid positionally.  Malformed specs raise
+    points map back onto the grid positionally.  Malformed specs (a
+    point that is no object, an app set that is no list of ids, a
+    ``windows`` or ``batch_size`` that is no integer) raise
     :class:`~repro.errors.JobSpecError`; invalid scenario contents
     (unknown app/scheme) surface as the library's usual
     :class:`~repro.errors.WorkloadError`.
@@ -126,11 +147,9 @@ def scenarios_from_spec(
         raise JobSpecError("grid spec needs a non-empty 'app_sets' list")
     if not isinstance(schemes, list) or not schemes:
         raise JobSpecError("grid spec needs a non-empty 'schemes' list")
-    windows = int(spec.get("windows", 1))
+    windows = _spec_int(spec, "windows", 1)
     scenarios = [
-        _point_scenario(
-            {"apps": list(apps), "scheme": scheme, "windows": windows}
-        )
+        _point_scenario({"apps": apps, "scheme": scheme, "windows": windows})
         for apps in app_sets
         for scheme in schemes
     ]

@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.energy import EnergyReport
-from repro.energy.ledger import CycleTally, PowerLedger, integrate
+from repro.energy.ledger import (
+    SLEEP_STATES,
+    CycleTally,
+    PowerLedger,
+    Schedule,
+    integrate,
+)
 from repro.errors import CapacityError
 from repro.hw.memory import MemoryRegion
 from repro.hw.power import Routine
@@ -76,6 +82,58 @@ def test_integration_matches_manual_sum(traces, cycle_s):
         tallied = sum(bucket.get(routine, 0.0) for bucket in tally.busy)
         assert tallied == pytest.approx(seconds, rel=1e-9, abs=1e-9)
     assert {key for bucket in tally.energy for key in bucket} == set(energy)
+
+
+def _reference_replay(initial, emissions, end_time):
+    """Replay ``(t, state, power_w, routine, mode)`` emissions in
+    ``(t, emission index)`` order: a ``"rest"`` is dropped while the
+    replayed state is busy, a ``"wake"`` unless it sleeps."""
+    state, power, routine = initial
+    since = 0.0
+    segments = []
+    ordered = sorted(enumerate(emissions), key=lambda item: (item[1][0], item[0]))
+    for _, (t, new_state, new_power, new_routine, mode) in ordered:
+        if mode == "rest" and state == "busy":
+            continue
+        if mode == "wake" and state not in SLEEP_STATES:
+            continue
+        if t > end_time:
+            break
+        if t > since:
+            segments.append((since, t, state, power, routine))
+            since = t
+        state, power = new_state, new_power
+        if new_routine is not None:
+            routine = new_routine
+    if end_time > since:
+        segments.append((since, end_time, state, power, routine))
+    return segments
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]),
+            st.sampled_from(["busy", "idle", "sleep", "deep_sleep"]),
+            st.one_of(st.none(), routines),
+            st.sampled_from(["set", "rest", "wake"]),
+        ),
+        max_size=25,
+    ),
+    st.sampled_from(["busy", "idle", "sleep"]),
+    st.sampled_from([0.75, 1.5, 3.0]),
+)
+def test_schedule_replays_ties_in_emission_order(draws, initial_state, end_time):
+    # Each emission gets its own power, so a swapped tie shows up.
+    schedule = Schedule("cpu", initial_state, -1.0)
+    emissions = []
+    for index, (t, state, routine, mode) in enumerate(draws):
+        getattr(schedule, mode)(t, state, float(index), routine)
+        emissions.append((t, state, float(index), routine, mode))
+    assert list(schedule.segments(end_time)) == _reference_replay(
+        (initial_state, -1.0, Routine.IDLE), emissions, end_time
+    )
 
 
 @settings(max_examples=100)

@@ -86,6 +86,18 @@ def test_spec_parsing_kinds():
         {"kind": "grid", "app_sets": [], "schemes": ["baseline"]},
         {"kind": "grid", "app_sets": [["A1"]], "schemes": []},
         {"kind": "sweep", "points": []},
+        {"kind": "sweep", "points": [1]},
+        {"kind": "run", "apps": ["A2"], "windows": "abc"},
+        {"kind": "run", "apps": ["A2"], "windows": 1.7},
+        {"kind": "run", "apps": ["A2"], "windows": float("inf")},
+        {"kind": "run", "apps": ["A2"], "windows": True},
+        {"kind": "run", "apps": ["A2"], "batch_size": "x"},
+        {"kind": "run", "apps": ["A2"], "batch_size": 2.5},
+        {"kind": "grid", "app_sets": [5], "schemes": ["baseline"]},
+        {"kind": "grid", "app_sets": ["A2"], "schemes": ["baseline"]},
+        {"kind": "grid", "app_sets": [["A2", 7]], "schemes": ["baseline"]},
+        {"kind": "grid", "app_sets": [["A2"]], "schemes": ["baseline"],
+         "windows": "abc"},
     ],
 )
 def test_bad_specs_rejected(spec):

@@ -82,6 +82,9 @@ def test_http_error_statuses():
         # 400: malformed spec.
         with pytest.raises(JobSpecError):
             client.submit({"kind": "run", "apps": []})
+        # 400, not a dropped connection: a sweep point that is no object.
+        with pytest.raises(JobSpecError):
+            client.submit({"kind": "sweep", "points": [1]})
         # 400: spec valid JSON but not an object.
         status, payload = raw_request(
             f"{client.url}/jobs", method="POST", body=[1, 2]
