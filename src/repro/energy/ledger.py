@@ -5,10 +5,11 @@ This is the one place both tiers keep power history and the one
 software stand-in for the paper's Monsoon monitor (§III-B).
 
 * The DES appends to a :class:`Timeline` per component: each
-  :class:`~repro.hw.power.PowerStateMachine` transition is one plain
-  ``(t, state, power_w, routine)`` tuple, appended in time order with
-  no check.  The hub's :class:`PowerLedger` (``hub.recorder``) holds
-  those timelines and answers the Figure 5 queries.
+  :class:`~repro.hw.power.PowerStateMachine` transition, and each edge
+  of a PIO bus transfer, is one plain ``(t, state, power_w, routine)``
+  tuple, appended in time order with no check.  The hub's
+  :class:`PowerLedger` (``hub.recorder``) holds those timelines and
+  answers the Figure 5 queries.
 * The analytic tier knows its operation intervals up front and emits
   them slightly out of order into a :class:`Schedule`, which replays
   them with a stable sort on time: entries at one instant keep their

@@ -36,16 +36,14 @@ def cpu_transfer(
 ) -> Generator:
     """Generator: the CPU side of one transfer (:func:`cpu_transfer_time`).
 
-    The bus itself is active concurrently; its draw is the cheap 10% of
-    Figure 4.
+    The bus is active concurrently for the wire time, which the CPU's
+    busy time includes, so holding the core keeps transfers from
+    overlapping on the bus; its draw is the cheap 10% of Figure 4.
     """
     duration = cpu_transfer_time(hub.calibration, nbytes, sample_count, bulk)
     if hub.cpu.asleep:
         yield from hub.cpu.wake(Routine.DATA_TRANSFER)
     yield from hub.cpu.core.acquire()
-    hub.sim.spawn(
-        hub.bus.transfer(max(1, nbytes), Routine.DATA_TRANSFER),
-        name="bus-transfer",
-    )
+    hub.bus.transfer(max(1, nbytes), Routine.DATA_TRANSFER)
     yield from hub.cpu.execute(duration, Routine.DATA_TRANSFER)
     hub.cpu.core.release()

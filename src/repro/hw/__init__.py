@@ -1,9 +1,10 @@
 """Hardware models of the IoT hub: CPU, MCU, buses, interrupts, memories.
 
-Each active component owns a :class:`~repro.hw.power.PowerStateMachine` that
-appends every state change to its timeline in the hub's
-:class:`~repro.energy.ledger.PowerLedger`; energy is integrated offline by
-:func:`repro.energy.ledger.integrate`.
+Each active component but the PIO bus owns a
+:class:`~repro.hw.power.PowerStateMachine` that appends every state change
+to its timeline in the hub's :class:`~repro.energy.ledger.PowerLedger`;
+the bus appends each transfer's interval itself.  Energy is integrated
+offline by :func:`repro.energy.ledger.integrate`.
 """
 
 from .power import Routine, PowerStateMachine

@@ -12,7 +12,7 @@ from typing import Generator
 
 from ..calibration import BoardCalibration, BusCalibration
 from ..energy.ledger import PowerLedger
-from ..errors import BusError
+from ..errors import BusError, PowerStateError
 from ..sim.kernel import Simulator
 from ..sim.process import Delay
 from ..sim.resources import Resource
@@ -25,7 +25,16 @@ def wire_time(cal: BusCalibration, nbytes: int) -> float:
 
 
 class PioBus:
-    """Serialized, bandwidth-limited link between the MCU and the CPU."""
+    """Bandwidth-limited link between the MCU and the CPU.
+
+    A transfer is one ``active`` interval on the bus's ledger timeline,
+    the same pair of changes the analytic tier's
+    :meth:`~repro.core.analytic.context.AnalyticRun.bus_transfer`
+    writes.  The bus runs no process and holds no lock: its one caller,
+    :func:`~repro.hubos.transfer.cpu_transfer`, holds the CPU core for
+    at least the wire time, so transfers never overlap, and
+    :meth:`transfer` raises :class:`BusError` if one would.
+    """
 
     IDLE = "idle"
     ACTIVE = "active"
@@ -39,14 +48,8 @@ class PioBus:
     ):
         self.sim = sim
         self.cal = cal
-        self.lock = Resource(name)
-        self.psm = PowerStateMachine(
-            sim,
-            recorder,
-            component=name,
-            states={self.IDLE: 0.0, self.ACTIVE: cal.active_power_w},
-            initial_state=self.IDLE,
-        )
+        self._history = recorder.timeline(name).changes
+        self._history.append((sim.now, self.IDLE, 0.0, Routine.IDLE))
         self.bytes_transferred = 0
         self.transfer_count = 0
 
@@ -56,16 +59,33 @@ class PioBus:
             raise BusError(f"transfer of {nbytes} bytes")
         return wire_time(self.cal, nbytes)
 
-    def transfer(self, nbytes: int, routine: str = Routine.DATA_TRANSFER) -> Generator:
-        """Generator: occupy the bus for one transfer of ``nbytes``."""
+    def transfer(self, nbytes: int, routine: str = Routine.DATA_TRANSFER) -> float:
+        """Record one transfer of ``nbytes`` starting now; returns its end.
+
+        Raises :class:`BusError` for a non-positive size or when the
+        previous transfer has not ended yet, and :class:`PowerStateError`
+        for an unknown routine; a rejected transfer leaves the timeline
+        and counters as they were.
+        """
         duration = self.transfer_duration(nbytes)
-        yield from self.lock.acquire()
-        self.psm.set_state(self.ACTIVE, routine)
-        yield Delay(duration)
+        if routine not in Routine.ALL:
+            raise PowerStateError(f"pio bus: unknown routine {routine!r}")
+        history = self._history
+        start = self.sim._now
+        # The last change is the end of the previous transfer (or the
+        # initial idle entry): only this method appends here.
+        busy_until = history[-1][0]
+        if start < busy_until:
+            raise BusError(
+                f"transfer at t={start!r} overlaps the one ending at "
+                f"t={busy_until!r}"
+            )
+        end = start + duration
+        history.append((start, self.ACTIVE, self.cal.active_power_w, routine))
+        history.append((end, self.IDLE, 0.0, Routine.IDLE))
         self.bytes_transferred += nbytes
         self.transfer_count += 1
-        self.psm.set_state(self.IDLE, Routine.IDLE)
-        self.lock.release()
+        return end
 
 
 class NetworkInterface:

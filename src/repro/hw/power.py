@@ -65,46 +65,36 @@ class PowerStateMachine:
     ):
         if initial_state not in states:
             raise PowerStateError(f"unknown initial state {initial_state!r}")
+        if initial_routine not in Routine.ALL:
+            raise PowerStateError(f"unknown initial routine {initial_routine!r}")
         self._sim = sim
         self._history = recorder.timeline(component).changes
         self.component = component
         self._states = dict(states)
         self.state = initial_state
         self.routine = initial_routine
-        self._record()
+        self._history.append(
+            (sim.now, initial_state, states[initial_state], initial_routine)
+        )
 
-    @property
-    def power_w(self) -> float:
-        """Current power draw in watts."""
-        return self._states[self.state]
+    def set_state(self, state: str, routine: Optional[str] = None) -> None:
+        """Enter ``state``; optionally retag the active routine.
 
-    def state_power(self, state: str) -> float:
-        """Declared draw of ``state`` (without entering it)."""
+        An unknown state or routine raises :class:`PowerStateError` and
+        leaves the machine and its timeline as they were.
+        """
         try:
-            return self._states[state]
+            power_w = self._states[state]
         except KeyError:
             raise PowerStateError(
                 f"{self.component}: unknown state {state!r}"
             ) from None
-
-    def set_state(self, state: str, routine: Optional[str] = None) -> None:
-        """Enter ``state``; optionally retag the active routine."""
-        if state not in self._states:
-            raise PowerStateError(f"{self.component}: unknown state {state!r}")
-        if routine is not None:
-            if routine not in Routine.ALL:
-                raise PowerStateError(
-                    f"{self.component}: unknown routine {routine!r}"
-                )
-            self.routine = routine
+        if routine is None:
+            routine = self.routine
+        elif routine not in Routine.ALL:
+            raise PowerStateError(
+                f"{self.component}: unknown routine {routine!r}"
+            )
         self.state = state
-        self._record()
-
-    def set_routine(self, routine: str) -> None:
-        """Retag the current interval without changing power state."""
-        self.set_state(self.state, routine)
-
-    def _record(self) -> None:
-        self._history.append(
-            (self._sim.now, self.state, self._states[self.state], self.routine)
-        )
+        self.routine = routine
+        self._history.append((self._sim._now, state, power_w, routine))

@@ -131,9 +131,10 @@ class SensorDevice:
         return cls(hub, get_spec(sensor_id), waveform, failure_rate)
 
     def _check_fails(self, attempt: int) -> bool:
-        """Deterministic pseudo-random availability-check outcome."""
-        if self.failure_rate <= 0.0:
-            return False
+        """Deterministic pseudo-random availability-check outcome.
+
+        Only consulted when ``failure_rate`` is positive.
+        """
         # A stable digest, not hash(): str hashes are salted per process.
         seed = zlib.crc32(self.spec.sensor_id.encode()) % 997
         noise = pseudo_noise(self.read_count + attempt * 0.137, seed=seed)
@@ -150,15 +151,16 @@ class SensorDevice:
         """
         yield from self.rail.acquire()
         ok = True
-        for attempt in range(self.MAX_RETRIES + 1):
-            if not self._check_fails(attempt):
-                break
-            self.failed_checks += 1
-            self.psm.set_state(self.READ, routine)
-            yield Delay(self.spec.read_time_s * self.CHECK_TIME_FRACTION)
-            self.psm.set_state(self.STANDBY, Routine.IDLE)
-        else:
-            ok = False
+        if self.failure_rate > 0.0:
+            for attempt in range(self.MAX_RETRIES + 1):
+                if not self._check_fails(attempt):
+                    break
+                self.failed_checks += 1
+                self.psm.set_state(self.READ, routine)
+                yield Delay(self.spec.read_time_s * self.CHECK_TIME_FRACTION)
+                self.psm.set_state(self.STANDBY, Routine.IDLE)
+            else:
+                ok = False
         self.psm.set_state(self.READ, routine)
         yield Delay(self.spec.read_time_s)
         now = self.hub.sim.now

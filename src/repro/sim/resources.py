@@ -14,6 +14,11 @@ from ..errors import SimulationError
 from .process import Signal, Wait
 
 
+#: What the owner slot holds while a process owns the resource; during a
+#: hand-off it holds the waiter's gate instead.
+_HELD = object()
+
+
 class Resource:
     """A single-owner lock with FIFO hand-off."""
 
@@ -33,20 +38,19 @@ class Resource:
         """Number of processes waiting for the resource."""
         return len(self._waiters)
 
-    def acquire(self, owner: object = None) -> Generator:
+    def acquire(self) -> Generator:
         """Generator: blocks until the caller owns the resource."""
-        token = owner if owner is not None else object()
         if self._owner is None:
-            self._owner = token
+            self._owner = _HELD
             return
         self.contention_count += 1
         gate = Signal(f"{self.name}.gate")
         self._waiters.append(gate)
         yield Wait(gate)
-        # fire() below set _owner to this gate; claim it for the token.
+        # release() below set _owner to this gate; claim it.
         if self._owner is not gate:
             raise SimulationError(f"{self.name}: hand-off raced")
-        self._owner = token
+        self._owner = _HELD
 
     def release(self) -> None:
         """Release the resource, handing it to the next waiter if any."""

@@ -7,6 +7,7 @@ from repro.calibration import default_calibration
 from repro.energy import PowerLedger
 from repro.hubos import CpuRestPolicy, SleepGovernor, characterize_apps, cpu_transfer
 from repro.hubos.interrupts import service_interrupt
+from repro.hubos.transfer import cpu_transfer_time
 from repro.hw import IoTHub
 from repro.hw.cpu import Cpu, CpuState
 from repro.sim import Simulator
@@ -153,6 +154,32 @@ def test_bulk_transfer_matches_paper_100ms():
     hub.sim.spawn(mover())
     hub.run()
     assert hub.sim.now == pytest.approx(0.102, rel=0.05)
+
+
+def test_concurrent_cpu_transfers_serialize_on_the_core():
+    # The CPU holds its core for the whole transfer, wire time included,
+    # and that is what keeps two transfers from overlapping on the bus.
+    hub = IoTHub(cpu_initial_state=CpuState.IDLE)
+
+    def mover():
+        yield from cpu_transfer(hub, nbytes=12, sample_count=1, bulk=False)
+
+    hub.sim.spawn(mover())
+    hub.sim.spawn(mover())
+    hub.run()
+    assert hub.cpu.core.contention_count == 1
+    assert hub.bus.transfer_count == 2
+    assert hub.bus.bytes_transferred == 24
+    (first_start, first_end), (second_start, second_end) = [
+        (t0, t1)
+        for t0, t1, state, _, _ in hub.recorder.intervals("pio_bus", hub.sim.now)
+        if state == "active"
+    ]
+    cpu_time = cpu_transfer_time(hub.calibration, 12, 1, bulk=False)
+    assert first_start == 0.0
+    assert first_end < second_start == cpu_time
+    assert second_end == pytest.approx(cpu_time + hub.bus.transfer_duration(12))
+    assert hub.sim.now == pytest.approx(2 * cpu_time)
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from repro.calibration import default_calibration
 from repro.energy import PowerLedger
-from repro.errors import BusError
+from repro.errors import BusError, PowerStateError
 from repro.hw import InterruptController, IoTHub, NetworkInterface, PioBus
 from repro.sim import Delay, Simulator
 
@@ -26,29 +26,67 @@ def test_transfer_duration_scales_with_bytes():
 
 
 def test_transfer_rejects_non_positive_sizes():
-    _, _, bus = make_bus()
+    _, recorder, bus = make_bus()
     with pytest.raises(BusError):
         bus.transfer_duration(0)
     with pytest.raises(BusError):
         bus.transfer_duration(-5)
+    with pytest.raises(BusError):
+        bus.transfer(0)
+    with pytest.raises(PowerStateError):
+        bus.transfer(10, routine="partying")
+    assert recorder.changes("pio_bus") == ((0.0, "idle", 0.0, "idle"),)
+    assert bus.bytes_transferred == 0
+    assert bus.transfer_count == 0
+
+
+def active_intervals(recorder, end_time):
+    return [
+        (t0, t1)
+        for t0, t1, state, _, _ in recorder.intervals("pio_bus", end_time)
+        if state == PioBus.ACTIVE
+    ]
 
 
 def test_transfers_serialize_on_the_bus():
     sim, recorder, bus = make_bus()
     finish_times = []
 
-    def sender(nbytes):
-        yield from bus.transfer(nbytes)
-        finish_times.append(sim.now)
+    def sender():
+        for _ in range(2):
+            finish_times.append(bus.transfer(1000))
+            yield Delay(finish_times[-1] - sim.now)
 
-    sim.spawn(sender(1000))
-    sim.spawn(sender(1000))
+    sim.spawn(sender())
     sim.run()
     single = bus.transfer_duration(1000)
     assert finish_times[0] == pytest.approx(single)
     assert finish_times[1] == pytest.approx(2 * single)
+    assert active_intervals(recorder, sim.now) == [
+        (0.0, finish_times[0]), (finish_times[0], finish_times[1])
+    ]
     assert bus.bytes_transferred == 2000
     assert bus.transfer_count == 2
+
+
+def test_overlapping_transfer_is_rejected():
+    sim, recorder, bus = make_bus()
+    end = bus.transfer(1000)
+    recorded = recorder.changes("pio_bus")
+    with pytest.raises(BusError):
+        bus.transfer(500)  # still at t=0, inside the first transfer
+
+    def late_sender():
+        yield Delay(end / 2)
+        bus.transfer(500)
+
+    sim.spawn(late_sender())
+    with pytest.raises(BusError):
+        sim.run()
+    assert recorder.changes("pio_bus") == recorded
+    assert active_intervals(recorder, end) == [(0.0, end)]
+    assert bus.bytes_transferred == 1000
+    assert bus.transfer_count == 1
 
 
 def test_bus_power_active_only_during_transfer():
@@ -56,7 +94,8 @@ def test_bus_power_active_only_during_transfer():
 
     def sender():
         yield Delay(1.0)
-        yield from bus.transfer(2880)  # ~10 ms on the default UART
+        end = bus.transfer(2880)  # ~10 ms on the default UART
+        yield Delay(end - sim.now)
 
     sim.spawn(sender())
     sim.run()

@@ -32,21 +32,33 @@ def test_psm_records_initial_state(rig):
 def test_psm_rejects_unknown_state(rig):
     sim, recorder = rig
     psm = PowerStateMachine(
-        sim, recorder, "widget", {"on": 1.0}, initial_state="on"
+        sim, recorder, "widget", {"on": 1.0, "off": 0.0}, initial_state="on"
     )
+    recorded = recorder.changes("widget")
     with pytest.raises(PowerStateError):
-        psm.set_state("warp")
+        psm.set_state("warp", routine=Routine.APP_COMPUTE)
+    assert (psm.state, psm.routine) == ("on", Routine.IDLE)
+    assert recorder.changes("widget") == recorded
     with pytest.raises(PowerStateError):
         PowerStateMachine(sim, recorder, "w2", {"on": 1.0}, initial_state="off")
+    assert "w2" not in recorder.components
 
 
 def test_psm_rejects_unknown_routine(rig):
     sim, recorder = rig
     psm = PowerStateMachine(
-        sim, recorder, "widget", {"on": 1.0}, initial_state="on"
+        sim, recorder, "widget", {"on": 1.0, "off": 0.0}, initial_state="on"
     )
+    recorded = recorder.changes("widget")
     with pytest.raises(PowerStateError):
-        psm.set_state("on", routine="partying")
+        psm.set_state("off", routine="partying")
+    assert (psm.state, psm.routine) == ("on", Routine.IDLE)
+    assert recorder.changes("widget") == recorded
+    with pytest.raises(PowerStateError):
+        PowerStateMachine(
+            sim, recorder, "w2", {"on": 1.0}, "on", initial_routine="partying"
+        )
+    assert "w2" not in recorder.components
 
 
 def test_cpu_break_even_matches_paper():
