@@ -15,6 +15,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     ANALYTIC_RTOL,
@@ -182,8 +184,12 @@ def test_full_scan_equals_des_exactly(apps, scheme, windows):
     """Both tiers feed one ``integrate`` in one component order, so a
     full scan reproduces the DES bit for bit, not just within the band."""
     scenario = Scenario.of(list(apps), scheme=scheme, windows=windows)
-    ana = full_scan(scenario)
-    des = execute_scenario(scenario)
+    assert_bit_identical(full_scan(scenario), execute_scenario(scenario))
+
+
+def assert_bit_identical(ana, des):
+    """An analytic result equals the DES's exactly: energy and busy time
+    key by key in order, duration, counters, results and violations."""
     assert list(ana.energy.by_component_routine.items()) == list(
         des.energy.by_component_routine.items()
     )
@@ -192,6 +198,42 @@ def test_full_scan_equals_des_exactly(apps, scheme, windows):
     assert (ana.interrupt_count, ana.cpu_wake_count, ana.bus_bytes) == (
         des.interrupt_count, des.cpu_wake_count, des.bus_bytes
     )
+    assert ana.result_times == des.result_times
+    assert {
+        app: [r.window_index for r in results]
+        for app, results in ana.app_results.items()
+    } == {
+        app: [r.window_index for r in results]
+        for app, results in des.app_results.items()
+    }
+    assert ana.qos_violations == des.qos_violations
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    apps=st.lists(
+        st.sampled_from([f"A{index}" for index in range(1, 12)]),
+        min_size=1, max_size=4, unique=True,
+    ),
+    scheme=st.sampled_from(SCHEMES),
+    windows=st.integers(1, 3),
+)
+def test_generated_scenarios_equal_des_exactly(apps, scheme, windows):
+    """Over generated app mixes, schemes and window counts, each
+    scenario either raises the same error in both tiers, lies outside
+    the analytic envelope, or scans to the DES result bit for bit."""
+    scenario = Scenario.of(apps, scheme=scheme, windows=windows)
+    try:
+        ana = analytic_scenario_result(scenario)
+    except AnalyticUnsupported:
+        return
+    except ReproError as exc:
+        with pytest.raises(ReproError) as des_exc:
+            execute_scenario(scenario)
+        assert type(des_exc.value) is type(exc)
+        assert str(des_exc.value) == str(exc)
+        return
+    assert_bit_identical(ana, execute_scenario(scenario))
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
