@@ -166,6 +166,28 @@ def test_fig11_sweep_parallel_wallclock(benchmark, figure_printer):
         assert t_parallel < t_serial
 
 
+class _CallCountingRecorder(TraceRecorder):
+    """A trace recorder that also counts the calls made to each hook."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = {"count": 0, "gauge_max": 0, "span": 0}
+
+    def span(self, *args, **kwargs) -> None:
+        self.calls["span"] += 1
+        super().span(*args, **kwargs)
+
+    def count(self, *args, **kwargs) -> None:
+        self.calls["count"] += 1
+        super().count(*args, **kwargs)
+
+    def gauge_max(self, *args, **kwargs) -> None:
+        self.calls["gauge_max"] += 1
+        super().gauge_max(*args, **kwargs)
+
+
 def _canonical_run(obs=None):
     """One canonical instrumented scenario execution."""
     return run_apps(CANONICAL_APPS, CANONICAL_SCHEME, obs=obs)
@@ -248,20 +270,24 @@ def test_sim_metrics_baseline(benchmark, figure_printer):
     """The canonical scenario's instrumentation snapshot matches the
     committed ``BENCH_sim_throughput.json`` baseline exactly.
 
-    The simulator is deterministic, so event counts, heap depth and
-    virtual-time span totals are stable across hosts; any drift means
-    the simulation itself changed and the baseline must be regenerated
-    (run with ``REPRO_BENCH_UPDATE=1``) and reviewed.
+    The simulator is deterministic, so event counts, heap depth,
+    virtual-time span totals and the number of calls the run makes to
+    each recorder hook are stable across hosts; any drift means the
+    simulation or its instrumentation changed and the baseline must be
+    regenerated (run with ``REPRO_BENCH_UPDATE=1``) and reviewed.
     """
 
     def measure():
-        recorder = TraceRecorder()
+        recorder = _CallCountingRecorder()
         started = time.perf_counter()
         _canonical_run(obs=recorder)
         return recorder, time.perf_counter() - started
 
     recorder, wall_s = run_once(benchmark, measure)
     snapshot = Metrics.from_recorder(recorder).snapshot()
+    snapshot["recorder_calls"] = dict(
+        recorder.calls, total=sum(recorder.calls.values())
+    )
     events = recorder.counters["sim.events"]
     if os.environ.get("REPRO_BENCH_UPDATE"):
         _update_baseline(

@@ -3,17 +3,18 @@
 An :class:`AnalyticRun` owns the per-component power schedules
 (:class:`~repro.energy.ledger.Schedule`), the FIFO cursors (sensor
 rails, MCU core, CPU core, bus, NIC) and the counters a
-:class:`~repro.core.results.RunResult` reports.  The family models in
-:mod:`.interrupting` / :mod:`.cpu_polling` / :mod:`.buffered` drive it
-with operation intervals instead of simulated processes.
+:class:`~repro.core.results.RunResult` reports.  The scan in
+:mod:`.scan` drives it with operation intervals instead of simulated
+processes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ...apps.base import AppResult, IoTApp
 from ...energy.ledger import CycleTally, Entry, Schedule
+from ...hubos.polling import STORE_TIME_S
 from ...hw.bus import wire_time
 from ...hw.cpu import CpuState
 from ...hw.mcu import McuState
@@ -24,7 +25,7 @@ from ..schemes.base import SchemePlan, qos_violation
 
 
 class AnalyticRun:
-    """Mutable scan state shared by the family models."""
+    """Mutable scan state the scan drives."""
 
     def __init__(self, scenario, plan: SchemePlan):
         self.scenario = scenario
@@ -87,18 +88,6 @@ class AnalyticRun:
         self.result_times: Dict[str, List[float]] = {
             app.name: [] for app in scenario.apps
         }
-        #: Per app: the ``(sensor_id, samples per window)`` a window
-        #: needs before it completes.
-        self._needs: Dict[str, Tuple[Tuple[str, int], ...]] = {
-            app.name: tuple(
-                (sensor_id, app.profile.samples_per_window(sensor_id))
-                for sensor_id in app.profile.sensor_ids
-            )
-            for app in scenario.apps
-        }
-        #: Per-(app, window) sample tallies toward window completion.
-        self._tallies: Dict[Tuple[str, int], Dict[str, int]] = {}
-        self._completed: Set[Tuple[str, int]] = set()
         #: High-water mark of emitted activity, for the run duration.
         self.last_activity = 0.0
         #: Per-cycle bookkeeping; only a truncated scan attaches one
@@ -166,8 +155,9 @@ class AnalyticRun:
         duration: float,
         routine: str,
         after_routine: str = None,
-    ) -> float:
-        """One CPU-core execution: FIFO grant, busy burst, idle after."""
+    ) -> Tuple[float, float]:
+        """One CPU-core execution: FIFO grant, busy burst, idle after;
+        returns the grant and end times."""
         free = self.cpu_core_free
         start = free if free > ready else ready
         end = start + duration
@@ -185,7 +175,24 @@ class AnalyticRun:
         self.cpu_core_free = end
         if end > self.last_activity:
             self.last_activity = end
-        return end
+        return start, end
+
+    def cpu_read(self, sensor_id: str, ready: float) -> Tuple[float, float]:
+        """One blocking read on the CPU core (FIFO): busy through the rail
+        read and the store, then idle; returns read and store ends."""
+        cal = self.cal.cpu
+        free = self.cpu_core_free
+        start = free if free > ready else ready
+        read_end = self.rail_read(sensor_id, start)
+        end = read_end + STORE_TIME_S
+        cpu = self.cpu
+        cpu.set(start, CpuState.BUSY, cal.active_power_w, Routine.DATA_COLLECTION)
+        cpu.set(read_end, CpuState.BUSY, cal.active_power_w, Routine.DATA_TRANSFER)
+        cpu.set(end, CpuState.IDLE, cal.idle_power_w, Routine.DATA_TRANSFER)
+        self.cpu_core_free = end
+        if end > self.last_activity:
+            self.last_activity = end
+        return read_end, end
 
     def cpu_wake(self, t: float, routine: str) -> float:
         """Wake the CPU from (deep) sleep; returns the awake time."""
@@ -209,11 +216,6 @@ class AnalyticRun:
             self.last_activity = awake
         return awake
 
-    @property
-    def cpu_asleep(self) -> bool:
-        """Whether the latest emitted CPU state is a sleep state."""
-        return self.cpu.state in (CpuState.SLEEP, CpuState.DEEP_SLEEP)
-
     def bus_transfer(self, start: float, nbytes: int) -> float:
         """Bus-side activity concurrent with a CPU transfer op."""
         if nbytes < 1:
@@ -236,8 +238,8 @@ class AnalyticRun:
         if self.cycles is not None:
             self.cycles.interrupts[self.cycles.index(t)] += 1
 
-    def nic_send(self, ready: float, nbytes: int) -> float:
-        """One uplink publish; FIFO on the NIC lock."""
+    def nic_send(self, ready: float, nbytes: int) -> Tuple[float, float]:
+        """One uplink publish, FIFO on the NIC; returns grant and end."""
         free = self.nic_free
         start = free if free > ready else ready
         cal = self.cal.board
@@ -250,29 +252,11 @@ class AnalyticRun:
         self.nic_free = end
         if end > self.last_activity:
             self.last_activity = end
-        return end
+        return start, end
 
     # ------------------------------------------------------------------
     # windows, results + QoS
     # ------------------------------------------------------------------
-    def tally_sample(self, app: IoTApp, window_index: int, sensor_id: str) -> bool:
-        """Count one sample delivered to ``app``'s window; True exactly
-        once, when the window has every sample it expects
-        (:meth:`~repro.core.schemes.base.WindowState.register`)."""
-        name = app.name
-        key = (name, window_index)
-        tally = self._tallies.get(key)
-        if tally is None:
-            tally = self._tallies[key] = {}
-        tally[sensor_id] = tally.get(sensor_id, 0) + 1
-        if key in self._completed:
-            return False
-        for needed_id, needed in self._needs[name]:
-            if tally.get(needed_id, 0) < needed:
-                return False
-        self._completed.add(key)
-        return True
-
     def record_result(self, app: IoTApp, window_index: int, t: float) -> None:
         """Log one delivered window result; same deadline rule as the DES."""
         self.app_results[app.name].append(

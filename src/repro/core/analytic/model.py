@@ -3,7 +3,7 @@
 :func:`analytic_scenario_result` mirrors
 :func:`~repro.core.schemes.base.execute_scenario` — same scheme
 declaration (:class:`~repro.core.schemes.base.SchemePlan`), same
-feasibility errors, same result shape — but interprets the plan's family
+feasibility errors, same result shape — but scans the plan's processes
 arithmetically instead of running the event kernel.
 :func:`supports_analytic` is the planner's gate: scenarios outside the
 validated envelope (failure injection, partial-batch flushes, RAM-overflow
@@ -15,7 +15,7 @@ cycle is multiplied out, so they cost a few windows, not the horizon.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from ...energy.ledger import CycleTally, integrate
 from ...energy.meter import EnergyReport
@@ -24,10 +24,8 @@ from ...obs.recorder import NULL_RECORDER, NullRecorder
 from ..results import RunResult
 from ..schemes.base import SchemePlan
 from ..schemes.registry import get_scheme
-from .buffered import run_buffered
 from .context import AnalyticRun
-from .cpu_polling import run_cpu_polling
-from .interrupting import run_interrupting
+from .scan import scan
 
 #: Validated agreement band of the analytic tier against the DES (see
 #: ``tests/test_analytic.py``): every energy/duration figure lands
@@ -70,14 +68,6 @@ _CYCLE_RTOL = 1e-11
 _PHASE_ATOL_S = 1e-11
 
 
-#: The closed-form interpreter of each :attr:`SchemePlan.family`.
-_SCANS: Dict[str, Callable[[AnalyticRun, SchemePlan], None]] = {
-    "interrupting": run_interrupting,
-    "cpu_polling": run_cpu_polling,
-    "buffered": run_buffered,
-}
-
-
 def _plan_for(scenario) -> SchemePlan:
     """Resolve the scheme's plan (feasibility errors propagate)."""
     return get_scheme(scenario.scheme)().plan(scenario)
@@ -98,27 +88,21 @@ def supports_analytic(scenario) -> Tuple[bool, str]:
         plan = _plan_for(scenario)
     except OffloadError:
         return True, ""
-    if plan.family == "buffered":
-        cal = scenario.calibration
-        resident = sum(
-            app.profile.mcu_footprint_bytes for app in plan.com_apps
-        )
-        peak = sum(
-            app.profile.samples_per_window(sensor_id)
-            * app.profile.sample_bytes(sensor_id)
-            for app in plan.batch_apps
-            for sensor_id in app.profile.sensor_ids
-        )
-        if resident + peak > cal.mcu.ram_bytes:
-            return False, (
-                "MCU RAM may overflow (dropped samples); DES required"
-            )
+    resident = sum(app.profile.mcu_footprint_bytes for app in plan.com_apps)
+    peak = sum(
+        app.profile.samples_per_window(sensor_id)
+        * app.profile.sample_bytes(sensor_id)
+        for app in plan.batch_apps
+        for sensor_id in app.profile.sensor_ids
+    )
+    if resident + peak > scenario.calibration.mcu.ram_bytes:
+        return False, "MCU RAM may overflow (dropped samples); DES required"
     return True, ""
 
 
 def _scan(run: AnalyticRun, plan: SchemePlan) -> Tuple[dict, dict, float]:
     """Scan ``run``'s scenario; returns (energy, busy, end time)."""
-    _SCANS[plan.family](run, plan)
+    scan(run, plan)
     end_time = max(run.last_activity, run.scenario.horizon_s)
     energy, busy = integrate(run.timelines(), end_time, run.cycles)
     return energy, busy, end_time

@@ -1,0 +1,539 @@
+"""The analytic tier's one scan: every process of a plan on one heap.
+
+Replays the scenario at *operation* granularity, in the kernel's event
+order.  Sensor rails, the MCU core and the CPU core are FIFO resources
+granted in request-arrival order (matching
+:class:`~repro.sim.resources.Resource`), so a stream blocked in a long
+rail read never holds a core, and chains from different processes
+interleave exactly as the kernel's processes do.  The chains are the
+DES's: the driver's decode after each read, the plan's sample and
+hand-off ops on the MCU; on the CPU each vector's
+:data:`~repro.core.schemes.base.CPU_SERVICES` record, each app's
+:meth:`~repro.core.schemes.base.SchemePlan.window_compute` and the
+governor's rests; under main-board polling, the CPU's blocking reads.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from heapq import heappop, heappush
+from itertools import count
+from typing import Dict, Optional, Sequence, Tuple
+
+from ...energy.ledger import SLEEP_STATES
+from ...errors import AnalyticUnsupported
+from ...firmware.driver import McuOp, decode_op
+from ...hubos.governor import CpuRestPolicy, rest_state
+from ...hubos.transfer import cpu_transfer_time
+from ...hw.cpu import CpuState
+from ...hw.mcu import McuState
+from ...hw.power import Routine
+from ..schemes.base import CPU_SERVICES, Handoff, SchemePlan, Stream
+from .context import AnalyticRun
+
+#: The key of ``build_context``'s ``rest()``, before every event (and,
+#: until the core's first grant, its ``core_key``).
+_BEFORE_EVENTS = (0.0, 0.0, -1)
+
+
+class _Cursor:
+    """Iteration state of one MCU polling stream.
+
+    ``ops`` is ``None`` while the next heap entry is a poll, else the
+    chain whose op at ``pos`` the entry runs (``payload``: a hand-off's
+    :class:`Handoff`); ``irq`` is the vector its previous op raised.
+    """
+
+    __slots__ = ("stream", "app", "w", "k", "ops", "pos", "payload",
+                 "in_handoff", "irq")
+
+    def __init__(self, stream: Stream, app):
+        self.stream = stream
+        self.app = app
+        self.w = 0
+        self.k = 0
+        self.ops: Optional[Sequence[McuOp]] = None
+        self.pos = 0
+        self.payload: Optional[Handoff] = None
+        self.in_handoff = False
+        self.irq: Optional[str] = None
+
+
+def scan(run: AnalyticRun, plan: SchemePlan) -> None:
+    """Populate ``run`` with the schedule and results of ``plan``.
+
+    Heap entries are ``(fire, scheduled, seq, what)``: ``scheduled`` is
+    the instant the kernel would have *inserted* the event — read start
+    for a read-end, execute start for an execute-end, chain end for a
+    poll timeout.  The kernel breaks equal-fire ties by insertion order,
+    so two reads ending at one instant are serviced in read-*start*
+    order, not poll-pop order.  ``seq`` is unique, so the comparison
+    never reaches ``what``: an MCU stream's cursor, or a CPU process
+    resumed inside the event its entry stands for, after every event
+    the kernel orders first.
+    """
+    cal = run.cal
+    decode = decode_op(cal)
+    chain = (decode,) + plan.sample_ops(cal)
+    windows = run.scenario.windows
+    rail_free = run.rail_free
+    mcu_op = run.mcu_op
+    new_tuple = tuple.__new__
+    heap: list = []
+    next_seq = count().__next__
+    cpu = _Cpu(run, plan, heap, next_seq)
+    handoffs = _BufferedHandoffs(run, plan)
+    streams = [
+        (stream, app)
+        for _, app, group in plan.sensing(run.scenario.apps)
+        for stream in group
+    ]
+    # Kernel spawn order: every stream requests its first read at its
+    # first target, t=0, in list order; that list is already a heap.
+    heap.extend(
+        (0.0, 0.0, next_seq(),
+         _Cursor(stream, app) if plan.mcu_owns_sensing
+         else cpu.start(cpu.poll_loop(stream)))
+        for stream, app in streams
+    )
+    cpu.rest(0.0, _BEFORE_EVENTS)
+    #: The MCU nap governor's per-stream "next scheduled poll" table.
+    #: Entries appear the first time a stream actually waits (exactly
+    #: like ``SchemeContext._mcu_next_polls``); a stream mid-chain keeps
+    #: its stale (past) target, which blocks any sleep decision.
+    next_polls = {}
+    while heap:
+        entry = heappop(heap)
+        t, _, _, cursor = entry
+        if cursor.__class__ is not _Cursor:
+            # A CPU step: once the scan has passed the end of the
+            # dispatcher's chain, that chain's pending check closes first.
+            if cpu.done_key is not None and cpu.done_key < entry:
+                cpu.settle()
+            cpu.resume(cursor, t, entry)
+            continue
+        stream = cursor.stream
+        ops = cursor.ops
+        if ops is None:
+            # A poll: the rail read, then the sample chain.
+            free = rail_free[stream.sensor_id]
+            read_start = free if free > t else t
+            read_end = run.rail_read(stream.sensor_id, t)
+            cursor.ops = chain
+            cursor.pos = 0
+            heappush(heap, (read_end, read_start, next_seq(), cursor))
+            continue
+        irq = cursor.irq
+        if irq is not None:
+            # The previous op raised an interrupt as it ended: the
+            # kernel wakes the dispatcher before this op's request.
+            cursor.irq = None
+            run.count_interrupt(t)
+            # A per-sample hand-off, built without the named tuple's
+            # Python-level constructor: this runs once per sample.
+            cpu.interrupt(t, entry, irq, cursor.payload if cursor.in_handoff
+                          else new_tuple(Handoff, (stream.sample_bytes, 1,
+                                         stream, cursor.w, cursor.k, None,
+                                         True)))
+        # One core op: FIFO grant at request-arrival order (= pop order).
+        op = ops[cursor.pos]
+        cursor.pos += 1
+        free = run.mcu_core_free
+        start = free if free > t else t
+        end = mcu_op(t, op.duration, op.routine, op.after_routine)
+        if op is decode:
+            if cursor.app is not None:
+                handoffs.on_decode(stream, cursor.app)
+        elif op.vector is not None:
+            # A raise is always followed by its transfer, whose entry
+            # delivers it at ``end``.
+            cursor.irq = op.vector
+        if cursor.pos < len(ops):
+            heappush(heap, (end, start, next_seq(), cursor))
+            continue
+        # Chain complete: window hand-off, then schedule the next poll.
+        cursor.ops = None
+        if cursor.in_handoff:
+            cursor.in_handoff = False
+        else:
+            w = cursor.w
+            cursor.k += 1
+            if cursor.k >= stream.samples_per_window:
+                cursor.k = 0
+                cursor.w += 1
+                if cursor.app is not None:
+                    handoff = handoffs.on_window(cursor.app, w)
+                    if handoff is not None:
+                        cursor.ops, cursor.payload = handoff
+                        cursor.pos = 0
+                        cursor.in_handoff = True
+                        heappush(heap, (end, start, next_seq(), cursor))
+                        continue
+        if cursor.w >= windows:
+            next_polls.pop(cursor, None)
+            continue
+        target = cursor.w * stream.window_s + cursor.k / stream.rate_hz
+        if target > end:
+            # The stream is about to wait: refresh its poll entry and
+            # evaluate the nap governor at the pre-wait instant.
+            next_polls[cursor] = target
+            _maybe_sleep(run, end, next_polls)
+            heappush(heap, (target, end, next_seq(), cursor))
+        else:
+            # No wait: the process rolls straight from the execute-end
+            # event (scheduled at the op's start) into the next read.
+            heappush(heap, (end, start, next_seq(), cursor))
+    if cpu.done_key is not None:
+        cpu.settle()
+    cpu.close()
+
+
+def _maybe_sleep(run: AnalyticRun, now: float, next_polls) -> None:
+    """The MCU nap rule: light-sleep if every next poll is far enough."""
+    if run.mcu.state != McuState.IDLE:
+        return
+    upcoming = min(next_polls.values(), default=now)
+    if upcoming - now <= run.cal.mcu.sleep_threshold_s:
+        return
+    cal = run.cal.mcu
+    run.mcu.set(now, McuState.SLEEP, cal.sleep_power_w, Routine.DATA_COLLECTION)
+    # mcu_wake(): the earliest-waking stream brings the board back to
+    # idle exactly at its poll target — unless a mid-sleep operation (a
+    # rail read ending on another stream) woke the core first, in which
+    # case the kernel's scheduled wake never fires.
+    run.mcu.wake(
+        upcoming, McuState.IDLE, cal.idle_power_w, Routine.DATA_COLLECTION
+    )
+
+
+class _BufferedHandoffs:
+    """A buffered plan's MCU RAM ledger and per-app window coordinator.
+
+    COM footprints stay resident; batch buffers grow per decoded sample.
+    An overflow would make the DES drop samples, which the closed form
+    does not model, so the scan bails to the DES.  An app's last stream
+    to finish a window hands it off: its buffer, or its COM result.
+    """
+
+    def __init__(self, run: AnalyticRun, plan: SchemePlan):
+        self.plan = plan
+        self.cal = run.cal
+        self.free = run.cal.mcu.ram_bytes - sum(
+            app.profile.mcu_footprint_bytes for app in plan.com_apps
+        )
+        #: Per batch app: the bytes and samples its buffer holds.
+        self.buffers: Dict[str, list] = {
+            app.name: [0, 0] for app in plan.batch_apps
+        }
+        #: Streams of each (app, window) that finished their sample loop.
+        self.finished: Dict[Tuple[str, int], int] = {}
+
+    def on_decode(self, stream: Stream, app) -> None:
+        buffer = self.buffers.get(app.name)
+        if buffer is None:
+            return  # COM samples stream through the resident ring
+        buffer[0] += stream.sample_bytes
+        buffer[1] += 1
+        self.free -= stream.sample_bytes
+        if self.free < 0:
+            raise AnalyticUnsupported(
+                f"{app.name} batch buffer overflows MCU RAM; DES required"
+            )
+
+    def on_window(self, app, w: int) -> Optional[tuple]:
+        """The ``(ops, handoff)`` to run once ``app``'s last stream
+        finishes window ``w``, else ``None``."""
+        key = (app.name, w)
+        finished = self.finished[key] = self.finished.get(key, 0) + 1
+        if finished < len(app.profile.sensor_ids):
+            return None
+        buffer = self.buffers.get(app.name)
+        if buffer is None:
+            return (
+                self.plan.handoff_ops(app, self.cal, 1),
+                Handoff(app.profile.output_bytes, 1, app, w),
+            )
+        # Drained synchronously (concurrently polling streams start
+        # filling a fresh batch), as the DES hand-off does.
+        nbytes, samples = buffer
+        self.free += nbytes
+        buffer[:] = [0, 0]
+        return (
+            self.plan.handoff_ops(app, self.cal, samples),
+            Handoff(max(1, nbytes), max(1, samples), app, w),
+        )
+
+
+class _Cpu:
+    """The CPU side of the scan: one FIFO core shared by the interrupt
+    dispatcher, each app's window compute loop and, under main-board
+    polling, the streams' blocking reads; the governor rests it.
+
+    Each process is a generator mirroring its DES process.  Resumed with
+    ``(t, key)``, the kernel key ``(t, scheduled, seq)`` of the event it
+    runs in, it yields the key of the event it continues in (its next
+    heap entry), or ``None`` to wait for another process.  The core is
+    held in every event ordered before ``core_key``, the end event of
+    its last grant.
+    """
+
+    def __init__(self, run: AnalyticRun, plan: SchemePlan, heap, next_seq):
+        self.run = run
+        self.plan = plan
+        self.cal = run.cal
+        self.heap = heap
+        self.next_seq = next_seq
+        self.core_key = _BEFORE_EVENTS
+        #: Compute loops busy with a window, and polls not yet done.
+        self.others = 0
+        #: The dispatcher's latched hand-offs and their vectors (apart, so
+        #: a backlog holds one collectable object per request); whether it
+        #: waits for one; and the end of a chain whose pending check is
+        #: still open.
+        self.pending: deque = deque()
+        self.vectors: deque = deque()
+        self.idle = True
+        self.done_key: Optional[tuple] = None
+        self.dispatcher = self.start(self._dispatcher())
+        #: Per CPU-computing app: its loop, the windows delivered to it,
+        #: and (while it waits for one) the window it waits for.
+        self.loops: dict = {}
+        self.delivered: dict = {}
+        self.waiting: dict = {}
+        for app in run.scenario.apps:
+            if app not in plan.com_apps:
+                self.delivered[app.name] = set()
+                self.loops[app.name] = self.start(self._compute_loop(app))
+        #: Per stream: each subscriber's app, name, stride and samples
+        #: per window; per (app name, window): the samples it misses.
+        self.subscribers: dict = {}
+        self.missing: Dict[Tuple[str, int], int] = {}
+        self.policy = (
+            CpuRestPolicy(plan.work_times(run.scenario))
+            if plan.governed else None
+        )
+        cal = run.cal.cpu
+        self.rest_power = {
+            CpuState.DEEP_SLEEP: cal.deep_sleep_power_w,
+            CpuState.SLEEP: cal.sleep_power_w,
+            CpuState.IDLE: cal.idle_power_w,
+        }
+
+    def start(self, process):
+        """Prime a process generator; returns its ``send``."""
+        next(process)
+        return process.send
+
+    def resume(self, send, t: float, key) -> None:
+        """Run a process on from the event ``key`` at ``t``."""
+        end = send((t, key))
+        if end is not None:
+            heappush(self.heap, end + (send,))
+
+    def close(self) -> None:
+        """Break the processes' reference cycles: free the run at once."""
+        self.dispatcher.__self__.close()
+        for send in self.loops.values():
+            send.__self__.close()
+
+    def grant(self, t: float, duration: float, routine: str) -> tuple:
+        """Grant the core FIFO at ``t`` for one op; returns its end key."""
+        start, end = self.run.cpu_op(t, duration, routine)
+        key = self.core_key = (end, start, self.next_seq())
+        return key
+
+    def wake(self, t: float, routine: str) -> tuple:
+        """Wake the sleeping CPU at ``t``; returns the wake's end key."""
+        return (self.run.cpu_wake(t, routine), t, self.next_seq())
+
+    def send(self, t: float, nbytes: int) -> tuple:
+        """Send ``nbytes`` upstream, FIFO on the NIC; returns its end key."""
+        start, end = self.run.nic_send(t, nbytes)
+        return (end, start, self.next_seq())
+
+    def rest(self, t: float, key) -> None:
+        """``SchemeContext.rest`` at ``t``, inside the event ``key``."""
+        if self.core_key > key:
+            return  # another process holds the core: nothing to rest
+        run = self.run
+        plan = self.plan
+        if self.policy is not None:
+            state, routine = rest_state(
+                self.cal.cpu, self.policy.expected_idle(t),
+                plan.rest_routine, plan.allow_deep,
+            )
+        elif run.cpu.state in SLEEP_STATES:
+            return
+        else:
+            state, routine = CpuState.IDLE, plan.rest_routine
+        changes = run.cpu._events
+        if changes:
+            last_t, last_state, _, last_routine, _ = changes[-1]
+            if last_t == t and last_state == state and last_routine == routine:
+                # The CPU entered this very state at this instant: the
+                # DES's repeated change integrates to nothing.
+                return
+        run.cpu.set(t, state, self.rest_power[state], routine)
+
+    # ------------------------------------------------------------------
+    # the dispatcher (SchemeContext.dispatcher)
+    # ------------------------------------------------------------------
+    def interrupt(self, t: float, key, vector: str, handoff: Handoff) -> None:
+        """Latch one interrupt raised in the event ``key``; wake the
+        dispatcher if it waits for one."""
+        if self.done_key is not None and self.done_key < key:
+            self.settle()
+        self.pending.append(handoff)
+        self.vectors.append(vector)
+        if self.idle:
+            self.idle = False
+        elif self.done_key is not None:
+            # Latched before the last chain ends: the dispatcher serves
+            # it as that chain ends.
+            key, self.done_key = self.done_key, None
+            t = key[0]
+        else:
+            return
+        end = self.dispatcher((t, key))
+        if end is not None:
+            heappush(self.heap, end + (self.dispatcher,))
+
+    def settle(self) -> None:
+        """Close the pending check of the chain ending at ``done_key``:
+        nothing was latched by then, so the dispatcher rests and waits."""
+        key, self.done_key = self.done_key, None
+        self.idle = True
+        self.rest(key[0], key)
+
+    def _dispatcher(self):
+        """``SchemeContext.dispatcher`` over the same records.
+
+        While no other CPU process runs, nothing can queue for the core
+        or move the CPU between its ops, so it runs them back to back,
+        ahead of the scan, rather than one heap step per op end.  Once
+        nothing is latched it waits, leaving ``done_key`` for the scan
+        to close.
+        """
+        run = self.run
+        cpu = run.cpu
+        cal = self.cal
+        pending = self.pending
+        vectors = self.vectors
+        next_seq = self.next_seq
+        cpu_op = run.cpu_op
+        handling_s = cal.cpu.interrupt_handling_time_s
+        transfer_s = {}
+        t, key = yield
+        while True:
+            handoff = pending.popleft()
+            service = CPU_SERVICES[vectors.popleft()]
+            if cpu.state in SLEEP_STATES:
+                key = self.wake(t, Routine.INTERRUPT)
+                t, key = (yield key) if self.others else (key[0], key)
+            start, t = cpu_op(t, handling_s, Routine.INTERRUPT)
+            key = self.core_key = (t, start, next_seq())
+            if self.others:
+                t, key = yield key
+            free = run.cpu_core_free
+            run.bus_transfer(free if free > t else t, handoff.nbytes)
+            shape = (handoff.nbytes, handoff.samples, service.bulk)
+            duration = transfer_s.get(shape)
+            if duration is None:
+                duration = transfer_s[shape] = cpu_transfer_time(cal, *shape)
+            start, t = cpu_op(t, duration, Routine.DATA_TRANSFER)
+            key = self.core_key = (t, start, next_seq())
+            if self.others:
+                t, key = yield key
+            published = getattr(self, service.completion)(t, key, handoff)
+            if published:
+                key = self.send(t, published)
+                t, key = (yield key) if self.others else (key[0], key)
+            if not pending:
+                self.done_key = key
+                t, key = yield None
+
+    # The three completions of a CpuService; each returns the bytes it
+    # sends upstream.
+    def deliver_sample(self, t: float, key, handoff: Handoff) -> int:
+        # A window completes when it misses no sample (as in
+        # ``WindowState.register``): each stream delivers its share.
+        stream = handoff.owner
+        subscribers = self.subscribers.get(id(stream))
+        if subscribers is None:
+            subscribers = self.subscribers[id(stream)] = [
+                (app, app.name, stream.stride(app), sum(
+                    app.profile.samples_per_window(sensor_id)
+                    for sensor_id in app.profile.sensor_ids
+                ))
+                for app in stream.subscribers
+            ]
+        w, k = handoff.window, handoff.index
+        missing = self.missing
+        for app, name, stride, samples in subscribers:
+            if k % stride == 0:
+                window = (name, w)
+                left = missing[window] = missing.get(window, samples) - 1
+                if left == 0:
+                    self._deliver(app, w, t, key)
+        return 0
+
+    def deliver_window(self, t: float, key, handoff: Handoff) -> int:
+        if handoff.final:
+            self._deliver(handoff.owner, handoff.window, t, key)
+        return 0
+
+    def publish(self, t: float, key, handoff: Handoff) -> int:
+        self.run.record_result(handoff.owner, handoff.window, t)
+        return handoff.nbytes
+
+    # ------------------------------------------------------------------
+    # compute loops and main-board polls
+    # ------------------------------------------------------------------
+    def _deliver(self, app, w: int, t: float, key) -> None:
+        """Window ``w`` of ``app`` became CPU-visible at ``t``."""
+        self.delivered[app.name].add(w)
+        if self.waiting.get(app.name) == w:
+            del self.waiting[app.name]
+            self.resume(self.loops[app.name], t, key)
+
+    def _compute_loop(self, app):
+        """``SchemeContext.cpu_compute_process`` of ``app``."""
+        run = self.run
+        cpu = run.cpu
+        chain = self.plan.window_compute(app, self.cal)
+        delivered = self.delivered[app.name]
+        for w in range(run.scenario.windows):
+            if w not in delivered:
+                self.waiting[app.name] = w
+                t, key = yield None
+            self.others += 1
+            if cpu.state in SLEEP_STATES:
+                t, key = yield self.wake(t, Routine.APP_COMPUTE)
+            t, key = yield self.grant(t, chain.duration, Routine.APP_COMPUTE)
+            run.record_result(app, w, t)
+            t, key = yield self.send(t, chain.output_bytes)
+            self.rest(t, key)
+            self.others -= 1
+        yield None  # finished: nothing resumes it
+
+    def poll_loop(self, stream: Stream):
+        """``SchemeContext.poll_stream`` under main-board polling
+        (§II-A): the core is held through each rail read and the store,
+        then the sample is delivered as its interrupt's service would."""
+        run = self.run
+        self.others += 1
+        t, key = yield
+        for w in range(run.scenario.windows):
+            for k in range(stream.samples_per_window):
+                target = w * stream.window_s + k / stream.rate_hz
+                if target > t:
+                    t, key = yield (target, t, self.next_seq())
+                read_end, end = run.cpu_read(stream.sensor_id, t)
+                # The store's end event, inserted as the read ends.
+                self.core_key = (end, read_end, self.next_seq())
+                t, key = yield self.core_key
+                self.deliver_sample(
+                    t, key, Handoff(stream.sample_bytes, 1, stream, w, k)
+                )
+        self.others -= 1
+        yield None  # finished: nothing resumes it

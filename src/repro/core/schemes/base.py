@@ -3,15 +3,16 @@
 A scheme is a small class: a :class:`SchemeExecutor` subclass whose
 ``plan`` returns a :class:`SchemePlan` — which family of wiring it uses,
 whether streams are shared, which apps compute on the MCU.  That one
-declaration is all a scheme states; both tiers interpret it.  The
-MCU's op chains are stated once, on the plan
-(:meth:`SchemePlan.sample_ops`, :meth:`SchemePlan.handoff_ops`).  The
+declaration is all a scheme states; both tiers interpret it.  Every
+chain is stated once, on the plan: the MCU's op chains
+(:meth:`SchemePlan.sample_ops`, :meth:`SchemePlan.handoff_ops`), each
+interrupt vector's CPU service (:data:`CPU_SERVICES`) and each app's
+window compute (:meth:`SchemePlan.window_compute`).  The
 discrete-event simulation wires the plan through :func:`build_context`
-(one wiring function per family over the primitives
-:class:`SchemeContext` owns — the hub, the sensor devices, the one poll
-loop, window bookkeeping, the interrupt dispatcher, the CPU compute
-loop and the sleep governor), and the closed-form tier in
-:mod:`repro.core.analytic` scans it.
+(one :func:`wire` over the primitives :class:`SchemeContext` owns — the
+hub, the sensor devices, the one poll loop, window bookkeeping, the
+interrupt dispatcher, the CPU compute loop and the sleep governor), and
+the closed-form tier in :mod:`repro.core.analytic` scans it.
 
 :func:`execute_scenario` is the single entry point: look the scheme up
 in the registry, build a fresh context, run the discrete-event
@@ -21,7 +22,7 @@ simulation to completion and integrate the energy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ...apps.base import AppResult, IoTApp, SampleWindow
 from ...energy.ledger import integrate
@@ -133,7 +134,7 @@ def build_streams(apps: Sequence[IoTApp], shared: bool) -> List[Stream]:
     """Build polling streams for ``apps``: per-app or shared-per-sensor.
 
     Pure function of the app profiles — no hub, no simulator — so the
-    DES wiring functions and the closed-form analytic tier
+    DES wiring and the closed-form analytic tier
     (:mod:`repro.core.analytic`) derive their schedules from the exact
     same stream set.  Raises
     :class:`~repro.errors.WorkloadError` for BEAM-unshareable sensors
@@ -198,6 +199,63 @@ def build_streams(apps: Sequence[IoTApp], shared: bool) -> List[Stream]:
     return streams
 
 
+class Handoff(NamedTuple):
+    """What one hand-off carries to the CPU: everything its service needs.
+
+    ``nbytes`` in ``samples`` samples cross the PIO bus for ``owner``'s
+    ``window``: the :class:`Stream` a sample feeds (``index`` is its
+    index in the window), or the app whose window or result it is.
+    ``data`` is the sample or the result (the analytic tier carries
+    none); a partial batch is not ``final`` and completes no window.
+    """
+
+    nbytes: int
+    samples: int
+    owner: object
+    window: int
+    index: int = 0
+    data: object = None
+    final: bool = True
+
+
+class CpuService(NamedTuple):
+    """The CPU's service of one interrupt vector (§II-B): interrupt
+    processing, the transfer of the hand-off's bytes (``bulk`` or per
+    sample), then the ``completion``: ``"deliver_sample"`` to the
+    subscribers, ``"deliver_window"`` to the compute loop, or
+    ``"publish"`` the result upstream."""
+
+    bulk: bool
+    completion: str
+    service_span: Tuple[str, str]
+    transfer_span: Tuple[str, str]
+
+
+#: Each interrupt vector's CPU service, run by both tiers.
+CPU_SERVICES: Dict[str, CpuService] = {
+    vector: CpuService(
+        bulk, completion, ("irq", f"service:{vector}"),
+        ("transfer", f"cpu:{vector}"),
+    )
+    for vector, bulk, completion in (
+        ("sample", False, "deliver_sample"),
+        ("batch", True, "deliver_window"),
+        ("result", False, "publish"),
+    )
+}
+
+
+class WindowCompute(NamedTuple):
+    """One window's chain on the CPU: wake if asleep, compute (busy
+    ``duration``, retiring ``instructions``, traced as ``span``), record
+    the result, publish ``output_bytes`` on the NIC, then rest."""
+
+    duration: float
+    instructions: float
+    output_bytes: int
+    span: Tuple[str, str]
+
+
 @dataclass
 class SchemePlan:
     """A scheme's whole declaration: what it decides, not how to wire it.
@@ -207,7 +265,7 @@ class SchemePlan:
     where each app computes — plus BEAM's stream sharing.  ``family``
     names the first two; :func:`build_context` (the DES) and
     :mod:`repro.core.analytic` (the closed form) each interpret it,
-    using the same :func:`build_streams` output:
+    using the same :meth:`sensing` streams:
 
     * ``"interrupting"`` — per-sample MCU poll, interrupt, transfer
       (baseline; BEAM sets ``shared``).
@@ -293,9 +351,27 @@ class SchemePlan:
                 times.extend(samples[:: scenario.batch_size])
         return times
 
+    def sensing(
+        self, apps: Sequence[IoTApp]
+    ) -> List[Tuple[str, Optional[IoTApp], List[Stream]]]:
+        """The polling streams in spawn order, as ``(process prefix,
+        app, streams)`` groups: per COM app, then per batch app, each
+        sharing ``app``'s hand-off; else one group (``app`` is ``None``)."""
+        if self.family != "buffered":
+            prefix = "poll" if self.mcu_owns_sensing else "cpupoll"
+            return [(prefix, None, build_streams(apps, self.shared))]
+        return [
+            (prefix, app, build_streams([app], shared=False))
+            for prefix, group in (
+                ("com", self.com_apps), ("batch", self.batch_apps)
+            )
+            for app in group
+        ]
+
     # ------------------------------------------------------------------
-    # MCU op chains: the one statement of each hand-off, run by the
-    # DES (firmware.driver.run_ops) and scanned by the analytic tier.
+    # Op chains: the one statement of each hand-off and computation,
+    # run by the DES (firmware.driver.run_ops, SchemeContext) and
+    # scanned by the analytic tier.
     # ------------------------------------------------------------------
     def sample_ops(self, cal) -> Tuple[McuOp, ...]:
         """The core ops after each decoded read: the interrupting
@@ -320,6 +396,15 @@ class SchemePlan:
             )
             return (compute,) + _hand_over(cal, "result", 1, bulk=False)
         return _hand_over(cal, "batch", max(1, count), bulk=True)
+
+    def window_compute(self, app: IoTApp, cal) -> WindowCompute:
+        """``app``'s window computation when it computes on the CPU."""
+        return WindowCompute(
+            app.profile.cpu_compute_time_s(cal),
+            app.profile.instructions,
+            app.profile.output_bytes,
+            ("compute", f"cpu:{app.name}"),
+        )
 
 
 def _hand_over(cal, vector: str, samples: int, bulk: bool) -> Tuple[McuOp, ...]:
@@ -452,14 +537,35 @@ class SchemeContext:
         if violation is not None:
             self.qos_violations.append(violation)
 
-    def deliver_sample(self, stream: Stream, w: int, k: int, sample) -> None:
+    # The three completions of a CPU service (CpuService.completion);
+    # each returns the bytes it sends upstream.
+    def deliver_sample(self, handoff: Handoff) -> int:
         """Hand one CPU-visible sample to its subscribers' windows."""
+        stream, k = handoff.owner, handoff.index
         for app in stream.subscribers:
             if k % stream.stride(app) != 0:
                 continue  # decimated subscriber skips this sample
-            state = self.window_state(app, w)
-            if state.register(sample):
+            state = self.window_state(app, handoff.window)
+            if state.register(handoff.data):
                 state.deliver()
+        return 0
+
+    def deliver_window(self, handoff: Handoff) -> int:
+        """Hand a batch's window, once complete, to its compute loop."""
+        if handoff.final:
+            app, window_index = handoff.owner, handoff.window
+            state = self.window_state(app, window_index)
+            if not state.complete:
+                raise WorkloadError(
+                    f"{app.name} batch window {window_index} incomplete"
+                )
+            state.deliver()
+        return 0
+
+    def publish(self, handoff: Handoff) -> int:
+        """Record an MCU-computed result; its bytes go upstream."""
+        self.record_result(handoff.owner, handoff.data)
+        return handoff.nbytes
 
     # ------------------------------------------------------------------
     # MCU-side processes
@@ -467,12 +573,13 @@ class SchemeContext:
     def poll_stream(self, stream: Stream, on_sample=None, on_window=None):
         """One stream's poll loop: wait for each sample, read, run ops.
 
-        The MCU reads and decodes (the CPU blocks on the read under
-        main-board polling), then runs the plan's
-        :meth:`~SchemePlan.sample_ops`.  ``on_sample(stream, w, k,
-        sample)`` runs after each read and ``on_window(stream, w)``
-        after each window's last sample; either may return ``(ops,
-        payload)`` — a hand-off chain for :func:`run_ops` to run now.
+        The MCU reads and decodes, then runs the plan's
+        :meth:`~SchemePlan.sample_ops`; under main-board polling the CPU
+        blocks on the read and delivers the sample itself.
+        ``on_sample(stream, w, k, sample)`` runs after each read and
+        ``on_window(stream, w)`` after each window's last sample; either
+        may return ``(ops, handoff)`` — a hand-off chain for
+        :func:`run_ops` to run now.
         """
         hub = self.hub
         device = self.devices[stream.sensor_id]
@@ -504,10 +611,14 @@ class SchemeContext:
                 sample = yield from read(hub, device)
                 if observing:
                     span("sense", key, t0, sim.now)
-                if ops:
-                    yield from run_ops(
-                        hub, ops, (stream, window_index, k, sample)
+                if ops or not mcu_polls:
+                    handoff = Handoff(
+                        stream.sample_bytes, 1, stream, window_index, k, sample
                     )
+                    if ops:
+                        yield from run_ops(hub, ops, handoff)
+                    else:  # a CPU read: its sample is delivered at once
+                        self.deliver_sample(handoff)
                 if on_sample is not None:
                     handoff = on_sample(stream, window_index, k, sample)
                     if handoff is not None:
@@ -518,16 +629,25 @@ class SchemeContext:
                     yield from run_ops(hub, *handoff)
         self._mcu_next_polls.pop(key, None)
 
-    def buffered_handoffs(self, app: IoTApp, buffer: Optional[BatchBuffer]):
+    def buffered_handoffs(self, app: IoTApp):
         """The buffered family's per-app bookkeeping, as the
         ``(on_sample, on_window)`` pair every stream of ``app`` shares.
 
-        Samples register into the app's window (and ``buffer``, for a
-        batch app); a full ``batch_size`` ships a partial batch.  The
-        stream that finishes a window last hands it off: a batch app
-        ships the buffer, a COM app (``buffer`` is ``None``) its result.
+        A COM app reserves its offloaded build (code/heap + stream ring)
+        in MCU RAM for the whole run, so samples stream through the ring
+        with no per-sample allocation; a batch app buffers its samples.
+        Samples register into the app's window (and buffer); a full
+        ``batch_size`` ships a partial batch.  The stream that finishes
+        a window last hands it off: a batch app ships the buffer, a COM
+        app its result.
         """
         plan = self.plan
+        ram = self.hub.mcu.ram
+        if app in plan.com_apps:
+            ram.allocate(f"app:{app.name}", app.profile.mcu_footprint_bytes)
+            buffer = None
+        else:
+            buffer = BatchBuffer(ram, f"batch:{app.name}")
         cal = self.cal
         batch_size = self.scenario.batch_size
         stream_count = len(app.profile.sensor_ids)
@@ -540,7 +660,8 @@ class SchemeContext:
             count = len(buffer.flush())
             return (
                 plan.handoff_ops(app, cal, count),
-                (app, window_index, count, nbytes, final),
+                Handoff(nbytes, max(1, count), app, window_index,
+                        final=final),
             )
 
         def on_sample(stream: Stream, window_index: int, k: int, sample):
@@ -568,7 +689,9 @@ class SchemeContext:
             if buffer is not None:
                 return ship(window_index, final=True)
             result = app.compute(self.window_state(app, window_index).window)
-            return plan.handoff_ops(app, cal, 1), (app, window_index, result)
+            return plan.handoff_ops(app, cal, 1), Handoff(
+                app.profile.output_bytes, 1, app, window_index, data=result
+            )
 
         return on_sample, on_window
 
@@ -578,82 +701,62 @@ class SchemeContext:
     def dispatcher(self):
         """The CPU's interrupt service loop (one process for the hub).
 
-        Runs until the simulation drains: blocking on the interrupt signal
-        schedules no events, so the kernel terminates naturally once all
-        device activity is over.
+        Runs each request's :data:`CPU_SERVICES` record over its
+        :class:`Handoff`, then rests once nothing is pending.  Blocking
+        on the interrupt signal schedules no events, so the kernel
+        terminates naturally once all device activity is over.
         """
+        hub = self.hub
+        irq = hub.irq
         obs = self.obs
         while True:
-            request = yield from self.hub.irq.wait()
+            request = yield from irq.wait()
+            service = CPU_SERVICES[request.vector]
+            handoff = request.payload
             if obs.enabled:
-                t0 = self.hub.sim.now
-            yield from service_interrupt(self.hub)
+                t0 = hub.sim.now
+            yield from service_interrupt(hub)
             if obs.enabled:
-                t1 = self.hub.sim.now
-                obs.span("irq", f"service:{request.vector}", t0, t1)
-            if request.vector == "sample":
-                stream, window_index, k, sample = request.payload
-                yield from cpu_transfer(
-                    self.hub, stream.sample_bytes, 1, bulk=False
-                )
-                if obs.enabled:
-                    obs.span("transfer", "cpu:sample", t1, self.hub.sim.now)
-                self.deliver_sample(stream, window_index, k, sample)
-            elif request.vector == "batch":
-                app, window_index, count, nbytes, final = request.payload
-                yield from cpu_transfer(
-                    self.hub, nbytes, max(1, count), bulk=True
-                )
-                if obs.enabled:
-                    obs.span("transfer", "cpu:batch", t1, self.hub.sim.now)
-                if final:
-                    state = self.window_state(app, window_index)
-                    if not state.complete:
-                        raise WorkloadError(
-                            f"{app.name} batch window {window_index} incomplete"
-                        )
-                    state.deliver()
-            elif request.vector == "result":
-                app, window_index, result = request.payload
-                yield from cpu_transfer(
-                    self.hub, app.profile.output_bytes, 1, bulk=False
-                )
-                if obs.enabled:
-                    obs.span("transfer", "cpu:result", t1, self.hub.sim.now)
-                self.record_result(app, result)
-                yield from self.hub.nic.send(
-                    app.profile.output_bytes, Routine.APP_COMPUTE
-                )
-            else:  # pragma: no cover - defensive
-                raise WorkloadError(f"unknown vector {request.vector!r}")
-            if self.hub.irq.pending_count == 0:
+                t1 = hub.sim.now
+                obs.span(*service.service_span, t0, t1)
+            yield from cpu_transfer(
+                hub, handoff.nbytes, handoff.samples, service.bulk
+            )
+            if obs.enabled:
+                obs.span(*service.transfer_span, t1, hub.sim.now)
+            published = getattr(self, service.completion)(handoff)
+            if published:
+                yield from hub.nic.send(published, Routine.APP_COMPUTE)
+            if irq.pending_count == 0:
                 self.rest()
 
     def cpu_compute_process(self, app: IoTApp):
-        """Window computation on the CPU (baseline/batching/beam)."""
+        """One app's window compute loop on the CPU: the plan's
+        :meth:`~SchemePlan.window_compute` chain per delivered window."""
+        hub = self.hub
+        cpu = hub.cpu
         obs = self.obs
+        chain = self.plan.window_compute(app, self.cal)
         for window_index in range(self.scenario.windows):
             state = self.window_state(app, window_index)
             if not state.delivered:
                 yield Wait(state.signal)
-            if self.hub.cpu.asleep:
-                yield from self.hub.cpu.wake(Routine.APP_COMPUTE)
-            yield from self.hub.cpu.core.acquire()
+            if cpu.asleep:
+                yield from cpu.wake(Routine.APP_COMPUTE)
+            yield from cpu.core.acquire()
             if obs.enabled:
-                t0 = self.hub.sim.now
+                t0 = hub.sim.now
             result = app.compute(state.window)
-            yield from self.hub.cpu.execute(
-                app.profile.cpu_compute_time_s(self.cal),
+            yield from cpu.execute(
+                chain.duration,
                 Routine.APP_COMPUTE,
-                instructions=app.profile.instructions,
+                instructions=chain.instructions,
             )
-            self.hub.cpu.core.release()
+            cpu.core.release()
             if obs.enabled:
-                obs.span("compute", f"cpu:{app.name}", t0, self.hub.sim.now)
+                obs.span(*chain.span, t0, hub.sim.now)
             self.record_result(app, result)
-            yield from self.hub.nic.send(
-                app.profile.output_bytes, Routine.APP_COMPUTE
-            )
+            yield from hub.nic.send(chain.output_bytes, Routine.APP_COMPUTE)
             self.rest()
 
     # ------------------------------------------------------------------
@@ -695,68 +798,30 @@ class SchemeContext:
         )
 
 
-def wire_interrupting(ctx: SchemeContext) -> None:
-    """Baseline/BEAM: the MCU polls and interrupts the CPU per sample."""
-    apps = ctx.scenario.apps
-    for stream in build_streams(apps, ctx.plan.shared):
-        ctx.hub.sim.spawn(ctx.poll_stream(stream), name=f"poll:{stream.key}")
-    ctx.hub.sim.spawn(ctx.dispatcher(), name="dispatcher")
-    for app in apps:
-        ctx.hub.sim.spawn(
-            ctx.cpu_compute_process(app), name=f"compute:{app.name}"
-        )
+def wire(ctx: SchemeContext) -> None:
+    """Spawn ``ctx``'s processes; the kernel breaks ties by spawn order.
 
-
-def wire_cpu_polling(ctx: SchemeContext) -> None:
-    """Main-board polling: the CPU blocks on every read; MCU asleep."""
-    apps = ctx.scenario.apps
-    for stream in build_streams(apps, shared=False):
-        ctx.hub.sim.spawn(
-            ctx.poll_stream(stream, on_sample=ctx.deliver_sample),
-            name=f"cpupoll:{stream.key}",
-        )
-    for app in apps:
-        ctx.hub.sim.spawn(
-            ctx.cpu_compute_process(app), name=f"compute:{app.name}"
-        )
-
-
-def wire_buffered(ctx: SchemeContext) -> None:
-    """Batching/COM/BCOM: MCU-buffered sensing, per-window hand-off."""
-    for app in ctx.plan.com_apps:
-        # Reserve the offloaded build (code/heap + stream ring) on the
-        # MCU for the whole run; samples stream through the ring, so no
-        # per-sample batch allocation happens for COM apps.
-        ctx.hub.mcu.ram.allocate(
-            f"app:{app.name}", app.profile.mcu_footprint_bytes
-        )
-        on_sample, on_window = ctx.buffered_handoffs(app, None)
-        for stream in build_streams([app], shared=False):
-            ctx.hub.sim.spawn(
-                ctx.poll_stream(stream, on_sample, on_window),
-                name=f"com:{stream.key}",
+    Each sensing group's poll loops, a batch app's compute loop right
+    after its own; the dispatcher if the MCU senses (its hand-offs
+    interrupt the CPU); then the other apps' compute loops.
+    """
+    spawn = ctx.hub.sim.spawn
+    plan = ctx.plan
+    computes = [app for app in ctx.scenario.apps if app not in plan.com_apps]
+    for prefix, app, streams in plan.sensing(ctx.scenario.apps):
+        hooks = ctx.buffered_handoffs(app) if app is not None else ()
+        for stream in streams:
+            spawn(
+                ctx.poll_stream(stream, *hooks),
+                name=f"{prefix}:{stream.key}",
             )
-    for app in ctx.plan.batch_apps:
-        buffer = BatchBuffer(ctx.hub.mcu.ram, f"batch:{app.name}")
-        on_sample, on_window = ctx.buffered_handoffs(app, buffer)
-        for stream in build_streams([app], shared=False):
-            ctx.hub.sim.spawn(
-                ctx.poll_stream(stream, on_sample, on_window),
-                name=f"batch:{stream.key}",
-            )
-        ctx.hub.sim.spawn(
-            ctx.cpu_compute_process(app), name=f"compute:{app.name}"
-        )
-    ctx.hub.sim.spawn(ctx.dispatcher(), name="dispatcher")
-
-
-#: The DES interpreter of each :attr:`SchemePlan.family`.  Spawn order
-#: matters: the kernel breaks ties between simultaneous events by it.
-_WIRING: Dict[str, Callable[[SchemeContext], None]] = {
-    "interrupting": wire_interrupting,
-    "cpu_polling": wire_cpu_polling,
-    "buffered": wire_buffered,
-}
+        if app in computes:
+            computes.remove(app)
+            spawn(ctx.cpu_compute_process(app), name=f"compute:{app.name}")
+    if plan.mcu_owns_sensing:
+        spawn(ctx.dispatcher(), name="dispatcher")
+    for app in computes:
+        spawn(ctx.cpu_compute_process(app), name=f"compute:{app.name}")
 
 
 class SchemeExecutor:
@@ -791,7 +856,7 @@ def build_context(
     """
     plan = get_scheme(scenario.scheme)().plan(scenario)
     ctx = SchemeContext(scenario, plan, obs=obs)
-    _WIRING[plan.family](ctx)
+    wire(ctx)
     if plan.mcu_owns_sensing:
         ctx.hub.mcu.set_idle(Routine.DATA_COLLECTION)
     ctx.rest()

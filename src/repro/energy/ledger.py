@@ -82,9 +82,8 @@ class Timeline:
 
 #: One emitted entry: ``(t, state, power_w, routine, mode)``.
 #: ``routine=None`` keeps the current tag.  ``mode`` is ``None`` for
-#: unconditional, ``"rest"`` for skipped-if-busy (another process took
-#: the core meanwhile) and ``"wake"`` for applied-only-if-still-sleeping
-#: (a mid-sleep operation may have woken the component before its
+#: unconditional and ``"wake"`` for applied-only-if-still-sleeping (a
+#: mid-sleep operation may have woken the component before its
 #: scheduled wake, in which case the kernel's wake event never fires).
 Entry = Tuple[float, str, float, Optional[str], Optional[str]]
 
@@ -101,8 +100,8 @@ class Schedule:
     slightly out of time order; :meth:`segments` replays them with a
     stable sort on time, so entries at one instant apply in emission
     order.  The analytic tier's op primitives append :data:`Entry`
-    tuples to ``_events`` directly; :meth:`set`, :meth:`rest` and
-    :meth:`wake` append one each.
+    tuples to ``_events`` directly; :meth:`set` and :meth:`wake` append
+    one each.
     """
 
     __slots__ = ("component", "_initial", "_events", "state")
@@ -133,18 +132,6 @@ class Schedule:
         self._events.append((t, state, power_w, routine, None))
         self.state = state
 
-    def rest(
-        self,
-        t: float,
-        state: str,
-        power_w: float,
-        routine: Optional[str] = None,
-    ) -> None:
-        """Like :meth:`set`, but skipped at replay if the component is
-        busy at ``t`` — the governor-off ``rest()`` semantics (another
-        process may have started an operation in the meantime)."""
-        self._events.append((t, state, power_w, routine, "rest"))
-
     def wake(
         self,
         t: float,
@@ -168,11 +155,8 @@ class Schedule:
         state, power, routine = self._initial
         since = 0.0
         for t, new_state, new_power, new_routine, mode in self._events:
-            if mode is not None and (
-                state == "busy" if mode == "rest"
-                else state not in SLEEP_STATES
-            ):
-                continue
+            if mode is not None and state not in SLEEP_STATES:
+                continue  # a wake the component no longer sleeps for
             if t > end_time:
                 break
             if t > since:

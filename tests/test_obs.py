@@ -12,6 +12,7 @@ The two load-bearing invariants from ``docs/observability.md``:
 
 import io
 import json
+import os
 import tracemalloc
 
 import pytest
@@ -79,6 +80,30 @@ class TestRecorders:
             for stat in after.compare_to(before, "filename")
             if stat.size_diff > 0
             and stat.traceback[0].filename.endswith("recorder.py")
+        ]
+        assert grown == []
+
+    def test_null_recorder_canonical_run_allocates_nothing(self):
+        """The canonical A2+A4 BCOM run under the default recorder charges
+        no allocation to ``obs/recorder.py``: every instrumented hot path
+        checks ``enabled`` before it reaches a hook.  Deterministic,
+        unlike the benchmarks' wall-clock overhead gate."""
+        scenario = Scenario.of(["A2", "A4"], scheme="bcom")
+        # Warm up so the guard isn't charged for first-run caches.
+        execute_scenario(scenario, obs=NULL_RECORDER)
+        tracemalloc.start()
+        before = tracemalloc.take_snapshot()
+        result = execute_scenario(scenario, obs=NULL_RECORDER)
+        after = tracemalloc.take_snapshot()
+        tracemalloc.stop()
+        assert result.results_ok
+        grown = [
+            stat
+            for stat in after.compare_to(before, "filename")
+            if stat.size_diff > 0
+            and stat.traceback[0].filename.endswith(
+                os.path.join("obs", "recorder.py")
+            )
         ]
         assert grown == []
 

@@ -86,15 +86,13 @@ def test_integration_matches_manual_sum(traces, cycle_s):
 
 def _reference_replay(initial, emissions, end_time):
     """Replay ``(t, state, power_w, routine, mode)`` emissions in
-    ``(t, emission index)`` order: a ``"rest"`` is dropped while the
-    replayed state is busy, a ``"wake"`` unless it sleeps."""
+    ``(t, emission index)`` order: a ``"wake"`` is dropped unless the
+    replayed state sleeps."""
     state, power, routine = initial
     since = 0.0
     segments = []
     ordered = sorted(enumerate(emissions), key=lambda item: (item[1][0], item[0]))
     for _, (t, new_state, new_power, new_routine, mode) in ordered:
-        if mode == "rest" and state == "busy":
-            continue
         if mode == "wake" and state not in SLEEP_STATES:
             continue
         if t > end_time:
@@ -117,7 +115,7 @@ def _reference_replay(initial, emissions, end_time):
             st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]),
             st.sampled_from(["busy", "idle", "sleep", "deep_sleep"]),
             st.one_of(st.none(), routines),
-            st.sampled_from(["set", "rest", "wake"]),
+            st.sampled_from(["set", "wake"]),
         ),
         max_size=25,
     ),
