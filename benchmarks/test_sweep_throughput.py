@@ -10,7 +10,9 @@ deterministic so CI can assert them exactly.
 A second benchmark sweeps one grid slice through every registered
 execution backend (serial and process) and pins each backend's
 scheduling counters plus result parity — the speedup number stays a
-process-backend property, but no backend may drift.
+process-backend property, but no backend may drift.  A third answers
+the session through the analytic tier: no DES run, full scans equal to
+the DES, and exact dedup and cache counters.
 
 The session is three sweeps, the shape design-space exploration tools
 actually produce (EdgeProg/Approxify-style repeated what-if grids):
@@ -32,7 +34,7 @@ import time
 from conftest import run_once
 from test_fig11_multi_app import SCHEMES, fig11_factory, fig11_grid
 
-from repro.core import ANALYTIC_RTOL, ScenarioEngine, run_sweep
+from repro.core import ScenarioEngine, run_sweep
 from repro.core.backends import backend_names
 from repro.workloads import FIG11_COMBOS
 
@@ -97,10 +99,11 @@ def _run_session_cold():
     return sweeps
 
 
-def _run_session_warm():
+def _run_session_warm(fidelity="des"):
     """One persistent process-backend engine across all three sweeps."""
     with ScenarioEngine(
-        workers=WARM_WORKERS, memory_cache=128, backend="process"
+        workers=WARM_WORKERS, memory_cache=128, backend="process",
+        fidelity=fidelity,
     ) as engine:
         sweeps = []
         for grid in (permuted_grid(), fig11_grid(), fig11_grid()):
@@ -274,36 +277,17 @@ def test_backend_dimension_parity(benchmark, figure_printer):
 
 
 # ----------------------------------------------------------------------
-# fidelity dimension: the auto planner answers the session analytically
+# fidelity dimension: the analytic tier answers the whole session
 # ----------------------------------------------------------------------
 
-def _run_session_auto():
-    """The warm session again, answered by the tiered-fidelity planner."""
-    with ScenarioEngine(
-        workers=WARM_WORKERS, memory_cache=128, backend="process",
-        fidelity="auto",
-    ) as engine:
-        sweeps = []
-        for grid in (permuted_grid(), fig11_grid(), fig11_grid()):
-            sweeps.append(run_sweep(grid, fig11_factory, engine=engine))
-        counters = {
-            key: value
-            for key, value in engine.metrics.snapshot().items()
-            if isinstance(value, int)
-        }
-    return sweeps, counters
-
-
-def test_fidelity_dimension_auto_planner(benchmark, figure_printer):
-    """``fidelity="auto"`` answers the 168-point session with >= 10x
-    fewer DES scenario runs than session points, stays bit-identical to
-    the DES on every confirmed frontier point and within the validated
-    tolerance band on the analytic remainder, with exact planner
-    counters against the committed baseline."""
+def test_fidelity_dimension_analytic_session(benchmark, figure_printer):
+    """``fidelity="analytic"`` answers the 168-point session without one
+    DES run, its full scans equal per-point serial DES execution, and
+    its dedup/cache counters match the committed baseline exactly."""
 
     def measure():
         started = time.perf_counter()
-        sweeps, counters = _run_session_auto()
+        sweeps, counters = _run_session_warm(fidelity="analytic")
         wall_s = time.perf_counter() - started
         return sweeps, counters, wall_s
 
@@ -312,37 +296,25 @@ def test_fidelity_dimension_auto_planner(benchmark, figure_printer):
 
     # --- determinism: sweep outcomes --------------------------------
     assert all(not sweep.failed for sweep in sweeps)
-    auto_a = [point.result for point in sweeps[0]]
-    assert {result.fidelity for result in auto_a} == {"analytic", "des"}
+    analytic_a, analytic_b, analytic_c = (_records(sweep) for sweep in sweeps)
+    assert analytic_a[: len(analytic_b)] == analytic_b == analytic_c
+    assert {point.result.fidelity for sweep in sweeps for point in sweep} == {
+        "analytic"
+    }
 
-    # --- the perf guard: >= 10x fewer DES runs than session points --
-    assert counters["scenarios_run"] * 10 <= session_points
+    # --- the perf guard: no point reaches the DES --------------------
+    assert counters["scenarios_run"] == 0
 
     # --- parity vs per-point serial DES execution -------------------
-    # Confirmed frontier points must be bit-identical; analytic points
-    # must land inside the validated tolerance band.  A sample of each
-    # keeps the reference pass cheap.
     serial = ScenarioEngine()
     grid_a = permuted_grid()
-    confirmed = [
-        index for index, result in enumerate(auto_a)
-        if result.fidelity == "des"
-    ]
-    analytic = [
-        index for index, result in enumerate(auto_a)
-        if result.fidelity == "analytic"
-    ]
-    for index in confirmed[:4] + analytic[:4]:
+    for index in (0, 41, 42, 83):  # fwd/rev pairs at both grid edges
         reference = serial.run(fig11_factory(**grid_a[index]))
-        result = auto_a[index]
-        if result.fidelity == "des":
-            assert result.energy.total_j == reference.energy.total_j
-            assert result.duration_s == reference.duration_s
-        else:
-            assert abs(
-                result.energy.total_j - reference.energy.total_j
-            ) <= ANALYTIC_RTOL * abs(reference.energy.total_j)
-        assert result.interrupt_count == reference.interrupt_count
+        assert analytic_a[index] == {
+            "total_j": reference.energy.total_j,
+            "duration_s": reference.duration_s,
+            "interrupts": reference.interrupt_count,
+        }, grid_a[index]
 
     # --- deterministic counters vs committed baseline ---------------
     if os.environ.get("REPRO_BENCH_UPDATE"):
@@ -351,7 +323,7 @@ def test_fidelity_dimension_auto_planner(benchmark, figure_printer):
             {
                 "session": {
                     "backend": "process",
-                    "fidelity": "auto",
+                    "fidelity": "analytic",
                     "grids": ["fig11+reversed", "fig11", "fig11"],
                     "points": [84, 42, 42],
                     "warm_workers": WARM_WORKERS,
@@ -365,13 +337,11 @@ def test_fidelity_dimension_auto_planner(benchmark, figure_printer):
         )
     baseline = _load_baseline()["fidelity_dimension"]
     figure_printer(
-        "Infra — fidelity dimension (auto planner)",
+        "Infra — fidelity dimension (analytic tier)",
         f"{session_points} points over 3 sweeps in {wall_s:.2f} s — "
         f"{counters['analytic_evals']} analytic eval(s), "
-        f"{counters['frontier_points']} frontier, "
-        f"{counters['des_confirmations']} DES confirmation(s), "
-        f"{counters['scenarios_run']} DES sim(s) "
-        f"({session_points / max(1, counters['scenarios_run']):.1f}x fewer "
-        f"than points)",
+        f"{counters['dedup_hits']} dedup, "
+        f"{counters['cache_hits']} cache hits, "
+        f"{counters['scenarios_run']} DES sim(s)",
     )
     assert counters == baseline["deterministic"]

@@ -38,7 +38,7 @@ import sys
 from typing import List, Optional
 
 from .apps import all_ids, create_app
-from .core import Scheme, compare_schemes, run_apps, scheme_names
+from .core import FIDELITIES, Scheme, compare_schemes, run_apps, scheme_names
 from .energy.report import ROUTINE_LABELS, format_breakdown_table
 from .firmware.capability import check_offloadable
 from .hw.power import Routine
@@ -88,17 +88,14 @@ def _add_cache_flags(parser) -> None:
 
 
 def _add_fidelity_flag(parser) -> None:
-    from .core import FIDELITIES
-
     parser.add_argument(
         "--fidelity",
         default="des",
         choices=FIDELITIES,
         help="des = discrete-event simulation (authoritative); "
-        "analytic = closed-form models (validated rtol vs the DES, "
-        "falls back to the DES outside their envelope); auto = answer "
-        "analytically, then DES-confirm only the per-app-set scheme "
-        "winners and within-band near-ties.",
+        "analytic = closed-form models (bit-identical to the DES on a "
+        "full scan, within the validated rtol when a long scan is "
+        "extrapolated; falls back to the DES outside their envelope).",
     )
 
 
@@ -268,7 +265,7 @@ def _add_client_parser(subparsers) -> None:
     run.add_argument(
         "--fidelity",
         default=None,
-        choices=["des", "analytic", "auto"],
+        choices=FIDELITIES,
         help="execution tier for the job (default: the service's)",
     )
     run.add_argument(
@@ -294,7 +291,7 @@ def _add_client_parser(subparsers) -> None:
     grid.add_argument(
         "--fidelity",
         default=None,
-        choices=["des", "analytic", "auto"],
+        choices=FIDELITIES,
         help="execution tier for the job (default: the service's)",
     )
     grid.add_argument(

@@ -24,7 +24,6 @@ from .cache import (
 )
 from .analytic import (
     ANALYTIC_RTOL,
-    AUTO_CONFIRM_BAND,
     analytic_scenario_result,
     supports_analytic,
 )
@@ -34,7 +33,6 @@ from .engine import (
     ScenarioEngine,
     canonicalize_scenario,
     scenario_fingerprint,
-    scenario_group_key,
 )
 from .executor import run_apps, run_scenario
 from .results import RunResult
@@ -51,7 +49,6 @@ from .sweeps import Sweep, SweepPoint, grid_of, run_sweep
 
 __all__ = [
     "ANALYTIC_RTOL",
-    "AUTO_CONFIRM_BAND",
     "CacheStats",
     "DiskResultCache",
     "ExecutionBackend",
@@ -89,7 +86,6 @@ __all__ = [
     "run_sweep",
     "savings_table",
     "scenario_fingerprint",
-    "scenario_group_key",
     "scheme_names",
     "supports_analytic",
 ]

@@ -5,7 +5,7 @@
 declaration (:class:`~repro.core.schemes.base.SchemePlan`), same
 feasibility errors, same result shape — but scans the plan's processes
 arithmetically instead of running the event kernel.
-:func:`supports_analytic` is the planner's gate: scenarios outside the
+:func:`supports_analytic` is the tier's gate: scenarios outside the
 validated envelope (failure injection, partial-batch flushes, RAM-overflow
 risk) fall back to the DES.
 Long scenarios are scanned as a truncated copy whose verified steady
@@ -33,11 +33,6 @@ from .scan import scan
 #: random app mixes.  Integer counters (interrupts, wakes, bus bytes)
 #: match exactly.
 ANALYTIC_RTOL = 1e-9
-
-#: ``fidelity="auto"``'s confirmation band: grid points where two
-#: schemes' marginal energies land within this relative gap cannot be
-#: ranked by the analytic tier alone and are re-run through the DES.
-AUTO_CONFIRM_BAND = 2.0 * max(ANALYTIC_RTOL, 1e-3)
 
 #: Truncated-scan layout, in window-length cycles: one warm-up cycle,
 #: four verification cycles and a tail cycle, so end-of-scenario

@@ -5,7 +5,10 @@ order.  Sensor rails, the MCU core and the CPU core are FIFO resources
 granted in request-arrival order (matching
 :class:`~repro.sim.resources.Resource`), so a stream blocked in a long
 rail read never holds a core, and chains from different processes
-interleave exactly as the kernel's processes do.  The chains are the
+interleave exactly as the kernel's processes do.  A request that finds
+its rail or the MCU core held is handed the resource as the holder's
+end event runs, as ``Resource.release`` does, so simultaneous hand-offs
+keep the kernel's order.  The chains are the
 DES's: the driver's decode after each read, the plan's sample and
 hand-off ops on the MCU; on the CPU each vector's
 :data:`~repro.core.schemes.base.CPU_SERVICES` record, each app's
@@ -34,6 +37,10 @@ from .context import AnalyticRun
 #: The key of ``build_context``'s ``rest()``, before every event (and,
 #: until the core's first grant, its ``core_key``).
 _BEFORE_EVENTS = (0.0, 0.0, -1)
+
+#: The "what" of a bare end entry: an MCU op that ends in a wait or its
+#: process's end, pushed only to hand the core to a request queued on it.
+_RELEASE = object()
 
 
 class _Cursor:
@@ -71,6 +78,12 @@ def scan(run: AnalyticRun, plan: SchemePlan) -> None:
     never reaches ``what``: an MCU stream's cursor, or a CPU process
     resumed inside the event its entry stands for, after every event
     the kernel orders first.
+
+    A request for a held rail or MCU core is granted at once by FIFO
+    arithmetic, but its end entry waits in the resource's queue: the
+    kernel inserts a waiter's end event inside its holder's end event,
+    so the scan pushes it, with a fresh ``seq``, as the holder's entry
+    pops and before that entry raises or requests anything.
     """
     cal = run.cal
     decode = decode_op(cal)
@@ -102,9 +115,37 @@ def scan(run: AnalyticRun, plan: SchemePlan) -> None:
     #: like ``SchemeContext._mcu_next_polls``); a stream mid-chain keeps
     #: its stale (past) target, which blocks any sleep decision.
     next_polls = {}
+    #: Each resource's last grant, as its end entry ``(end, start, seq,
+    #: what)`` (``what`` is ``None`` while nothing continues in it), and
+    #: its queue of deferred ``[end, start, what]``; ``releases`` maps
+    #: the ``seq`` of a holder with a queue to that ``(queue, sensor)``
+    #: (``None`` for the MCU core).
+    idle = _BEFORE_EVENTS + (None,)
+    mcu_holder = idle
+    mcu_queue: deque = deque()
+    rail_holders = dict.fromkeys(rail_free, idle)
+    rail_queues = {sensor_id: deque() for sensor_id in rail_free}
+    releases: dict = {}
     while heap:
         entry = heappop(heap)
-        t, _, _, cursor = entry
+        t, _, seq, cursor = entry
+        if releases and seq in releases:
+            # The holder's end event: the kernel resumes the first waiter
+            # inside it, which inserts the waiter's end event.
+            released = releases.pop(seq)
+            queue, sensor_id = released
+            end, start, then = queue.popleft()
+            held = (end, start, next_seq(), then)
+            if then is not None:
+                heappush(heap, held)
+            if queue:
+                releases[held[2]] = released
+            if sensor_id is None:
+                mcu_holder = held
+            else:
+                rail_holders[sensor_id] = held
+            if cursor is _RELEASE:
+                continue
         if cursor.__class__ is not _Cursor:
             # A CPU step: once the scan has passed the end of the
             # dispatcher's chain, that chain's pending check closes first.
@@ -115,13 +156,23 @@ def scan(run: AnalyticRun, plan: SchemePlan) -> None:
         stream = cursor.stream
         ops = cursor.ops
         if ops is None:
-            # A poll: the rail read, then the sample chain.
-            free = rail_free[stream.sensor_id]
-            read_start = free if free > t else t
-            read_end = run.rail_read(stream.sensor_id, t)
+            # A poll: the rail read, then the sample chain.  The rail is
+            # held until its holder's end entry pops, even at ``free``.
+            sensor_id = stream.sensor_id
+            free = rail_free[sensor_id]
+            read_end = run.rail_read(sensor_id, t)
             cursor.ops = chain
             cursor.pos = 0
-            heappush(heap, (read_end, read_start, next_seq(), cursor))
+            if free > t or free == t and entry < rail_holders[sensor_id]:
+                queue = rail_queues[sensor_id]
+                if not queue:
+                    releases[rail_holders[sensor_id][2]] = (queue, sensor_id)
+                queue.append((read_end, free, cursor))
+            else:
+                held = rail_holders[sensor_id] = (
+                    read_end, t, next_seq(), cursor
+                )
+                heappush(heap, held)
             continue
         irq = cursor.irq
         if irq is not None:
@@ -135,11 +186,13 @@ def scan(run: AnalyticRun, plan: SchemePlan) -> None:
                           else new_tuple(Handoff, (stream.sample_bytes, 1,
                                          stream, cursor.w, cursor.k, None,
                                          True)))
-        # One core op: FIFO grant at request-arrival order (= pop order).
+        # One core op: FIFO grant at request-arrival order (= pop order);
+        # the core, like a rail, is held until its holder's end entry pops.
         op = ops[cursor.pos]
         cursor.pos += 1
         free = run.mcu_core_free
-        start = free if free > t else t
+        queued = free > t or free == t and entry < mcu_holder
+        start = free if queued else t
         end = mcu_op(t, op.duration, op.routine, op.after_routine)
         if op is decode:
             if cursor.app is not None:
@@ -148,41 +201,57 @@ def scan(run: AnalyticRun, plan: SchemePlan) -> None:
             # A raise is always followed by its transfer, whose entry
             # delivers it at ``end``.
             cursor.irq = op.vector
-        if cursor.pos < len(ops):
-            heappush(heap, (end, start, next_seq(), cursor))
-            continue
-        # Chain complete: window hand-off, then schedule the next poll.
-        cursor.ops = None
-        if cursor.in_handoff:
-            cursor.in_handoff = False
+        # The process continues in the op's end event (``then``) unless
+        # its chain ends in a wait or its last window.
+        then = cursor
+        if cursor.pos == len(ops):
+            # Chain complete: window hand-off, then schedule the next poll.
+            cursor.ops = None
+            if cursor.in_handoff:
+                cursor.in_handoff = False
+            else:
+                w = cursor.w
+                cursor.k += 1
+                if cursor.k >= stream.samples_per_window:
+                    cursor.k = 0
+                    cursor.w += 1
+                    if cursor.app is not None:
+                        handoff = handoffs.on_window(cursor.app, w)
+                        if handoff is not None:
+                            cursor.ops, cursor.payload = handoff
+                            cursor.pos = 0
+                            cursor.in_handoff = True
+            if cursor.ops is None:
+                if cursor.w >= windows:
+                    next_polls.pop(cursor, None)
+                    then = None
+                else:
+                    target = (cursor.w * stream.window_s
+                              + cursor.k / stream.rate_hz)
+                    if target > end:
+                        # The stream is about to wait: refresh its poll
+                        # entry and evaluate the nap governor at the
+                        # pre-wait instant.
+                        next_polls[cursor] = target
+                        _maybe_sleep(run, end, next_polls)
+                        heappush(heap, (target, end, next_seq(), cursor))
+                        then = None
+                    # Else no wait: the process rolls straight from the
+                    # execute-end event into the next read.
+        if queued:
+            if mcu_queue:
+                last = mcu_queue[-1]
+                if last[2] is None:
+                    last[2] = _RELEASE
+            else:
+                if mcu_holder[3] is None:
+                    heappush(heap, mcu_holder[:3] + (_RELEASE,))
+                releases[mcu_holder[2]] = (mcu_queue, None)
+            mcu_queue.append([end, start, then])
         else:
-            w = cursor.w
-            cursor.k += 1
-            if cursor.k >= stream.samples_per_window:
-                cursor.k = 0
-                cursor.w += 1
-                if cursor.app is not None:
-                    handoff = handoffs.on_window(cursor.app, w)
-                    if handoff is not None:
-                        cursor.ops, cursor.payload = handoff
-                        cursor.pos = 0
-                        cursor.in_handoff = True
-                        heappush(heap, (end, start, next_seq(), cursor))
-                        continue
-        if cursor.w >= windows:
-            next_polls.pop(cursor, None)
-            continue
-        target = cursor.w * stream.window_s + cursor.k / stream.rate_hz
-        if target > end:
-            # The stream is about to wait: refresh its poll entry and
-            # evaluate the nap governor at the pre-wait instant.
-            next_polls[cursor] = target
-            _maybe_sleep(run, end, next_polls)
-            heappush(heap, (target, end, next_seq(), cursor))
-        else:
-            # No wait: the process rolls straight from the execute-end
-            # event (scheduled at the op's start) into the next read.
-            heappush(heap, (end, start, next_seq(), cursor))
+            mcu_holder = (end, start, next_seq(), then)
+            if then is not None:
+                heappush(heap, mcu_holder)
     if cpu.done_key is not None:
         cpu.settle()
     cpu.close()

@@ -30,9 +30,7 @@ def compare_grid(
     entire comparison — instead of a fresh engine (and worker spawn)
     per scheme.  ``backend`` chooses where the grid executes (results
     are bit-identical across backends).  ``fidelity``
-    overrides the engine's tier for this grid (``"auto"`` is a natural
-    fit here: the batch holds every scheme of each app set, so the
-    planner confirms exactly the per-set frontier).  Returns
+    overrides the engine's tier for this grid.  Returns
     ``{tuple(app_ids): {scheme: result}}`` in input order.
     """
     owns_engine = engine is None

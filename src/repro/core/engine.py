@@ -46,7 +46,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import AnalyticUnsupported, ReproError
 from ..obs.metrics import EngineMetrics
-from .analytic import AUTO_CONFIRM_BAND, analytic_scenario_result
+from .analytic import analytic_scenario_result
 from .backends import ExecutionBackend, create_backend, run_chunk
 from .cache import DiskResultCache, LRUResultCache, TieredResultCache
 from .results import RunResult
@@ -76,11 +76,9 @@ FINGERPRINT_VERSION = 7
 
 #: Fidelity tiers an engine can run at.  ``"des"`` is the discrete-event
 #: simulation (the authoritative tier), ``"analytic"`` the closed-form
-#: models in :mod:`repro.core.analytic`, and ``"auto"`` the planner:
-#: answer everything analytically, then re-run only the frontier
-#: (per-app-set scheme winners and within-band near-ties) plus any
-#: point the analytic tier cannot cover through the DES.
-FIDELITIES = ("des", "analytic", "auto")
+#: models in :mod:`repro.core.analytic`, which answer the points inside
+#: their envelope and hand the rest to the DES.
+FIDELITIES = ("des", "analytic")
 
 #: Default in-memory LRU capacity when disk caching is enabled.
 DEFAULT_MEMORY_CACHE_ENTRIES = 256
@@ -201,22 +199,6 @@ def scenario_fingerprint(
     return _digest(_fingerprint_payload(scenario, canonical, fidelity))
 
 
-def scenario_group_key(scenario: Scenario) -> str:
-    """Digest of everything about a scenario *except* its scheme.
-
-    The ``fidelity="auto"`` planner groups grid points by this key: one
-    group holds the same app set / windows / calibration / waveforms
-    under every scheme, and the planner picks each group's frontier
-    (scheme winner plus within-band near-ties) for DES confirmation.
-    The fidelity tier is excluded — it describes *how* a point runs,
-    not which physical grid point it is.
-    """
-    payload = _fingerprint_payload(scenario, canonical=True, fidelity="des")
-    del payload["scheme"]
-    del payload["fidelity"]
-    return _digest(payload)
-
-
 def strip_hub(result: RunResult) -> RunResult:
     """Copy of a result without the live hub (picklable, cacheable)."""
     if result.hub is None:
@@ -301,10 +283,7 @@ class ScenarioEngine:
     ``fidelity`` selects the default tier (any call can override it):
     ``"des"`` runs the event simulation; ``"analytic"`` answers from the
     closed-form models in :mod:`repro.core.analytic`, transparently
-    falling back to the DES for points outside the validated envelope;
-    ``"auto"`` answers the whole batch analytically, then re-runs only
-    the frontier (per-app-set scheme winners plus within-band near-ties)
-    through the DES and merges, tagging each result's ``fidelity``.
+    falling back to the DES for points outside the validated envelope.
     Analytic and DES entries fingerprint — and therefore cache —
     separately.
     """
@@ -434,15 +413,9 @@ class ScenarioEngine:
         engine's ``dedup`` setting, so two batches
         with equal fingerprints would execute identically through this
         engine.  ``fidelity="analytic"`` yields the closed-form tier's
-        fingerprints; ``"des"`` and ``"auto"`` both yield the DES
-        fingerprints (auto's grid identity *is* the DES grid — the tier
-        split is mixed into :meth:`batch_key` instead).
+        fingerprints, ``"des"`` the event simulation's.
         """
-        tier = (
-            "analytic"
-            if self._resolve_fidelity(fidelity) == "analytic"
-            else "des"
-        )
+        tier = self._resolve_fidelity(fidelity)
         started = time.perf_counter()
         result = [
             scenario_fingerprint(scenario, canonical=self.dedup, fidelity=tier)
@@ -467,8 +440,8 @@ class ScenarioEngine:
         resolved = self._resolve_fidelity(fidelity)
         joined = "\n".join(self.fingerprints(scenarios, fidelity=resolved))
         if resolved != "des":
-            # Prefixed only for non-DES tiers so existing DES keys (and
-            # any coalescing state keyed on them) are unchanged.
+            # Prefixed only for the analytic tier so existing DES keys
+            # (and any coalescing state keyed on them) are unchanged.
             joined = f"fidelity:{resolved}\n{joined}"
         return hashlib.sha256(joined.encode("ascii")).hexdigest()
 
@@ -586,16 +559,11 @@ class ScenarioEngine:
 
         ``fidelity`` overrides the engine's default tier for this call:
         ``"analytic"`` answers from the closed-form models (DES fallback
-        for unsupported points); ``"auto"`` answers analytically, then
-        re-runs the frontier through the DES (see :meth:`__init__`).
-        Every outcome's ``fidelity`` field records the tier that
-        actually produced it.
+        for unsupported points).  Every outcome's ``fidelity`` field
+        records the tier that actually produced it.
         """
-        resolved = self._resolve_fidelity(fidelity)
-        if resolved == "analytic":
+        if self._resolve_fidelity(fidelity) == "analytic":
             return self._run_batch_analytic(scenarios, client)
-        if resolved == "auto":
-            return self._run_batch_auto(scenarios, client)
         return self._run_batch_des(scenarios, client)
 
     def _run_batch_des(
@@ -756,23 +724,6 @@ class ScenarioEngine:
         self.metrics.run_wall_s += time.perf_counter() - started
         return outcomes
 
-    def _merge_des(
-        self,
-        scenarios: Sequence[Scenario],
-        outcomes: List[Optional[Outcome]],
-        confirm: List[int],
-        client: Optional[str],
-    ) -> List[Outcome]:
-        """Fill/overwrite ``confirm`` slots with DES outcomes."""
-        if confirm:
-            des = self._run_batch_des(
-                [scenarios[index] for index in confirm], client=client
-            )
-            for index, outcome in zip(confirm, des):
-                outcomes[index] = outcome
-        assert all(outcome is not None for outcome in outcomes)
-        return outcomes  # type: ignore[return-value]
-
     def _run_batch_analytic(
         self, scenarios: Sequence[Scenario], client: Optional[str]
     ) -> List[Outcome]:
@@ -783,49 +734,14 @@ class ScenarioEngine:
             for index, outcome in enumerate(outcomes)
             if outcome is None
         ]
-        return self._merge_des(scenarios, outcomes, pending, client)
-
-    def _run_batch_auto(
-        self, scenarios: Sequence[Scenario], client: Optional[str]
-    ) -> List[Outcome]:
-        """The planner tier: analytic sweep, DES confirmation of the frontier.
-
-        The analytic pass answers every point; points are then grouped
-        by :func:`scenario_group_key` (same grid point, different
-        scheme) and each group's frontier — its marginal-energy winner
-        plus any scheme within :data:`AUTO_CONFIRM_BAND` of it — is
-        re-run through the DES, along with every point the analytic tier
-        could not cover.  DES results replace the analytic answers on
-        confirmed points (their ``fidelity`` tag records the tier), so
-        the ranking the sweep reports is always DES-confirmed.
-        """
-        outcomes = self._analytic_outcomes(scenarios, client)
-        confirm = [
-            index
-            for index, outcome in enumerate(outcomes)
-            if outcome is None
-        ]
-        groups: Dict[str, List[int]] = {}
-        for index, outcome in enumerate(outcomes):
-            if isinstance(outcome, RunResult):
-                groups.setdefault(
-                    scenario_group_key(scenarios[index]), []
-                ).append(index)
-        frontier: List[int] = []
-        for indices in groups.values():
-            best = min(
-                outcomes[index].energy.marginal_j for index in indices
+        if pending:
+            des = self._run_batch_des(
+                [scenarios[index] for index in pending], client=client
             )
-            cutoff = best * (1.0 + AUTO_CONFIRM_BAND)
-            frontier.extend(
-                index
-                for index in indices
-                if outcomes[index].energy.marginal_j <= cutoff
-            )
-        self.metrics.frontier_points += len(frontier)
-        confirm.extend(frontier)
-        self.metrics.des_confirmations += len(confirm)
-        return self._merge_des(scenarios, outcomes, confirm, client)
+            for index, outcome in zip(pending, des):
+                outcomes[index] = outcome
+        assert all(outcome is not None for outcome in outcomes)
+        return outcomes  # type: ignore[return-value]
 
     def run_many(
         self,

@@ -38,8 +38,8 @@ class RunResult:
     offload_reports: Dict[str, OffloadReport] = field(default_factory=dict)
     hub: Optional[IoTHub] = None
     #: Which tier produced this result: ``"des"`` (event simulation) or
-    #: ``"analytic"`` (closed-form model).  ``fidelity="auto"`` runs tag
-    #: each merged point with the tier that actually answered it.
+    #: ``"analytic"`` (closed-form model).  An analytic batch tags each
+    #: point the DES answered for it (outside the envelope) ``"des"``.
     fidelity: str = "des"
 
     @property

@@ -113,7 +113,7 @@ def run_sweep(
     Pass a pre-built ``engine`` to share one cache/backend/memory-LRU
     configuration across sweeps — its workers then persist between
     calls.  ``fidelity`` overrides the engine's execution tier for this
-    sweep (``"des"``, ``"analytic"``, or ``"auto"`` — see
+    sweep (``"des"`` or ``"analytic"`` — see
     :class:`~repro.core.engine.ScenarioEngine`); each point's result
     records the tier that produced it in ``RunResult.fidelity``.
     """

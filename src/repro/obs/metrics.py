@@ -135,12 +135,6 @@ class EngineMetrics:
     #: Grid points the analytic tier handed to the DES because they lie
     #: outside its envelope (``AnalyticUnsupported``).
     analytic_fallbacks: int = 0
-    #: Grid points ``fidelity="auto"`` selected as the frontier (per-app-set
-    #: scheme winners plus within-band near-ties).
-    frontier_points: int = 0
-    #: Grid points ``fidelity="auto"`` sent to the DES: the frontier plus
-    #: every point outside the analytic tier's envelope.
-    des_confirmations: int = 0
     #: Host seconds spent evaluating closed-form models.
     analytic_wall_s: float = 0.0
     #: Host seconds spent computing scenario fingerprints.
@@ -180,8 +174,6 @@ class EngineMetrics:
             "scenarios_run": self.scenarios_run,
             "analytic_evals": self.analytic_evals,
             "analytic_fallbacks": self.analytic_fallbacks,
-            "frontier_points": self.frontier_points,
-            "des_confirmations": self.des_confirmations,
             "analytic_wall_s": self.analytic_wall_s,
             "fingerprint_wall_s": self.fingerprint_wall_s,
             "run_wall_s": self.run_wall_s,
@@ -211,17 +203,11 @@ class EngineMetrics:
                 "equivalent simulations"
             )
         if self.analytic_evals or self.analytic_fallbacks:
-            line = (
+            lines.append(
                 f"analytic: {self.analytic_evals} closed-form eval(s) in "
                 f"{to_ms(self.analytic_wall_s):.2f} ms, "
                 f"{self.analytic_fallbacks} point(s) fell back to the DES"
             )
-            if self.des_confirmations:
-                line += (
-                    f"; auto confirmed {self.des_confirmations} point(s) "
-                    f"via DES ({self.frontier_points} frontier)"
-                )
-            lines.append(line)
         if self.backend_dispatches:
             name = self.backend_name or "?"
             line = (

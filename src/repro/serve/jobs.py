@@ -161,7 +161,7 @@ def scenarios_from_spec(
 def spec_fidelity(spec: Dict[str, Any]) -> Optional[str]:
     """A job spec's validated ``fidelity``, or None for the service default.
 
-    Any job kind may carry ``"fidelity": "des" | "analytic" | "auto"``;
+    Any job kind may carry ``"fidelity": "des" | "analytic"``;
     unknown tiers raise :class:`~repro.errors.JobSpecError` at submission
     time (not mid-execution).
     """

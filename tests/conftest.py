@@ -1,9 +1,15 @@
 """Fixtures shared across test modules."""
 
 import pytest
+from hypothesis import settings
 
 from repro.core import SchemeExecutor, SchemePlan, register_scheme
 from repro.core.schemes import unregister_scheme
+
+#: The CI fuzz job's profile (``pytest --hypothesis-profile=fuzz``): the
+#: generated-scenario tests in test_analytic.py raise their example
+#: budgets under it; every other test keeps its own.
+settings.register_profile("fuzz")
 
 
 @pytest.fixture

@@ -1,32 +1,32 @@
-"""The analytic tier's validation harness and the fidelity planner.
+"""The analytic tier's validation harness and its engine plumbing.
 
 The first half pins the closed-form models against the DES: every
 Figure 11 app set under all six schemes, plus seeded random app mixes
 and multi-window scenarios, must land within :data:`ANALYTIC_RTOL` on
-every energy/duration figure with exact integer counters.  Long
+every energy/duration figure with exact integer counters, and full
+scans of generated scenarios must equal the DES bit for bit.  Long
 horizons' cycle extrapolation is held to the full scan it replaces and
 to the DES the same way.  The second half exercises the engine
-plumbing — fingerprint separation, the ``auto`` planner's frontier
-selection (exact-match assertions), cache fidelity accounting, and the
-serve/CLI surfaces.
+plumbing — fingerprint separation, cache fidelity accounting, and the
+tier fallback.
 """
 
 import pickle
 import random
+from dataclasses import fields
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from repro.calibration import CpuCalibration, McuCalibration, default_calibration
 from repro.core import (
     ANALYTIC_RTOL,
-    AUTO_CONFIRM_BAND,
     FIDELITIES,
     Scenario,
     ScenarioEngine,
     analytic_scenario_result,
     scenario_fingerprint,
-    scenario_group_key,
     supports_analytic,
 )
 from repro.core.analytic import model
@@ -209,31 +209,102 @@ def assert_bit_identical(ana, des):
     assert ana.qos_violations == des.qos_violations
 
 
-@settings(max_examples=30, derandomize=True, deadline=None)
+#: The CPU and MCU constants a generated scenario may scale, and the
+#: factors it scales them by.
+CALIBRATION_CONSTANTS = tuple(
+    ("cpu", field.name) for field in fields(CpuCalibration)
+) + tuple(("mcu", field.name) for field in fields(McuCalibration))
+SCALE_FACTORS = (0.8, 0.9, 1.1, 1.25)
+
+
+def scaled_calibration(scales):
+    """The default calibration with each ``(part, name, factor)`` applied."""
+    calibration = default_calibration()
+    changes = {"cpu": {}, "mcu": {}}
+    for part, name, factor in scales:
+        value = getattr(getattr(calibration, part), name)
+        changes[part][name] = type(value)(value * factor)
+    return calibration.with_cpu(**changes["cpu"]).with_mcu(**changes["mcu"])
+
+
+def tier_outcome(scenario) -> str:
+    """Answer ``scenario`` in both tiers and name how they compare.
+
+    ``"error"``: both raise the same error; ``"envelope"``: outside the
+    analytic envelope; ``"identical"``: a full scan equal to the DES bit
+    for bit; ``"extrapolated"``: a multiplied-out cycle within
+    :func:`assert_results_match`.  Anything else fails an assertion.
+    """
+    recorder = TraceRecorder()
+    try:
+        ana = analytic_scenario_result(scenario, obs=recorder)
+    except AnalyticUnsupported:
+        return "envelope"
+    except ReproError as exc:
+        try:
+            execute_scenario(scenario)
+        except ReproError as des_exc:
+            assert (type(des_exc), str(des_exc)) == (type(exc), str(exc))
+            return "error"
+        raise AssertionError(f"only the analytic tier raised {exc!r}")
+    des = execute_scenario(scenario)
+    if "analytic.cycles_skipped" in recorder.counters:
+        assert_results_match(ana, des)
+        return "extrapolated"
+    assert_bit_identical(ana, des)
+    return "identical"
+
+
+#: Example budgets of the two generated-scenario tests: tier-1's, or the
+#: CI fuzz job's under ``--hypothesis-profile=fuzz`` (tests/conftest.py).
+FUZZING = settings.get_current_profile_name() == "fuzz"
+generated_apps = st.lists(
+    st.sampled_from([f"A{index}" for index in range(1, 12)]),
+    min_size=1, max_size=4, unique=True,
+)
+#: Up to three distinct constants, each scaled by one factor.
+generated_scales = st.tuples(
+    st.lists(st.sampled_from(CALIBRATION_CONSTANTS), max_size=3, unique=True),
+    st.lists(st.sampled_from(SCALE_FACTORS), min_size=3, max_size=3),
+).map(lambda drawn: [(*constant, factor) for constant, factor in zip(*drawn)])
+
+
+# Regression cases: two ops queued on the MCU core whose end entries tie
+# on (fire, scheduled) must come out in hand-off (release) order.
+@example(apps=["A1", "A11", "A4"], scheme="baseline", windows=1, scales=[])
+@example(apps=["A6", "A4", "A1"], scheme="batching", windows=2, scales=[])
+@example(apps=["A4", "A3", "A1", "A6"], scheme="com", windows=3, scales=[])
+@settings(max_examples=400 if FUZZING else 30, derandomize=True, deadline=None)
 @given(
-    apps=st.lists(
-        st.sampled_from([f"A{index}" for index in range(1, 12)]),
-        min_size=1, max_size=4, unique=True,
-    ),
+    apps=generated_apps,
     scheme=st.sampled_from(SCHEMES),
     windows=st.integers(1, 3),
+    scales=generated_scales,
 )
-def test_generated_scenarios_equal_des_exactly(apps, scheme, windows):
-    """Over generated app mixes, schemes and window counts, each
-    scenario either raises the same error in both tiers, lies outside
-    the analytic envelope, or scans to the DES result bit for bit."""
-    scenario = Scenario.of(apps, scheme=scheme, windows=windows)
-    try:
-        ana = analytic_scenario_result(scenario)
-    except AnalyticUnsupported:
-        return
-    except ReproError as exc:
-        with pytest.raises(ReproError) as des_exc:
-            execute_scenario(scenario)
-        assert type(des_exc.value) is type(exc)
-        assert str(des_exc.value) == str(exc)
-        return
-    assert_bit_identical(ana, execute_scenario(scenario))
+def test_generated_scenarios_equal_des_exactly(apps, scheme, windows, scales):
+    """Over generated app mixes, schemes, window counts and calibration
+    perturbations, each scenario either raises the same error in both
+    tiers, lies outside the analytic envelope, or scans to the DES
+    result bit for bit."""
+    scenario = Scenario.of(apps, scheme=scheme, windows=windows,
+                           calibration=scaled_calibration(scales))
+    outcome = tier_outcome(scenario)
+    event(outcome)
+    assert outcome in ("error", "envelope", "identical")
+
+
+@settings(max_examples=40 if FUZZING else 3, derandomize=True, deadline=None)
+@given(
+    apps=generated_apps,
+    scheme=st.sampled_from(SCHEMES),
+    windows=st.integers(7, 12),
+    scales=generated_scales,
+)
+def test_generated_long_scenarios_match_des(apps, scheme, windows, scales):
+    """Long enough to extrapolate: a multiplied-out cycle lands within
+    the band of the DES, and a scenario scanned in full equals it."""
+    event(tier_outcome(Scenario.of(apps, scheme=scheme, windows=windows,
+                                   calibration=scaled_calibration(scales))))
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -477,7 +548,7 @@ def test_offload_error_counts_as_supported():
 
 
 # ----------------------------------------------------------------------
-# fingerprints and grouping
+# fingerprints
 # ----------------------------------------------------------------------
 def test_fingerprint_separates_fidelity_tiers():
     scenario = Scenario.of(["A2", "A5"], scheme="baseline")
@@ -486,19 +557,6 @@ def test_fingerprint_separates_fidelity_tiers():
     assert des != ana
     with pytest.raises(ValueError):
         scenario_fingerprint(scenario, fidelity="auto")
-
-
-def test_group_key_spans_schemes_not_workloads():
-    a = scenario_group_key(Scenario.of(["A2", "A5"], scheme="baseline"))
-    b = scenario_group_key(Scenario.of(["A2", "A5"], scheme="bcom"))
-    c = scenario_group_key(Scenario.of(["A5", "A2"], scheme="beam"))
-    assert a == b == c  # schemes collapse; app permutations canonicalize
-    other_apps = scenario_group_key(Scenario.of(["A2", "A7"], scheme="bcom"))
-    other_windows = scenario_group_key(
-        Scenario.of(["A2", "A5"], scheme="baseline", windows=2)
-    )
-    assert a != other_apps
-    assert a != other_windows
 
 
 # ----------------------------------------------------------------------
@@ -552,69 +610,6 @@ def test_analytic_tier_falls_back_to_des_when_unsupported():
         assert engine.metrics.analytic_evals == 0
 
 
-def test_auto_frontier_selection_exact():
-    schemes = ("baseline", "beam", "bcom")
-    grid = _grid([("A2", "A5")], schemes)
-    with ScenarioEngine() as engine:
-        outcomes = engine.run_batch(grid, fidelity="auto")
-        # bcom wins this app set outright (no within-band near-tie), so
-        # the planner confirms exactly one point through the DES.
-        assert [r.fidelity for r in outcomes] == ["analytic", "analytic",
-                                                  "des"]
-        assert engine.metrics.analytic_evals == 3
-        assert engine.metrics.frontier_points == 1
-        assert engine.metrics.des_confirmations == 1
-        assert engine.metrics.scenarios_run == 1
-        winner = min(outcomes, key=lambda r: r.energy.marginal_j)
-        assert winner.scheme == "bcom" and winner.fidelity == "des"
-
-
-def test_auto_confirms_all_within_band_ties():
-    # Two copies of one scheme are a perfect tie — both sit inside
-    # AUTO_CONFIRM_BAND of the winner, so both are frontier points; the
-    # DES pass then dedups them into a single simulation.
-    assert AUTO_CONFIRM_BAND > 0
-    grid = _grid([("A2", "A5")], ("baseline", "baseline"))
-    with ScenarioEngine() as engine:
-        outcomes = engine.run_batch(grid, fidelity="auto")
-        assert [r.fidelity for r in outcomes] == ["des", "des"]
-        assert engine.metrics.frontier_points == 2
-        assert engine.metrics.des_confirmations == 2
-        assert engine.metrics.scenarios_run == 1  # deduped confirmation
-        assert engine.metrics.dedup_hits >= 1
-
-
-def test_auto_sends_unsupported_points_to_des():
-    supported = Scenario.of(["A2", "A5"], scheme="baseline")
-    unsupported = Scenario.of(["A2", "A5"], scheme="batching",
-                              batch_size=100)
-    with ScenarioEngine() as engine:
-        outcomes = engine.run_batch([supported, unsupported],
-                                    fidelity="auto")
-        # Different group keys (batch_size differs), so the supported
-        # point is its own group winner: both end up DES-confirmed.
-        assert [r.fidelity for r in outcomes] == ["des", "des"]
-        assert engine.metrics.analytic_evals == 1
-        assert engine.metrics.frontier_points == 1
-        assert engine.metrics.des_confirmations == 2
-
-
-def test_auto_matches_des_bit_identically_on_confirmed_points():
-    schemes = ("baseline", "beam", "bcom")
-    grid = _grid(FIG11_COMBOS[:4], schemes)
-    with ScenarioEngine() as auto_engine, ScenarioEngine() as des_engine:
-        auto = auto_engine.run_batch(grid, fidelity="auto")
-        des = des_engine.run_batch(_grid(FIG11_COMBOS[:4], schemes))
-        assert des_engine.metrics.scenarios_run == len(grid)
-        assert auto_engine.metrics.scenarios_run < len(grid) / 2
-        for a, d in zip(auto, des):
-            if a.fidelity == "des":
-                assert a.energy.marginal_j == d.energy.marginal_j
-                assert a.duration_s == d.duration_s
-            else:
-                assert _close(d.energy.marginal_j, a.energy.marginal_j)
-
-
 def test_fidelity_tiers_never_collide_in_cache(tmp_path):
     cache_dir = tmp_path / "cache"
     scenario = Scenario.of(["A2", "A5"], scheme="bcom")
@@ -651,18 +646,14 @@ def test_batch_key_mixes_fidelity():
     scenarios = _grid([("A2", "A5")], ("baseline", "bcom"))
     with ScenarioEngine() as engine:
         des = engine.batch_key(scenarios)
-        auto = engine.batch_key(scenarios, fidelity="auto")
         ana = engine.batch_key(scenarios, fidelity="analytic")
-        assert len({des, auto, ana}) == 3
-        # Fingerprints for auto are the DES grid identity.
-        assert engine.fingerprints(scenarios, fidelity="auto") == \
-            engine.fingerprints(scenarios)
+        assert des != ana
         assert engine.fingerprints(scenarios, fidelity="analytic") != \
             engine.fingerprints(scenarios)
 
 
 def test_fidelities_tuple_is_closed():
-    assert FIDELITIES == ("des", "analytic", "auto")
+    assert FIDELITIES == ("des", "analytic")
 
 
 def test_analytic_obs_spans():

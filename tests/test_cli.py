@@ -105,6 +105,23 @@ def test_parser_rejects_unknown_scheme():
         build_parser().parse_args(["run", "A2", "--scheme", "warp"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "A2"],
+        ["compare", "A2", "--schemes", "baseline", "beam"],
+        ["serve"],
+        ["client", "run", "A2"],
+    ],
+    ids=["run", "compare", "serve", "client"],
+)
+def test_fidelity_auto_is_a_usage_error(argv):
+    """Only the two tiers are choices; ``auto`` exits with status 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--fidelity", "auto"])
+    assert exc.value.code == 2
+
+
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

@@ -1,8 +1,8 @@
 """The paper's headline savings (EXPERIMENTS.md), pinned in tier-1.
 
-Both figure grids run through ``compare_grid(..., fidelity="auto")``:
-the analytic tier answers every point and the DES confirms each app
-set's winner, so a calibration regression fails here in seconds rather
+Both figure grids run through ``compare_grid(..., fidelity="analytic")``
+on a serial engine: every point is a full scan, which equals the DES
+bit for bit, so a calibration regression fails here in seconds rather
 than only in the benchmarks.
 """
 
@@ -18,16 +18,14 @@ TOLERANCE_PP = 0.1
 
 def _average_savings_pp(engine, app_sets, schemes):
     """Mean saving of every non-baseline scheme over the grid, in %."""
-    grid = compare_grid(app_sets, schemes, engine=engine, fidelity="auto")
+    grid = compare_grid(app_sets, schemes, engine=engine, fidelity="analytic")
     return {
         scheme: 100.0 * average_savings(grid, scheme) for scheme in schemes[1:]
     }
 
 
 def test_fig10_and_fig11_average_savings():
-    # Two workers share the DES confirmations; results are bit-identical
-    # to a serial engine.
-    with ScenarioEngine(workers=2, backend="process") as engine:
+    with ScenarioEngine() as engine:
         fig10 = _average_savings_pp(
             engine,
             [[app_id] for app_id in light_weight_ids()],
@@ -38,6 +36,9 @@ def test_fig10_and_fig11_average_savings():
             [list(combo) for combo in FIG11_COMBOS],
             [Scheme.BASELINE, Scheme.BEAM, Scheme.BCOM],
         )
+        # Every point was answered by the analytic tier.
+        assert engine.metrics.scenarios_run == 0
+        assert engine.metrics.analytic_fallbacks == 0
     assert fig10[Scheme.BATCHING] == pytest.approx(52.5, abs=TOLERANCE_PP)
     assert fig10[Scheme.COM] == pytest.approx(84.7, abs=TOLERANCE_PP)
     assert fig11[Scheme.BEAM] == pytest.approx(23.1, abs=TOLERANCE_PP)

@@ -21,6 +21,7 @@ from repro.serve import (
     scenarios_from_spec,
     spec_fidelity,
 )
+from repro.serve.app import status_for
 
 GRID_SPEC = {
     "kind": "grid",
@@ -149,8 +150,12 @@ def test_fidelity_spec_threads_through_job():
 
 
 def test_bad_fidelity_rejected():
-    with pytest.raises(JobSpecError):
-        spec_fidelity({"kind": "run", "apps": ["A1"], "fidelity": "warp"})
+    # "auto" included: only the two tiers are accepted.
+    for fidelity in ("warp", "auto"):
+        with pytest.raises(JobSpecError) as exc:
+            spec_fidelity({"kind": "run", "apps": ["A1"], "fidelity": fidelity})
+        assert status_for(exc.value) == 400
+        assert "('des', 'analytic')" in str(exc.value)
 
 
 def test_grid_job_bit_identical_to_compare_grid():
