@@ -23,7 +23,7 @@ from .framework import (
     resolve_rules,
     tokens_cover,
 )
-from .program import LintCache, build_program
+from .program import build_program
 from .reporters import (
     JSON_SCHEMA_VERSION,
     SARIF_VERSION,
@@ -38,7 +38,6 @@ __all__ = [
     "Finding",
     "Severity",
     "FileContext",
-    "LintCache",
     "LintConfigError",
     "ProgramRule",
     "Rule",

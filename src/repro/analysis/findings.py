@@ -66,20 +66,3 @@ class Finding:
             payload["data"] = dict(self.data)
         return payload
 
-    @classmethod
-    def from_json(cls, payload: Dict[str, Any]) -> "Finding":
-        """Rebuild a finding from :meth:`to_json` output.
-
-        The incremental lint cache stores per-file findings this way;
-        the round-trip must stay lossless for cached warm runs to be
-        indistinguishable from cold ones.
-        """
-        return cls(
-            path=payload["path"],
-            line=payload["line"],
-            col=payload["col"],
-            rule_id=payload["rule"],
-            severity=Severity(payload["severity"]),
-            message=payload["message"],
-            data=dict(payload.get("data", {})),
-        )

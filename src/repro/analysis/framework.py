@@ -362,24 +362,37 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
     """Yield ``.py`` files under ``paths`` in sorted, deterministic order.
 
     Directories are walked recursively; hidden directories and
-    ``__pycache__`` are skipped.  Missing paths raise
+    ``__pycache__`` are skipped.  A file reached by several arguments
+    (``pkg pkg/mod.py``) is yielded once, at its first occurrence, as
+    judged by its normalized absolute path.  Missing paths raise
     :class:`LintConfigError` rather than silently linting nothing.
     """
+    seen: Set[str] = set()
     for path in paths:
         if os.path.isfile(path):
-            yield path
+            found: Iterable[str] = [path]
         elif os.path.isdir(path):
-            for root, dirnames, filenames in os.walk(path):
-                dirnames[:] = sorted(
-                    name
-                    for name in dirnames
-                    if name != "__pycache__" and not name.startswith(".")
-                )
-                for filename in sorted(filenames):
-                    if filename.endswith(".py"):
-                        yield os.path.join(root, filename)
+            found = _walk_python_files(path)
         else:
             raise LintConfigError(f"no such file or directory: {path!r}")
+        for file_path in found:
+            key = os.path.abspath(file_path)
+            if key not in seen:
+                seen.add(key)
+                yield file_path
+
+
+def _walk_python_files(directory: str) -> Iterator[str]:
+    """Walk one directory argument of :func:`iter_python_files`."""
+    for root, dirnames, filenames in os.walk(directory):
+        dirnames[:] = sorted(
+            name
+            for name in dirnames
+            if name != "__pycache__" and not name.startswith(".")
+        )
+        for filename in sorted(filenames):
+            if filename.endswith(".py"):
+                yield os.path.join(root, filename)
 
 
 def lint_paths(
@@ -387,84 +400,43 @@ def lint_paths(
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
     program: bool = True,
-    cache: Optional[object] = None,
-    report_paths: Optional[Sequence[str]] = None,
 ) -> List[Finding]:
     """Lint every Python file under ``paths``; findings sorted by location.
 
-    Runs the per-file rules on each file and, when ``program`` is true
-    and any whole-program rule is active, assembles the project index
-    over the *same single parse* per file and runs the ``program-*``
-    passes.  ``cache`` (a :class:`~repro.analysis.program.cache
-    .LintCache`) memoizes both per-file findings and module summaries
-    by content hash — a warm run over an unchanged tree re-parses
-    nothing.  ``report_paths`` restricts *reported* findings to a file
-    subset while still analyzing the whole program (``--changed``).
+    Each file is read and parsed once: the per-file rules walk the
+    tree, and when ``program`` is true and any whole-program rule is
+    active, the same tree is summarized.  The ``program-*`` passes then
+    run over the :class:`~repro.analysis.program.graph.ProgramIndex`
+    assembled from those summaries.
     """
     # Deferred import: program.* modules import this framework.
-    from .program.cache import LintCache, content_hash, ruleset_signature
     from .program.graph import ProgramIndex, module_name_for_path
     from .program.summaries import ModuleSummary, summarize_module
 
-    lint_cache = cache if isinstance(cache, LintCache) else LintCache(None)
     rules = resolve_rules(select, ignore)
     file_rules = [rule for rule in rules if not rule.is_program]
     program_rules = [rule for rule in rules if rule.is_program]
     run_program = program and bool(program_rules)
-    signature = ruleset_signature(
-        [rule.rule_id for rule in file_rules]
-    )
     findings: List[Finding] = []
     summaries: List[ModuleSummary] = []
     for path in iter_python_files(paths):
         with open(path, "r", encoding="utf-8") as handle:
             source = handle.read()
-        key = content_hash(source, path)
-        cached = lint_cache.get_findings(key, signature)
-        summary = lint_cache.get_summary(key) if run_program else None
-        if cached is None or (run_program and summary is None):
-            try:
-                tree = ast.parse(source, filename=path)
-            except SyntaxError as exc:
-                if cached is None:
-                    file_findings = [_parse_error_finding(path, exc)]
-                    lint_cache.put_findings(
-                        key,
-                        signature,
-                        [finding.to_json() for finding in file_findings],
-                    )
-                    findings.extend(file_findings)
-                else:
-                    findings.extend(
-                        Finding.from_json(item) for item in cached
-                    )
-                continue
-            lint_cache.note_parse()
-            if cached is None:
-                ctx = FileContext(path, source)
-                file_findings = _run_file_rules(ctx, tree, file_rules)
-                lint_cache.put_findings(
-                    key,
-                    signature,
-                    [finding.to_json() for finding in file_findings],
-                )
-                findings.extend(file_findings)
-            else:
-                findings.extend(
-                    Finding.from_json(item) for item in cached
-                )
-            if run_program and summary is None:
-                summary = summarize_module(
+        try:
+            tree = ast.parse(source, filename=path)
+        except SyntaxError as exc:
+            findings.append(_parse_error_finding(path, exc))
+            continue
+        ctx = FileContext(path, source)
+        findings.extend(_run_file_rules(ctx, tree, file_rules))
+        if run_program:
+            summaries.append(
+                summarize_module(
                     tree, module_name_for_path(path), path, source
                 )
-                lint_cache.put_summary(key, summary)
-        else:
-            findings.extend(Finding.from_json(item) for item in cached)
-        if summary is not None:
-            summaries.append(summary)
+            )
     if run_program:
         index = ProgramIndex(summaries)
-        index.stats = lint_cache.stats()
         for rule in program_rules:
             for finding in rule.check_program(index):
                 tokens = index.suppression_tokens(
@@ -472,11 +444,4 @@ def lint_paths(
                 )
                 if not tokens_cover(tokens, finding.rule_id):
                     findings.append(finding)
-    if report_paths is not None:
-        wanted = {os.path.normpath(path) for path in report_paths}
-        findings = [
-            finding
-            for finding in findings
-            if os.path.normpath(finding.path) in wanted
-        ]
     return sorted(findings, key=lambda finding: finding.sort_key)

@@ -1,9 +1,9 @@
 """Whole-program analysis beneath ``repro lint``'s per-file rules.
 
-One parse of the tree yields per-module summaries (symbols, imports,
-call sites, impurity sinks, unit facts, closure captures), cached
-incrementally by content hash.  A :class:`ProgramIndex` assembles them
-into a project symbol table and call graph, over which three passes run:
+One parse of each file yields a per-module summary (symbols, imports,
+call sites, impurity sinks, unit facts, closure captures).  A
+:class:`ProgramIndex` assembles the summaries into a project symbol
+table and call graph, over which three passes run:
 
 * :func:`find_impure_reaches` — interprocedural determinism, reported
   with the full entry-to-sink call chain (``program-det-*``);
@@ -17,33 +17,23 @@ architecture and evidence formats.
 """
 
 from .build import build_program
-from .cache import LintCache, content_hash, ruleset_signature
 from .determinism import ImpureReach, find_impure_reaches
 from .graph import ProgramIndex, module_name_for_path
 from .picklesafety import PickleHazard, find_pickle_hazards
-from .summaries import (
-    SUMMARY_VERSION,
-    ModuleSummary,
-    summarize_module,
-    summarize_source,
-)
+from .summaries import ModuleSummary, summarize_module, summarize_source
 from .unitsflow import UnitMismatch, find_unit_mismatches
 
 __all__ = [
-    "LintCache",
     "ImpureReach",
     "ModuleSummary",
     "PickleHazard",
     "ProgramIndex",
-    "SUMMARY_VERSION",
     "UnitMismatch",
     "build_program",
-    "content_hash",
     "find_impure_reaches",
     "find_pickle_hazards",
     "find_unit_mismatches",
     "module_name_for_path",
-    "ruleset_signature",
     "summarize_module",
     "summarize_source",
 ]

@@ -1,61 +1,32 @@
-"""Assembling the whole-program index from sources + the cache.
+"""Assembling the whole-program index from sources.
 
-``build_program`` is the one entry point the framework and CLI use: it
-maps file paths to module names, pulls each file's summary from the
-incremental cache (parsing only on miss), and hands the summaries to
-:class:`~repro.analysis.program.graph.ProgramIndex`.  Parse/hit
-counters land on ``index.stats`` so callers can assert warm runs do
-zero re-parses.
+``build_program`` maps each file path to its module name, summarizes
+the source and hands the summaries to
+:class:`~repro.analysis.program.graph.ProgramIndex`.  ``repro lint``
+does not go through it: ``lint_paths`` summarizes the tree its per-file
+rules already parsed.  It is the entry point for callers that hold
+sources but no trees, such as the whole-program tests.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import Dict, Mapping, Optional
+from typing import List, Mapping
 
-from .cache import LintCache, content_hash
 from .graph import ProgramIndex, module_name_for_path
-from .summaries import ModuleSummary, summarize_module
+from .summaries import ModuleSummary, summarize_source
 
 
-def build_program(
-    sources: Mapping[str, str],
-    cache: Optional[LintCache] = None,
-    module_names: Optional[Mapping[str, str]] = None,
-) -> ProgramIndex:
+def build_program(sources: Mapping[str, str]) -> ProgramIndex:
     """Build a :class:`ProgramIndex` over ``{path: source}``.
 
-    ``module_names`` overrides the filesystem-derived dotted names —
-    tests use it to lay out virtual packages without touching disk.
     Files that fail to parse are skipped (the per-file layer already
     reports ``parse-error`` for them).
     """
-    cache = cache if cache is not None else LintCache(root=None)
-    summaries: Dict[str, ModuleSummary] = {}
-    parsed = 0
-    hits = 0
+    summaries: List[ModuleSummary] = []
     for path in sorted(sources):
-        source = sources[path]
-        key = content_hash(source, path)
-        summary = cache.get_summary(key)
-        if summary is not None:
-            hits += 1
-            summaries[path] = summary
-            continue
-        module = (
-            module_names[path]
-            if module_names is not None and path in module_names
-            else module_name_for_path(path)
+        summary = summarize_source(
+            sources[path], module_name_for_path(path), path
         )
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError:
-            continue
-        cache.note_parse()
-        parsed += 1
-        summary = summarize_module(tree, module, path, source)
-        cache.put_summary(key, summary)
-        summaries[path] = summary
-    index = ProgramIndex(list(summaries.values()))
-    index.stats = {"parsed": parsed, "summary_hits": hits}
-    return index
+        if summary is not None:
+            summaries.append(summary)
+    return ProgramIndex(summaries)

@@ -1,20 +1,19 @@
 """The project symbol table, import resolver and call graph.
 
 A :class:`ProgramIndex` is assembled from per-module summaries (one
-parse per file, cached by content hash).  It resolves names across
-modules — direct calls, ``self.method``/receiver-type method calls,
-``mod.fn`` calls through the import table, callback registration edges
-(a bare function passed as an argument, ``functools.partial``) and
-registry-dispatch edges (``get_scheme``/``get_backend`` callers reach
-every ``@register_*``-decorated class's hook methods) — and exposes the
+parse per file).  It resolves names across modules — direct calls,
+``self.method``/receiver-type method calls, ``mod.fn`` calls through
+the import table, callback registration edges (a bare function passed
+as an argument, ``functools.partial``) and registry-dispatch edges
+(``get_scheme``/``get_backend`` callers reach every
+``@register_*``-decorated class's hook methods) — and exposes the
 resulting call graph to the whole-program passes.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .summaries import CallSite, FunctionSummary, ModuleSummary
 
@@ -71,8 +70,6 @@ class ProgramIndex:
                 fid = f"{summary.module}:{qualname}"
                 self.functions[fid] = fn
                 self.function_module[fid] = summary.module
-        #: Cache-build statistics, filled in by :func:`build_program`.
-        self.stats: Dict[str, int] = {"parsed": 0, "summary_hits": 0}
         self._edges: Optional[Dict[str, List[Tuple[str, int]]]] = None
         self._registry_targets: Dict[str, List[str]] = {}
 
@@ -277,61 +274,6 @@ class ProgramIndex:
         return reverse
 
     # ------------------------------------------------------------------
-    # import graph (for --changed)
-    # ------------------------------------------------------------------
-    def import_edges(self) -> Dict[str, Set[str]]:
-        """Module -> set of project modules it imports."""
-        edges: Dict[str, Set[str]] = {}
-        known = set(self.modules)
-        for name, summary in self.modules.items():
-            imported: Set[str] = set()
-            for target in summary.imports.values():
-                # The target may be a module, or module.symbol.
-                if target in known:
-                    imported.add(target)
-                else:
-                    module_part = target.rpartition(".")[0]
-                    if module_part in known:
-                        imported.add(module_part)
-            edges[name] = imported - {name}
-        return edges
-
-    def reverse_dependency_closure(
-        self, paths: Iterable[str]
-    ) -> List[str]:
-        """Paths of modules transitively importing any of ``paths``.
-
-        The input paths are included; output is sorted and unique.  This
-        is the file set ``repro lint --changed`` re-checks: a change to
-        ``units.py`` re-lints everything importing it.
-        """
-        wanted = {os.path.normpath(p) for p in paths}
-        by_path = {
-            os.path.normpath(summary.path): name
-            for name, summary in self.modules.items()
-        }
-        importers: Dict[str, Set[str]] = {name: set() for name in self.modules}
-        for name, imported in self.import_edges().items():
-            for target in imported:
-                importers[target].add(name)
-        queue = [
-            by_path[path] for path in wanted if path in by_path
-        ]
-        closure: Set[str] = set(queue)
-        while queue:
-            module = queue.pop()
-            for importer in importers.get(module, ()):
-                if importer not in closure:
-                    closure.add(importer)
-                    queue.append(importer)
-        result = {
-            os.path.normpath(self.modules[module].path)
-            for module in closure
-        }
-        result |= wanted
-        return sorted(result)
-
-    # ------------------------------------------------------------------
     # entry points
     # ------------------------------------------------------------------
     def in_deterministic_core(self, module: str) -> bool:
@@ -357,7 +299,3 @@ class ProgramIndex:
                 entries.append(fid)
         return entries
 
-
-def build_index(summaries: Sequence[ModuleSummary]) -> ProgramIndex:
-    """Assemble a :class:`ProgramIndex` from module summaries."""
-    return ProgramIndex(summaries)

@@ -4,22 +4,18 @@ One parse of a module produces a :class:`ModuleSummary`: its classes and
 functions, the import table, every call site with resolved-enough callee
 text and abstract argument facts (unit-of-measure guesses, closure
 captures, lambda-ness), the impurity sinks the body touches, and the
-inline-suppression map.  Summaries are plain-data and JSON-round-trip
-(:meth:`ModuleSummary.to_json` / :meth:`ModuleSummary.from_json`) so the
-incremental cache can persist them per content hash — the program index
-is then rebuilt from summaries alone, with zero re-parses on a warm run.
+inline-suppression map.  ``repro lint`` summarizes the same tree its
+per-file rules walk, so each file is parsed once; the program index is
+assembled from the summaries alone.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..framework import parse_suppressions
-
-#: Bump to invalidate cached summaries when the extraction changes.
-SUMMARY_VERSION = 1
 
 #: Name suffix -> unit-of-measure lattice value.
 UNIT_SUFFIXES: Dict[str, str] = {
@@ -149,27 +145,6 @@ class ArgInfo:
     #: Names referenced anywhere inside a container/other expression.
     refs: List[str] = field(default_factory=list)
 
-    def to_json(self) -> Dict[str, Any]:
-        """Plain-dict form for the summary cache."""
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "unit": self.unit,
-            "free": self.free,
-            "refs": self.refs,
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "ArgInfo":
-        """Rebuild from :meth:`to_json` output."""
-        return cls(
-            kind=data["kind"],
-            name=data.get("name"),
-            unit=data.get("unit"),
-            free=list(data.get("free", [])),
-            refs=list(data.get("refs", [])),
-        )
-
 
 @dataclass
 class CallSite:
@@ -181,30 +156,6 @@ class CallSite:
     args: List[ArgInfo] = field(default_factory=list)
     kwargs: Dict[str, ArgInfo] = field(default_factory=dict)
 
-    def to_json(self) -> Dict[str, Any]:
-        """Plain-dict form for the summary cache."""
-        return {
-            "callee": self.callee,
-            "lineno": self.lineno,
-            "args": [arg.to_json() for arg in self.args],
-            "kwargs": {
-                key: arg.to_json() for key, arg in self.kwargs.items()
-            },
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "CallSite":
-        """Rebuild from :meth:`to_json` output."""
-        return cls(
-            callee=data["callee"],
-            lineno=data["lineno"],
-            args=[ArgInfo.from_json(arg) for arg in data.get("args", [])],
-            kwargs={
-                key: ArgInfo.from_json(arg)
-                for key, arg in data.get("kwargs", {}).items()
-            },
-        )
-
 
 @dataclass
 class Sink:
@@ -215,17 +166,6 @@ class Sink:
     #: The offending expression text (``time.time``, ``os.environ``).
     detail: str
     lineno: int
-
-    def to_json(self) -> Dict[str, Any]:
-        """Plain-dict form for the summary cache."""
-        return {"kind": self.kind, "detail": self.detail, "lineno": self.lineno}
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "Sink":
-        """Rebuild from :meth:`to_json` output."""
-        return cls(
-            kind=data["kind"], detail=data["detail"], lineno=data["lineno"]
-        )
 
 
 @dataclass
@@ -260,45 +200,6 @@ class FunctionSummary:
         """The unit the function's own name promises for its return."""
         return unit_from_identifier(self.qualname.rsplit(".", 1)[-1])
 
-    def to_json(self) -> Dict[str, Any]:
-        """Plain-dict form for the summary cache."""
-        return {
-            "qualname": self.qualname,
-            "lineno": self.lineno,
-            "params": self.params,
-            "flexible": self.flexible,
-            "calls": [call.to_json() for call in self.calls],
-            "sinks": [sink.to_json() for sink in self.sinks],
-            "return_units": [list(item) for item in self.return_units],
-            "unit_assigns": [list(item) for item in self.unit_assigns],
-            "nested": self.nested,
-            "local_types": self.local_types,
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "FunctionSummary":
-        """Rebuild from :meth:`to_json` output."""
-        return cls(
-            qualname=data["qualname"],
-            lineno=data["lineno"],
-            params=list(data.get("params", [])),
-            flexible=bool(data.get("flexible", False)),
-            calls=[CallSite.from_json(c) for c in data.get("calls", [])],
-            sinks=[Sink.from_json(s) for s in data.get("sinks", [])],
-            return_units=[
-                (item[0], item[1]) for item in data.get("return_units", [])
-            ],
-            unit_assigns=[
-                (item[0], item[1], item[2], item[3], item[4])
-                for item in data.get("unit_assigns", [])
-            ],
-            nested={
-                name: list(free)
-                for name, free in data.get("nested", {}).items()
-            },
-            local_types=dict(data.get("local_types", {})),
-        )
-
 
 @dataclass
 class ClassSummary:
@@ -311,28 +212,6 @@ class ClassSummary:
     #: ``register_scheme``/``register_backend``-style decoration, as
     #: (decorator name, registered key) when present.
     registered: Optional[Tuple[str, str]] = None
-
-    def to_json(self) -> Dict[str, Any]:
-        """Plain-dict form for the summary cache."""
-        return {
-            "name": self.name,
-            "lineno": self.lineno,
-            "bases": self.bases,
-            "methods": self.methods,
-            "registered": list(self.registered) if self.registered else None,
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "ClassSummary":
-        """Rebuild from :meth:`to_json` output."""
-        registered = data.get("registered")
-        return cls(
-            name=data["name"],
-            lineno=data["lineno"],
-            bases=list(data.get("bases", [])),
-            methods=list(data.get("methods", [])),
-            registered=(registered[0], registered[1]) if registered else None,
-        )
 
 
 @dataclass
@@ -348,46 +227,6 @@ class ModuleSummary:
     classes: Dict[str, ClassSummary] = field(default_factory=dict)
     #: Line -> suppression tokens (mirrors the per-file framework).
     suppressions: Dict[int, List[str]] = field(default_factory=dict)
-
-    def to_json(self) -> Dict[str, Any]:
-        """Plain-dict form for the summary cache."""
-        return {
-            "version": SUMMARY_VERSION,
-            "module": self.module,
-            "path": self.path,
-            "imports": self.imports,
-            "functions": {
-                name: fn.to_json() for name, fn in self.functions.items()
-            },
-            "classes": {
-                name: cls_.to_json() for name, cls_ in self.classes.items()
-            },
-            "suppressions": {
-                str(line): tokens
-                for line, tokens in self.suppressions.items()
-            },
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "ModuleSummary":
-        """Rebuild from :meth:`to_json` output."""
-        return cls(
-            module=data["module"],
-            path=data["path"],
-            imports=dict(data.get("imports", {})),
-            functions={
-                name: FunctionSummary.from_json(fn)
-                for name, fn in data.get("functions", {}).items()
-            },
-            classes={
-                name: ClassSummary.from_json(cls_json)
-                for name, cls_json in data.get("classes", {}).items()
-            },
-            suppressions={
-                int(line): list(tokens)
-                for line, tokens in data.get("suppressions", {}).items()
-            },
-        )
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from .findings import Finding, Severity
 
@@ -18,11 +18,7 @@ SARIF_SCHEMA_URI = (
 )
 
 
-def render_text(
-    findings: Sequence[Finding],
-    files_checked: int,
-    cache_stats: Optional[Dict[str, int]] = None,
-) -> str:
+def render_text(findings: Sequence[Finding], files_checked: int) -> str:
     """Human-readable report: one row per finding plus a summary line."""
     lines = [finding.format() for finding in findings]
     errors = sum(
@@ -34,20 +30,10 @@ def render_text(
         f"{files_checked} {noun} checked: "
         f"{errors} error(s), {warnings} warning(s)"
     )
-    if cache_stats is not None:
-        lines.append(
-            f"cache: {cache_stats.get('parses', 0)} parsed, "
-            f"{cache_stats.get('finding_hits', 0)} finding hit(s), "
-            f"{cache_stats.get('summary_hits', 0)} summary hit(s)"
-        )
     return "\n".join(lines)
 
 
-def render_json(
-    findings: Sequence[Finding],
-    files_checked: int,
-    cache_stats: Optional[Dict[str, int]] = None,
-) -> str:
+def render_json(findings: Sequence[Finding], files_checked: int) -> str:
     """Stable JSON document (see ``JSON_SCHEMA_VERSION``)."""
     counts: Dict[str, int] = {}
     for finding in findings:
@@ -58,8 +44,6 @@ def render_json(
         "findings": [finding.to_json() for finding in findings],
         "counts": dict(sorted(counts.items())),
     }
-    if cache_stats is not None:
-        payload["cache"] = dict(cache_stats)
     return json.dumps(payload, indent=2, sort_keys=False)
 
 

@@ -381,25 +381,6 @@ def _add_lint_parser(subparsers) -> None:
         help="skip the whole-program passes (program-* rule families)",
     )
     parser.add_argument(
-        "--cache",
-        nargs="?",
-        const=".repro-lint-cache",
-        default=None,
-        metavar="DIR",
-        help="incremental cache directory (default when the flag is "
-        "given: .repro-lint-cache); warm runs re-parse only changed "
-        "files",
-    )
-    parser.add_argument(
-        "--changed",
-        nargs="?",
-        const="HEAD",
-        default=None,
-        metavar="BASE",
-        help="report only files changed vs BASE (default HEAD) plus "
-        "everything that transitively imports them",
-    )
-    parser.add_argument(
         "--out",
         default=None,
         help="write the report here instead of stdout",
@@ -745,7 +726,6 @@ def _cmd_client(args) -> int:
 
 def _cmd_lint(args) -> int:
     from .analysis import (
-        LintCache,
         LintConfigError,
         exit_code,
         iter_python_files,
@@ -755,37 +735,27 @@ def _cmd_lint(args) -> int:
         render_sarif,
         render_text,
     )
-    from .analysis.changed import ChangedFilesError, changed_report_paths
 
     if args.list_rules:
         print("\n".join(list_rules()))
         return 0
-    cache = LintCache(args.cache) if args.cache else None
-    report_paths = None
     try:
-        if args.changed is not None:
-            report_paths = changed_report_paths(
-                args.changed, args.paths, cache=cache
-            )
         files_checked = sum(1 for _ in iter_python_files(args.paths))
         findings = lint_paths(
             args.paths,
             select=args.select,
             ignore=args.ignore,
             program=not args.no_program,
-            cache=cache,
-            report_paths=report_paths,
         )
-    except (LintConfigError, ChangedFilesError) as exc:
+    except LintConfigError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
-    stats = cache.stats() if cache is not None else None
     if args.format == "sarif":
         report = render_sarif(findings, files_checked)
     elif args.format == "json":
-        report = render_json(findings, files_checked, cache_stats=stats)
+        report = render_json(findings, files_checked)
     else:
-        report = render_text(findings, files_checked, cache_stats=stats)
+        report = render_text(findings, files_checked)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(report + "\n")

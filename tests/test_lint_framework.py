@@ -3,6 +3,7 @@ rule selection, reporters, CLI plumbing — and the meta-test pinning the
 shipped tree lint-clean."""
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -182,6 +183,24 @@ class TestLintCli:
         (package / "ok.py").write_text("x = 1\n")
         assert main(["lint", str(package)]) == 0
         capsys.readouterr()
+
+    def test_overlapping_paths_lint_a_file_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        package = tmp_path / "pkg"
+        package.mkdir()
+        module = package / "mod.py"
+        module.write_text(BAD_UNITS)
+        alone = lint_paths([str(package)])
+        assert len(alone) == 1
+        assert lint_paths([str(package), str(module)]) == alone
+        # Relative, dotted and absolute spellings of one file count once.
+        monkeypatch.chdir(tmp_path)
+        spelled = os.path.join("pkg", ".", "mod.py")
+        assert main(["lint", "pkg", spelled, str(module)]) == 1
+        out = capsys.readouterr().out
+        assert out.count("units-magic-literal") == 1
+        assert "1 file checked: 1 error(s), 0 warning(s)" in out
 
 
 # ----------------------------------------------------------------------

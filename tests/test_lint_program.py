@@ -1,20 +1,18 @@
 """Whole-program lint passes: call graph, determinism chains, unit
-dataflow, pickle safety, the incremental cache and the new reporters.
+dataflow, pickle safety, one parse per file and the new reporters.
 
 The subject is the fixture mini-project under
 ``tests/fixtures/lint_program/`` — one seeded bug per ``program-*``
 rule, one call-graph shape per resolver (direct, callback,
 receiver-type, registry dispatch)."""
 
+import ast
 import json
-import shutil
-import subprocess
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import (
-    LintCache,
     SARIF_VERSION,
     build_program,
     lint_paths,
@@ -22,7 +20,6 @@ from repro.analysis import (
     resolve_rules,
     tokens_cover,
 )
-from repro.analysis.changed import ChangedFilesError, changed_report_paths
 from repro.analysis.program import (
     find_impure_reaches,
     find_pickle_hazards,
@@ -232,90 +229,34 @@ class TestSelection:
 
 
 # ----------------------------------------------------------------------
-# incremental cache
+# one parse per file
 # ----------------------------------------------------------------------
-class TestIncrementalCache:
-    def setup_project(self, tmp_path):
-        root = tmp_path / "proj"
-        shutil.copytree(FIXTURE / "proj", root)
-        return root
+class TestOneParse:
+    def test_lint_run_parses_each_file_once(self, monkeypatch):
+        # The per-file rules and the module summarizer share one tree:
+        # eight fixture files, eight ast.parse calls, program passes on.
+        real_parse = ast.parse
+        calls = []
 
-    def test_warm_run_does_zero_reparses(self, tmp_path):
-        root = self.setup_project(tmp_path)
-        cache = LintCache(str(tmp_path / "cache"))
-        cold = lint_paths([str(root)], cache=cache)
-        assert cache.stats()["parses"] == 8
-        warm_cache = LintCache(str(tmp_path / "cache"))
-        warm = lint_paths([str(root)], cache=warm_cache)
-        stats = warm_cache.stats()
-        assert stats["parses"] == 0
-        assert stats["summary_hits"] == 8
-        assert stats["finding_hits"] == 8
-        assert [f.to_json() for f in warm] == [f.to_json() for f in cold]
+        def counting_parse(*args, **kwargs):
+            calls.append(kwargs.get("filename"))
+            return real_parse(*args, **kwargs)
 
-    def test_edit_invalidates_only_that_file(self, tmp_path):
-        root = self.setup_project(tmp_path)
-        cache_dir = str(tmp_path / "cache")
-        lint_paths([str(root)], cache=LintCache(cache_dir))
-        clocks = root / "clocks.py"
-        clocks.write_text(
-            clocks.read_text(encoding="utf-8") + "\n\nEPOCH = 0\n",
-            encoding="utf-8",
-        )
-        cache = LintCache(cache_dir)
-        lint_paths([str(root)], cache=cache)
-        assert cache.stats()["parses"] == 1
-
-    def test_identical_content_files_keep_distinct_modules(self, tmp_path):
-        # Two byte-identical files must not share a cached summary —
-        # the content hash is salted with the path.
-        (tmp_path / "pkg_a").mkdir()
-        (tmp_path / "pkg_b").mkdir()
-        body = '"""Twin module."""\n\n\ndef go():\n    """Go."""\n'
-        for pkg in ("pkg_a", "pkg_b"):
-            (tmp_path / pkg / "__init__.py").write_text('"""P."""\n')
-            (tmp_path / pkg / "mod.py").write_text(body)
-        cache = LintCache(str(tmp_path / "cache"))
-        lint_paths([str(tmp_path / "pkg_a"), str(tmp_path / "pkg_b")],
-                   cache=cache)
-        warm = LintCache(str(tmp_path / "cache"))
-        index = build_program(
-            read_sources(tmp_path / "pkg_a")
-            | read_sources(tmp_path / "pkg_b"),
-            cache=warm,
-        )
-        assert warm.stats()["parses"] == 0
-        assert {"pkg_a.mod", "pkg_b.mod"} <= set(index.modules)
-
-    def test_ruleset_change_reuses_summaries(self, tmp_path):
-        root = self.setup_project(tmp_path)
-        cache_dir = str(tmp_path / "cache")
-        lint_paths([str(root)], cache=LintCache(cache_dir))
-        cache = LintCache(cache_dir)
-        # Different per-file ruleset -> findings cache misses, but the
-        # summaries (ruleset-independent) still serve the program pass.
-        lint_paths([str(root)], select=["program", "units"], cache=cache)
-        assert cache.stats()["summary_hits"] == 8
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        findings = lint_paths([str(FIXTURE)])
+        assert len(calls) == 8
+        assert len(set(calls)) == 8
+        assert any(f.rule_id.startswith("program-") for f in findings)
 
 
 # ----------------------------------------------------------------------
-# CLI integration: --cache / --no-program / --out
+# CLI integration: --no-program / --out
 # ----------------------------------------------------------------------
 class TestCliIntegration:
     def run_json(self, capsys, *argv):
         code = main(["lint", *argv, "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         return code, payload
-
-    def test_cache_flag_cold_then_warm(self, tmp_path, capsys):
-        cache_dir = str(tmp_path / "cache")
-        target = str(FIXTURE)
-        code, cold = self.run_json(capsys, target, "--cache", cache_dir)
-        assert code == 1
-        assert cold["cache"]["parses"] == 8
-        code, warm = self.run_json(capsys, target, "--cache", cache_dir)
-        assert warm["cache"]["parses"] == 0
-        assert warm["counts"] == cold["counts"]
 
     def test_no_program_drops_program_findings(self, capsys):
         code, payload = self.run_json(
@@ -442,91 +383,3 @@ class TestSarif:
         log = json.loads(out.read_text(encoding="utf-8"))
         assert log["version"] == "2.1.0"
         assert len(log["runs"][0]["results"]) == 10
-
-
-# ----------------------------------------------------------------------
-# --changed: git base + reverse-dependency closure
-# ----------------------------------------------------------------------
-def git(repo, *argv):
-    """Run git in ``repo`` with a hermetic identity."""
-    subprocess.run(
-        ["git", *argv],
-        cwd=repo,
-        check=True,
-        capture_output=True,
-        env={
-            "GIT_AUTHOR_NAME": "t",
-            "GIT_AUTHOR_EMAIL": "t@t",
-            "GIT_COMMITTER_NAME": "t",
-            "GIT_COMMITTER_EMAIL": "t@t",
-            "HOME": str(repo),
-            "PATH": "/usr/bin:/bin:/usr/local/bin",
-        },
-    )
-
-
-class TestChanged:
-    def make_repo(self, tmp_path):
-        repo = tmp_path / "work"
-        pkg = repo / "pkg"
-        pkg.mkdir(parents=True)
-        (pkg / "__init__.py").write_text('"""P."""\n')
-        (pkg / "units.py").write_text(
-            '"""Base units."""\n\n\ndef ms(v):\n    """Ms."""\n'
-            "    return v / 1e3\n"
-        )
-        (pkg / "engine.py").write_text(
-            '"""Engine imports units."""\n\nfrom .units import ms\n\n\n'
-            'def run():\n    """Run."""\n    return ms(5)\n'
-        )
-        (pkg / "island.py").write_text(
-            '"""Imports nothing."""\n\n\ndef idle():\n    """Idle."""\n'
-        )
-        git(repo, "init", "-q")
-        git(repo, "add", ".")
-        git(repo, "commit", "-qm", "seed")
-        return repo
-
-    def test_closure_includes_reverse_importers(self, tmp_path):
-        repo = self.make_repo(tmp_path)
-        units = repo / "pkg" / "units.py"
-        units.write_text(
-            units.read_text(encoding="utf-8") + "\n\nSCALE = 1\n",
-            encoding="utf-8",
-        )
-        reported = changed_report_paths(
-            "HEAD", [str(repo / "pkg")], repo_root=str(repo)
-        )
-        names = sorted(Path(p).name for p in reported)
-        assert "units.py" in names      # the change itself
-        assert "engine.py" in names     # imports units -> re-linted
-        assert "island.py" not in names  # untouched, not an importer
-
-    def test_clean_tree_reports_nothing(self, tmp_path):
-        repo = self.make_repo(tmp_path)
-        reported = changed_report_paths(
-            "HEAD", [str(repo / "pkg")], repo_root=str(repo)
-        )
-        assert reported == []
-
-    def test_bad_base_ref_raises(self, tmp_path):
-        repo = self.make_repo(tmp_path)
-        with pytest.raises(ChangedFilesError):
-            changed_report_paths(
-                "no-such-ref", [str(repo / "pkg")], repo_root=str(repo)
-            )
-
-    def test_cli_changed_bad_ref_exits_2(self, capsys):
-        code = main(
-            ["lint", str(FIXTURE), "--changed", "no-such-ref-xyz"]
-        )
-        capsys.readouterr()
-        assert code == 2
-
-    def test_report_paths_filter_restricts_findings(self):
-        pool = str(FIXTURE / "proj" / "pool.py")
-        findings = lint_paths(
-            [str(FIXTURE)], select=["program"], report_paths=[pool]
-        )
-        assert findings  # pickle findings live in pool.py
-        assert {f.path for f in findings} == {pool}
