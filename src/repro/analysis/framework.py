@@ -22,6 +22,7 @@ from __future__ import annotations
 import ast
 import os
 import re
+import tokenize
 from pathlib import PurePath
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Type
 
@@ -310,6 +311,16 @@ def _parse_error_finding(path: str, exc: SyntaxError) -> Finding:
     )
 
 
+def _read_source(path: str) -> str:
+    """``path``'s text, decoded as its coding cookie declares; an unknown
+    cookie or undecodable bytes raise :class:`SyntaxError`."""
+    try:
+        with tokenize.open(path) as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise SyntaxError(f"cannot decode as {exc.encoding}: {exc.reason}") from None
+
+
 def _run_file_rules(
     ctx: FileContext, tree: ast.Module, rules: Sequence[Rule]
 ) -> List[Finding]:
@@ -352,10 +363,8 @@ def lint_file(
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
 ) -> List[Finding]:
-    """Lint one file on disk."""
-    with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    return lint_source(source, path=path, select=select, ignore=ignore)
+    """Lint one file on disk with the per-file rules."""
+    return lint_paths([path], select=select, ignore=ignore, program=False)
 
 
 def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
@@ -420,9 +429,8 @@ def lint_paths(
     findings: List[Finding] = []
     summaries: List[ModuleSummary] = []
     for path in iter_python_files(paths):
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
         try:
+            source = _read_source(path)
             tree = ast.parse(source, filename=path)
         except SyntaxError as exc:
             findings.append(_parse_error_finding(path, exc))

@@ -13,7 +13,7 @@ resulting call graph to the whole-program passes.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .summaries import CallSite, FunctionSummary, ModuleSummary
 
@@ -72,6 +72,14 @@ class ProgramIndex:
                 self.function_module[fid] = summary.module
         self._edges: Optional[Dict[str, List[Tuple[str, int]]]] = None
         self._registry_targets: Dict[str, List[str]] = {}
+        self._passes: Dict[Callable, Any] = {}
+
+    def run_pass(self, analysis: Callable[["ProgramIndex"], Any]) -> Any:
+        """``analysis(self)``, run once per index however many rules
+        report its result."""
+        if analysis not in self._passes:
+            self._passes[analysis] = analysis(self)
+        return self._passes[analysis]
 
     # ------------------------------------------------------------------
     # symbol resolution

@@ -65,7 +65,7 @@ class _UnitRule(ProgramRule):
     def check_program(self, index: ProgramIndex) -> List[Finding]:
         """Findings for this rule's seam only."""
         findings: List[Finding] = []
-        for mismatch in find_unit_mismatches(index):
+        for mismatch in index.run_pass(find_unit_mismatches):
             if mismatch.seam != self.seam:
                 continue
             path = index.path_of(mismatch.function)
@@ -142,7 +142,7 @@ class PickleLambdaRule(ProgramRule):
                 function=hazard.function,
                 boundary=hazard.boundary,
             )
-            for hazard in find_pickle_hazards(index)
+            for hazard in index.run_pass(find_pickle_hazards)
             if hazard.kind == "lambda"
         ]
 
@@ -169,6 +169,6 @@ class PickleCaptureRule(ProgramRule):
                 boundary=hazard.boundary,
                 kind=hazard.kind,
             )
-            for hazard in find_pickle_hazards(index)
+            for hazard in index.run_pass(find_pickle_hazards)
             if hazard.kind in ("closure", "live-handle")
         ]

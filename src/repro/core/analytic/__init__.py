@@ -3,9 +3,9 @@
 The discrete-event simulation replays every sample, interrupt and
 transfer through generator processes; for steady scenarios the same
 schedule is computable directly as arithmetic over operation intervals.
-This package holds one closed-form model per scheme *family*: it
-interprets the same :class:`~repro.core.schemes.base.SchemePlan` each
-scheme declares for the DES, and returns a
+This package holds one scan for every scheme family: it interprets the
+same :class:`~repro.core.schemes.base.SchemePlan` each scheme declares
+for the DES, and returns a
 :class:`~repro.core.results.RunResult` with the same shape as the DES —
 energy report, busy times, counters, result times — at a fraction of
 the cost.

@@ -1,9 +1,10 @@
-"""Shared scan state for the closed-form scheme models.
+"""Scan state of the analytic tier.
 
 An :class:`AnalyticRun` owns the per-component power schedules
 (:class:`~repro.energy.ledger.Schedule`), the FIFO cursors (sensor
-rails, MCU core, CPU core, bus, NIC) and the counters a
-:class:`~repro.core.results.RunResult` reports.  The scan in
+rails, MCU core, CPU core, bus, NIC), the counters a
+:class:`~repro.core.results.RunResult` reports and the results'
+:class:`~repro.core.schemes.base.ResultLog`.  The one scan in
 :mod:`.scan` drives it with operation intervals instead of simulated
 processes.
 """
@@ -21,7 +22,7 @@ from ...hw.mcu import McuState
 from ...hw.power import Routine
 from ...sensors.base import SensorDevice
 from ...sensors.specs import get_spec
-from ..schemes.base import SchemePlan, qos_violation
+from ..schemes.base import ResultLog, SchemePlan
 
 
 class AnalyticRun:
@@ -81,13 +82,7 @@ class AnalyticRun:
         self.interrupt_count = 0
         self.cpu_wake_count = 0
         self.bus_bytes = 0
-        self.qos_violations: List[str] = []
-        self.app_results: Dict[str, List[AppResult]] = {
-            app.name: [] for app in scenario.apps
-        }
-        self.result_times: Dict[str, List[float]] = {
-            app.name: [] for app in scenario.apps
-        }
+        self.log = ResultLog(scenario.apps)
         #: High-water mark of emitted activity, for the run duration.
         self.last_activity = 0.0
         #: Per-cycle bookkeeping; only a truncated scan attaches one
@@ -255,22 +250,20 @@ class AnalyticRun:
         return start, end
 
     # ------------------------------------------------------------------
-    # windows, results + QoS
+    # results
     # ------------------------------------------------------------------
     def record_result(self, app: IoTApp, window_index: int, t: float) -> None:
-        """Log one delivered window result; same deadline rule as the DES."""
-        self.app_results[app.name].append(
+        """Log one delivered window result, which carries no data."""
+        self.log.record(
+            app,
             AppResult(
                 app_name=app.name,
                 window_index=window_index,
                 payload={"analytic": True},
                 output_bytes=app.profile.output_bytes,
-            )
+            ),
+            t,
         )
-        self.result_times[app.name].append(t)
-        violation = qos_violation(app, window_index, t)
-        if violation is not None:
-            self.qos_violations.append(violation)
 
     def timelines(self) -> List[Schedule]:
         """Every component's schedule, for :func:`~repro.energy.ledger.integrate`."""

@@ -18,8 +18,7 @@ import dataclasses
 from typing import Optional, Tuple
 
 from ...energy.ledger import CycleTally, integrate
-from ...energy.meter import EnergyReport
-from ...errors import AnalyticUnsupported, OffloadError, WorkloadError
+from ...errors import AnalyticUnsupported, OffloadError
 from ...obs.recorder import NULL_RECORDER, NullRecorder
 from ..results import RunResult
 from ..schemes.base import SchemePlan
@@ -112,36 +111,11 @@ def _result(
     end_time: float,
 ) -> RunResult:
     """Assemble the :class:`RunResult` of a (possibly extrapolated) scan."""
-    missing = [
-        app.name
-        for app in scenario.apps
-        if len(run.app_results[app.name]) != scenario.windows
-    ]
-    if missing:  # pragma: no cover - defensive parity with ctx.collect
-        raise WorkloadError(
-            f"scenario {scenario.name}: apps without complete "
-            f"results: {missing}"
-        )
-    return RunResult(
-        scenario_name=scenario.name,
-        scheme=scenario.scheme,
-        app_ids=[app.table2_id for app in scenario.apps],
-        windows=scenario.windows,
-        duration_s=end_time,
-        energy=EnergyReport(
-            duration_s=end_time,
-            idle_floor_power_w=scenario.calibration.idle_hub_power_w,
-            by_component_routine=energy,
-        ),
-        busy_times=busy,
-        app_results=dict(run.app_results),
-        result_times=dict(run.result_times),
-        qos_violations=list(run.qos_violations),
+    return run.log.run_result(
+        scenario, plan, energy, busy, end_time,
         interrupt_count=run.interrupt_count,
         cpu_wake_count=run.cpu_wake_count,
         bus_bytes=run.bus_bytes,
-        offload_reports=dict(plan.offload_reports),
-        hub=None,
         fidelity="analytic",
     )
 
@@ -185,7 +159,7 @@ def _steady(run: AnalyticRun) -> bool:
                 for key in set(old) | set(new)
             ):
                 return False
-    for times in run.result_times.values():
+    for times in run.log.result_times.values():
         phases = [times[window] - window * cycles.cycle_s for window in _VERIFY]
         if any(abs(phase - phases[0]) > _PHASE_ATOL_S for phase in phases):
             return False
@@ -214,10 +188,11 @@ def _extrapolate(
     run.bus_bytes += skipped * cycles.bus_bytes[_TEMPLATE]
     shift_s = skipped * cycle_s
     head = _TEMPLATE + 1
-    for name, times in run.result_times.items():
-        results = run.app_results[name]
+    log = run.log
+    for name, times in log.result_times.items():
+        results = log.app_results[name]
         template, template_time = results[_TEMPLATE], times[_TEMPLATE]
-        run.app_results[name] = (
+        log.app_results[name] = (
             results[:head]
             + [
                 dataclasses.replace(
@@ -232,7 +207,7 @@ def _extrapolate(
                 for entry in results[head:]
             ]
         )
-        run.result_times[name] = (
+        log.result_times[name] = (
             times[:head]
             + [template_time + extra * cycle_s
                for extra in range(1, skipped + 1)]
@@ -259,7 +234,7 @@ def _extrapolated(
             scenario.apps[0].profile.window_s, TRUNCATED_WINDOWS
         )
         energy, busy, end_time = _scan(run, plan)
-        if run.qos_violations:
+        if run.log.qos_violations:
             reason = "qos_violation"
         elif not _steady(run):
             reason = "no_steady_state"

@@ -10,7 +10,8 @@ its rail or the MCU core held is handed the resource as the holder's
 end event runs, as ``Resource.release`` does, so simultaneous hand-offs
 keep the kernel's order.  The chains are the
 DES's: the driver's decode after each read, the plan's sample and
-hand-off ops on the MCU; on the CPU each vector's
+hand-off ops on the MCU, each buffered app's hand-offs decided by its
+:class:`~repro.core.schemes.base.BufferedApp`; on the CPU each vector's
 :data:`~repro.core.schemes.base.CPU_SERVICES` record, each app's
 :meth:`~repro.core.schemes.base.SchemePlan.window_compute` and the
 governor's rests; under main-board polling, the CPU's blocking reads.
@@ -24,14 +25,15 @@ from itertools import count
 from typing import Dict, Optional, Sequence, Tuple
 
 from ...energy.ledger import SLEEP_STATES
-from ...errors import AnalyticUnsupported
+from ...errors import AnalyticUnsupported, CapacityError
 from ...firmware.driver import McuOp, decode_op
 from ...hubos.governor import CpuRestPolicy, rest_state
 from ...hubos.transfer import cpu_transfer_time
 from ...hw.cpu import CpuState
 from ...hw.mcu import McuState
+from ...hw.memory import MemoryRegion
 from ...hw.power import Routine
-from ..schemes.base import CPU_SERVICES, Handoff, SchemePlan, Stream
+from ..schemes.base import CPU_SERVICES, BufferedApp, Handoff, SchemePlan, Stream
 from .context import AnalyticRun
 
 #: The key of ``build_context``'s ``rest()``, before every event (and,
@@ -46,17 +48,18 @@ _RELEASE = object()
 class _Cursor:
     """Iteration state of one MCU polling stream.
 
+    ``buffered`` is the :class:`BufferedApp` of a buffered app's stream.
     ``ops`` is ``None`` while the next heap entry is a poll, else the
     chain whose op at ``pos`` the entry runs (``payload``: a hand-off's
     :class:`Handoff`); ``irq`` is the vector its previous op raised.
     """
 
-    __slots__ = ("stream", "app", "w", "k", "ops", "pos", "payload",
+    __slots__ = ("stream", "buffered", "w", "k", "ops", "pos", "payload",
                  "in_handoff", "irq")
 
-    def __init__(self, stream: Stream, app):
+    def __init__(self, stream: Stream, buffered: Optional[BufferedApp]):
         self.stream = stream
-        self.app = app
+        self.buffered = buffered
         self.w = 0
         self.k = 0
         self.ops: Optional[Sequence[McuOp]] = None
@@ -95,19 +98,21 @@ def scan(run: AnalyticRun, plan: SchemePlan) -> None:
     heap: list = []
     next_seq = count().__next__
     cpu = _Cpu(run, plan, heap, next_seq)
-    handoffs = _BufferedHandoffs(run, plan)
-    streams = [
-        (stream, app)
-        for _, app, group in plan.sensing(run.scenario.apps)
-        for stream in group
-    ]
+    # No hub here: the buffered apps share an MCU RAM region of their own.
+    ram = MemoryRegion("mcu.ram", cal.mcu.ram_bytes)
+    streams = []
+    for _, app, group in plan.sensing(run.scenario.apps):
+        buffered = None if app is None else BufferedApp(
+            plan, app, cal, ram, run.scenario.batch_size
+        )
+        streams.extend((stream, buffered) for stream in group)
     # Kernel spawn order: every stream requests its first read at its
     # first target, t=0, in list order; that list is already a heap.
     heap.extend(
         (0.0, 0.0, next_seq(),
-         _Cursor(stream, app) if plan.mcu_owns_sensing
+         _Cursor(stream, buffered) if plan.mcu_owns_sensing
          else cpu.start(cpu.poll_loop(stream)))
-        for stream, app in streams
+        for stream, buffered in streams
     )
     cpu.rest(0.0, _BEFORE_EVENTS)
     #: The MCU nap governor's per-stream "next scheduled poll" table.
@@ -195,8 +200,17 @@ def scan(run: AnalyticRun, plan: SchemePlan) -> None:
         start = free if queued else t
         end = mcu_op(t, op.duration, op.routine, op.after_routine)
         if op is decode:
-            if cursor.app is not None:
-                handoffs.on_decode(stream, cursor.app)
+            buffered = cursor.buffered
+            if buffered is not None:
+                # An overflow makes the DES drop samples, which the scan
+                # does not model.
+                try:
+                    buffered.buffer(stream.sample_bytes)
+                except CapacityError:
+                    raise AnalyticUnsupported(
+                        f"{buffered.app.name} batch buffer overflows MCU "
+                        f"RAM; DES required"
+                    ) from None
         elif op.vector is not None:
             # A raise is always followed by its transfer, whose entry
             # delivers it at ``end``.
@@ -215,8 +229,8 @@ def scan(run: AnalyticRun, plan: SchemePlan) -> None:
                 if cursor.k >= stream.samples_per_window:
                     cursor.k = 0
                     cursor.w += 1
-                    if cursor.app is not None:
-                        handoff = handoffs.on_window(cursor.app, w)
+                    if cursor.buffered is not None:
+                        handoff = cursor.buffered.window_done(w)
                         if handoff is not None:
                             cursor.ops, cursor.payload = handoff
                             cursor.pos = 0
@@ -273,64 +287,6 @@ def _maybe_sleep(run: AnalyticRun, now: float, next_polls) -> None:
     run.mcu.wake(
         upcoming, McuState.IDLE, cal.idle_power_w, Routine.DATA_COLLECTION
     )
-
-
-class _BufferedHandoffs:
-    """A buffered plan's MCU RAM ledger and per-app window coordinator.
-
-    COM footprints stay resident; batch buffers grow per decoded sample.
-    An overflow would make the DES drop samples, which the closed form
-    does not model, so the scan bails to the DES.  An app's last stream
-    to finish a window hands it off: its buffer, or its COM result.
-    """
-
-    def __init__(self, run: AnalyticRun, plan: SchemePlan):
-        self.plan = plan
-        self.cal = run.cal
-        self.free = run.cal.mcu.ram_bytes - sum(
-            app.profile.mcu_footprint_bytes for app in plan.com_apps
-        )
-        #: Per batch app: the bytes and samples its buffer holds.
-        self.buffers: Dict[str, list] = {
-            app.name: [0, 0] for app in plan.batch_apps
-        }
-        #: Streams of each (app, window) that finished their sample loop.
-        self.finished: Dict[Tuple[str, int], int] = {}
-
-    def on_decode(self, stream: Stream, app) -> None:
-        buffer = self.buffers.get(app.name)
-        if buffer is None:
-            return  # COM samples stream through the resident ring
-        buffer[0] += stream.sample_bytes
-        buffer[1] += 1
-        self.free -= stream.sample_bytes
-        if self.free < 0:
-            raise AnalyticUnsupported(
-                f"{app.name} batch buffer overflows MCU RAM; DES required"
-            )
-
-    def on_window(self, app, w: int) -> Optional[tuple]:
-        """The ``(ops, handoff)`` to run once ``app``'s last stream
-        finishes window ``w``, else ``None``."""
-        key = (app.name, w)
-        finished = self.finished[key] = self.finished.get(key, 0) + 1
-        if finished < len(app.profile.sensor_ids):
-            return None
-        buffer = self.buffers.get(app.name)
-        if buffer is None:
-            return (
-                self.plan.handoff_ops(app, self.cal, 1),
-                Handoff(app.profile.output_bytes, 1, app, w),
-            )
-        # Drained synchronously (concurrently polling streams start
-        # filling a fresh batch), as the DES hand-off does.
-        nbytes, samples = buffer
-        self.free += nbytes
-        buffer[:] = [0, 0]
-        return (
-            self.plan.handoff_ops(app, self.cal, samples),
-            Handoff(max(1, nbytes), max(1, samples), app, w),
-        )
 
 
 class _Cpu:

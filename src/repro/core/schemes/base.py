@@ -7,7 +7,9 @@ declaration is all a scheme states; both tiers interpret it.  Every
 chain is stated once, on the plan: the MCU's op chains
 (:meth:`SchemePlan.sample_ops`, :meth:`SchemePlan.handoff_ops`), each
 interrupt vector's CPU service (:data:`CPU_SERVICES`) and each app's
-window compute (:meth:`SchemePlan.window_compute`).  The
+window compute (:meth:`SchemePlan.window_compute`); both tiers keep a
+buffered app's MCU RAM and hand-offs in one :class:`BufferedApp` and
+their results in one :class:`ResultLog`.  The
 discrete-event simulation wires the plan through :func:`build_context`
 (one :func:`wire` over the primitives :class:`SchemeContext` owns — the
 hub, the sensor devices, the one poll loop, window bookkeeping, the
@@ -28,7 +30,6 @@ from ...apps.base import AppResult, IoTApp, SampleWindow
 from ...energy.ledger import integrate
 from ...energy.meter import EnergyReport
 from ...errors import CapacityError, WorkloadError
-from ...firmware.batching import BatchBuffer
 from ...firmware.capability import OffloadReport
 from ...firmware.driver import (
     McuOp,
@@ -43,6 +44,7 @@ from ...hubos.transfer import cpu_transfer
 from ...hw.board import IoTHub
 from ...hw.cpu import CpuState
 from ...hw.mcu import McuState
+from ...hw.memory import MemoryRegion
 from ...hw.power import Routine
 from ...obs.recorder import NullRecorder
 from ...sensors.base import SensorDevice
@@ -128,6 +130,60 @@ def qos_violation(app: IoTApp, window_index: int, t: float) -> Optional[str]:
         f"{app.name} window {window_index}: result at {to_ms(t):.1f} ms, "
         f"deadline {to_ms(deadline):.1f} ms"
     )
+
+
+class ResultLog:
+    """Each app's window results and their delivery times, plus the QoS
+    violations: what both tiers record and how they report it."""
+
+    def __init__(self, apps: Sequence[IoTApp]):
+        self.app_results: Dict[str, List[AppResult]] = {a.name: [] for a in apps}
+        self.result_times: Dict[str, List[float]] = {a.name: [] for a in apps}
+        self.qos_violations: List[str] = []
+
+    def record(self, app: IoTApp, result: AppResult, t: float) -> None:
+        """Log ``app``'s result delivered at ``t``; check its deadline."""
+        self.app_results[app.name].append(result)
+        self.result_times[app.name].append(t)
+        violation = qos_violation(app, result.window_index, t)
+        if violation is not None:
+            self.qos_violations.append(violation)
+
+    def run_result(
+        self, scenario, plan: SchemePlan, energy, busy, end_time, **counters
+    ) -> RunResult:
+        """The :class:`RunResult` of the integrated ``energy`` and ``busy``
+        times; ``counters`` are the tier's own fields (interrupts, wakes,
+        bus bytes, ``hub``, ``fidelity``).  An app short of a result per
+        window raises :class:`~repro.errors.WorkloadError`."""
+        missing = [
+            app.name
+            for app in scenario.apps
+            if len(self.app_results[app.name]) != scenario.windows
+        ]
+        if missing:
+            raise WorkloadError(
+                f"scenario {scenario.name}: apps without complete "
+                f"results: {missing}"
+            )
+        return RunResult(
+            scenario_name=scenario.name,
+            scheme=scenario.scheme,
+            app_ids=[app.table2_id for app in scenario.apps],
+            windows=scenario.windows,
+            duration_s=end_time,
+            energy=EnergyReport(
+                duration_s=end_time,
+                idle_floor_power_w=scenario.calibration.idle_hub_power_w,
+                by_component_routine=energy,
+            ),
+            busy_times=busy,
+            app_results=dict(self.app_results),
+            result_times=dict(self.result_times),
+            qos_violations=list(self.qos_violations),
+            offload_reports=dict(plan.offload_reports),
+            **counters,
+        )
 
 
 def build_streams(apps: Sequence[IoTApp], shared: bool) -> List[Stream]:
@@ -216,6 +272,10 @@ class Handoff(NamedTuple):
     index: int = 0
     data: object = None
     final: bool = True
+
+
+#: A hand-off's MCU ops and the :class:`Handoff` its interrupt carries.
+HandoffChain = Tuple[Tuple[McuOp, ...], Handoff]
 
 
 class CpuService(NamedTuple):
@@ -428,6 +488,81 @@ def _hand_over(cal, vector: str, samples: int, bulk: bool) -> Tuple[McuOp, ...]:
     )
 
 
+class BufferedApp:
+    """One buffered app's MCU RAM and per-window hand-off, in both tiers.
+
+    A COM app reserves its offloaded build (code/heap + stream ring) in
+    ``ram`` for the whole run, so its samples stream through the ring
+    with no per-sample allocation; a batch app buffers each decoded
+    sample.  The stream that finishes a window last hands it off: a
+    batch app ships its buffer, a COM app its result.
+    """
+
+    def __init__(
+        self, plan: SchemePlan, app: IoTApp, cal, ram: MemoryRegion, batch_size
+    ):
+        self.plan = plan
+        self.app = app
+        self.cal = cal
+        self.ram = ram
+        self.batch_size = batch_size
+        self.com = app in plan.com_apps
+        self.label = f"batch:{app.name}"
+        #: Samples and bytes the batch buffer holds.
+        self.samples = 0
+        self.nbytes = 0
+        #: Streams that finished each window's sample loop.
+        self._finished: Dict[int, int] = {}
+        if self.com:
+            ram.allocate(f"app:{app.name}", app.profile.mcu_footprint_bytes)
+
+    def buffer(self, nbytes: int) -> None:
+        """Charge one decoded batch sample's ``nbytes`` to MCU RAM; when
+        the RAM is full, raise :class:`CapacityError` and buffer nothing."""
+        if self.com:
+            return
+        try:
+            self.ram.allocate(self.label, nbytes)
+        except CapacityError as exc:
+            raise CapacityError(
+                f"batch {self.label!r}: MCU RAM exhausted after "
+                f"{self.samples} samples ({exc})"
+            ) from exc
+        self.samples += 1
+        self.nbytes += nbytes
+
+    @property
+    def full(self) -> bool:
+        """Whether a ``batch_size`` of samples waits to be shipped."""
+        return self.batch_size is not None and self.samples >= self.batch_size
+
+    def ship(self, window: int, final: bool) -> HandoffChain:
+        """Drain the buffer into its ``(handoff_ops, Handoff)`` at once, so
+        concurrently polling streams start filling a fresh batch."""
+        nbytes, samples = self.nbytes, self.samples
+        self.ram.free(self.label)
+        self.nbytes = self.samples = 0
+        return (
+            self.plan.handoff_ops(self.app, self.cal, samples),
+            Handoff(max(1, nbytes), max(1, samples), self.app, window,
+                    final=final),
+        )
+
+    def window_done(self, window: int) -> Optional[HandoffChain]:
+        """The ``(handoff_ops, Handoff)`` to run once the app's last
+        stream finishes ``window``, else ``None``.  A COM hand-off
+        carries no result: only the DES has data to compute it from."""
+        finished = self._finished[window] = self._finished.get(window, 0) + 1
+        if finished < len(self.app.profile.sensor_ids):
+            return None
+        if not self.com:
+            return self.ship(window, final=True)
+        return (
+            self.plan.handoff_ops(self.app, self.cal, 1),
+            Handoff(self.app.profile.output_bytes, 1, self.app, window),
+        )
+
+
 class SchemeContext:
     """Shared stream/window/governor plumbing the DES wiring composes.
 
@@ -463,13 +598,7 @@ class SchemeContext:
                 failure_rate=scenario.sensor_failure_rates.get(sensor_id, 0.0),
             )
         self._windows: Dict[Tuple[str, int], WindowState] = {}
-        self._app_results: Dict[str, List[AppResult]] = {
-            app.name: [] for app in scenario.apps
-        }
-        self._result_times: Dict[str, List[float]] = {
-            app.name: [] for app in scenario.apps
-        }
-        self.qos_violations: List[str] = []
+        self.log = ResultLog(scenario.apps)
         #: Next scheduled poll per stream key — the MCU's own nap governor.
         self._mcu_next_polls: Dict[str, float] = {}
 
@@ -528,15 +657,6 @@ class SchemeContext:
             self._windows[key] = state
         return self._windows[key]
 
-    def record_result(self, app: IoTApp, result: AppResult) -> None:
-        """Log one delivered window result and check its QoS deadline."""
-        now = self.hub.sim.now
-        self._app_results[app.name].append(result)
-        self._result_times[app.name].append(now)
-        violation = qos_violation(app, result.window_index, now)
-        if violation is not None:
-            self.qos_violations.append(violation)
-
     # The three completions of a CPU service (CpuService.completion);
     # each returns the bytes it sends upstream.
     def deliver_sample(self, handoff: Handoff) -> int:
@@ -564,25 +684,27 @@ class SchemeContext:
 
     def publish(self, handoff: Handoff) -> int:
         """Record an MCU-computed result; its bytes go upstream."""
-        self.record_result(handoff.owner, handoff.data)
+        self.log.record(handoff.owner, handoff.data, self.hub.sim.now)
         return handoff.nbytes
 
     # ------------------------------------------------------------------
     # MCU-side processes
     # ------------------------------------------------------------------
-    def poll_stream(self, stream: Stream, on_sample=None, on_window=None):
+    def poll_stream(self, stream: Stream, buffered: Optional[BufferedApp] = None):
         """One stream's poll loop: wait for each sample, read, run ops.
 
         The MCU reads and decodes, then runs the plan's
         :meth:`~SchemePlan.sample_ops`; under main-board polling the CPU
-        blocks on the read and delivers the sample itself.
-        ``on_sample(stream, w, k, sample)`` runs after each read and
-        ``on_window(stream, w)`` after each window's last sample; either
-        may return ``(ops, handoff)`` — a hand-off chain for
-        :func:`run_ops` to run now.
+        blocks on the read and delivers the sample itself.  A stream of
+        a ``buffered`` app registers each sample into the app's window
+        and buffer (a sample the full RAM cannot hold is a QoS
+        violation), ships a partial batch once a ``batch_size`` waits,
+        and runs the app's hand-off once its last stream finishes a
+        window.
         """
         hub = self.hub
         device = self.devices[stream.sensor_id]
+        app = buffered.app if buffered is not None else None
         mcu_polls = self.plan.mcu_owns_sensing
         read = read_and_decode if mcu_polls else cpu_blocking_read
         ops = self.plan.sample_ops(self.cal)
@@ -619,81 +741,26 @@ class SchemeContext:
                         yield from run_ops(hub, ops, handoff)
                     else:  # a CPU read: its sample is delivered at once
                         self.deliver_sample(handoff)
-                if on_sample is not None:
-                    handoff = on_sample(stream, window_index, k, sample)
-                    if handoff is not None:
-                        yield from run_ops(hub, *handoff)
-            if on_window is not None:
-                handoff = on_window(stream, window_index)
-                if handoff is not None:
-                    yield from run_ops(hub, *handoff)
+                if buffered is not None:
+                    try:
+                        buffered.buffer(stream.sample_bytes)
+                    except CapacityError as exc:
+                        self.log.qos_violations.append(str(exc))
+                    state = self.window_state(app, window_index)
+                    state.register(sample)
+                    if buffered.full and not state.complete:
+                        yield from run_ops(
+                            hub, *buffered.ship(window_index, final=False)
+                        )
+            if buffered is not None:
+                done = buffered.window_done(window_index)
+                if done is not None:
+                    chain, handoff = done
+                    if buffered.com:
+                        window = self.window_state(app, window_index).window
+                        handoff = handoff._replace(data=app.compute(window))
+                    yield from run_ops(hub, chain, handoff)
         self._mcu_next_polls.pop(key, None)
-
-    def buffered_handoffs(self, app: IoTApp):
-        """The buffered family's per-app bookkeeping, as the
-        ``(on_sample, on_window)`` pair every stream of ``app`` shares.
-
-        A COM app reserves its offloaded build (code/heap + stream ring)
-        in MCU RAM for the whole run, so samples stream through the ring
-        with no per-sample allocation; a batch app buffers its samples.
-        Samples register into the app's window (and buffer); a full
-        ``batch_size`` ships a partial batch.  The stream that finishes
-        a window last hands it off: a batch app ships the buffer, a COM
-        app its result.
-        """
-        plan = self.plan
-        ram = self.hub.mcu.ram
-        if app in plan.com_apps:
-            ram.allocate(f"app:{app.name}", app.profile.mcu_footprint_bytes)
-            buffer = None
-        else:
-            buffer = BatchBuffer(ram, f"batch:{app.name}")
-        cal = self.cal
-        batch_size = self.scenario.batch_size
-        stream_count = len(app.profile.sensor_ids)
-        finished: Dict[int, int] = {}
-
-        def ship(window_index: int, final: bool):
-            # Drained synchronously so concurrently polling streams
-            # start filling a fresh batch.
-            nbytes = max(1, buffer.buffered_bytes)
-            count = len(buffer.flush())
-            return (
-                plan.handoff_ops(app, cal, count),
-                Handoff(nbytes, max(1, count), app, window_index,
-                        final=final),
-            )
-
-        def on_sample(stream: Stream, window_index: int, k: int, sample):
-            if buffer is not None:
-                try:
-                    buffer.add(sample, stream.sample_bytes)
-                except CapacityError as exc:
-                    self.qos_violations.append(str(exc))
-            state = self.window_state(app, window_index)
-            state.register(sample)
-            if (
-                buffer is not None
-                and batch_size is not None
-                and buffer.sample_count >= batch_size
-                and not state.complete
-            ):
-                # Partial flush: ship the accumulated batch early.
-                return ship(window_index, final=False)
-            return None
-
-        def on_window(stream: Stream, window_index: int):
-            finished[window_index] = finished.get(window_index, 0) + 1
-            if finished[window_index] < stream_count:
-                return None
-            if buffer is not None:
-                return ship(window_index, final=True)
-            result = app.compute(self.window_state(app, window_index).window)
-            return plan.handoff_ops(app, cal, 1), Handoff(
-                app.profile.output_bytes, 1, app, window_index, data=result
-            )
-
-        return on_sample, on_window
 
     # ------------------------------------------------------------------
     # CPU-side processes
@@ -755,7 +822,7 @@ class SchemeContext:
             cpu.core.release()
             if obs.enabled:
                 obs.span(*chain.span, t0, hub.sim.now)
-            self.record_result(app, result)
+            self.log.record(app, result, hub.sim.now)
             yield from hub.nic.send(chain.output_bytes, Routine.APP_COMPUTE)
             self.rest()
 
@@ -764,37 +831,14 @@ class SchemeContext:
     # ------------------------------------------------------------------
     def collect(self, end_time: float) -> RunResult:
         """Integrate energy and assemble the scenario's :class:`RunResult`."""
-        energy, busy = integrate(self.hub.recorder.timelines(), end_time)
-        missing = [
-            app.name
-            for app in self.scenario.apps
-            if len(self._app_results[app.name]) != self.scenario.windows
-        ]
-        if missing:
-            raise WorkloadError(
-                f"scenario {self.scenario.name}: apps without complete "
-                f"results: {missing}"
-            )
-        return RunResult(
-            scenario_name=self.scenario.name,
-            scheme=self.scenario.scheme,
-            app_ids=[app.table2_id for app in self.scenario.apps],
-            windows=self.scenario.windows,
-            duration_s=end_time,
-            energy=EnergyReport(
-                duration_s=end_time,
-                idle_floor_power_w=self.cal.idle_hub_power_w,
-                by_component_routine=energy,
-            ),
-            busy_times=busy,
-            app_results=dict(self._app_results),
-            result_times=dict(self._result_times),
-            qos_violations=list(self.qos_violations),
-            interrupt_count=self.hub.irq.raised_count,
-            cpu_wake_count=self.hub.cpu.wake_count,
-            bus_bytes=self.hub.bus.bytes_transferred,
-            offload_reports=dict(self.plan.offload_reports),
-            hub=self.hub,
+        hub = self.hub
+        energy, busy = integrate(hub.recorder.timelines(), end_time)
+        return self.log.run_result(
+            self.scenario, self.plan, energy, busy, end_time,
+            interrupt_count=hub.irq.raised_count,
+            cpu_wake_count=hub.cpu.wake_count,
+            bus_bytes=hub.bus.bytes_transferred,
+            hub=hub,
         )
 
 
@@ -807,12 +851,15 @@ def wire(ctx: SchemeContext) -> None:
     """
     spawn = ctx.hub.sim.spawn
     plan = ctx.plan
-    computes = [app for app in ctx.scenario.apps if app not in plan.com_apps]
-    for prefix, app, streams in plan.sensing(ctx.scenario.apps):
-        hooks = ctx.buffered_handoffs(app) if app is not None else ()
+    scenario = ctx.scenario
+    computes = [app for app in scenario.apps if app not in plan.com_apps]
+    for prefix, app, streams in plan.sensing(scenario.apps):
+        buffered = None if app is None else BufferedApp(
+            plan, app, ctx.cal, ctx.hub.mcu.ram, scenario.batch_size
+        )
         for stream in streams:
             spawn(
-                ctx.poll_stream(stream, *hooks),
+                ctx.poll_stream(stream, buffered),
                 name=f"{prefix}:{stream.key}",
             )
         if app in computes:

@@ -6,7 +6,12 @@ from repro.apps import create_app
 from repro.apps.base import AppProfile, AppResult, IoTApp
 from repro.calibration import default_calibration
 from repro.core import Scenario, Scheme, run_scenario
+from repro.core.analytic import supports_analytic
+from repro.core.analytic.context import AnalyticRun
+from repro.core.analytic.scan import scan
+from repro.core.schemes.registry import get_scheme
 from repro.errors import (
+    AnalyticUnsupported,
     CapacityError,
     OffloadError,
     QoSViolation,
@@ -73,17 +78,43 @@ def test_resumed_finished_process_is_an_error():
 # ----------------------------------------------------------------------
 # capacity and offload failures
 # ----------------------------------------------------------------------
-def test_batching_with_tiny_mcu_ram_flags_violations_but_completes():
+def tiny_ram_batching():
+    """A2 batching with 2 KiB of MCU RAM: 170 of a window's 1,000
+    samples fit, the other 830 overflow."""
     cal = default_calibration().with_mcu(ram_bytes=2048)
-    result = run_scenario(
-        Scenario(
-            apps=[create_app("A2")], scheme=Scheme.BATCHING, calibration=cal
-        )
+    return Scenario(
+        apps=[create_app("A2")], scheme=Scheme.BATCHING, calibration=cal
     )
-    assert result.qos_violations
-    assert all("RAM" in violation for violation in result.qos_violations)
-    # The run still finishes and the computation still happens.
+
+
+def test_batching_with_tiny_mcu_ram_flags_violations_but_completes():
+    result = run_scenario(tiny_ram_batching())
+    assert result.qos_violations == 830 * [
+        "batch 'batch:stepcounter': MCU RAM exhausted after 170 samples "
+        "(mcu.ram: allocating 12 B for 'batch:stepcounter' exceeds "
+        "capacity (2040/2048 B used))"
+    ]
+    # The 170 buffered samples ship as one batch; the run still finishes
+    # and the computation still happens.
+    assert (result.interrupt_count, result.bus_bytes) == (1, 2040)
+    assert result.energy.total_j.hex() == "0x1.28d34fd0d507cp+1"
     assert result.results_ok
+    ram = result.hub.mcu.ram
+    assert (ram.used_bytes, ram.peak_bytes) == (0, 2040)
+
+
+def test_analytic_tier_refuses_batch_ram_overflow():
+    scenario = tiny_ram_batching()
+    assert supports_analytic(scenario) == (
+        False, "MCU RAM may overflow (dropped samples); DES required"
+    )
+    # Past the gate, the scan itself bails at the first overflowing decode.
+    plan = get_scheme(scenario.scheme)().plan(scenario)
+    with pytest.raises(
+        AnalyticUnsupported,
+        match=r"^stepcounter batch buffer overflows MCU RAM; DES required$",
+    ):
+        scan(AnalyticRun(scenario, plan), plan)
 
 
 def test_com_refuses_heavy_app_with_reasons():

@@ -4,15 +4,18 @@ import pytest
 
 from repro.apps import create_app
 from repro.calibration import default_calibration
+from repro.core.schemes.base import BufferedApp, SchemePlan
 from repro.errors import CapacityError
-from repro.firmware import BatchBuffer, check_offloadable, read_and_decode
+from repro.firmware import check_offloadable, read_and_decode
 from repro.hw import IoTHub, MemoryRegion
 from repro.sensors import ConstantWaveform, SensorDevice
-from repro.sensors.base import SensorSample
 
 
-def sample(seq=1, nbytes=12):
-    return SensorSample(time=0.0, sensor_id="S4", value=1.0, nbytes=nbytes, seq=seq)
+def batch_app(ram):
+    """A2's batch-buffer coordinator over ``ram``, whole-window batches."""
+    app = create_app("A2")
+    plan = SchemePlan("buffered", batch_apps=[app])
+    return BufferedApp(plan, app, default_calibration(), ram, batch_size=None)
 
 
 # ----------------------------------------------------------------------
@@ -38,38 +41,41 @@ def test_read_and_decode_takes_read_plus_decode_time():
 
 
 # ----------------------------------------------------------------------
-# batching buffer
+# batch buffer (the buffered schemes' per-app coordinator)
 # ----------------------------------------------------------------------
 def test_batch_buffer_accounts_ram():
     ram = MemoryRegion("ram", 100)
-    buffer = BatchBuffer(ram, "batch:test")
-    buffer.add(sample(1), 40)
-    buffer.add(sample(2), 40)
-    assert buffer.sample_count == 2
-    assert buffer.buffered_bytes == 80
-    assert ram.used_bytes == 80
+    buffered = batch_app(ram)
+    buffered.buffer(40)
+    buffered.buffer(40)
+    assert buffered.samples == 2
+    assert buffered.nbytes == 80
+    assert ram.usage() == {"batch:stepcounter": 80}
 
 
 def test_batch_buffer_rejects_overflow():
     ram = MemoryRegion("ram", 100)
-    buffer = BatchBuffer(ram, "batch:test")
-    buffer.add(sample(1), 80)
-    with pytest.raises(CapacityError):
-        buffer.add(sample(2), 40)
+    buffered = batch_app(ram)
+    buffered.buffer(80)
+    with pytest.raises(CapacityError, match="MCU RAM exhausted after 1 samples"):
+        buffered.buffer(40)
+    # The overflowing sample is not buffered.
+    assert (buffered.samples, buffered.nbytes, ram.used_bytes) == (1, 80, 80)
 
 
 def test_batch_buffer_flush_releases_ram():
     ram = MemoryRegion("ram", 100)
-    buffer = BatchBuffer(ram, "batch:test")
-    buffer.add(sample(1), 60)
-    flushed = buffer.flush()
-    assert len(flushed) == 1
+    buffered = batch_app(ram)
+    buffered.buffer(60)
+    ops, handoff = buffered.ship(0, final=True)
+    assert (handoff.nbytes, handoff.samples, handoff.final) == (60, 1, True)
+    assert [op.vector for op in ops] == ["batch", None]
     assert ram.used_bytes == 0
-    assert buffer.buffered_bytes == 0
-    assert buffer.high_water_bytes == 60
-    # Buffer is reusable after a flush.
-    buffer.add(sample(2), 90)
-    assert buffer.sample_count == 1
+    assert buffered.nbytes == 0
+    assert ram.peak_bytes == 60
+    # The buffer is reusable after a ship.
+    buffered.buffer(90)
+    assert buffered.samples == 1
 
 
 # ----------------------------------------------------------------------

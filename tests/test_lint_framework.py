@@ -14,6 +14,7 @@ from repro.analysis import (
     Severity,
     all_rules,
     exit_code,
+    lint_file,
     lint_paths,
     lint_source,
     render_json,
@@ -125,6 +126,28 @@ class TestReporters:
         findings = lint_paths([str(bad)])
         assert [f.rule_id for f in findings] == ["parse-error"]
         assert exit_code(findings) == 1
+
+    def test_coding_cookie_is_honoured(self, tmp_path, capsys):
+        latin = tmp_path / "latin.py"
+        latin.write_bytes(b'# -*- coding: latin-1 -*-\nname = "caf\xe9"\n')
+        assert lint_file(str(latin)) == []
+        assert lint_paths([str(tmp_path)]) == []
+        assert main(["lint", str(tmp_path)]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            b'a = 1\nb = 2\nname = "caf\xe9"\n',
+            b"# -*- coding: klingon -*-\nname = 1\n",
+        ],
+        ids=["bad-bytes", "unknown-cookie"],
+    )
+    def test_undecodable_file_is_a_parse_error(self, tmp_path, source):
+        bad = tmp_path / "bad.py"
+        bad.write_bytes(source)
+        for findings in (lint_file(str(bad)), lint_paths([str(bad)])):
+            assert [f.rule_id for f in findings] == ["parse-error"]
 
 
 # ----------------------------------------------------------------------

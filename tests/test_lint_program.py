@@ -26,6 +26,7 @@ from repro.analysis.program import (
     find_unit_mismatches,
     module_name_for_path,
 )
+from repro.analysis.rules import program as program_rules
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -247,6 +248,23 @@ class TestOneParse:
         assert len(calls) == 8
         assert len(set(calls)) == 8
         assert any(f.rule_id.startswith("program-") for f in findings)
+
+    def test_lint_run_runs_each_program_pass_once(self, monkeypatch):
+        # Three program-units-* rules share one units pass and two
+        # program-pickle-* rules one pickle pass.
+        calls = []
+        for name in ("find_unit_mismatches", "find_pickle_hazards"):
+            real = getattr(program_rules, name)
+
+            def counting(index, real=real, name=name):
+                calls.append(name)
+                return real(index)
+
+            monkeypatch.setattr(program_rules, name, counting)
+        findings = lint_paths([str(FIXTURE)])
+        assert sorted(calls) == ["find_pickle_hazards", "find_unit_mismatches"]
+        rule_ids = {finding.rule_id for finding in findings}
+        assert {"program-units-call-mismatch", "program-pickle-lambda"} <= rule_ids
 
 
 # ----------------------------------------------------------------------
