@@ -73,7 +73,7 @@ def run_chunk(
     caller's label for it, so the parent can report *which* item failed
     instead of losing it inside an anonymous chunk.  Library errors a
     caller wants per-item must be captured inside ``fn`` itself (the
-    engine's ``_run_remote`` does exactly that); anything escaping here
+    engine's ``_run_task`` does exactly that); anything escaping here
     is treated as a batch-aborting failure.
     """
     results: List[Any] = []

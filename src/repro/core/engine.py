@@ -28,7 +28,9 @@ orthogonal ways:
   backend-independent, so grid results are bit-identical across
   backends.
 
-Cache and process-backend paths strip the live
+All three are one batch pipeline that both fidelity tiers and
+:meth:`ScenarioEngine.run` share; a tier supplies only its evaluate
+step.  Cache and process-backend paths strip the live
 :class:`~repro.hw.board.IoTHub` from the result (it holds running
 generators and is neither picklable nor meaningful outside the run);
 in-process serial runs keep it attached, preserving the historical
@@ -206,46 +208,35 @@ def strip_hub(result: RunResult) -> RunResult:
     return dataclasses.replace(result, hub=None)
 
 
-#: One dispatched unit: (pending position, scenario).
-_Task = Tuple[int, Scenario]
-#: One runner outcome: position, result-or-None, error-or-None, and the
-#: (pid, wall_seconds) pair feeding the engine's per-worker accounting.
-_TaskOutcome = Tuple[
-    int, Optional[RunResult], Optional[ReproError], Tuple[int, float]
-]
+#: One batch outcome: a result, or the ReproError that stopped the point.
+Outcome = Union[RunResult, ReproError]
+#: One dispatched unit: the scenario, and whether to strip its hub.
+_Task = Tuple[Scenario, bool]
+#: One task's outcome with the (pid, wall_seconds) pair feeding the
+#: engine's per-worker accounting.
+_TaskOutcome = Tuple[Outcome, Tuple[int, float]]
 
 
-def _run_remote(item: _Task) -> _TaskOutcome:
-    """Parallel-backend task: run one scenario, capturing library errors.
+def _run_task(item: _Task) -> _TaskOutcome:
+    """Backend task: run one scenario, capturing library errors.
 
-    Results are stripped of their live hub (they cross a process
-    boundary and must pickle).  Unexpected exceptions propagate — as a
+    A parallel backend's results cross a process boundary and must
+    pickle, so the engine asks for the live hub to be stripped there;
+    in-process runs keep it.  Unexpected exceptions propagate — as a
     :class:`~repro.errors.ChunkTaskError` naming the failing scenario —
-    so real bugs surface in the parent instead of hiding in sweep
+    so real bugs surface in the caller instead of hiding in sweep
     output.
     """
-    index, scenario = item
+    scenario, strip = item
     started = time.perf_counter()
+    outcome: Outcome
     try:
-        result: Optional[RunResult] = strip_hub(execute_scenario(scenario))
-        error: Optional[ReproError] = None
+        outcome = execute_scenario(scenario)
+        if strip:
+            outcome = strip_hub(outcome)
     except ReproError as exc:
-        result, error = None, exc
-    elapsed = time.perf_counter() - started
-    return index, result, error, (os.getpid(), elapsed)
-
-
-def _run_local(item: _Task) -> _TaskOutcome:
-    """In-process task: like :func:`_run_remote`, keeping the live hub."""
-    index, scenario = item
-    started = time.perf_counter()
-    try:
-        result: Optional[RunResult] = execute_scenario(scenario)
-        error: Optional[ReproError] = None
-    except ReproError as exc:
-        result, error = None, exc
-    elapsed = time.perf_counter() - started
-    return index, result, error, (os.getpid(), elapsed)
+        outcome = exc
+    return outcome, (os.getpid(), time.perf_counter() - started)
 
 
 def _scenario_label(scenario: Scenario) -> str:
@@ -254,10 +245,6 @@ def _scenario_label(scenario: Scenario) -> str:
     base = f"{scenario.scheme}[{apps}]"
     name = getattr(scenario, "name", "")
     return f"{name}: {base}" if name else base
-
-
-#: One batch outcome: a result, or the ReproError that stopped the point.
-Outcome = Union[RunResult, ReproError]
 
 
 class ScenarioEngine:
@@ -277,9 +264,9 @@ class ScenarioEngine:
     capacity; pass a capacity without ``cache_dir`` for a memory-only
     cache, or ``0`` to disable the memory tier).  ``cache_max_bytes``
     arms an oldest-first eviction pass over the disk tier after each
-    run.  ``dedup=True`` (default) canonicalizes app order so permuted
-    grid points simulate once; see :func:`canonicalize_scenario` for
-    when a scenario opts out.
+    batch, at either tier.  ``dedup=True`` (default) canonicalizes app
+    order so permuted grid points simulate once; see
+    :func:`canonicalize_scenario` for when a scenario opts out.
     ``fidelity`` selects the default tier (any call can override it):
     ``"des"`` runs the event simulation; ``"analytic"`` answers from the
     closed-form models in :mod:`repro.core.analytic`, transparently
@@ -387,15 +374,6 @@ class ScenarioEngine:
             )
         return resolved
 
-    def _fingerprint(self, scenario: Scenario, fidelity: str = "des") -> str:
-        """Fingerprint one scenario, charging the time to the metrics."""
-        started = time.perf_counter()
-        fingerprint = scenario_fingerprint(
-            scenario, canonical=self.dedup, fidelity=fidelity
-        )
-        self.metrics.fingerprint_wall_s += time.perf_counter() - started
-        return fingerprint
-
     def _execution_form(self, scenario: Scenario) -> Scenario:
         """What actually runs: the canonical ordering under dedup."""
         if not self.dedup:
@@ -413,7 +391,9 @@ class ScenarioEngine:
         engine's ``dedup`` setting, so two batches
         with equal fingerprints would execute identically through this
         engine.  ``fidelity="analytic"`` yields the closed-form tier's
-        fingerprints, ``"des"`` the event simulation's.
+        fingerprints, ``"des"`` the event simulation's.  The batch
+        pipeline groups by these too; the time is charged to
+        ``metrics.fingerprint_wall_s``.
         """
         tier = self._resolve_fidelity(fidelity)
         started = time.perf_counter()
@@ -474,7 +454,7 @@ class ScenarioEngine:
             self._worker_labels[pid] = f"w{len(self._worker_labels)}"
         return self._worker_labels[pid]
 
-    def _note_cache_hit(self, tier: str, count: int = 1) -> None:
+    def _note_cache_hit(self, tier: str, count: int) -> None:
         self.metrics.cache_hits += count
         if tier == "memory":
             self.metrics.cache_memory_hits += count
@@ -500,43 +480,14 @@ class ScenarioEngine:
         client: Optional[str] = None,
         fidelity: Optional[str] = None,
     ) -> RunResult:
-        """Run one scenario: cache hit, or simulate (and populate cache).
+        """Run one scenario: a one-point :meth:`run_batch`.
 
-        ``client`` attributes the cache traffic to a per-client bucket
-        (see :attr:`cache_accounting`); it never changes the result.
+        The point's :class:`ReproError` raises.  ``client`` attributes
+        the cache traffic to a per-client bucket (see
+        :attr:`cache_accounting`); it never changes the result.
         ``fidelity`` overrides the engine's default tier for this call.
         """
-        resolved = self._resolve_fidelity(fidelity)
-        if resolved != "des":
-            outcome = self.run_batch(
-                [scenario], client=client, fidelity=resolved
-            )[0]
-            if isinstance(outcome, ReproError):
-                raise outcome
-            return outcome
-        started = time.perf_counter()
-        fingerprint = None
-        if self._cache.enabled:
-            fingerprint = self._fingerprint(scenario)
-            hit = self._cache.get(fingerprint, client=client)
-            if hit is not None:
-                tier, cached = hit
-                self._note_cache_hit(tier)
-                self.metrics.run_wall_s += time.perf_counter() - started
-                return self._rebind(cached, scenario)
-        sim_started = time.perf_counter()
-        result = execute_scenario(self._execution_form(scenario))
-        self.metrics.note_worker(
-            self._worker_label(os.getpid()),
-            time.perf_counter() - sim_started,
-        )
-        self.metrics.scenarios_run += 1
-        if fingerprint is not None:
-            self.metrics.cache_misses += 1
-            self._cache.put(fingerprint, strip_hub(result), client=client)
-            self._cache.maybe_gc()
-        self.metrics.run_wall_s += time.perf_counter() - started
-        return self._rebind(result, scenario)
+        return self.run_many([scenario], client=client, fidelity=fidelity)[0]
 
     def run_batch(
         self,
@@ -552,7 +503,7 @@ class ScenarioEngine:
         whole batch instead of disappearing into per-point errors.
 
         Points sharing a (canonical) fingerprint are grouped: the first
-        cache lookup serves the whole group, or one simulation of the
+        cache lookup serves the whole group, or one evaluation of the
         canonical ordering fans out to every member (``dedup_hits``
         counts the members beyond the first).  ``client`` attributes the
         batch's cache traffic per client; it never changes results.
@@ -562,186 +513,143 @@ class ScenarioEngine:
         for unsupported points).  Every outcome's ``fidelity`` field
         records the tier that actually produced it.
         """
-        if self._resolve_fidelity(fidelity) == "analytic":
-            return self._run_batch_analytic(scenarios, client)
-        return self._run_batch_des(scenarios, client)
-
-    def _run_batch_des(
-        self, scenarios: Sequence[Scenario], client: Optional[str] = None
-    ) -> List[Outcome]:
-        """The authoritative tier: :meth:`run_batch`'s DES path."""
+        tier = self._resolve_fidelity(fidelity)
         started = time.perf_counter()
         outcomes: List[Optional[Outcome]] = [None] * len(scenarios)
-        keyed = self._cache.enabled or self.dedup
-        # Group member indices by fingerprint (or by position when
-        # neither caching nor dedup needs one — each its own group).
-        group_order: List[str] = []
-        members: Dict[str, List[int]] = {}
-        for index, scenario in enumerate(scenarios):
-            key = self._fingerprint(scenario) if keyed else f"@{index}"
-            if key not in members:
-                members[key] = []
-                group_order.append(key)
-            members[key].append(index)
-        # Cache pass: one lookup per group serves every member.
-        pending: List[Tuple[str, Scenario]] = []
-        for key in group_order:
-            indices = members[key]
-            if self._cache.enabled:
-                hit = self._cache.get(key, client=client)
-                if hit is not None:
-                    tier, cached = hit
-                    self._note_cache_hit(tier, count=len(indices))
-                    for index in indices:
-                        outcomes[index] = self._rebind(
-                            cached, scenarios[index]
-                        )
-                    continue
-            pending.append((key, self._execution_form(scenarios[indices[0]])))
-        # Simulation pass: one execution per surviving group, through
-        # the backend.  A parallel backend with a single surviving point
-        # short-circuits inline (no dispatch is worth one task), which
-        # also keeps that result's live hub attached.
-        executed: Dict[str, Tuple[Optional[RunResult], Optional[ReproError]]]
-        executed = {}
-        backend = self.backend
-        if pending:
-            outcomes_iter: Sequence[_TaskOutcome]
-            if backend.parallel and len(pending) == 1:
-                # run_chunk keeps error attribution identical to the
-                # dispatched path (task bugs surface as ChunkTaskError).
-                outcomes_iter = run_chunk(
-                    _run_local,
-                    [(0, pending[0][1])],
-                    0,
-                    [_scenario_label(pending[0][1])],
-                )
-            else:
-                runner = _run_remote if backend.parallel else _run_local
-                outcomes_iter = backend.submit_batch(
-                    runner,
-                    [
-                        (position, scenario)
-                        for position, (_key, scenario) in enumerate(pending)
-                    ],
-                    labels=[
-                        _scenario_label(scenario) for _key, scenario in pending
-                    ],
-                )
-            for position, result, error, (pid, elapsed) in outcomes_iter:
-                executed[pending[position][0]] = (result, error)
-                self.metrics.note_worker(self._worker_label(pid), elapsed)
-            self._sync_backend_metrics()
-        self.metrics.scenarios_run += len(pending)
-        # Fan-out pass: publish to caches, deliver to every member.
-        for key, _scenario in pending:
-            result, error = executed[key]
-            indices = members[key]
-            if result is not None and self._cache.enabled:
-                self.metrics.cache_misses += 1
-                self._cache.put(key, strip_hub(result), client=client)
-            self.metrics.dedup_hits += len(indices) - 1
-            for position, index in enumerate(indices):
-                if error is not None:
-                    outcomes[index] = error
-                elif position == 0:
-                    # The first requester keeps the live result (with
-                    # its hub when this was an in-process serial run).
-                    assert result is not None
-                    outcomes[index] = self._rebind(result, scenarios[index])
-                else:
-                    assert result is not None
-                    outcomes[index] = self._rebind(
-                        strip_hub(result), scenarios[index]
-                    )
+        self._answer(scenarios, range(len(scenarios)), tier, client, outcomes)
         self._cache.maybe_gc()
         self.metrics.run_wall_s += time.perf_counter() - started
         return [outcome for outcome in outcomes if outcome is not None]
 
-    def _analytic_outcomes(
-        self, scenarios: Sequence[Scenario], client: Optional[str]
-    ) -> List[Optional[Outcome]]:
-        """Closed-form pass: per-point outcome, or ``None`` for the DES.
+    def _answer(
+        self,
+        scenarios: Sequence[Scenario],
+        indices: Sequence[int],
+        tier: str,
+        client: Optional[str],
+        outcomes: List[Optional[Outcome]],
+    ) -> None:
+        """The batch pipeline: fill ``outcomes`` at ``indices`` at a tier.
 
-        Mirrors the DES batch's grouping (fingerprint dedup, cache pass,
-        fan-out) but evaluates inline — closed-form models are far
-        cheaper than any dispatch.  A ``None`` slot marks a point the
-        analytic tier cannot cover (:class:`AnalyticUnsupported`, at the
-        gate or mid-evaluation); scheme feasibility errors are final —
-        the analytic tier raises them identically to the DES.
+        Groups the points by fingerprint, serves each group it can from
+        the cache, evaluates each remaining group once (the tier's only
+        contribution), then publishes every result and fans it out to
+        the group's members.  Points the analytic tier hands back
+        re-enter at the DES tier, in input order.
         """
-        started = time.perf_counter()
-        outcomes: List[Optional[Outcome]] = [None] * len(scenarios)
-        keyed = self._cache.enabled or self.dedup
-        group_order: List[str] = []
+        # Group member indices by fingerprint (or by position when
+        # neither caching nor dedup needs one — each its own group).
+        if self._cache.enabled or self.dedup:
+            keys = self.fingerprints([scenarios[i] for i in indices], tier)
+        else:
+            keys = [f"@{index}" for index in indices]
         members: Dict[str, List[int]] = {}
-        for index, scenario in enumerate(scenarios):
-            key = (
-                self._fingerprint(scenario, fidelity="analytic")
-                if keyed
-                else f"@{index}"
-            )
-            if key not in members:
-                members[key] = []
-                group_order.append(key)
-            members[key].append(index)
-        for key in group_order:
-            indices = members[key]
+        for key, index in zip(keys, indices):
+            members.setdefault(key, []).append(index)
+        # Cache pass: one lookup per group serves every member.
+        pending: List[str] = []
+        for key, group in members.items():
+            hit = None
             if self._cache.enabled:
                 hit = self._cache.get(key, client=client)
-                if hit is not None:
-                    tier, cached = hit
-                    self._note_cache_hit(tier, count=len(indices))
-                    for index in indices:
-                        outcomes[index] = self._rebind(
-                            cached, scenarios[index]
-                        )
-                    continue
-            result: Optional[RunResult] = None
-            error: Optional[ReproError] = None
+            if hit is None:
+                pending.append(key)
+                continue
+            cache_tier, cached = hit
+            self._note_cache_hit(cache_tier, count=len(group))
+            for index in group:
+                outcomes[index] = self._rebind(cached, scenarios[index])
+        # Evaluation pass: the tier's step, once per pending group.
+        evaluate = (
+            self._evaluate_analytic
+            if tier == "analytic"
+            else self._evaluate_des
+        )
+        evaluated = evaluate(
+            [
+                self._execution_form(scenarios[members[key][0]])
+                for key in pending
+            ]
+        )
+        # Fan-out pass: publish to caches, deliver to every member.
+        fallback: List[int] = []
+        for key, outcome in zip(pending, evaluated):
+            group = members[key]
+            if outcome is None:
+                self.metrics.analytic_fallbacks += len(group)
+                fallback.extend(group)
+                continue
+            self.metrics.dedup_hits += len(group) - 1
+            if isinstance(outcome, ReproError):
+                for index in group:
+                    outcomes[index] = outcome
+                continue
+            shared = strip_hub(outcome)
+            if self._cache.enabled:
+                self.metrics.cache_misses += 1
+                self._cache.put(key, shared, client=client)
+            for position, index in enumerate(group):
+                # The first requester keeps the live result (with its
+                # hub when this was an in-process DES run).
+                result = outcome if position == 0 else shared
+                outcomes[index] = self._rebind(result, scenarios[index])
+        if fallback:
+            self._answer(scenarios, sorted(fallback), "des", client, outcomes)
+
+    def _evaluate_des(
+        self, scenarios: List[Scenario]
+    ) -> List[Optional[Outcome]]:
+        """The DES tier's step: one simulation per scenario, by backend.
+
+        A parallel backend with a single scenario short-circuits inline
+        (no dispatch is worth one task), which also keeps that result's
+        live hub attached.
+        """
+        if not scenarios:
+            return []
+        backend = self.backend
+        labels = [_scenario_label(scenario) for scenario in scenarios]
+        ran: Sequence[_TaskOutcome]
+        if backend.parallel and len(scenarios) == 1:
+            # run_chunk keeps error attribution identical to the
+            # dispatched path (task bugs surface as ChunkTaskError).
+            ran = run_chunk(_run_task, [(scenarios[0], False)], 0, labels)
+        else:
+            ran = backend.submit_batch(
+                _run_task,
+                [(scenario, backend.parallel) for scenario in scenarios],
+                labels=labels,
+            )
+        for _outcome, (pid, elapsed) in ran:
+            self.metrics.note_worker(self._worker_label(pid), elapsed)
+        self._sync_backend_metrics()
+        self.metrics.scenarios_run += len(scenarios)
+        return [outcome for outcome, _timing in ran]
+
+    def _evaluate_analytic(
+        self, scenarios: List[Scenario]
+    ) -> List[Optional[Outcome]]:
+        """The analytic tier's step: closed-form models, inline.
+
+        Closed forms are far cheaper than any dispatch.  ``None`` marks
+        a point outside the analytic envelope
+        (:class:`AnalyticUnsupported`, at the gate or mid-evaluation),
+        which the DES then answers; scheme feasibility errors are final
+        — the analytic tier raises them identically to the DES.
+        """
+        started = time.perf_counter()
+        outcomes: List[Optional[Outcome]] = []
+        for scenario in scenarios:
             try:
-                result = analytic_scenario_result(
-                    self._execution_form(scenarios[indices[0]])
-                )
+                outcomes.append(analytic_scenario_result(scenario))
             except AnalyticUnsupported:
-                # The whole group falls through to the DES.
-                self.metrics.analytic_fallbacks += len(indices)
+                outcomes.append(None)
                 continue
             except ReproError as exc:
-                error = exc
+                outcomes.append(exc)
             self.metrics.analytic_evals += 1
-            if result is not None and self._cache.enabled:
-                self.metrics.cache_misses += 1
-                self._cache.put(key, result, client=client)
-            self.metrics.dedup_hits += len(indices) - 1
-            for index in indices:
-                outcomes[index] = (
-                    error
-                    if error is not None
-                    else self._rebind(result, scenarios[index])
-                )
         self.metrics.analytic_wall_s += time.perf_counter() - started
-        self.metrics.run_wall_s += time.perf_counter() - started
         return outcomes
-
-    def _run_batch_analytic(
-        self, scenarios: Sequence[Scenario], client: Optional[str]
-    ) -> List[Outcome]:
-        """Closed-form tier: analytic everywhere it holds, DES elsewhere."""
-        outcomes = self._analytic_outcomes(scenarios, client)
-        pending = [
-            index
-            for index, outcome in enumerate(outcomes)
-            if outcome is None
-        ]
-        if pending:
-            des = self._run_batch_des(
-                [scenarios[index] for index in pending], client=client
-            )
-            for index, outcome in zip(pending, des):
-                outcomes[index] = outcome
-        assert all(outcome is not None for outcome in outcomes)
-        return outcomes  # type: ignore[return-value]
 
     def run_many(
         self,

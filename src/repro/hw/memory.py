@@ -21,12 +21,10 @@ class MemoryRegion:
         self.name = name
         self.capacity_bytes = int(capacity_bytes)
         self._allocations: Dict[str, int] = {}
+        #: Bytes currently allocated: a running total of the labels, so
+        #: each allocation costs the same however many labels are held.
+        self.used_bytes = 0
         self.peak_bytes = 0
-
-    @property
-    def used_bytes(self) -> int:
-        """Bytes currently allocated."""
-        return sum(self._allocations.values())
 
     @property
     def free_bytes(self) -> int:
@@ -47,11 +45,14 @@ class MemoryRegion:
                 f"capacity ({self.used_bytes}/{self.capacity_bytes} B used)"
             )
         self._allocations[label] = self._allocations.get(label, 0) + nbytes
+        self.used_bytes += nbytes
         self.peak_bytes = max(self.peak_bytes, self.used_bytes)
 
     def free(self, label: str) -> int:
         """Release everything held under ``label``; returns bytes freed."""
-        return self._allocations.pop(label, 0)
+        freed = self._allocations.pop(label, 0)
+        self.used_bytes -= freed
+        return freed
 
     def usage(self) -> Dict[str, int]:
         """Snapshot of current allocations by label."""

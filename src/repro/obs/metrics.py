@@ -128,18 +128,25 @@ class EngineMetrics:
     #: Chunks re-dispatched after a lost worker (the stock backends
     #: never retry, so this stays 0).
     backend_retries: int = 0
-    #: Scenarios actually simulated (cache and dedup hits excluded).
+    #: Scenarios actually simulated (cache and dedup hits excluded): one
+    #: per pending fingerprint group at the DES tier, analytic
+    #: fallbacks included.
     scenarios_run: int = 0
-    #: Closed-form evaluations by the analytic tier (cache hits excluded).
+    #: Closed-form evaluations by the analytic tier, one per pending
+    #: fingerprint group it answers with a result or a scheme error
+    #: (cache hits and fallbacks excluded).
     analytic_evals: int = 0
     #: Grid points the analytic tier handed to the DES because they lie
     #: outside its envelope (``AnalyticUnsupported``).
     analytic_fallbacks: int = 0
-    #: Host seconds spent evaluating closed-form models.
+    #: Host seconds inside the analytic tier's evaluate step only
+    #: (fingerprinting and cache I/O excluded).
     analytic_wall_s: float = 0.0
     #: Host seconds spent computing scenario fingerprints.
     fingerprint_wall_s: float = 0.0
-    #: Host seconds spent inside run()/run_batch() (includes cache I/O).
+    #: Host seconds inside run_batch() (run() and run_many() are built
+    #: on it), charged once per call: fingerprints, cache I/O and both
+    #: tiers' evaluation.
     run_wall_s: float = 0.0
     #: Host seconds of simulation per pool worker, in first-seen order
     #: (``w0``, ``w1``, ...); serial runs accumulate under ``w0``.

@@ -1,23 +1,30 @@
 """Tests for the scenario engine: fingerprints, disk cache, fan-out."""
 
 import dataclasses
+import functools
 import pickle
+from collections import Counter
 
 import pytest
 
+import repro.core.engine as engine_module
 from repro.calibration import default_calibration
 from repro.core import (
+    FIDELITIES,
+    RunResult,
     Scenario,
     ScenarioEngine,
     Scheme,
+    analytic_scenario_result,
     canonicalize_scenario,
     grid_of,
     run_scenario,
     run_sweep,
     scenario_fingerprint,
 )
-from repro.errors import OffloadError
+from repro.errors import AnalyticUnsupported, OffloadError, ReproError
 from repro.sensors.synthetic import ConstantWaveform
+from repro.workloads import FIG11_COMBOS
 
 
 # ----------------------------------------------------------------------
@@ -317,10 +324,13 @@ def test_memory_only_engine_caches_without_disk(tmp_path):
 
 
 def test_engine_cache_max_bytes_evicts_after_runs(tmp_path):
-    engine = ScenarioEngine(cache_dir=tmp_path, cache_max_bytes=0)
-    engine.run(Scenario.of(["A2"], scheme=Scheme.BATCHING))
-    # The post-run GC pass evicted everything (cap is zero bytes).
-    assert list(tmp_path.rglob("*.pkl")) == []
+    scenario = Scenario.of(["A2"], scheme=Scheme.BATCHING)
+    for fidelity in FIDELITIES:
+        engine = ScenarioEngine(cache_dir=tmp_path, cache_max_bytes=0)
+        engine.run(scenario, fidelity=fidelity)
+        assert engine.cache_misses == 1
+        # The post-run GC pass evicted everything (cap is zero bytes).
+        assert list(tmp_path.rglob("*.pkl")) == [], fidelity
 
 
 # ----------------------------------------------------------------------
@@ -346,3 +356,256 @@ def test_analytic_fallback_is_counted_and_answered_by_the_des():
     reference = run_scenario(scenario())
     assert result.energy.total_j == reference.energy.total_j
     assert result.interrupt_count == reference.interrupt_count
+
+
+# ----------------------------------------------------------------------
+# one batch pipeline for both tiers
+# ----------------------------------------------------------------------
+def _contract_batch():
+    """One batch exercising every branch of the pipeline."""
+    return [
+        Scenario.of(["A4", "A5"], scheme=Scheme.BEAM),
+        Scenario.of(["A5", "A4"], scheme=Scheme.BEAM),  # permuted duplicate
+        Scenario.of(["A4", "A5"], scheme=Scheme.BEAM),  # repeated point
+        Scenario.of(["A11"], scheme=Scheme.COM),  # infeasible: OffloadError
+        # Failure injection: outside the analytic envelope, so the
+        # analytic tier hands it to the DES.
+        Scenario.of(
+            ["A2"], scheme=Scheme.BASELINE, sensor_failure_rates={"S4": 0.5}
+        ),
+    ]
+
+
+def _contract_groups(dedup, cached):
+    """The batch's fingerprint groups, as one key per point.
+
+    Dedup groups the canonical orderings; a cache without dedup groups
+    only identical as-given points; with neither, each point stands
+    alone.
+    """
+    if dedup:
+        return ["A4+A5", "A4+A5", "A4+A5", "A11", "A2"]
+    if cached:
+        return ["A4+A5", "A5+A4", "A4+A5", "A11", "A2"]
+    return [0, 1, 2, 3, 4]
+
+
+def _physics(outcome):
+    """An outcome's deterministic content, bit for bit.
+
+    The error for a failed point; otherwise every figure a result
+    reports except its presentational name and app order and its live
+    hub.
+    """
+    if isinstance(outcome, ReproError):
+        return type(outcome).__name__, str(outcome)
+    return (
+        outcome.fidelity,
+        outcome.duration_s,
+        outcome.energy.by_component_routine,
+        outcome.busy_times,
+        outcome.result_times,
+        outcome.qos_violations,
+        outcome.interrupt_count,
+        outcome.cpu_wake_count,
+        outcome.bus_bytes,
+    )
+
+
+def _direct_answer(tier, scenario):
+    """A tier's own answer for a scenario run exactly as given.
+
+    The analytic tier's engine hands the points outside its envelope
+    to the DES, so those are answered by the DES here too.
+    """
+    try:
+        if tier == "analytic":
+            try:
+                return analytic_scenario_result(scenario)
+            except AnalyticUnsupported:
+                pass
+        return run_scenario(scenario)
+    except ReproError as exc:
+        return exc
+
+
+@functools.lru_cache(maxsize=None)
+def _contract_expected(tier, dedup):
+    """Direct answers for the contract batch, in the form dedup runs."""
+    batch = _contract_batch()
+    if dedup:
+        batch = [canonicalize_scenario(s) for s in batch]
+    return [_physics(_direct_answer(tier, s)) for s in batch]
+
+
+_COUNTERS = (
+    "scenarios_run",
+    "analytic_evals",
+    "analytic_fallbacks",
+    "dedup_hits",
+    "cache_hits",
+    "cache_memory_hits",
+    "cache_disk_hits",
+    "cache_misses",
+)
+
+
+def _counters(engine):
+    snapshot = engine.metrics.snapshot()
+    return Counter({name: snapshot[name] for name in _COUNTERS})
+
+
+@pytest.mark.parametrize("dedup", [True, False], ids=["dedup", "as-given"])
+@pytest.mark.parametrize("cache", ["none", "memory", "disk"])
+@pytest.mark.parametrize("tier", FIDELITIES)
+def test_batch_pipeline_contract(tier, cache, dedup, tmp_path):
+    """Both tiers share one grouping, cache pass and fan-out."""
+    options = {
+        "none": {},
+        "memory": {"memory_cache": 8},
+        "disk": {"cache_dir": tmp_path, "memory_cache": 0},
+    }[cache]
+    cached = cache != "none"
+    groups = _contract_groups(dedup, cached)
+    pending = len(set(groups))
+    # The analytic tier evaluates every group but the failure-injection
+    # one; the infeasible point's error is never cached.
+    if tier == "des":
+        evaluated = Counter(scenarios_run=pending)
+    else:
+        evaluated = Counter(
+            analytic_evals=pending - 1, analytic_fallbacks=1, scenarios_run=1
+        )
+    first_pass = evaluated + Counter(
+        dedup_hits=len(groups) - pending,
+        cache_misses=pending - 1 if cached else 0,
+    )
+    # A second pass hits the cache for every point but the infeasible
+    # one, which is evaluated again.  The failure-injection point falls
+    # back from the analytic tier again, then hits at the DES tier.
+    second_pass = first_pass
+    if cached:
+        second_pass = Counter({"cache_hits": 4, f"cache_{cache}_hits": 4})
+        if tier == "des":
+            second_pass["scenarios_run"] = 1
+        else:
+            second_pass.update(analytic_evals=1, analytic_fallbacks=1)
+    batch = _contract_batch()
+    requested = [[app.table2_id for app in s.apps] for s in batch]
+    expected = _contract_expected(tier, dedup)
+    with ScenarioEngine(dedup=dedup, fidelity=tier, **options) as engine:
+        for number, counts in enumerate((first_pass, second_pass)):
+            before = _counters(engine)
+            outcomes = engine.run_batch(batch)
+            assert _counters(engine) - before == counts, number
+            assert [_physics(o) for o in outcomes] == expected
+            assert [
+                o.app_ids if isinstance(o, RunResult) else ids
+                for o, ids in zip(outcomes, requested)
+            ] == requested
+            if engine.backend.parallel:
+                continue
+            # On the serial DES only the first requester of each group
+            # the DES evaluated keeps the live hub; other members, cache
+            # hits and analytic answers come back bare.
+            des_evaluated = [tier == "des"] * 3 + [False, True]
+            live = [
+                index == groups.index(key)
+                and des_evaluated[index]
+                and not (cached and number == 1)
+                for index, key in enumerate(groups)
+            ]
+            assert [
+                isinstance(o, RunResult) and o.hub is not None
+                for o in outcomes
+            ] == live
+
+
+def test_engine_calls_the_traced_layers_on_its_module(monkeypatch):
+    """Traced benchmark runs wrap these names where the engine calls them.
+
+    The traced benchmark patches ``ScenarioEngine.run_batch`` and three
+    functions on ``repro.core.engine``; if the engine looked them up
+    anywhere else, their per-layer time would read zero unnoticed.
+    """
+    calls = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in (
+        "scenario_fingerprint",
+        "execute_scenario",
+        "analytic_scenario_result",
+    ):
+        count(engine_module, name)
+    count(ScenarioEngine, "run_batch")
+    with ScenarioEngine(backend="serial") as engine:
+        # One fingerprint per point, one simulation per pending group.
+        engine.run_batch(_contract_batch())
+        assert calls == Counter(
+            run_batch=1, scenario_fingerprint=5, execute_scenario=3
+        )
+        calls.clear()
+        # The failure-injection point is fingerprinted at both tiers and
+        # simulated once; each analytic group is evaluated once.
+        engine.run_batch(_contract_batch(), fidelity="analytic")
+        assert calls == Counter(
+            run_batch=1,
+            scenario_fingerprint=6,
+            analytic_scenario_result=3,
+            execute_scenario=1,
+        )
+        calls.clear()
+        # run() is a one-point run_batch.
+        engine.run(Scenario.of(["A2"], scheme=Scheme.BATCHING))
+        assert calls == Counter(
+            run_batch=1, scenario_fingerprint=1, execute_scenario=1
+        )
+
+
+#: Figure 11's sets of three and four apps, each listed in reverse.
+_REVERSED_SETS = [
+    list(reversed(combo)) for combo in FIG11_COMBOS if len(combo) >= 3
+]
+_ALL_SCHEMES = (
+    Scheme.POLLING,
+    Scheme.BASELINE,
+    Scheme.BATCHING,
+    Scheme.COM,
+    Scheme.BEAM,
+    Scheme.BCOM,
+)
+
+
+@pytest.mark.parametrize("tier", FIDELITIES)
+def test_permuted_points_answer_as_their_canonical_order(tier):
+    """Dedup answers a permuted point as its canonical order, bit for bit.
+
+    Without dedup the engine answers the order as given.  App order
+    moves the answer on most of these points, so the check fails if
+    either tier stops canonicalizing.
+    """
+    points = [
+        Scenario.of(apps, scheme=scheme)
+        for apps in _REVERSED_SETS
+        for scheme in _ALL_SCHEMES
+    ]
+    requested = [[app.table2_id for app in p.apps] for p in points]
+    canonical = [
+        _physics(_direct_answer(tier, canonicalize_scenario(p)))
+        for p in points
+    ]
+    as_given = [_physics(_direct_answer(tier, p)) for p in points]
+    assert canonical != as_given
+    for dedup, expected in ((True, canonical), (False, as_given)):
+        with ScenarioEngine(fidelity=tier, dedup=dedup) as engine:
+            answers = engine.run_many(points)
+        assert [_physics(r) for r in answers] == expected, dedup
+        assert [r.app_ids for r in answers] == requested
