@@ -26,6 +26,9 @@ from repro.core import (
     run_sweep,
 )
 from repro.core.analytic import model as analytic_model
+from repro.core.analytic import scan as analytic_scan
+from repro.core.analytic.context import AnalyticRun
+from repro.energy.ledger import SLEEP_STATES, Schedule, _Walk
 from repro.obs import Metrics, TraceRecorder
 from repro.sim import Delay, Simulator
 from repro.workloads import FIG11_COMBOS
@@ -332,38 +335,87 @@ def _median_wall_s(fn, rounds=5):
     return statistics.median(walls)
 
 
+def _segments(now, replays) -> int:
+    """The segments a schedule's walk bounded: a reference count over
+    the entries its replays took, from the walk's first replay state."""
+    state, _, _, since = now
+    segments = 0
+    for entries in replays:
+        for t, new_state, _, _, mode in entries:
+            if mode is not None and state not in SLEEP_STATES:
+                continue
+            if t > since:
+                segments += 1
+                since = t
+            state = new_state
+    return segments
+
+
 def _count_scans(patch):
     """Record every analytic scan's work, wrapping the tier's ``_scan``.
 
     Returns the list each scan appends one record to: the windows
-    scanned, the ``Schedule`` entries emitted, the segments
-    :func:`~repro.energy.ledger.integrate` walked, and the host seconds
-    of the scan proper and of ``integrate``.  Entries and segments are
-    counted after the scan returns, so the scan itself runs unchanged.
+    scanned, the ``Schedule`` entries emitted (those each flush drops,
+    plus those ``integrate`` finds left), the segments the ledger
+    walked, the most entries the scan held unflushed at once (read as
+    each flush and ``integrate`` starts), its heap pops, and the host
+    seconds of the scan proper and of ``integrate``.  The wrappers only
+    count and keep each replay's entry list; segments are counted from
+    those lists after the scan returns, so the scan runs unchanged.
     """
     scans = []
     scan, integrate = analytic_model._scan, analytic_model.integrate
+    run_flush, heappop = AnalyticRun.flush, analytic_scan.heappop
+    flush, fold, replay = Schedule.flush, Schedule.fold, _Walk.replay
     integrate_s = []
+    work = {}
+    replays = {}
 
-    def timed_integrate(*args):
+    def hold(schedules):
+        held = sum(len(schedule._events) for schedule in schedules)
+        work["held"] = max(work["held"], held)
+
+    def counting_run_flush(run, watermark):
+        hold(run.timelines())
+        run_flush(run, watermark)
+
+    def counting_flush(schedule, *args):
+        emitted = len(schedule._events)
+        flush(schedule, *args)
+        work["entries"] += emitted - len(schedule._events)
+
+    def counting_fold(schedule, *args):
+        work["entries"] += len(schedule._events)
+        fold(schedule, *args)
+
+    def keeping_replay(walk, entries):
+        replays.setdefault(walk, (walk.now, []))[1].append(entries)
+        replay(walk, entries)
+
+    def counting_heappop(heap):
+        work["pops"] += 1
+        return heappop(heap)
+
+    def timed_integrate(timelines, *args):
+        hold(timelines)
         started = time.perf_counter()
         try:
-            return integrate(*args)
+            return integrate(timelines, *args)
         finally:
             integrate_s.append(time.perf_counter() - started)
 
     def counting_scan(run, plan):
+        work.update(held=0, pops=0, entries=0)
+        replays.clear()
         started = time.perf_counter()
         energy, busy, end_time = scan(run, plan)
         wall_s = time.perf_counter() - started
-        schedules = run.timelines()
         scans.append({
             "windows": run.scenario.windows,
-            "entries": sum(len(schedule._events) for schedule in schedules),
             "segments": sum(
-                1 for schedule in schedules
-                for _ in schedule.segments(end_time)
+                _segments(*walk) for walk in replays.values()
             ),
+            **work,
             "scan_s": wall_s - integrate_s[-1],
             "integrate_s": integrate_s[-1],
         })
@@ -371,6 +423,11 @@ def _count_scans(patch):
 
     patch.setattr(analytic_model, "integrate", timed_integrate)
     patch.setattr(analytic_model, "_scan", counting_scan)
+    patch.setattr(AnalyticRun, "flush", counting_run_flush)
+    patch.setattr(Schedule, "flush", counting_flush)
+    patch.setattr(Schedule, "fold", counting_fold)
+    patch.setattr(_Walk, "replay", keeping_replay)
+    patch.setattr(analytic_scan, "heappop", counting_heappop)
     return scans
 
 
@@ -525,13 +582,16 @@ def test_analytic_long_horizon(
 def test_analytic_scan_work(
     benchmark, figure_printer, monkeypatch, long_horizon_grid
 ):
-    """The analytic tier's work: scans, ``Schedule`` entries and
-    integrated segments over the 72 ``analytic-grid`` points at one
+    """The analytic tier's work: scans, ``Schedule`` entries,
+    integrated segments, heap pops and the most entries one scan holds
+    unflushed at once, over the 72 ``analytic-grid`` points at one
     window and the 18 ``long-horizon`` points at 30 windows.
 
     The counts are deterministic and asserted exactly, so a faster scan
-    must emit and integrate the same entries as the one it replaces.
-    Scan and ``integrate`` seconds are informational.
+    must emit and integrate the same entries as the one it replaces, and
+    a change that holds more of a scan's history fails on ``held``.
+    Scan and ``integrate`` seconds are informational; the flushed share
+    of the ledger's walk counts as scanning.
     """
 
     def measure():
@@ -550,6 +610,8 @@ def test_analytic_scan_work(
             "scans": len(scans),
             "entries": sum(scan["entries"] for scan in scans),
             "segments": sum(scan["segments"] for scan in scans),
+            "held": max(scan["held"] for scan in scans),
+            "pops": sum(scan["pops"] for scan in scans),
         }
         for name, (points, scans) in workloads.items()
     }
@@ -581,7 +643,9 @@ def test_analytic_scan_work(
         "\n".join(
             f"{name}: {counts['points']} points, {counts['scans']} scans, "
             f"{counts['entries']:,} entries, {counts['segments']:,} "
-            f"segments; scan {walls[name]['scan_s']:.3f} s, integrate "
+            f"segments, {counts['pops']:,} heap pops, at most "
+            f"{counts['held']:,} entries held; scan "
+            f"{walls[name]['scan_s']:.3f} s, integrate "
             f"{walls[name]['integrate_s']:.3f} s"
             for name, counts in deterministic.items()
         ),

@@ -265,6 +265,12 @@ class AnalyticRun:
             t,
         )
 
+    def flush(self, watermark: float) -> None:
+        """Walk every schedule's entries before ``watermark``, which no
+        later emission precedes, and drop them."""
+        for schedule in self.timelines():
+            schedule.flush(watermark, self.cycles)
+
     def timelines(self) -> List[Schedule]:
         """Every component's schedule, for :func:`~repro.energy.ledger.integrate`."""
         return [

@@ -131,9 +131,20 @@ def scan(run: AnalyticRun, plan: SchemePlan) -> None:
     rail_holders = dict.fromkeys(rail_free, idle)
     rail_queues = {sensor_id: deque() for sensor_id in rail_free}
     releases: dict = {}
+    #: The schedules are flushed as the scan crosses each window edge.
+    window_s = min(app.profile.window_s for app in run.scenario.apps)
+    flush_at = window_s
     while heap:
         entry = heappop(heap)
         t, _, seq, cursor = entry
+        if t >= flush_at:
+            # No later entry precedes the popped instant, except the rest
+            # that settling the dispatcher's open chain emits at its end.
+            done_key = cpu.done_key
+            run.flush(
+                t if done_key is None or done_key[0] > t else done_key[0]
+            )
+            flush_at = (t // window_s + 1) * window_s
         if releases and seq in releases:
             # The holder's end event: the kernel resumes the first waiter
             # inside it, which inserts the waiter's end event.
@@ -391,9 +402,9 @@ class _Cpu:
             return
         else:
             state, routine = CpuState.IDLE, plan.rest_routine
-        changes = run.cpu._events
-        if changes:
-            last_t, last_state, _, last_routine, _ = changes[-1]
+        last = run.cpu.last()
+        if last is not None:
+            last_t, last_state, _, last_routine, _ = last
             if last_t == t and last_state == state and last_routine == routine:
                 # The CPU entered this very state at this instant: the
                 # DES's repeated change integrates to nothing.

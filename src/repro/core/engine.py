@@ -145,6 +145,21 @@ def canonicalize_scenario(scenario: Scenario) -> Scenario:
     return dataclasses.replace(scenario, apps=ordered)
 
 
+def _fields_payload(value: Any) -> Any:
+    """``dataclasses.asdict`` of a frozen dataclass, without its deep copy.
+
+    The calibration is immutable, so its leaf values (and its one dict
+    of per-app overrides) go into the payload as they are; the JSON is
+    the same, and fingerprinting skips a copy per point.
+    """
+    if not dataclasses.is_dataclass(value):
+        return value
+    return {
+        field.name: _fields_payload(getattr(value, field.name))
+        for field in dataclasses.fields(value)
+    }
+
+
 def _fingerprint_payload(
     scenario: Scenario, canonical: bool, fidelity: str
 ) -> Dict[str, Any]:
@@ -165,7 +180,7 @@ def _fingerprint_payload(
         "windows": scenario.windows,
         "batch_size": scenario.batch_size,
         "failure_rates": sorted(scenario.sensor_failure_rates.items()),
-        "calibration": dataclasses.asdict(scenario.calibration),
+        "calibration": _fields_payload(scenario.calibration),
         "waveforms": {
             sensor_id: _waveform_payload(waveform)
             for sensor_id, waveform in sorted(scenario.waveforms.items())

@@ -187,6 +187,31 @@ def test_full_scan_equals_des_exactly(apps, scheme, windows):
     assert_bit_identical(full_scan(scenario), execute_scenario(scenario))
 
 
+def test_full_scan_flushes_each_window_and_equals_des(monkeypatch):
+    """A multi-window full scan walks and drops its entries as it passes
+    each window edge, and still equals the DES bit for bit.  Under BCOM,
+    A2+A7's dispatcher leaves a chain open across an edge, so a flush's
+    watermark stays at that chain's end, behind the popped instant."""
+    flushes = []
+    flush = AnalyticRun.flush
+
+    def counting_flush(run, watermark):
+        held = sum(len(schedule._events) for schedule in run.timelines())
+        flush(run, watermark)
+        kept = sum(len(schedule._events) for schedule in run.timelines())
+        flushes.append((watermark, held, kept))
+
+    monkeypatch.setattr(AnalyticRun, "flush", counting_flush)
+    scenario = Scenario.of(["A2", "A7"], scheme="bcom", windows=3)
+    assert_bit_identical(full_scan(scenario), execute_scenario(scenario))
+    assert len(flushes) >= 2
+    assert any(kept < held for _, held, kept in flushes)
+    # The k-th flush fires at or past the k-th 1-s window edge.
+    assert any(
+        watermark < k for k, (watermark, _, _) in enumerate(flushes, 1)
+    )
+
+
 def assert_bit_identical(ana, des):
     """An analytic result equals the DES's exactly: energy and busy time
     key by key in order, duration, counters, results and violations."""

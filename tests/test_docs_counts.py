@@ -30,9 +30,16 @@ def pinned_counts():
         (bench["analytic_long_horizon"]["deterministic"]["des_events"], "events"),
     ]
     scan = bench["analytic_scan"]["deterministic"]
+    nouns = {
+        "scans": "scans",
+        "entries": "entries",
+        "segments": "segments",
+        "held": "entries held",
+        "pops": "heap pops",
+    }
     for grid in ("analytic_grid", "long_horizon"):
-        for noun in ("scans", "entries", "segments"):
-            counts.append((scan[grid][noun], noun))
+        for key, noun in nouns.items():
+            counts.append((scan[grid][key], noun))
     return counts
 
 

@@ -22,6 +22,7 @@ from repro.core import (
     run_sweep,
     scenario_fingerprint,
 )
+from repro.core.analytic import model as analytic_model
 from repro.errors import AnalyticUnsupported, OffloadError, ReproError
 from repro.sensors.synthetic import ConstantWaveform
 from repro.workloads import FIG11_COMBOS
@@ -110,6 +111,14 @@ def test_fingerprint_failure_injection_disables_canonicalization():
     # real behavioral variants and must never collide.
     assert scenario_fingerprint(fwd) != scenario_fingerprint(rev)
     assert canonicalize_scenario(rev) is rev
+
+
+def test_fingerprint_payload_bytes_are_pinned():
+    # Every cache entry is keyed by this digest: a payload that gains,
+    # loses or reorders a byte must bump FINGERPRINT_VERSION and re-pin.
+    assert scenario_fingerprint(Scenario.of(["A2"], scheme=Scheme.BATCHING)) == (
+        "1193547d143467c2fad26b706178d09617d3f972f2020cd51866d03a890808bf"
+    )
 
 
 def test_canonicalize_scenario_sorts_apps_keeps_name():
@@ -568,6 +577,32 @@ def test_engine_calls_the_traced_layers_on_its_module(monkeypatch):
         assert calls == Counter(
             run_batch=1, scenario_fingerprint=1, execute_scenario=1
         )
+
+
+def test_analytic_tier_closes_each_scan_with_one_traced_integrate(monkeypatch):
+    """Traced benchmark runs time ``analytic.ledger`` by wrapping
+    ``integrate`` on ``repro.core.analytic.model``; each scan must close
+    its ledger walks with one call there, or that layer's time would
+    read zero (or double) unnoticed.  A 7-window point scans once (a
+    truncated copy, extrapolated), a drifting one twice (the truncated
+    copy, then the full horizon) and a one-window point once."""
+    calls = Counter()
+    for name in ("integrate", "scan"):
+        original = getattr(analytic_model, name)
+
+        def wrapper(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(analytic_model, name, wrapper)
+    for apps, scheme, windows, scans in (
+        (["A3"], Scheme.BATCHING, 7, 1),
+        (["A4", "A5"], Scheme.BASELINE, 7, 2),
+        (["A2"], Scheme.BEAM, 1, 1),
+    ):
+        calls.clear()
+        analytic_scenario_result(Scenario.of(apps, scheme=scheme, windows=windows))
+        assert calls == Counter(scan=scans, integrate=scans), (apps, scheme)
 
 
 #: Figure 11's sets of three and four apps, each listed in reverse.
