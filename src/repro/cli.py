@@ -95,7 +95,7 @@ def _add_fidelity_flag(parser) -> None:
         help="des = discrete-event simulation (authoritative); "
         "analytic = closed-form models (bit-identical to the DES on a "
         "full scan, within the validated rtol when a long scan is "
-        "extrapolated; falls back to the DES outside their envelope).",
+        "extrapolated).",
     )
 
 

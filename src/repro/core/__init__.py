@@ -25,7 +25,6 @@ from .cache import (
 from .analytic import (
     ANALYTIC_RTOL,
     analytic_scenario_result,
-    supports_analytic,
 )
 from .compare import average_savings, compare_grid, compare_schemes, savings_table
 from .engine import (
@@ -87,5 +86,4 @@ __all__ = [
     "savings_table",
     "scenario_fingerprint",
     "scheme_names",
-    "supports_analytic",
 ]

@@ -18,16 +18,6 @@ within :data:`ANALYTIC_RTOL`, the pinned agreement band.
 
 from __future__ import annotations
 
-from .model import (
-    ANALYTIC_RTOL,
-    AnalyticUnsupported,
-    analytic_scenario_result,
-    supports_analytic,
-)
+from .model import ANALYTIC_RTOL, analytic_scenario_result
 
-__all__ = [
-    "ANALYTIC_RTOL",
-    "AnalyticUnsupported",
-    "analytic_scenario_result",
-    "supports_analytic",
-]
+__all__ = ["ANALYTIC_RTOL", "analytic_scenario_result"]

@@ -20,7 +20,7 @@ from ...hw.bus import wire_time
 from ...hw.cpu import CpuState
 from ...hw.mcu import McuState
 from ...hw.power import Routine
-from ...sensors.base import SensorDevice
+from ...sensors.base import CHECK_TIME_FRACTION, SensorDevice, failed_check_count
 from ...sensors.specs import get_spec
 from ..schemes.base import ResultLog, SchemePlan
 
@@ -73,6 +73,13 @@ class AnalyticRun:
                 spec.min_power_w,
                 schedule._events,
             )
+        #: Reads so far on each failure-injected rail, for
+        #: :meth:`checked_read`.
+        self.checked: Dict[str, int] = {
+            sensor_id: 0
+            for sensor_id, rate in scenario.sensor_failure_rates.items()
+            if rate > 0.0 and sensor_id in self.sensors
+        }
         #: FIFO cursors: earliest time each serialized resource frees up.
         self.rail_free: Dict[str, float] = {s: 0.0 for s in self.sensors}
         self.mcu_core_free = 0.0
@@ -83,6 +90,9 @@ class AnalyticRun:
         self.cpu_wake_count = 0
         self.bus_bytes = 0
         self.log = ResultLog(scenario.apps)
+        #: The kernel key of the event that logged each QoS violation:
+        #: the scan logs them out of event order (see :meth:`log_order`).
+        self.violation_keys: List[tuple] = []
         #: High-water mark of emitted activity, for the run duration.
         self.last_activity = 0.0
         #: Per-cycle bookkeeping; only a truncated scan attaches one
@@ -116,6 +126,33 @@ class AnalyticRun:
         if end > self.last_activity:
             self.last_activity = end
         return end
+
+    def checked_read(self, sensor_id: str, ready: float) -> List[float]:
+        """One read on a failure-injected rail: a check-length burst per
+        availability check it fails (:func:`failed_check_count`, as
+        :meth:`SensorDevice.acquire` draws them), then :meth:`rail_read`.
+
+        Returns each failed check's end time, then the read-end time.
+        """
+        reads = self.checked[sensor_id]
+        self.checked[sensor_id] = reads + 1
+        rate = self.scenario.sensor_failure_rates[sensor_id]
+        read_s, read_w, standby_w, entries = self._rails[sensor_id]
+        free = self.rail_free[sensor_id]
+        t = free if free > ready else ready
+        ends = []
+        for _ in range(failed_check_count(sensor_id, rate, reads)):
+            entries.append(
+                (t, SensorDevice.READ, read_w, Routine.DATA_COLLECTION, None)
+            )
+            t += read_s * CHECK_TIME_FRACTION
+            entries.append(
+                (t, SensorDevice.STANDBY, standby_w, Routine.IDLE, None)
+            )
+            ends.append(t)
+        self.rail_free[sensor_id] = t
+        ends.append(self.rail_read(sensor_id, t))
+        return ends
 
     def mcu_op(
         self,
@@ -178,7 +215,10 @@ class AnalyticRun:
         cal = self.cal.cpu
         free = self.cpu_core_free
         start = free if free > ready else ready
-        read_end = self.rail_read(sensor_id, start)
+        if sensor_id in self.checked:
+            read_end = self.checked_read(sensor_id, start)[-1]
+        else:
+            read_end = self.rail_read(sensor_id, start)
         end = read_end + STORE_TIME_S
         cpu = self.cpu
         cpu.set(start, CpuState.BUSY, cal.active_power_w, Routine.DATA_COLLECTION)
@@ -252,9 +292,12 @@ class AnalyticRun:
     # ------------------------------------------------------------------
     # results
     # ------------------------------------------------------------------
-    def record_result(self, app: IoTApp, window_index: int, t: float) -> None:
-        """Log one delivered window result, which carries no data."""
-        self.log.record(
+    def record_result(
+        self, app: IoTApp, window_index: int, t: float, key: tuple
+    ) -> None:
+        """Log one delivered window result, which carries no data, in
+        the event ``key``."""
+        violation = self.log.record(
             app,
             AppResult(
                 app_name=app.name,
@@ -264,6 +307,22 @@ class AnalyticRun:
             ),
             t,
         )
+        if violation is not None:
+            self.violation_keys.append(key[:3])
+
+    def log_violation(self, violation: str, key: tuple) -> None:
+        """Log a QoS violation in the event ``key``."""
+        self.log.qos_violations.append(violation)
+        self.violation_keys.append(key[:3])
+
+    def log_order(self) -> None:
+        """Put the QoS violations in the order of the events that logged
+        them, as the kernel runs those events."""
+        keys = self.violation_keys
+        violations = self.log.qos_violations
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        violations[:] = [violations[index] for index in order]
+        keys.sort()
 
     def flush(self, watermark: float) -> None:
         """Walk every schedule's entries before ``watermark``, which no

@@ -4,10 +4,9 @@
 :func:`~repro.core.schemes.base.execute_scenario` — same scheme
 declaration (:class:`~repro.core.schemes.base.SchemePlan`), same
 feasibility errors, same result shape — but scans the plan's processes
-arithmetically instead of running the event kernel.
-:func:`supports_analytic` is the tier's gate: scenarios outside the
-validated envelope (failure injection, partial-batch flushes, RAM-overflow
-risk) fall back to the DES.
+arithmetically instead of running the event kernel.  It answers every
+scenario the DES does, partial batches, MCU-RAM overflow and failure
+injection included.
 Long scenarios are scanned as a truncated copy whose verified steady
 cycle is multiplied out, so they cost a few windows, not the horizon.
 """
@@ -18,7 +17,6 @@ import dataclasses
 from typing import Optional, Tuple
 
 from ...energy.ledger import CycleTally, integrate
-from ...errors import AnalyticUnsupported, OffloadError
 from ...obs.recorder import NULL_RECORDER, NullRecorder
 from ..results import RunResult
 from ..schemes.base import SchemePlan
@@ -67,33 +65,6 @@ def _plan_for(scenario) -> SchemePlan:
     return get_scheme(scenario.scheme)().plan(scenario)
 
 
-def supports_analytic(scenario) -> Tuple[bool, str]:
-    """Whether the closed-form tier covers ``scenario`` (and why not).
-
-    A scheme whose feasibility check fails (e.g. COM's
-    :class:`~repro.errors.OffloadError`) *is* supported: the analytic
-    tier raises the identical error, so no DES fallback is needed.
-    """
-    if any(rate > 0 for rate in scenario.sensor_failure_rates.values()):
-        return False, "sensor failure injection is stochastic (DES only)"
-    if scenario.batch_size is not None:
-        return False, "partial-batch flushes are not modelled (DES only)"
-    try:
-        plan = _plan_for(scenario)
-    except OffloadError:
-        return True, ""
-    resident = sum(app.profile.mcu_footprint_bytes for app in plan.com_apps)
-    peak = sum(
-        app.profile.samples_per_window(sensor_id)
-        * app.profile.sample_bytes(sensor_id)
-        for app in plan.batch_apps
-        for sensor_id in app.profile.sensor_ids
-    )
-    if resident + peak > scenario.calibration.mcu.ram_bytes:
-        return False, "MCU RAM may overflow (dropped samples); DES required"
-    return True, ""
-
-
 def _scan(run: AnalyticRun, plan: SchemePlan) -> Tuple[dict, dict, float]:
     """Scan ``run``'s scenario; returns (energy, busy, end time)."""
     scan(run, plan)
@@ -135,6 +106,13 @@ def _extrapolation_gate(scenario) -> Optional[str]:
         # ``windows`` counts per app: with unequal window lengths no
         # single cycle repeats for every app.
         return "mixed_windows"
+    if any(rate > 0 for rate in scenario.sensor_failure_rates.values()):
+        # Which checks fail follows the read count, not the window.
+        return "failure_injection"
+    if scenario.batch_size is not None:
+        # The governor expects partial batches every ``batch_size``
+        # samples of the whole horizon, so its rests move per window.
+        return "partial_batches"
     return None
 
 
@@ -252,10 +230,9 @@ def analytic_scenario_result(
 ) -> RunResult:
     """Closed-form counterpart of :func:`execute_scenario`.
 
-    Raises :class:`~repro.errors.AnalyticUnsupported` when the scenario
-    is outside the tier's envelope; scheme feasibility errors
-    (:class:`~repro.errors.OffloadError`, workload errors from stream
-    construction) propagate exactly as the DES would raise them.
+    Scheme feasibility errors (:class:`~repro.errors.OffloadError`,
+    workload errors from stream construction) propagate exactly as the
+    DES would raise them.
 
     A scenario of at least :data:`MIN_WINDOWS` windows sharing one
     window length is first scanned as a :data:`TRUNCATED_WINDOWS`-window
@@ -270,9 +247,6 @@ def analytic_scenario_result(
     result window — enough for profiles to show which tier answered
     and when.
     """
-    supported, reason = supports_analytic(scenario)
-    if not supported:
-        raise AnalyticUnsupported(reason)
     plan = _plan_for(scenario)
     recorder = obs if obs is not None else NULL_RECORDER
     result = _extrapolated(scenario, plan, recorder)

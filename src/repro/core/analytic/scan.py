@@ -25,7 +25,7 @@ from itertools import count
 from typing import Dict, Optional, Sequence, Tuple
 
 from ...energy.ledger import SLEEP_STATES
-from ...errors import AnalyticUnsupported, CapacityError
+from ...errors import CapacityError
 from ...firmware.driver import McuOp, decode_op
 from ...hubos.governor import CpuRestPolicy, rest_state
 from ...hubos.transfer import cpu_transfer_time
@@ -50,8 +50,10 @@ class _Cursor:
 
     ``buffered`` is the :class:`BufferedApp` of a buffered app's stream.
     ``ops`` is ``None`` while the next heap entry is a poll, else the
-    chain whose op at ``pos`` the entry runs (``payload``: a hand-off's
-    :class:`Handoff`); ``irq`` is the vector its previous op raised.
+    chain whose op at ``pos`` the entry runs; ``payload`` is the
+    :class:`Handoff` of the last hand-off chain (a window's, or a partial
+    batch's, which ends its sample's chain) and ``in_handoff`` whether
+    ``ops`` is a window's; ``irq`` is the vector its previous op raised.
     """
 
     __slots__ = ("stream", "buffered", "w", "k", "ops", "pos", "payload",
@@ -69,30 +71,62 @@ class _Cursor:
         self.irq: Optional[str] = None
 
 
+class _Checks:
+    """The "what" of a failed availability check's end entry.
+
+    The kernel runs each failed check as its own event and inserts the
+    next check's end, or the read's, inside it; ``ends`` holds those
+    times, the read end first, so the next one pops off the back.
+    """
+
+    __slots__ = ("cursor", "ends")
+
+    def __init__(self, cursor: _Cursor, ends):
+        self.cursor = cursor
+        self.ends = ends
+
+
+class _Overflow:
+    """The "what" of a decode's end entry when the sample it decoded
+    overflowed MCU RAM: the DES logs the QoS violation in that event,
+    then continues ``cursor`` (``None`` if the stream waits)."""
+
+    __slots__ = ("cursor", "violation")
+
+    def __init__(self, cursor: Optional[_Cursor], violation: str):
+        self.cursor = cursor
+        self.violation = violation
+
+
 def scan(run: AnalyticRun, plan: SchemePlan) -> None:
     """Populate ``run`` with the schedule and results of ``plan``.
 
     Heap entries are ``(fire, scheduled, seq, what)``: ``scheduled`` is
     the instant the kernel would have *inserted* the event — read start
-    for a read-end, execute start for an execute-end, chain end for a
-    poll timeout.  The kernel breaks equal-fire ties by insertion order,
-    so two reads ending at one instant are serviced in read-*start*
-    order, not poll-pop order.  ``seq`` is unique, so the comparison
-    never reaches ``what``: an MCU stream's cursor, or a CPU process
-    resumed inside the event its entry stands for, after every event
-    the kernel orders first.
+    (or the last failed check's end) for a read-end, execute start for
+    an execute-end, chain end for a poll timeout.  The kernel breaks
+    equal-fire ties by insertion order, so two reads ending at one
+    instant are serviced in read-*start* order, not poll-pop order.
+    ``seq`` is unique, so the comparison never reaches ``what``: an MCU
+    stream's cursor, a failed check (:class:`_Checks`), a decode whose
+    sample overflowed (:class:`_Overflow`), or a CPU process resumed
+    inside the event its entry stands for, after every event the kernel
+    orders first.
 
     A request for a held rail or MCU core is granted at once by FIFO
     arithmetic, but its end entry waits in the resource's queue: the
     kernel inserts a waiter's end event inside its holder's end event,
     so the scan pushes it, with a fresh ``seq``, as the holder's entry
-    pops and before that entry raises or requests anything.
+    pops and before that entry raises or requests anything.  A read that
+    fails availability checks holds its rail through one entry per
+    check; the rail's queue moves along with them to the read end.
     """
     cal = run.cal
     decode = decode_op(cal)
     chain = (decode,) + plan.sample_ops(cal)
     windows = run.scenario.windows
     rail_free = run.rail_free
+    checked = run.checked
     mcu_op = run.mcu_op
     new_tuple = tuple.__new__
     heap: list = []
@@ -131,6 +165,19 @@ def scan(run: AnalyticRun, plan: SchemePlan) -> None:
     rail_holders = dict.fromkeys(rail_free, idle)
     rail_queues = {sensor_id: deque() for sensor_id in rail_free}
     releases: dict = {}
+
+    def check_ended(t: float, checks: _Checks) -> int:
+        """A failed check's end event: insert the next check's end, or
+        the read's, as the rail's holder; returns its ``seq``."""
+        ends = checks.ends
+        end = ends.pop()
+        cursor = checks.cursor
+        held = rail_holders[cursor.stream.sensor_id] = (
+            end, t, next_seq(), checks if ends else cursor
+        )
+        heappush(heap, held)
+        return held[2]
+
     #: The schedules are flushed as the scan crosses each window edge.
     window_s = min(app.profile.window_s for app in run.scenario.apps)
     flush_at = window_s
@@ -146,9 +193,14 @@ def scan(run: AnalyticRun, plan: SchemePlan) -> None:
             )
             flush_at = (t // window_s + 1) * window_s
         if releases and seq in releases:
+            released = releases.pop(seq)
+            if cursor.__class__ is _Checks:
+                # Not the read's end: the rail stays held, and its queue
+                # waits on the holder's next entry.
+                releases[check_ended(t, cursor)] = released
+                continue
             # The holder's end event: the kernel resumes the first waiter
             # inside it, which inserts the waiter's end event.
-            released = releases.pop(seq)
             queue, sensor_id = released
             end, start, then = queue.popleft()
             held = (end, start, next_seq(), then)
@@ -163,12 +215,22 @@ def scan(run: AnalyticRun, plan: SchemePlan) -> None:
             if cursor is _RELEASE:
                 continue
         if cursor.__class__ is not _Cursor:
-            # A CPU step: once the scan has passed the end of the
-            # dispatcher's chain, that chain's pending check closes first.
-            if cpu.done_key is not None and cpu.done_key < entry:
-                cpu.settle()
-            cpu.resume(cursor, t, entry)
-            continue
+            kind = cursor.__class__
+            if kind is _Checks:
+                check_ended(t, cursor)
+                continue
+            if kind is not _Overflow:
+                # A CPU step: once the scan has passed the end of the
+                # dispatcher's chain, that chain's pending check closes
+                # first.
+                if cpu.done_key is not None and cpu.done_key < entry:
+                    cpu.settle()
+                cpu.resume(cursor, t, entry)
+                continue
+            run.log_violation(cursor.violation, entry)
+            cursor = cursor.cursor
+            if cursor is None:
+                continue
         stream = cursor.stream
         ops = cursor.ops
         if ops is None:
@@ -176,32 +238,42 @@ def scan(run: AnalyticRun, plan: SchemePlan) -> None:
             # held until its holder's end entry pops, even at ``free``.
             sensor_id = stream.sensor_id
             free = rail_free[sensor_id]
-            read_end = run.rail_read(sensor_id, t)
+            then = cursor
+            if sensor_id in checked:
+                # Each failed availability check ends in an event of its
+                # own before the read's.
+                ends = run.checked_read(sensor_id, t)
+                ends.reverse()
+                end = ends.pop()
+                if ends:
+                    then = _Checks(cursor, ends)
+            else:
+                end = run.rail_read(sensor_id, t)
             cursor.ops = chain
             cursor.pos = 0
             if free > t or free == t and entry < rail_holders[sensor_id]:
                 queue = rail_queues[sensor_id]
                 if not queue:
                     releases[rail_holders[sensor_id][2]] = (queue, sensor_id)
-                queue.append((read_end, free, cursor))
+                queue.append((end, free, then))
             else:
-                held = rail_holders[sensor_id] = (
-                    read_end, t, next_seq(), cursor
-                )
+                held = rail_holders[sensor_id] = (end, t, next_seq(), then)
                 heappush(heap, held)
             continue
         irq = cursor.irq
         if irq is not None:
             # The previous op raised an interrupt as it ended: the
-            # kernel wakes the dispatcher before this op's request.
+            # kernel wakes the dispatcher before this op's request.  Only
+            # hand-off chains raise in a buffered app's stream, and only
+            # per-sample chains in another's, whose ``payload`` is None.
             cursor.irq = None
             run.count_interrupt(t)
             # A per-sample hand-off, built without the named tuple's
             # Python-level constructor: this runs once per sample.
-            cpu.interrupt(t, entry, irq, cursor.payload if cursor.in_handoff
-                          else new_tuple(Handoff, (stream.sample_bytes, 1,
-                                         stream, cursor.w, cursor.k, None,
-                                         True)))
+            cpu.interrupt(t, entry, irq, cursor.payload
+                          or new_tuple(Handoff, (stream.sample_bytes, 1,
+                                       stream, cursor.w, cursor.k, None,
+                                       True)))
         # One core op: FIFO grant at request-arrival order (= pop order);
         # the core, like a rail, is held until its holder's end entry pops.
         op = ops[cursor.pos]
@@ -210,18 +282,20 @@ def scan(run: AnalyticRun, plan: SchemePlan) -> None:
         queued = free > t or free == t and entry < mcu_holder
         start = free if queued else t
         end = mcu_op(t, op.duration, op.routine, op.after_routine)
+        overflow = None
         if op is decode:
             buffered = cursor.buffered
             if buffered is not None:
-                # An overflow makes the DES drop samples, which the scan
-                # does not model.
                 try:
-                    buffered.buffer(stream.sample_bytes)
-                except CapacityError:
-                    raise AnalyticUnsupported(
-                        f"{buffered.app.name} batch buffer overflows MCU "
-                        f"RAM; DES required"
-                    ) from None
+                    partial = buffered.buffer(stream.sample_bytes, cursor.w)
+                except CapacityError as exc:
+                    # The DES logs the dropped sample as the decode ends.
+                    overflow = str(exc)
+                else:
+                    if partial is not None:
+                        # The sample's chain goes on with the batch's.
+                        cursor.ops, cursor.payload = partial
+                        cursor.pos = 0
         elif op.vector is not None:
             # A raise is always followed by its transfer, whose entry
             # delivers it at ``end``.
@@ -256,13 +330,19 @@ def scan(run: AnalyticRun, plan: SchemePlan) -> None:
                     if target > end:
                         # The stream is about to wait: refresh its poll
                         # entry and evaluate the nap governor at the
-                        # pre-wait instant.
+                        # pre-wait instant.  The kernel wakes it after
+                        # ``target - end``, which may round off ``target``.
                         next_polls[cursor] = target
                         _maybe_sleep(run, end, next_polls)
-                        heappush(heap, (target, end, next_seq(), cursor))
+                        heappush(
+                            heap,
+                            (end + (target - end), end, next_seq(), cursor),
+                        )
                         then = None
                     # Else no wait: the process rolls straight from the
                     # execute-end event into the next read.
+        if overflow is not None:
+            then = _Overflow(then, overflow)
         if queued:
             if mcu_queue:
                 last = mcu_queue[-1]
@@ -280,6 +360,7 @@ def scan(run: AnalyticRun, plan: SchemePlan) -> None:
     if cpu.done_key is not None:
         cpu.settle()
     cpu.close()
+    run.log_order()
 
 
 def _maybe_sleep(run: AnalyticRun, now: float, next_polls) -> None:
@@ -519,7 +600,7 @@ class _Cpu:
         return 0
 
     def publish(self, t: float, key, handoff: Handoff) -> int:
-        self.run.record_result(handoff.owner, handoff.window, t)
+        self.run.record_result(handoff.owner, handoff.window, t, key)
         return handoff.nbytes
 
     # ------------------------------------------------------------------
@@ -546,7 +627,7 @@ class _Cpu:
             if cpu.state in SLEEP_STATES:
                 t, key = yield self.wake(t, Routine.APP_COMPUTE)
             t, key = yield self.grant(t, chain.duration, Routine.APP_COMPUTE)
-            run.record_result(app, w, t)
+            run.record_result(app, w, t, key)
             t, key = yield self.send(t, chain.output_bytes)
             self.rest(t, key)
             self.others -= 1
@@ -563,7 +644,7 @@ class _Cpu:
             for k in range(stream.samples_per_window):
                 target = w * stream.window_s + k / stream.rate_hz
                 if target > t:
-                    t, key = yield (target, t, self.next_seq())
+                    t, key = yield (t + (target - t), t, self.next_seq())
                 read_end, end = run.cpu_read(stream.sensor_id, t)
                 # The store's end event, inserted as the read ends.
                 self.core_key = (end, read_end, self.next_seq())

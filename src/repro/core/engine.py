@@ -44,9 +44,9 @@ import hashlib
 import json
 import os
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union, cast
 
-from ..errors import AnalyticUnsupported, ReproError
+from ..errors import ReproError
 from ..obs.metrics import EngineMetrics
 from .analytic import analytic_scenario_result
 from .backends import ExecutionBackend, create_backend, run_chunk
@@ -78,8 +78,8 @@ FINGERPRINT_VERSION = 7
 
 #: Fidelity tiers an engine can run at.  ``"des"`` is the discrete-event
 #: simulation (the authoritative tier), ``"analytic"`` the closed-form
-#: models in :mod:`repro.core.analytic`, which answer the points inside
-#: their envelope and hand the rest to the DES.
+#: models in :mod:`repro.core.analytic`, which answer every point the DES
+#: does.
 FIDELITIES = ("des", "analytic")
 
 #: Default in-memory LRU capacity when disk caching is enabled.
@@ -284,10 +284,8 @@ class ScenarioEngine:
     :func:`canonicalize_scenario` for when a scenario opts out.
     ``fidelity`` selects the default tier (any call can override it):
     ``"des"`` runs the event simulation; ``"analytic"`` answers from the
-    closed-form models in :mod:`repro.core.analytic`, transparently
-    falling back to the DES for points outside the validated envelope.
-    Analytic and DES entries fingerprint — and therefore cache —
-    separately.
+    closed-form models in :mod:`repro.core.analytic`.  Analytic and DES
+    entries fingerprint — and therefore cache — separately.
     """
 
     def __init__(
@@ -524,43 +522,39 @@ class ScenarioEngine:
         batch's cache traffic per client; it never changes results.
 
         ``fidelity`` overrides the engine's default tier for this call:
-        ``"analytic"`` answers from the closed-form models (DES fallback
-        for unsupported points).  Every outcome's ``fidelity`` field
-        records the tier that actually produced it.
+        ``"analytic"`` answers from the closed-form models.  Every
+        outcome's ``fidelity`` field records the tier that produced it.
         """
         tier = self._resolve_fidelity(fidelity)
         started = time.perf_counter()
-        outcomes: List[Optional[Outcome]] = [None] * len(scenarios)
-        self._answer(scenarios, range(len(scenarios)), tier, client, outcomes)
+        outcomes = self._answer(scenarios, tier, client)
         self._cache.maybe_gc()
         self.metrics.run_wall_s += time.perf_counter() - started
-        return [outcome for outcome in outcomes if outcome is not None]
+        return outcomes
 
     def _answer(
         self,
         scenarios: Sequence[Scenario],
-        indices: Sequence[int],
         tier: str,
         client: Optional[str],
-        outcomes: List[Optional[Outcome]],
-    ) -> None:
-        """The batch pipeline: fill ``outcomes`` at ``indices`` at a tier.
+    ) -> List[Outcome]:
+        """The batch pipeline: every point's outcome at one tier.
 
         Groups the points by fingerprint, serves each group it can from
         the cache, evaluates each remaining group once (the tier's only
         contribution), then publishes every result and fans it out to
-        the group's members.  Points the analytic tier hands back
-        re-enter at the DES tier, in input order.
+        the group's members.
         """
         # Group member indices by fingerprint (or by position when
         # neither caching nor dedup needs one — each its own group).
         if self._cache.enabled or self.dedup:
-            keys = self.fingerprints([scenarios[i] for i in indices], tier)
+            keys = self.fingerprints(scenarios, tier)
         else:
-            keys = [f"@{index}" for index in indices]
+            keys = [f"@{index}" for index in range(len(scenarios))]
         members: Dict[str, List[int]] = {}
-        for key, index in zip(keys, indices):
+        for index, key in enumerate(keys):
             members.setdefault(key, []).append(index)
+        outcomes: List[Optional[Outcome]] = [None] * len(scenarios)
         # Cache pass: one lookup per group serves every member.
         pending: List[str] = []
         for key, group in members.items():
@@ -587,13 +581,8 @@ class ScenarioEngine:
             ]
         )
         # Fan-out pass: publish to caches, deliver to every member.
-        fallback: List[int] = []
         for key, outcome in zip(pending, evaluated):
             group = members[key]
-            if outcome is None:
-                self.metrics.analytic_fallbacks += len(group)
-                fallback.extend(group)
-                continue
             self.metrics.dedup_hits += len(group) - 1
             if isinstance(outcome, ReproError):
                 for index in group:
@@ -608,12 +597,10 @@ class ScenarioEngine:
                 # hub when this was an in-process DES run).
                 result = outcome if position == 0 else shared
                 outcomes[index] = self._rebind(result, scenarios[index])
-        if fallback:
-            self._answer(scenarios, sorted(fallback), "des", client, outcomes)
+        # Every index belongs to one group, which filled it.
+        return cast(List[Outcome], outcomes)
 
-    def _evaluate_des(
-        self, scenarios: List[Scenario]
-    ) -> List[Optional[Outcome]]:
+    def _evaluate_des(self, scenarios: List[Scenario]) -> List[Outcome]:
         """The DES tier's step: one simulation per scenario, by backend.
 
         A parallel backend with a single scenario short-circuits inline
@@ -641,25 +628,18 @@ class ScenarioEngine:
         self.metrics.scenarios_run += len(scenarios)
         return [outcome for outcome, _timing in ran]
 
-    def _evaluate_analytic(
-        self, scenarios: List[Scenario]
-    ) -> List[Optional[Outcome]]:
+    def _evaluate_analytic(self, scenarios: List[Scenario]) -> List[Outcome]:
         """The analytic tier's step: closed-form models, inline.
 
-        Closed forms are far cheaper than any dispatch.  ``None`` marks
-        a point outside the analytic envelope
-        (:class:`AnalyticUnsupported`, at the gate or mid-evaluation),
-        which the DES then answers; scheme feasibility errors are final
-        — the analytic tier raises them identically to the DES.
+        Closed forms are far cheaper than any dispatch.  Scheme
+        feasibility errors are outcomes as at the DES tier: the analytic
+        tier raises them identically.
         """
         started = time.perf_counter()
-        outcomes: List[Optional[Outcome]] = []
+        outcomes: List[Outcome] = []
         for scenario in scenarios:
             try:
                 outcomes.append(analytic_scenario_result(scenario))
-            except AnalyticUnsupported:
-                outcomes.append(None)
-                continue
             except ReproError as exc:
                 outcomes.append(exc)
             self.metrics.analytic_evals += 1

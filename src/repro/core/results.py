@@ -38,8 +38,7 @@ class RunResult:
     offload_reports: Dict[str, OffloadReport] = field(default_factory=dict)
     hub: Optional[IoTHub] = None
     #: Which tier produced this result: ``"des"`` (event simulation) or
-    #: ``"analytic"`` (closed-form model).  An analytic batch tags each
-    #: point the DES answered for it (outside the envelope) ``"des"``.
+    #: ``"analytic"`` (closed-form model), the tier the batch ran at.
     fidelity: str = "des"
 
     @property

@@ -9,6 +9,7 @@ from ..apps.base import IoTApp
 from ..apps.registry import create_app
 from ..calibration import Calibration, default_calibration
 from ..errors import WorkloadError
+from ..sensors.base import validate_failure_rate
 from ..sensors.synthetic import Waveform
 
 
@@ -69,6 +70,8 @@ class Scenario:
             raise WorkloadError(f"need at least one window, got {self.windows}")
         if self.batch_size is not None and self.batch_size < 1:
             raise WorkloadError(f"batch size must be >= 1, got {self.batch_size}")
+        for rate in self.sensor_failure_rates.values():
+            validate_failure_rate(rate)
         names = [app.name for app in self.apps]
         if len(set(names)) != len(names):
             raise WorkloadError(f"duplicate apps in scenario: {names}")

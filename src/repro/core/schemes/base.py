@@ -141,13 +141,15 @@ class ResultLog:
         self.result_times: Dict[str, List[float]] = {a.name: [] for a in apps}
         self.qos_violations: List[str] = []
 
-    def record(self, app: IoTApp, result: AppResult, t: float) -> None:
-        """Log ``app``'s result delivered at ``t``; check its deadline."""
+    def record(self, app: IoTApp, result: AppResult, t: float) -> Optional[str]:
+        """Log ``app``'s result delivered at ``t``; check its deadline.
+        Returns the QoS violation it logged, if any."""
         self.app_results[app.name].append(result)
         self.result_times[app.name].append(t)
         violation = qos_violation(app, result.window_index, t)
         if violation is not None:
             self.qos_violations.append(violation)
+        return violation
 
     def run_result(
         self, scenario, plan: SchemePlan, energy, busy, end_time, **counters
@@ -494,8 +496,10 @@ class BufferedApp:
     A COM app reserves its offloaded build (code/heap + stream ring) in
     ``ram`` for the whole run, so its samples stream through the ring
     with no per-sample allocation; a batch app buffers each decoded
-    sample.  The stream that finishes a window last hands it off: a
-    batch app ships its buffer, a COM app its result.
+    sample, and with a ``batch_size`` ships a partial batch whenever
+    that many samples wait and the window still misses samples.  The
+    stream that finishes a window last hands it off: a batch app ships
+    its buffer, a COM app its result.
     """
 
     def __init__(
@@ -511,16 +515,34 @@ class BufferedApp:
         #: Samples and bytes the batch buffer holds.
         self.samples = 0
         self.nbytes = 0
+        #: A window's samples, and (with a ``batch_size``) how many each
+        #: incomplete window has registered.
+        self.window_samples = sum(
+            app.profile.samples_per_window(sensor_id)
+            for sensor_id in app.profile.sensor_ids
+        )
+        self._registered: Dict[int, int] = {}
         #: Streams that finished each window's sample loop.
         self._finished: Dict[int, int] = {}
         if self.com:
             ram.allocate(f"app:{app.name}", app.profile.mcu_footprint_bytes)
 
-    def buffer(self, nbytes: int) -> None:
-        """Charge one decoded batch sample's ``nbytes`` to MCU RAM; when
-        the RAM is full, raise :class:`CapacityError` and buffer nothing."""
+    def buffer(self, nbytes: int, window: int) -> Optional[HandoffChain]:
+        """Register one decoded sample of ``window``; a batch app charges
+        its ``nbytes`` to MCU RAM.
+
+        Returns the partial batch to ship (see :meth:`ship`) once a
+        ``batch_size`` of samples waits and ``window`` still misses
+        samples, else ``None``.  When the RAM is full, raises
+        :class:`CapacityError` and buffers nothing.
+        """
         if self.com:
-            return
+            return None
+        batch_size = self.batch_size
+        if batch_size is not None:
+            registered = self._registered.pop(window, 0) + 1
+            if registered < self.window_samples:
+                self._registered[window] = registered
         try:
             self.ram.allocate(self.label, nbytes)
         except CapacityError as exc:
@@ -530,11 +552,13 @@ class BufferedApp:
             ) from exc
         self.samples += 1
         self.nbytes += nbytes
-
-    @property
-    def full(self) -> bool:
-        """Whether a ``batch_size`` of samples waits to be shipped."""
-        return self.batch_size is not None and self.samples >= self.batch_size
+        if (
+            batch_size is not None
+            and self.samples >= batch_size
+            and registered < self.window_samples
+        ):
+            return self.ship(window, final=False)
+        return None
 
     def ship(self, window: int, final: bool) -> HandoffChain:
         """Drain the buffer into its ``(handoff_ops, Handoff)`` at once, so
@@ -698,9 +722,9 @@ class SchemeContext:
         blocks on the read and delivers the sample itself.  A stream of
         a ``buffered`` app registers each sample into the app's window
         and buffer (a sample the full RAM cannot hold is a QoS
-        violation), ships a partial batch once a ``batch_size`` waits,
-        and runs the app's hand-off once its last stream finishes a
-        window.
+        violation), ships the partial batch :meth:`BufferedApp.buffer`
+        returns, and runs the app's hand-off once its last stream
+        finishes a window.
         """
         hub = self.hub
         device = self.devices[stream.sensor_id]
@@ -743,15 +767,15 @@ class SchemeContext:
                         self.deliver_sample(handoff)
                 if buffered is not None:
                     try:
-                        buffered.buffer(stream.sample_bytes)
+                        partial = buffered.buffer(
+                            stream.sample_bytes, window_index
+                        )
                     except CapacityError as exc:
                         self.log.qos_violations.append(str(exc))
-                    state = self.window_state(app, window_index)
-                    state.register(sample)
-                    if buffered.full and not state.complete:
-                        yield from run_ops(
-                            hub, *buffered.ship(window_index, final=False)
-                        )
+                        partial = None
+                    self.window_state(app, window_index).register(sample)
+                    if partial is not None:
+                        yield from run_ops(hub, *partial)
             if buffered is not None:
                 done = buffered.window_done(window_index)
                 if done is not None:

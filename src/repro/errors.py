@@ -51,10 +51,6 @@ class WorkloadError(ReproError):
     """A workload/scenario definition is inconsistent."""
 
 
-class AnalyticUnsupported(ReproError):
-    """A scenario falls outside the analytic tier's validated envelope."""
-
-
 class BackendError(ReproError):
     """An execution backend was misconfigured or lost its workers."""
 

@@ -129,16 +129,12 @@ class EngineMetrics:
     #: never retry, so this stays 0).
     backend_retries: int = 0
     #: Scenarios actually simulated (cache and dedup hits excluded): one
-    #: per pending fingerprint group at the DES tier, analytic
-    #: fallbacks included.
+    #: per pending fingerprint group at the DES tier.
     scenarios_run: int = 0
     #: Closed-form evaluations by the analytic tier, one per pending
     #: fingerprint group it answers with a result or a scheme error
-    #: (cache hits and fallbacks excluded).
+    #: (cache hits excluded).
     analytic_evals: int = 0
-    #: Grid points the analytic tier handed to the DES because they lie
-    #: outside its envelope (``AnalyticUnsupported``).
-    analytic_fallbacks: int = 0
     #: Host seconds inside the analytic tier's evaluate step only
     #: (fingerprinting and cache I/O excluded).
     analytic_wall_s: float = 0.0
@@ -180,7 +176,6 @@ class EngineMetrics:
             "backend_retries": self.backend_retries,
             "scenarios_run": self.scenarios_run,
             "analytic_evals": self.analytic_evals,
-            "analytic_fallbacks": self.analytic_fallbacks,
             "analytic_wall_s": self.analytic_wall_s,
             "fingerprint_wall_s": self.fingerprint_wall_s,
             "run_wall_s": self.run_wall_s,
@@ -209,11 +204,10 @@ class EngineMetrics:
                 f"dedup: {self.dedup_hits} point(s) fanned out from "
                 "equivalent simulations"
             )
-        if self.analytic_evals or self.analytic_fallbacks:
+        if self.analytic_evals:
             lines.append(
                 f"analytic: {self.analytic_evals} closed-form eval(s) in "
-                f"{to_ms(self.analytic_wall_s):.2f} ms, "
-                f"{self.analytic_fallbacks} point(s) fell back to the DES"
+                f"{to_ms(self.analytic_wall_s):.2f} ms"
             )
         if self.backend_dispatches:
             name = self.backend_name or "?"

@@ -67,6 +67,36 @@ DEFAULT_WAVEFORMS: Dict[str, Callable[[], Waveform]] = {
 }
 
 
+#: Driver retry budget per acquisition.
+MAX_RETRIES = 3
+#: An availability check costs this fraction of a full read.
+CHECK_TIME_FRACTION = 0.1
+
+
+def validate_failure_rate(rate: float) -> None:
+    """Raise :class:`SensorError` unless ``rate`` is a valid
+    availability-check failure rate, in ``[0, 1)``."""
+    if not 0.0 <= rate < 1.0:
+        raise SensorError(f"failure rate must be in [0, 1), got {rate}")
+
+
+def failed_check_count(sensor_id: str, failure_rate: float, read_count: int) -> int:
+    """How many availability checks read number ``read_count`` (counted
+    from 0) of ``sensor_id`` fails before one passes, at ``failure_rate``.
+
+    A pure function of its arguments, so both fidelity tiers draw the
+    same failures.  ``MAX_RETRIES + 1`` means every check failed and the
+    driver falls back to the last good value.
+    """
+    # A stable digest, not hash(): str hashes are salted per process.
+    seed = zlib.crc32(sensor_id.encode()) % 997
+    for attempt in range(MAX_RETRIES + 1):
+        noise = pseudo_noise(read_count + attempt * 0.137, seed=seed)
+        if not (noise + 1.0) / 2.0 < failure_rate:
+            return attempt
+    return MAX_RETRIES + 1
+
+
 def default_waveform(sensor_id: str) -> Waveform:
     """Construct the default waveform for a Table I sensor."""
     try:
@@ -81,16 +111,13 @@ class SensorDevice:
 
     ``failure_rate`` injects §II-B Task-I availability-check failures: a
     deterministic pseudo-random fraction of reads fails its checks, costs
-    a check-length burst, and is retried up to :attr:`MAX_RETRIES` times
-    before the driver falls back to the last good value.
+    a check-length burst, and is retried up to :data:`MAX_RETRIES` times
+    before the driver falls back to the last good value
+    (:func:`failed_check_count`).
     """
 
     STANDBY = "standby"
     READ = "read"
-    #: Driver retry budget per acquisition.
-    MAX_RETRIES = 3
-    #: An availability check costs this fraction of a full read.
-    CHECK_TIME_FRACTION = 0.1
 
     def __init__(
         self,
@@ -99,8 +126,7 @@ class SensorDevice:
         waveform: Optional[Waveform] = None,
         failure_rate: float = 0.0,
     ):
-        if not 0.0 <= failure_rate < 1.0:
-            raise SensorError(f"failure rate must be in [0, 1), got {failure_rate}")
+        validate_failure_rate(failure_rate)
         self.hub = hub
         self.spec = spec
         self.waveform = waveform or default_waveform(spec.sensor_id)
@@ -130,16 +156,6 @@ class SensorDevice:
         """Attach a Table I sensor to ``hub`` by id."""
         return cls(hub, get_spec(sensor_id), waveform, failure_rate)
 
-    def _check_fails(self, attempt: int) -> bool:
-        """Deterministic pseudo-random availability-check outcome.
-
-        Only consulted when ``failure_rate`` is positive.
-        """
-        # A stable digest, not hash(): str hashes are salted per process.
-        seed = zlib.crc32(self.spec.sensor_id.encode()) % 997
-        noise = pseudo_noise(self.read_count + attempt * 0.137, seed=seed)
-        return (noise + 1.0) / 2.0 < self.failure_rate
-
     def acquire(self, routine: str = Routine.DATA_COLLECTION) -> Generator:
         """Generator: availability checks + one register read.
 
@@ -150,17 +166,17 @@ class SensorDevice:
         Returns a :class:`SensorSample`.
         """
         yield from self.rail.acquire()
-        ok = True
+        failed = 0
         if self.failure_rate > 0.0:
-            for attempt in range(self.MAX_RETRIES + 1):
-                if not self._check_fails(attempt):
-                    break
+            failed = failed_check_count(
+                self.spec.sensor_id, self.failure_rate, self.read_count
+            )
+            for _ in range(failed):
                 self.failed_checks += 1
                 self.psm.set_state(self.READ, routine)
-                yield Delay(self.spec.read_time_s * self.CHECK_TIME_FRACTION)
+                yield Delay(self.spec.read_time_s * CHECK_TIME_FRACTION)
                 self.psm.set_state(self.STANDBY, Routine.IDLE)
-            else:
-                ok = False
+        ok = failed <= MAX_RETRIES
         self.psm.set_state(self.READ, routine)
         yield Delay(self.spec.read_time_s)
         now = self.hub.sim.now

@@ -4,16 +4,16 @@ The first half pins the closed-form models against the DES: every
 Figure 11 app set under all six schemes, plus seeded random app mixes
 and multi-window scenarios, must land within :data:`ANALYTIC_RTOL` on
 every energy/duration figure with exact integer counters, and full
-scans of generated scenarios must equal the DES bit for bit.  Long
+scans of generated scenarios — partial batches, small MCU RAM and
+failure injection included — must equal the DES bit for bit.  Long
 horizons' cycle extrapolation is held to the full scan it replaces and
 to the DES the same way.  The second half exercises the engine
-plumbing — fingerprint separation, cache fidelity accounting, and the
-tier fallback.
+plumbing — fingerprint separation and cache fidelity accounting.
 """
 
 import pickle
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -27,14 +27,13 @@ from repro.core import (
     ScenarioEngine,
     analytic_scenario_result,
     scenario_fingerprint,
-    supports_analytic,
 )
 from repro.core.analytic import model
 from repro.core.analytic.context import AnalyticRun
 from repro.core.cache import DiskResultCache
 from repro.core.schemes.base import execute_scenario
 from repro.energy.ledger import CycleTally, integrate
-from repro.errors import AnalyticUnsupported, ReproError
+from repro.errors import ReproError, SensorError
 from repro.obs import TraceRecorder
 
 SCHEMES = ("baseline", "polling", "com", "batching", "beam", "bcom")
@@ -108,30 +107,10 @@ def assert_analytic_matches_des(apps, scheme, windows=1):
         scenario = Scenario.of(list(apps), scheme=scheme, windows=windows)
         try:
             return runner(scenario), None
-        except AnalyticUnsupported:
-            raise
         except ReproError as exc:
             return None, f"{type(exc).__name__}: {exc}"
 
-    supported, _reason = supports_analytic(
-        Scenario.of(list(apps), scheme=scheme, windows=windows)
-    )
-    if not supported:
-        with pytest.raises(AnalyticUnsupported):
-            analytic_scenario_result(
-                Scenario.of(list(apps), scheme=scheme, windows=windows)
-            )
-        return
-    try:
-        ana, ana_err = attempt(analytic_scenario_result)
-    except AnalyticUnsupported:
-        # The runtime RAM-occupancy gate: the DES must actually be
-        # dropping samples there (a QoS violation), or the bail-out
-        # would be spurious.
-        des, des_err = attempt(execute_scenario)
-        assert des_err is None
-        assert any("RAM" in violation for violation in des.qos_violations)
-        return
+    ana, ana_err = attempt(analytic_scenario_result)
     des, des_err = attempt(execute_scenario)
     assert des_err == ana_err
     if des_err is not None:
@@ -255,16 +234,14 @@ def scaled_calibration(scales):
 def tier_outcome(scenario) -> str:
     """Answer ``scenario`` in both tiers and name how they compare.
 
-    ``"error"``: both raise the same error; ``"envelope"``: outside the
-    analytic envelope; ``"identical"``: a full scan equal to the DES bit
-    for bit; ``"extrapolated"``: a multiplied-out cycle within
-    :func:`assert_results_match`.  Anything else fails an assertion.
+    ``"error"``: both raise the same error; ``"identical"``: a full scan
+    equal to the DES bit for bit; ``"extrapolated"``: a multiplied-out
+    cycle within :func:`assert_results_match`.  Anything else fails an
+    assertion.
     """
     recorder = TraceRecorder()
     try:
         ana = analytic_scenario_result(scenario, obs=recorder)
-    except AnalyticUnsupported:
-        return "envelope"
     except ReproError as exc:
         try:
             execute_scenario(scenario)
@@ -292,44 +269,105 @@ generated_scales = st.tuples(
     st.lists(st.sampled_from(CALIBRATION_CONSTANTS), max_size=3, unique=True),
     st.lists(st.sampled_from(SCALE_FACTORS), min_size=3, max_size=3),
 ).map(lambda drawn: [(*constant, factor) for constant, factor in zip(*drawn)])
+#: What else a generated scenario may set, each in about half the draws
+#: so that draws without them, which may extrapolate, stay common: a
+#: batch size, the MCU's RAM in KiB (else the calibrated 80 KiB), and
+#: failure rates for one to three of its sensors.
+BATCH_SIZES = (1, 2, 5, 10, 50, 100, 250, 1000)
+RAM_KIB = (2, 48)
+FAILURE_RATES = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9)
+generated_options = {
+    "batch_size": st.none() | st.sampled_from(BATCH_SIZES),
+    "ram_kib": st.none() | st.integers(*RAM_KIB),
+    # (sensor position, rate) pairs; see generated_scenario.
+    "failures": st.just([]) | st.lists(
+        st.tuples(st.integers(0, 9), st.sampled_from(FAILURE_RATES)),
+        min_size=1, max_size=3,
+    ),
+}
+
+
+def generated_scenario(apps, scheme, windows, scales, batch_size=None,
+                       ram_kib=None, failures=()):
+    """One draw's scenario.  Each ``(position, rate)`` of ``failures``
+    injects ``rate`` on the scenario's sensor at ``position``, modulo
+    their count."""
+    calibration = scaled_calibration(scales)
+    if ram_kib is not None:
+        calibration = calibration.with_mcu(ram_bytes=ram_kib * 1024)
+    scenario = Scenario.of(apps, scheme=scheme, windows=windows,
+                           calibration=calibration, batch_size=batch_size)
+    sensors = scenario.sensor_ids
+    return replace(scenario, sensor_failure_rates={
+        sensors[position % len(sensors)]: rate for position, rate in failures
+    })
 
 
 # Regression cases: two ops queued on the MCU core whose end entries tie
 # on (fire, scheduled) must come out in hand-off (release) order.
-@example(apps=["A1", "A11", "A4"], scheme="baseline", windows=1, scales=[])
-@example(apps=["A6", "A4", "A1"], scheme="batching", windows=2, scales=[])
-@example(apps=["A4", "A3", "A1", "A6"], scheme="com", windows=3, scales=[])
+@example(apps=["A1", "A11", "A4"], scheme="baseline", windows=1, scales=[],
+         batch_size=None, ram_kib=None, failures=[])
+@example(apps=["A6", "A4", "A1"], scheme="batching", windows=2, scales=[],
+         batch_size=None, ram_kib=None, failures=[])
+@example(apps=["A4", "A3", "A1", "A6"], scheme="com", windows=3, scales=[],
+         batch_size=None, ram_kib=None, failures=[])
+# The scan's event-order rules, one witness each.  A poll wakes at the
+# kernel's ``end + (target - end)``: S5@blynk and S5@m2x wake 1 ulp apart.
+@example(apps=["A2", "A4", "A5"], scheme="batching", windows=1, scales=[],
+         batch_size=5, ram_kib=None, failures=[])
+# Each failed check is an event: S7@coap and S8@coap reads end at one
+# instant, in the order their last check ends were inserted.
+@example(apps=["A1", "A11"], scheme="bcom", windows=2, scales=[],
+         batch_size=None, ram_kib=None, failures=[(1, 0.5)])
+# QoS violations follow event order, not log order: the scan logs m2x's
+# window-0 deadline miss (2606.57 ms) before jpeg's RAM overflow at
+# 2597.75 ms.
+@example(apps=["A9", "A4", "A7", "A5"], scheme="bcom", windows=3, scales=[],
+         batch_size=1000, ram_kib=None, failures=[])
 @settings(max_examples=400 if FUZZING else 30, derandomize=True, deadline=None)
 @given(
     apps=generated_apps,
     scheme=st.sampled_from(SCHEMES),
     windows=st.integers(1, 3),
     scales=generated_scales,
+    **generated_options,
 )
-def test_generated_scenarios_equal_des_exactly(apps, scheme, windows, scales):
-    """Over generated app mixes, schemes, window counts and calibration
-    perturbations, each scenario either raises the same error in both
-    tiers, lies outside the analytic envelope, or scans to the DES
-    result bit for bit."""
-    scenario = Scenario.of(apps, scheme=scheme, windows=windows,
-                           calibration=scaled_calibration(scales))
-    outcome = tier_outcome(scenario)
+def test_generated_scenarios_equal_des_exactly(apps, scheme, windows, scales,
+                                               batch_size, ram_kib, failures):
+    """Over generated app mixes, schemes, window counts, calibration
+    perturbations, batch sizes, MCU RAM sizes and failure rates, each
+    scenario either raises the same error in both tiers or scans to the
+    DES result bit for bit."""
+    outcome = tier_outcome(generated_scenario(
+        apps, scheme, windows, scales, batch_size, ram_kib, failures
+    ))
     event(outcome)
-    assert outcome in ("error", "envelope", "identical")
+    assert outcome in ("error", "identical")
 
 
+# A RAM overflow is logged as its decode ends: two of the 29,590
+# violations swap otherwise.
+@example(apps=["A5", "A3", "A6", "A7"], scheme="bcom", windows=17, scales=[],
+         batch_size=None, ram_kib=24, failures=[])
+# Partial batches are never extrapolated: this one would be off by 8 CPU
+# wakes.
+@example(apps=["A4"], scheme="batching", windows=10, scales=[],
+         batch_size=128, ram_kib=None, failures=[])
 @settings(max_examples=40 if FUZZING else 3, derandomize=True, deadline=None)
 @given(
     apps=generated_apps,
     scheme=st.sampled_from(SCHEMES),
     windows=st.integers(7, 12),
     scales=generated_scales,
+    **generated_options,
 )
-def test_generated_long_scenarios_match_des(apps, scheme, windows, scales):
+def test_generated_long_scenarios_match_des(apps, scheme, windows, scales,
+                                            batch_size, ram_kib, failures):
     """Long enough to extrapolate: a multiplied-out cycle lands within
     the band of the DES, and a scenario scanned in full equals it."""
-    event(tier_outcome(Scenario.of(apps, scheme=scheme, windows=windows,
-                                   calibration=scaled_calibration(scales))))
+    event(tier_outcome(generated_scenario(
+        apps, scheme, windows, scales, batch_size, ram_kib, failures
+    )))
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -484,6 +522,65 @@ def test_extrapolation_gate():
     assert gate(Scenario.of(["A3"], windows=model.MIN_WINDOWS)) is None
 
 
+def test_unsupported_gates():
+    """The two scenario kinds once outside the analytic envelope,
+    failure injection and partial batches, scan to the DES bit for bit
+    but are never extrapolated: failed checks follow the read count and
+    partial batches the whole horizon's sample count, so neither repeats
+    per window."""
+    gate = model._extrapolation_gate
+    failure = Scenario.of(
+        ["A2"], scheme="baseline", windows=model.MIN_WINDOWS,
+        sensor_failure_rates={"S4": 0.5},
+    )
+    partial = Scenario.of(
+        ["A2"], scheme="batching", windows=model.MIN_WINDOWS, batch_size=100,
+    )
+    assert gate(failure) == "failure_injection"
+    assert gate(replace(failure, sensor_failure_rates={"S4": 0.0})) is None
+    assert gate(partial) == "partial_batches"
+    for scenario, reason in ((failure, "failure_injection"),
+                             (partial, "partial_batches")):
+        recorder = TraceRecorder()
+        result = analytic_scenario_result(scenario, obs=recorder)
+        assert result.fidelity == "analytic"
+        assert recorder.counters == {
+            f"analytic.extrapolation.fallback.{reason}": 1
+        }
+        assert_bit_identical(result, execute_scenario(scenario))
+
+
+def test_failure_injection_is_never_extrapolated():
+    """A4 batching with S2 failing 0.5% of its checks looks steady over
+    the verification cycles, but extrapolated it would land 1.59e-5 off
+    the DES: its failed checks do not repeat per window."""
+    scenario = Scenario.of(
+        ["A4"], scheme="batching", windows=30,
+        sensor_failure_rates={"S2": 0.005},
+    )
+    recorder = TraceRecorder()
+    result = analytic_scenario_result(scenario, obs=recorder)
+    assert recorder.counters == {
+        "analytic.extrapolation.fallback.failure_injection": 1
+    }
+    assert_bit_identical(result, execute_scenario(scenario))
+
+
+TABLE2_APPS = tuple(f"A{index}" for index in range(1, 12))
+
+
+@pytest.mark.parametrize("app", TABLE2_APPS)
+def test_batching_at_batch_size_one_interrupts_like_baseline(app):
+    """Batching that ships every sample raises exactly baseline's
+    interrupts: one per sample.  Its energy need not match baseline's
+    (a batch hand-off costs other MCU and CPU work than a sample's)."""
+    batched = analytic_scenario_result(
+        Scenario.of([app], scheme="batching", batch_size=1)
+    )
+    baseline = analytic_scenario_result(Scenario.of([app], scheme="baseline"))
+    assert batched.interrupt_count == baseline.interrupt_count
+
+
 FIG10_APPS = tuple(f"A{index}" for index in range(1, 11))
 
 #: Strictly periodic scenarios at 12 windows: A3 under every scheme, a
@@ -545,25 +642,12 @@ def test_periodic_corpus_extrapolates(apps, scheme):
 
 
 # ----------------------------------------------------------------------
-# envelope gates
+# errors
 # ----------------------------------------------------------------------
-def test_unsupported_gates():
-    failure = Scenario.of(
-        ["A2"], scheme="baseline", sensor_failure_rates={"S4": 0.5}
-    )
-    supported, reason = supports_analytic(failure)
-    assert not supported and "stochastic" in reason
-    partial = Scenario.of(["A2"], scheme="batching", batch_size=100)
-    supported, reason = supports_analytic(partial)
-    assert not supported and "partial-batch" in reason
-
-
 def test_offload_error_counts_as_supported():
     # COM on a non-offloadable mix raises the identical error in both
-    # tiers, so no DES fallback is needed.
+    # tiers.
     scenario = Scenario.of(["A2", "A11"], scheme="com")
-    supported, reason = supports_analytic(scenario)
-    assert supported and reason == ""
     with pytest.raises(ReproError) as ana_exc:
         analytic_scenario_result(scenario)
     with pytest.raises(ReproError) as des_exc:
@@ -619,20 +703,36 @@ def test_plan_only_plugin_runs_in_the_analytic_tier(one_file_scheme):
         result = engine.run(Scenario.of(["A2", "A5"], scheme=one_file_scheme))
         assert result.fidelity == "analytic"
         assert engine.metrics.analytic_evals == 1
-        assert engine.metrics.analytic_fallbacks == 0
+        assert engine.metrics.scenarios_run == 0
     des = execute_scenario(Scenario.of(["A2", "A5"], scheme=one_file_scheme))
     assert_results_match(result, des)
 
 
-def test_analytic_tier_falls_back_to_des_when_unsupported():
+def test_analytic_tier_answers_failure_injection():
     scenario = Scenario.of(
         ["A2"], scheme="baseline", sensor_failure_rates={"S4": 0.25}
     )
     with ScenarioEngine() as engine:
         (outcome,) = engine.run_batch([scenario], fidelity="analytic")
-        assert outcome.fidelity == "des"
-        assert engine.metrics.scenarios_run == 1
-        assert engine.metrics.analytic_evals == 0
+        assert outcome.fidelity == "analytic"
+        assert engine.metrics.scenarios_run == 0
+        assert engine.metrics.analytic_evals == 1
+    assert_bit_identical(outcome, execute_scenario(scenario))
+
+
+@pytest.mark.parametrize("rate", [-0.1, 1.0])
+@pytest.mark.parametrize("fidelity", FIDELITIES)
+def test_both_tiers_reject_an_invalid_failure_rate(fidelity, rate):
+    """One check on the scenario, before either tier runs: the analytic
+    tier used to answer a rate the DES's sensor refuses."""
+    with ScenarioEngine(fidelity=fidelity) as engine:
+        with pytest.raises(
+            SensorError, match=rf"^failure rate must be in \[0, 1\), got {rate}$"
+        ):
+            engine.run(Scenario.of(
+                ["A2"], scheme="baseline", sensor_failure_rates={"S4": rate}
+            ))
+        assert engine.metrics.analytic_evals == engine.metrics.scenarios_run == 0
 
 
 def test_fidelity_tiers_never_collide_in_cache(tmp_path):

@@ -23,7 +23,7 @@ from repro.core import (
     scenario_fingerprint,
 )
 from repro.core.analytic import model as analytic_model
-from repro.errors import AnalyticUnsupported, OffloadError, ReproError
+from repro.errors import OffloadError, ReproError
 from repro.sensors.synthetic import ConstantWaveform
 from repro.workloads import FIG11_COMBOS
 
@@ -345,8 +345,8 @@ def test_engine_cache_max_bytes_evicts_after_runs(tmp_path):
 # ----------------------------------------------------------------------
 # analytic tier accounting
 # ----------------------------------------------------------------------
-def test_analytic_fallback_is_counted_and_answered_by_the_des():
-    # Failure injection lies outside the analytic envelope.
+def test_analytic_tier_counts_failure_injection_as_an_eval():
+    # The analytic tier answers failure injection itself.
     def scenario():
         return Scenario.of(
             ["A2"], scheme=Scheme.BASELINE, sensor_failure_rates={"S4": 0.5}
@@ -354,14 +354,13 @@ def test_analytic_fallback_is_counted_and_answered_by_the_des():
 
     with ScenarioEngine() as engine:
         result = engine.run(scenario(), fidelity="analytic")
-        assert engine.metrics.analytic_fallbacks == 1
-        assert engine.metrics.analytic_evals == 0
-        assert engine.metrics.snapshot()["analytic_fallbacks"] == 1
+        assert engine.metrics.analytic_evals == 1
+        assert engine.metrics.scenarios_run == 0
         assert any(
-            "1 point(s) fell back to the DES" in line
+            line.startswith("analytic: 1 closed-form eval(s) in ")
             for line in engine.metrics.summary_lines()
         )
-    assert result.fidelity == "des"
+    assert result.fidelity == "analytic"
     reference = run_scenario(scenario())
     assert result.energy.total_j == reference.energy.total_j
     assert result.interrupt_count == reference.interrupt_count
@@ -377,8 +376,7 @@ def _contract_batch():
         Scenario.of(["A5", "A4"], scheme=Scheme.BEAM),  # permuted duplicate
         Scenario.of(["A4", "A5"], scheme=Scheme.BEAM),  # repeated point
         Scenario.of(["A11"], scheme=Scheme.COM),  # infeasible: OffloadError
-        # Failure injection: outside the analytic envelope, so the
-        # analytic tier hands it to the DES.
+        # Failure injection: never deduplicated (read order matters).
         Scenario.of(
             ["A2"], scheme=Scheme.BASELINE, sensor_failure_rates={"S4": 0.5}
         ),
@@ -422,17 +420,10 @@ def _physics(outcome):
 
 
 def _direct_answer(tier, scenario):
-    """A tier's own answer for a scenario run exactly as given.
-
-    The analytic tier's engine hands the points outside its envelope
-    to the DES, so those are answered by the DES here too.
-    """
+    """A tier's own answer for a scenario run exactly as given."""
     try:
         if tier == "analytic":
-            try:
-                return analytic_scenario_result(scenario)
-            except AnalyticUnsupported:
-                pass
+            return analytic_scenario_result(scenario)
         return run_scenario(scenario)
     except ReproError as exc:
         return exc
@@ -450,7 +441,6 @@ def _contract_expected(tier, dedup):
 _COUNTERS = (
     "scenarios_run",
     "analytic_evals",
-    "analytic_fallbacks",
     "dedup_hits",
     "cache_hits",
     "cache_memory_hits",
@@ -477,28 +467,21 @@ def test_batch_pipeline_contract(tier, cache, dedup, tmp_path):
     cached = cache != "none"
     groups = _contract_groups(dedup, cached)
     pending = len(set(groups))
-    # The analytic tier evaluates every group but the failure-injection
-    # one; the infeasible point's error is never cached.
-    if tier == "des":
-        evaluated = Counter(scenarios_run=pending)
-    else:
-        evaluated = Counter(
-            analytic_evals=pending - 1, analytic_fallbacks=1, scenarios_run=1
-        )
-    first_pass = evaluated + Counter(
-        dedup_hits=len(groups) - pending,
-        cache_misses=pending - 1 if cached else 0,
-    )
+    # Each tier evaluates every group once; the infeasible point's error
+    # is never cached.
+    evaluations = "scenarios_run" if tier == "des" else "analytic_evals"
+    first_pass = Counter({
+        evaluations: pending,
+        "dedup_hits": len(groups) - pending,
+        "cache_misses": pending - 1 if cached else 0,
+    })
     # A second pass hits the cache for every point but the infeasible
-    # one, which is evaluated again.  The failure-injection point falls
-    # back from the analytic tier again, then hits at the DES tier.
+    # one, which is evaluated again.
     second_pass = first_pass
     if cached:
-        second_pass = Counter({"cache_hits": 4, f"cache_{cache}_hits": 4})
-        if tier == "des":
-            second_pass["scenarios_run"] = 1
-        else:
-            second_pass.update(analytic_evals=1, analytic_fallbacks=1)
+        second_pass = Counter({
+            "cache_hits": 4, f"cache_{cache}_hits": 4, evaluations: 1
+        })
     batch = _contract_batch()
     requested = [[app.table2_id for app in s.apps] for s in batch]
     expected = _contract_expected(tier, dedup)
@@ -517,7 +500,7 @@ def test_batch_pipeline_contract(tier, cache, dedup, tmp_path):
             # On the serial DES only the first requester of each group
             # the DES evaluated keeps the live hub; other members, cache
             # hits and analytic answers come back bare.
-            des_evaluated = [tier == "des"] * 3 + [False, True]
+            des_evaluated = [tier == "des"] * 3 + [False, tier == "des"]
             live = [
                 index == groups.index(key)
                 and des_evaluated[index]
@@ -562,14 +545,11 @@ def test_engine_calls_the_traced_layers_on_its_module(monkeypatch):
             run_batch=1, scenario_fingerprint=5, execute_scenario=3
         )
         calls.clear()
-        # The failure-injection point is fingerprinted at both tiers and
-        # simulated once; each analytic group is evaluated once.
+        # The analytic tier evaluates each group once and never
+        # simulates.
         engine.run_batch(_contract_batch(), fidelity="analytic")
         assert calls == Counter(
-            run_batch=1,
-            scenario_fingerprint=6,
-            analytic_scenario_result=3,
-            execute_scenario=1,
+            run_batch=1, scenario_fingerprint=5, analytic_scenario_result=3
         )
         calls.clear()
         # run() is a one-point run_batch.

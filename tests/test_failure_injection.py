@@ -5,13 +5,8 @@ import pytest
 from repro.apps import create_app
 from repro.apps.base import AppProfile, AppResult, IoTApp
 from repro.calibration import default_calibration
-from repro.core import Scenario, Scheme, run_scenario
-from repro.core.analytic import supports_analytic
-from repro.core.analytic.context import AnalyticRun
-from repro.core.analytic.scan import scan
-from repro.core.schemes.registry import get_scheme
+from repro.core import Scenario, Scheme, analytic_scenario_result, run_scenario
 from repro.errors import (
-    AnalyticUnsupported,
     CapacityError,
     OffloadError,
     QoSViolation,
@@ -87,8 +82,8 @@ def tiny_ram_batching():
     )
 
 
-def test_batching_with_tiny_mcu_ram_flags_violations_but_completes():
-    result = run_scenario(tiny_ram_batching())
+def assert_tiny_ram_batching(result):
+    """The pinned figures of :func:`tiny_ram_batching`, at either tier."""
     assert result.qos_violations == 830 * [
         "batch 'batch:stepcounter': MCU RAM exhausted after 170 samples "
         "(mcu.ram: allocating 12 B for 'batch:stepcounter' exceeds "
@@ -99,22 +94,19 @@ def test_batching_with_tiny_mcu_ram_flags_violations_but_completes():
     assert (result.interrupt_count, result.bus_bytes) == (1, 2040)
     assert result.energy.total_j.hex() == "0x1.28d34fd0d507cp+1"
     assert result.results_ok
+
+
+def test_batching_with_tiny_mcu_ram_flags_violations_but_completes():
+    result = run_scenario(tiny_ram_batching())
+    assert_tiny_ram_batching(result)
     ram = result.hub.mcu.ram
     assert (ram.used_bytes, ram.peak_bytes) == (0, 2040)
 
 
-def test_analytic_tier_refuses_batch_ram_overflow():
-    scenario = tiny_ram_batching()
-    assert supports_analytic(scenario) == (
-        False, "MCU RAM may overflow (dropped samples); DES required"
-    )
-    # Past the gate, the scan itself bails at the first overflowing decode.
-    plan = get_scheme(scenario.scheme)().plan(scenario)
-    with pytest.raises(
-        AnalyticUnsupported,
-        match=r"^stepcounter batch buffer overflows MCU RAM; DES required$",
-    ):
-        scan(AnalyticRun(scenario, plan), plan)
+def test_analytic_tier_logs_batch_ram_overflow():
+    result = analytic_scenario_result(tiny_ram_batching())
+    assert result.fidelity == "analytic"
+    assert_tiny_ram_batching(result)
 
 
 def test_com_refuses_heavy_app_with_reasons():

@@ -11,11 +11,12 @@ from repro.hw import IoTHub, MemoryRegion
 from repro.sensors import ConstantWaveform, SensorDevice
 
 
-def batch_app(ram):
-    """A2's batch-buffer coordinator over ``ram``, whole-window batches."""
+def batch_app(ram, batch_size=None):
+    """A2's batch-buffer coordinator over ``ram``, whole-window batches
+    unless a ``batch_size`` is given."""
     app = create_app("A2")
     plan = SchemePlan("buffered", batch_apps=[app])
-    return BufferedApp(plan, app, default_calibration(), ram, batch_size=None)
+    return BufferedApp(plan, app, default_calibration(), ram, batch_size)
 
 
 # ----------------------------------------------------------------------
@@ -46,8 +47,8 @@ def test_read_and_decode_takes_read_plus_decode_time():
 def test_batch_buffer_accounts_ram():
     ram = MemoryRegion("ram", 100)
     buffered = batch_app(ram)
-    buffered.buffer(40)
-    buffered.buffer(40)
+    buffered.buffer(40, 0)
+    buffered.buffer(40, 0)
     assert buffered.samples == 2
     assert buffered.nbytes == 80
     assert ram.usage() == {"batch:stepcounter": 80}
@@ -56,9 +57,9 @@ def test_batch_buffer_accounts_ram():
 def test_batch_buffer_rejects_overflow():
     ram = MemoryRegion("ram", 100)
     buffered = batch_app(ram)
-    buffered.buffer(80)
+    buffered.buffer(80, 0)
     with pytest.raises(CapacityError, match="MCU RAM exhausted after 1 samples"):
-        buffered.buffer(40)
+        buffered.buffer(40, 0)
     # The overflowing sample is not buffered.
     assert (buffered.samples, buffered.nbytes, ram.used_bytes) == (1, 80, 80)
 
@@ -66,7 +67,7 @@ def test_batch_buffer_rejects_overflow():
 def test_batch_buffer_flush_releases_ram():
     ram = MemoryRegion("ram", 100)
     buffered = batch_app(ram)
-    buffered.buffer(60)
+    buffered.buffer(60, 0)
     ops, handoff = buffered.ship(0, final=True)
     assert (handoff.nbytes, handoff.samples, handoff.final) == (60, 1, True)
     assert [op.vector for op in ops] == ["batch", None]
@@ -74,8 +75,28 @@ def test_batch_buffer_flush_releases_ram():
     assert buffered.nbytes == 0
     assert ram.peak_bytes == 60
     # The buffer is reusable after a ship.
-    buffered.buffer(90)
+    buffered.buffer(90, 0)
     assert buffered.samples == 1
+
+
+def test_batch_buffer_ships_partial_batches_until_the_window_completes():
+    # A2 takes 1,000 samples a window: every fourth ships a partial
+    # batch, except the window's last, which its hand-off ships.
+    buffered = batch_app(MemoryRegion("ram", 100_000), batch_size=4)
+    shipped = [buffered.buffer(12, 0) for _ in range(999)]
+    partials = [chain for chain in shipped if chain is not None]
+    assert len(partials) == 249
+    ops, handoff = partials[0]
+    assert (handoff.nbytes, handoff.samples, handoff.final) == (48, 4, False)
+    assert [op.vector for op in ops] == ["batch", None]
+    assert buffered.buffer(12, 0) is None
+    assert buffered.samples == 4
+    _, handoff = buffered.window_done(0)
+    assert (handoff.samples, handoff.final) == (4, True)
+    # The next window counts its own samples.
+    assert [buffered.buffer(12, 1) is None for _ in range(4)] == [
+        True, True, True, False
+    ]
 
 
 # ----------------------------------------------------------------------

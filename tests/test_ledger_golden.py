@@ -358,8 +358,7 @@ GOLDEN = {
 
 #: Partial-batch DES runs, in the same format, keyed by (scenario label,
 #: scheme, batch size): a ``batch_size`` flushes the MCU buffer before
-#: each window closes, a hand-off path the table above never takes (the
-#: analytic tier defers these scenarios to the DES).
+#: each window closes, a hand-off path the table above never takes.
 PARTIAL_BATCH_GOLDEN = {
     ('A2', 'batching', 50): {
         "energy": [
@@ -1089,19 +1088,25 @@ def test_golden_covers_energy_parity_pairs():
 
 
 @pytest.mark.parametrize(
-    "label,scheme,batch_size",
-    sorted(PARTIAL_BATCH_GOLDEN),
-    ids=[
-        f"{label}-{scheme}-b{size}"
+    "label,scheme,batch_size,fidelity",
+    [
+        pytest.param(
+            label, scheme, size, fidelity,
+            id=f"{label}-{scheme}-b{size}" + suffix,
+        )
+        for fidelity, suffix in (("des", ""), ("analytic", "-analytic"))
         for label, scheme, size in sorted(PARTIAL_BATCH_GOLDEN)
     ],
 )
-def test_partial_batch_ledger_bit_identical(label, scheme, batch_size):
+def test_partial_batch_ledger_bit_identical(label, scheme, batch_size, fidelity):
     golden = PARTIAL_BATCH_GOLDEN[(label, scheme, batch_size)]
-    result = run_scenario(
-        Scenario.of(APPS[label], scheme=scheme, batch_size=batch_size)
-    )
+    scenario = Scenario.of(APPS[label], scheme=scheme, batch_size=batch_size)
+    if fidelity == "des":
+        assert ledger_of(run_scenario(scenario)) == golden
+        return
+    result = analytic_scenario_result(scenario)
     assert ledger_of(result) == golden
+    assert times_of(result) == times_of(run_scenario(scenario))
 
 
 def events_of(result):

@@ -2,21 +2,21 @@
 """Count how the analytic tier compares with the DES over seeded draws.
 
 Each draw is a scenario of one to four distinct apps from A1-A11, one of
-the six schemes and a window count; half the draws also scale one to
-three CPU or MCU calibration constants by 0.8, 0.9, 1.1 or 1.25.  Both
+the six schemes and a window count.  Half the draws also scale one to
+three CPU or MCU calibration constants by 0.8, 0.9, 1.1 or 1.25; half
+set a batch size, half an MCU RAM of 2-48 KiB, and half inject failure
+rates of 0.05-0.9 on one to three of the scenario's sensors.  Both
 tiers answer it, and the draw lands in exactly one outcome:
 
 - ``error``: both tiers raise the same error;
-- ``envelope``: the scenario is outside the analytic envelope;
 - ``identical``: a full scan equals the DES result bit for bit;
 - ``extrapolated``: a cycle was multiplied out, and the result lies
   within ``assert_results_match`` of the DES;
 - ``diverged``: anything else; the draw is printed with its assertion.
 
-Short draws (1-3 windows) are taken until ``--short`` of them fall
-inside the envelope; ``--long`` more draws run at 7-40 windows.  The
-oracles are the test suite's own (``tests/test_analytic.py``), so run
-from the repository root::
+``--short`` draws run at 1-3 windows and ``--long`` more at 7-40
+windows.  The oracles are the test suite's own
+(``tests/test_analytic.py``), so run from the repository root::
 
     PYTHONPATH=src python tools/tier_evidence.py --short 10000 --long 500 --workers 2
 
@@ -38,10 +38,9 @@ from multiprocessing import get_context
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-from repro.core import Scenario  # noqa: E402
 from tests.test_analytic import (  # noqa: E402
-    CALIBRATION_CONSTANTS, SCALE_FACTORS, SCHEMES, scaled_calibration,
-    tier_outcome,
+    BATCH_SIZES, CALIBRATION_CONSTANTS, FAILURE_RATES, RAM_KIB,
+    SCALE_FACTORS, SCHEMES, generated_scenario, tier_outcome,
 )
 
 APPS = tuple(f"A{index}" for index in range(1, 12))
@@ -57,15 +56,20 @@ def draw(seed: int, kind: str, index: int) -> dict:
     if rng.random() < 0.5:
         for part, name in rng.sample(CALIBRATION_CONSTANTS, rng.randint(1, 3)):
             scales.append((part, name, rng.choice(SCALE_FACTORS)))
+    batch_size = rng.choice(BATCH_SIZES) if rng.random() < 0.5 else None
+    ram_kib = rng.randint(*RAM_KIB) if rng.random() < 0.5 else None
+    failures = []
+    if rng.random() < 0.5:
+        failures = [(rng.randint(0, 9), rng.choice(FAILURE_RATES))
+                    for _ in range(rng.randint(1, 3))]
     return {"apps": apps, "scheme": scheme, "windows": windows,
-            "scales": scales}
+            "scales": scales, "batch_size": batch_size, "ram_kib": ram_kib,
+            "failures": failures}
 
 
 def outcome(point: dict) -> tuple:
     """``(outcome, detail)`` of one draw; ``detail`` names a divergence."""
-    scenario = Scenario.of(point["apps"], scheme=point["scheme"],
-                           windows=point["windows"],
-                           calibration=scaled_calibration(point["scales"]))
+    scenario = generated_scenario(**point)
     try:
         return tier_outcome(scenario), None
     except AssertionError as exc:
@@ -82,7 +86,7 @@ def _job(args: tuple) -> tuple:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--short", type=int, default=1000,
-                        help="in-envelope 1-3-window draws to compare")
+                        help="1-3-window draws to compare")
     parser.add_argument("--long", type=int, default=50,
                         help="7-40-window draws to compare")
     parser.add_argument("--seed", type=int, default=0)
@@ -93,20 +97,8 @@ def main(argv=None) -> int:
     counts = {"short": Counter(), "long": Counter()}
     divergences = []
     with get_context("spawn").Pool(args.workers) as pool:
-        # Short draws go out in finite batches, counted in index order
-        # until enough fall inside the envelope.
-        in_envelope = start = 0
-        while in_envelope < args.short:
-            batch = [(args.seed, "short", i) for i in range(start, start + 64)]
-            start += len(batch)
-            for kind, index, point, (result, detail) in pool.imap(_job, batch):
-                if in_envelope == args.short:
-                    break
-                counts[kind][result] += 1
-                in_envelope += result != "envelope"
-                if detail is not None:
-                    divergences.append((kind, index, point, detail))
-        batch = [(args.seed, "long", i) for i in range(args.long)]
+        batch = [(args.seed, "short", i) for i in range(args.short)]
+        batch += [(args.seed, "long", i) for i in range(args.long)]
         for kind, index, point, (result, detail) in pool.imap(_job, batch):
             counts[kind][result] += 1
             if detail is not None:
