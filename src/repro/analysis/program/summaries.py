@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..framework import parse_suppressions
 
@@ -582,14 +582,3 @@ def summarize_source(
     except SyntaxError:
         return None
     return summarize_module(tree, module, path, source)
-
-
-def iter_function_ids(
-    summaries: Sequence[ModuleSummary],
-) -> List[str]:
-    """All ``module:qualname`` function ids across the summaries."""
-    ids: List[str] = []
-    for summary in summaries:
-        for qualname in summary.functions:
-            ids.append(f"{summary.module}:{qualname}")
-    return ids

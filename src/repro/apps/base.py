@@ -22,7 +22,7 @@ import numpy as np
 from ..calibration import Calibration, default_calibration
 from ..errors import SensorError, WorkloadError
 from ..sensors.base import SensorSample
-from ..sensors.specs import SensorSpec, get_spec
+from ..sensors.specs import get_spec
 from ..sensors.synthetic import Waveform
 from ..units import kib
 
@@ -82,10 +82,6 @@ class AppProfile:
     # ------------------------------------------------------------------
     # derived Table II columns
     # ------------------------------------------------------------------
-    def sensor_specs(self) -> List[SensorSpec]:
-        """Specs of all sensors the app reads."""
-        return [get_spec(sensor_id) for sensor_id in self.sensor_ids]
-
     def rate_hz(self, sensor_id: str) -> float:
         """Sampling rate used for one sensor (override or Table I QoS)."""
         if sensor_id in self.rate_overrides:

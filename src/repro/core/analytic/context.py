@@ -17,10 +17,15 @@ from ...apps.base import AppResult, IoTApp
 from ...energy.ledger import CycleTally, Entry, Schedule
 from ...hubos.polling import STORE_TIME_S
 from ...hw.bus import wire_time
-from ...hw.cpu import CpuState
+from ...hw.cpu import CpuState, wake_time_s
 from ...hw.mcu import McuState
 from ...hw.power import Routine
-from ...sensors.base import CHECK_TIME_FRACTION, SensorDevice, failed_check_count
+from ...sensors.base import (
+    CHECK_TIME_FRACTION,
+    SensorDevice,
+    failed_check_count,
+    validate_failure_rate,
+)
 from ...sensors.specs import get_spec
 from ..schemes.base import ResultLog, SchemePlan
 
@@ -74,12 +79,15 @@ class AnalyticRun:
                 schedule._events,
             )
         #: Reads so far on each failure-injected rail, for
-        #: :meth:`checked_read`.
-        self.checked: Dict[str, int] = {
-            sensor_id: 0
-            for sensor_id, rate in scenario.sensor_failure_rates.items()
-            if rate > 0.0 and sensor_id in self.sensors
-        }
+        #: :meth:`checked_read`.  Each rate is checked here, as
+        #: ``SensorDevice`` checks it: one set after the scenario was
+        #: built has not been.
+        self.checked: Dict[str, int] = {}
+        for sensor_id in self.sensors:
+            rate = scenario.sensor_failure_rates.get(sensor_id, 0.0)
+            validate_failure_rate(rate)
+            if rate > 0.0:
+                self.checked[sensor_id] = 0
         #: FIFO cursors: earliest time each serialized resource frees up.
         self.rail_free: Dict[str, float] = {s: 0.0 for s in self.sensors}
         self.mcu_core_free = 0.0
@@ -229,15 +237,24 @@ class AnalyticRun:
             self.last_activity = end
         return read_end, end
 
+    def mcu_nap(self, now: float, wake: float) -> None:
+        """The MCU light-sleeps from ``now`` until ``wake``.
+
+        The earliest-waking stream brings the board back to idle at its
+        poll target (``SchemeContext.poll_stream``), unless a mid-sleep
+        operation (a rail read ending on another stream) woke the core
+        first, in which case the kernel's scheduled wake never fires.
+        """
+        cal = self.cal.mcu
+        mcu = self.mcu
+        mcu.set(now, McuState.SLEEP, cal.sleep_power_w, Routine.DATA_COLLECTION)
+        mcu.wake(wake, McuState.IDLE, cal.idle_power_w, Routine.DATA_COLLECTION)
+
     def cpu_wake(self, t: float, routine: str) -> float:
         """Wake the CPU from (deep) sleep; returns the awake time."""
         cal = self.cal.cpu
         cpu = self.cpu
-        awake = t + (
-            cal.deep_transition_time_s
-            if cpu.state == CpuState.DEEP_SLEEP
-            else cal.transition_time_s
-        )
+        awake = t + wake_time_s(cal, cpu.state)
         entries = cpu._events
         entries.append(
             (t, CpuState.TRANSITION, cal.transition_power_w, routine, None)

@@ -109,10 +109,6 @@ def _extrapolation_gate(scenario) -> Optional[str]:
     if any(rate > 0 for rate in scenario.sensor_failure_rates.values()):
         # Which checks fail follows the read count, not the window.
         return "failure_injection"
-    if scenario.batch_size is not None:
-        # The governor expects partial batches every ``batch_size``
-        # samples of the whole horizon, so its rests move per window.
-        return "partial_batches"
     return None
 
 

@@ -15,6 +15,10 @@ hand-off ops on the MCU, each buffered app's hand-offs decided by its
 :data:`~repro.core.schemes.base.CPU_SERVICES` record, each app's
 :meth:`~repro.core.schemes.base.SchemePlan.window_compute` and the
 governor's rests; under main-board polling, the CPU's blocking reads.
+The CPU's rests and the MCU's naps are the DES's
+:class:`~repro.hubos.governor.CpuGovernor` and
+:class:`~repro.hubos.governor.McuNapRule` decisions, applied as
+schedule entries.
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ from typing import Dict, Optional, Sequence, Tuple
 from ...energy.ledger import SLEEP_STATES
 from ...errors import CapacityError
 from ...firmware.driver import McuOp, decode_op
-from ...hubos.governor import CpuRestPolicy, rest_state
+from ...hubos.governor import McuNapRule
 from ...hubos.transfer import cpu_transfer_time
-from ...hw.cpu import CpuState
+from ...hw.cpu import state_powers
 from ...hw.mcu import McuState
 from ...hw.memory import MemoryRegion
 from ...hw.power import Routine
@@ -149,11 +153,9 @@ def scan(run: AnalyticRun, plan: SchemePlan) -> None:
         for stream, buffered in streams
     )
     cpu.rest(0.0, _BEFORE_EVENTS)
-    #: The MCU nap governor's per-stream "next scheduled poll" table.
-    #: Entries appear the first time a stream actually waits (exactly
-    #: like ``SchemeContext._mcu_next_polls``); a stream mid-chain keeps
-    #: its stale (past) target, which blocks any sleep decision.
-    next_polls = {}
+    nap_rule = McuNapRule(cal.mcu)
+    nap = nap_rule.wait
+    mcu = run.mcu
     #: Each resource's last grant, as its end entry ``(end, start, seq,
     #: what)`` (``what`` is ``None`` while nothing continues in it), and
     #: its queue of deferred ``[end, start, what]``; ``releases`` maps
@@ -322,18 +324,20 @@ def scan(run: AnalyticRun, plan: SchemePlan) -> None:
                             cursor.in_handoff = True
             if cursor.ops is None:
                 if cursor.w >= windows:
-                    next_polls.pop(cursor, None)
+                    nap_rule.finish(cursor)
                     then = None
                 else:
                     target = (cursor.w * stream.window_s
                               + cursor.k / stream.rate_hz)
                     if target > end:
-                        # The stream is about to wait: refresh its poll
-                        # entry and evaluate the nap governor at the
-                        # pre-wait instant.  The kernel wakes it after
-                        # ``target - end``, which may round off ``target``.
-                        next_polls[cursor] = target
-                        _maybe_sleep(run, end, next_polls)
+                        # The stream is about to wait: the nap rule
+                        # decides at the pre-wait instant.  The kernel
+                        # wakes it after ``target - end``, which may
+                        # round off ``target``.
+                        wake = nap(cursor, target, end,
+                                   mcu.state == McuState.IDLE)
+                        if wake is not None:
+                            run.mcu_nap(end, wake)
                         heappush(
                             heap,
                             (end + (target - end), end, next_seq(), cursor),
@@ -361,24 +365,6 @@ def scan(run: AnalyticRun, plan: SchemePlan) -> None:
         cpu.settle()
     cpu.close()
     run.log_order()
-
-
-def _maybe_sleep(run: AnalyticRun, now: float, next_polls) -> None:
-    """The MCU nap rule: light-sleep if every next poll is far enough."""
-    if run.mcu.state != McuState.IDLE:
-        return
-    upcoming = min(next_polls.values(), default=now)
-    if upcoming - now <= run.cal.mcu.sleep_threshold_s:
-        return
-    cal = run.cal.mcu
-    run.mcu.set(now, McuState.SLEEP, cal.sleep_power_w, Routine.DATA_COLLECTION)
-    # mcu_wake(): the earliest-waking stream brings the board back to
-    # idle exactly at its poll target — unless a mid-sleep operation (a
-    # rail read ending on another stream) woke the core first, in which
-    # case the kernel's scheduled wake never fires.
-    run.mcu.wake(
-        upcoming, McuState.IDLE, cal.idle_power_w, Routine.DATA_COLLECTION
-    )
 
 
 class _Cpu:
@@ -425,16 +411,8 @@ class _Cpu:
         #: per window; per (app name, window): the samples it misses.
         self.subscribers: dict = {}
         self.missing: Dict[Tuple[str, int], int] = {}
-        self.policy = (
-            CpuRestPolicy(plan.work_times(run.scenario))
-            if plan.governed else None
-        )
-        cal = run.cal.cpu
-        self.rest_power = {
-            CpuState.DEEP_SLEEP: cal.deep_sleep_power_w,
-            CpuState.SLEEP: cal.sleep_power_w,
-            CpuState.IDLE: cal.idle_power_w,
-        }
+        self.governor = plan.cpu_governor(run.scenario)
+        self.powers = state_powers(run.cal.cpu)
 
     def start(self, process):
         """Prime a process generator; returns its ``send``."""
@@ -472,25 +450,19 @@ class _Cpu:
         """``SchemeContext.rest`` at ``t``, inside the event ``key``."""
         if self.core_key > key:
             return  # another process holds the core: nothing to rest
-        run = self.run
-        plan = self.plan
-        if self.policy is not None:
-            state, routine = rest_state(
-                self.cal.cpu, self.policy.expected_idle(t),
-                plan.rest_routine, plan.allow_deep,
-            )
-        elif run.cpu.state in SLEEP_STATES:
+        cpu = self.run.cpu
+        decision = self.governor.rest(t, cpu.state in SLEEP_STATES)
+        if decision is None:
             return
-        else:
-            state, routine = CpuState.IDLE, plan.rest_routine
-        last = run.cpu.last()
+        state, routine = decision
+        last = cpu.last()
         if last is not None:
             last_t, last_state, _, last_routine, _ = last
             if last_t == t and last_state == state and last_routine == routine:
                 # The CPU entered this very state at this instant: the
                 # DES's repeated change integrates to nothing.
                 return
-        run.cpu.set(t, state, self.rest_power[state], routine)
+        cpu.set(t, state, self.powers[state], routine)
 
     # ------------------------------------------------------------------
     # the dispatcher (SchemeContext.dispatcher)

@@ -74,7 +74,11 @@ from .schemes.base import execute_scenario
 #: v7: failure injection seeds its noise from ``zlib.crc32`` of the
 #: sensor id instead of the per-process salted ``hash()``, so v6 entries
 #: for scenarios with ``sensor_failure_rates`` hold other numbers.
-FINGERPRINT_VERSION = 7
+#: v8: the CPU governor expects a batch app's partial batches every
+#: ``batch_size`` samples of each window, not of the whole horizon, so
+#: v7 entries of multi-window scenarios with a ``batch_size`` hold other
+#: numbers.
+FINGERPRINT_VERSION = 8
 
 #: Fidelity tiers an engine can run at.  ``"des"`` is the discrete-event
 #: simulation (the authoritative tier), ``"analytic"`` the closed-form

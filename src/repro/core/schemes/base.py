@@ -13,8 +13,11 @@ their results in one :class:`ResultLog`.  The
 discrete-event simulation wires the plan through :func:`build_context`
 (one :func:`wire` over the primitives :class:`SchemeContext` owns — the
 hub, the sensor devices, the one poll loop, window bookkeeping, the
-interrupt dispatcher, the CPU compute loop and the sleep governor), and
-the closed-form tier in :mod:`repro.core.analytic` scans it.
+interrupt dispatcher and the CPU compute loop), and the closed-form tier
+in :mod:`repro.core.analytic` scans it.  Both tiers hold the plan's
+:class:`~repro.hubos.governor.CpuGovernor` and one
+:class:`~repro.hubos.governor.McuNapRule`, and only apply their
+decisions.
 
 :func:`execute_scenario` is the single entry point: look the scheme up
 in the registry, build a fresh context, run the discrete-event
@@ -37,7 +40,7 @@ from ...firmware.driver import (
     read_and_decode,
     run_ops,
 )
-from ...hubos.governor import CpuRestPolicy, SleepGovernor
+from ...hubos.governor import CpuGovernor, McuNapRule
 from ...hubos.interrupts import service_interrupt
 from ...hubos.polling import cpu_blocking_read
 from ...hubos.transfer import cpu_transfer
@@ -372,24 +375,28 @@ class SchemePlan:
         leaves sleep)."""
         return self.family != "cpu_polling"
 
-    @property
-    def allow_deep(self) -> bool:
-        """Whether the CPU may power-gate: only when no batch needs prompt
-        ingestion."""
-        return self.governed and not self.batch_apps
+    def cpu_governor(self, scenario) -> CpuGovernor:
+        """The CPU's rest rule for ``scenario``, which both tiers hold.
 
-    @property
-    def rest_routine(self) -> str:
-        """The routine the CPU's rest is charged to: with the CPU fully
-        relieved (pure COM) it is the hub's idle floor, not app wait."""
-        return Routine.IDLE if self.allow_deep else Routine.DATA_TRANSFER
+        The CPU may power-gate only when no batch needs prompt
+        ingestion; its rest is then (pure COM, the CPU fully relieved)
+        charged to the hub's idle floor, else to app wait.
+        """
+        allow_deep = self.governed and not self.batch_apps
+        return CpuGovernor(
+            scenario.calibration.cpu,
+            self.work_times(scenario) if self.governed else None,
+            Routine.IDLE if allow_deep else Routine.DATA_TRANSFER,
+            allow_deep,
+        )
 
     def work_times(self, scenario) -> List[float]:
         """The instants the governor expects CPU work (``CpuRestPolicy``).
 
         COM results arrive one MCU compute after each window closes;
         batches at each window close and, with a ``batch_size``, roughly
-        every ``batch_size`` samples as partial batches.
+        every ``batch_size`` samples of a window as partial batches
+        (:class:`BufferedApp` ships its whole buffer as a window closes).
         """
         times: List[float] = []
         for app in self.com_apps:
@@ -404,13 +411,14 @@ class SchemePlan:
                 for w in range(scenario.windows)
             )
             if scenario.batch_size is not None:
-                samples = sorted(
-                    w * stream.window_s + k / stream.rate_hz
-                    for stream in build_streams([app], shared=False)
-                    for w in range(scenario.windows)
-                    for k in range(stream.samples_per_window)
-                )
-                times.extend(samples[:: scenario.batch_size])
+                streams = build_streams([app], shared=False)
+                for w in range(scenario.windows):
+                    samples = sorted(
+                        w * stream.window_s + k / stream.rate_hz
+                        for stream in streams
+                        for k in range(stream.samples_per_window)
+                    )
+                    times.extend(samples[:: scenario.batch_size])
         return times
 
     def sensing(
@@ -592,8 +600,9 @@ class SchemeContext:
 
     Holds the scenario's :class:`SchemePlan`, the fresh
     :class:`~repro.hw.board.IoTHub`, the attached sensor devices, the
-    governor's :class:`~repro.hubos.governor.CpuRestPolicy` and all
-    scheme-agnostic process generators.
+    plan's :class:`~repro.hubos.governor.CpuGovernor`, the
+    :class:`~repro.hubos.governor.McuNapRule` and all scheme-agnostic
+    process generators.
     """
 
     def __init__(
@@ -610,8 +619,8 @@ class SchemeContext:
         self.hub = IoTHub(self.cal, cpu_initial_state=initial_cpu, obs=obs)
         #: Instrumentation sink (shared with the kernel; no-op by default).
         self.obs = self.hub.obs
-        self.governor = SleepGovernor(self.hub.cpu)
-        self.policy = CpuRestPolicy(plan.work_times(scenario))
+        self.governor = plan.cpu_governor(scenario)
+        self.nap = McuNapRule(self.cal.mcu)
         self.devices: Dict[str, SensorDevice] = {}
         for sensor_id in scenario.sensor_ids:
             waveform = scenario.waveforms.get(sensor_id)
@@ -623,40 +632,19 @@ class SchemeContext:
             )
         self._windows: Dict[Tuple[str, int], WindowState] = {}
         self.log = ResultLog(scenario.apps)
-        #: Next scheduled poll per stream key — the MCU's own nap governor.
-        self._mcu_next_polls: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # governor plumbing
     # ------------------------------------------------------------------
     def rest(self) -> None:
-        """Apply the governor with the plan's schedule knowledge."""
-        plan = self.plan
-        if not plan.governed:
-            if self.hub.cpu.psm.state != "busy" and not self.hub.cpu.asleep:
-                self.hub.cpu.set_idle(plan.rest_routine)
+        """Put a CPU that is not busy in the rest state the governor
+        decides."""
+        cpu = self.hub.cpu
+        if cpu.psm.state == CpuState.BUSY:
             return
-        expected = self.policy.expected_idle(self.hub.sim.now)
-        self.governor.rest(
-            expected,
-            wait_routine=plan.rest_routine,
-            allow_deep=plan.allow_deep,
-        )
-
-    def mcu_rest(self, stream_key: str, next_poll: float) -> None:
-        """Let the MCU light-sleep if every stream's next poll is far off."""
-        self._mcu_next_polls[stream_key] = next_poll
-        if self.hub.mcu.psm.state != McuState.IDLE:
-            return
-        now = self.hub.sim.now
-        upcoming = min(self._mcu_next_polls.values(), default=now)
-        if upcoming - now > self.cal.mcu.sleep_threshold_s:
-            self.hub.mcu.enter_sleep(Routine.DATA_COLLECTION)
-
-    def mcu_wake(self) -> None:
-        """Bring the MCU back online for a poll."""
-        if self.hub.mcu.psm.state == McuState.SLEEP:
-            self.hub.mcu.set_idle(Routine.DATA_COLLECTION)
+        decision = self.governor.rest(self.hub.sim.now, cpu.asleep)
+        if decision is not None:
+            cpu.psm.set_state(*decision)
 
     # ------------------------------------------------------------------
     # window bookkeeping
@@ -717,7 +705,8 @@ class SchemeContext:
     def poll_stream(self, stream: Stream, buffered: Optional[BufferedApp] = None):
         """One stream's poll loop: wait for each sample, read, run ops.
 
-        The MCU reads and decodes, then runs the plan's
+        While the stream waits the MCU naps if the nap rule decides so,
+        and the poll brings it back up.  The MCU reads and decodes, then runs the plan's
         :meth:`~SchemePlan.sample_ops`; under main-board polling the CPU
         blocks on the read and delivers the sample itself.  A stream of
         a ``buffered`` app registers each sample into the app's window
@@ -740,6 +729,8 @@ class SchemeContext:
         observing = obs.enabled
         span = obs.span
         sim = hub.sim
+        mcu = hub.mcu
+        nap = self.nap
         key = stream.key
         for window_index in range(self.scenario.windows):
             window_start = window_index * stream.window_s
@@ -747,11 +738,13 @@ class SchemeContext:
                 target = window_start + k / stream.rate_hz
                 now = sim.now
                 if target > now:
-                    if mcu_polls:
-                        self.mcu_rest(key, target)
+                    if mcu_polls and nap.wait(
+                        key, target, now, mcu.psm.state == McuState.IDLE
+                    ) is not None:
+                        mcu.enter_sleep(Routine.DATA_COLLECTION)
                     yield Delay(target - now)
-                if mcu_polls:
-                    self.mcu_wake()
+                if mcu_polls and mcu.psm.state == McuState.SLEEP:
+                    mcu.set_idle(Routine.DATA_COLLECTION)  # up for the poll
                 if observing:
                     t0 = sim.now
                 sample = yield from read(hub, device)
@@ -784,7 +777,7 @@ class SchemeContext:
                         window = self.window_state(app, window_index).window
                         handoff = handoff._replace(data=app.compute(window))
                     yield from run_ops(hub, chain, handoff)
-        self._mcu_next_polls.pop(key, None)
+        nap.finish(key)
 
     # ------------------------------------------------------------------
     # CPU-side processes

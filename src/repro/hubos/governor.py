@@ -1,9 +1,16 @@
-"""The race-to-sleep governor (§III-A).
+"""The hub's two race-to-sleep rules (§III-A), each stated once.
 
-The paper's rule: sleeping only pays off if the idle gap exceeds the
-break-even time (wake energy divided by the idle-vs-sleep power delta).
-The governor additionally knows when the CPU has *no* upcoming work at
-all and may power-gate into deep sleep (idle hub; fully offloaded apps).
+:class:`CpuGovernor` picks the main board's rest state.  The paper's
+rule: sleeping only pays off if the idle gap exceeds the break-even time
+(wake energy divided by the idle-vs-sleep power delta).  The governor
+additionally knows when the CPU has *no* upcoming work at all and may
+power-gate into deep sleep (idle hub; fully offloaded apps).
+:class:`McuNapRule` lets the MCU board light-sleep between sparse polls.
+
+Both rules only decide.  The event simulation applies a decision as a
+power-state transition and the analytic scan as schedule entries, each
+from its own view of whether the component is idle or asleep, so the two
+tiers take identical decisions.
 
 Figure 5 falls out of this logic: in Baseline the 1 ms sample gaps are
 below break-even, so the CPU never sleeps; in Batching the gap is the
@@ -13,10 +20,10 @@ whole sensing window, so it does.
 from __future__ import annotations
 
 import bisect
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from ..calibration import CpuCalibration
-from ..hw.cpu import Cpu, CpuState
+from ..calibration import CpuCalibration, McuCalibration
+from ..hw.cpu import CpuState
 from ..hw.power import Routine
 
 
@@ -68,72 +75,87 @@ def _deep_break_even_s(cal: CpuCalibration) -> float:
     return deep_wake_energy / delta
 
 
-def rest_state(
-    cal: CpuCalibration,
-    expected_idle_s: Optional[float],
-    wait_routine: str,
-    allow_deep: bool,
-) -> Tuple[str, str]:
-    """The best rest state for an idle CPU: ``(CpuState, routine)``.
+class CpuGovernor:
+    """Chooses the rest state of an idle CPU between bursts of work.
 
-    ``expected_idle_s`` of ``None`` means no work is scheduled at all:
-    the CPU power-gates (charged to the idle routine) when ``allow_deep``,
-    else it sleeps shallowly.  Otherwise it sleeps only past the
-    break-even gap, deeply only past the deep-sleep break-even too, and
-    stays awake below it.  Pure, so the event simulation and the
-    analytic tier take identical decisions.
+    ``work_times`` are the instants the plan expects CPU work (see
+    :class:`CpuRestPolicy`); ``None`` means an ungoverned plan, whose
+    CPU stays awake once up (the paper's baseline "is in active mode all
+    the time", Fig. 5a).  ``routine`` is what the rest is charged to and
+    ``allow_deep`` whether the CPU may power-gate.
     """
-    if expected_idle_s is None:
-        if allow_deep:
-            return CpuState.DEEP_SLEEP, Routine.IDLE
-        return CpuState.SLEEP, wait_routine
-    break_even = _break_even_s(cal)
-    if allow_deep and expected_idle_s > max(
-        break_even, _deep_break_even_s(cal)
-    ):
-        return CpuState.DEEP_SLEEP, wait_routine
-    if expected_idle_s > break_even:
-        return CpuState.SLEEP, wait_routine
-    return CpuState.IDLE, wait_routine
 
-
-class SleepGovernor:
-    """Chooses the CPU's rest state between bursts of work."""
-
-    def __init__(self, cpu: Cpu):
-        self.cpu = cpu
-        self.sleep_decisions = 0
-        self.deep_decisions = 0
-        self.stay_awake_decisions = 0
-
-    @property
-    def break_even_s(self) -> float:
-        """Minimum gap for which a shallow sleep saves energy."""
-        return _break_even_s(self.cpu.cal)
-
-    def rest(
+    def __init__(
         self,
-        expected_idle_s: Optional[float],
-        wait_routine: str = Routine.DATA_TRANSFER,
+        cal: CpuCalibration,
+        work_times: Optional[Sequence[float]],
+        routine: str = Routine.DATA_TRANSFER,
         allow_deep: bool = False,
-    ) -> None:
-        """Put the CPU in the best rest state for the expected gap.
+    ):
+        self.policy = None if work_times is None else CpuRestPolicy(work_times)
+        self.routine = routine
+        self.allow_deep = allow_deep
+        #: Minimum gap for which a shallow sleep saves energy, and for
+        #: which a deep one does.
+        self.break_even_s = _break_even_s(cal)
+        self.deep_break_even_s = max(self.break_even_s, _deep_break_even_s(cal))
 
-        ``expected_idle_s`` of ``None`` means no work is scheduled at all.
-        The decision is instantaneous (entering sleep is free; the cost is
-        paid on wake, per the calibration).
+    def rest(self, now: float, asleep: bool) -> Optional[Tuple[str, str]]:
+        """The ``(CpuState, routine)`` the idle CPU rests in at ``now``,
+        or ``None`` to leave it as it is.
+
+        Ungoverned, an awake CPU stays awake and a sleeping one is left
+        asleep.  Governed, with no work left the CPU power-gates
+        (charged to the idle routine) when ``allow_deep``, else it
+        sleeps shallowly; otherwise it sleeps only past the break-even
+        gap, deeply only past the deep-sleep break-even too, and stays
+        awake below it.  ``asleep`` is whether it sleeps now.
         """
-        if self.cpu.psm.state == "busy":
-            return
-        state, routine = rest_state(
-            self.cpu.cal, expected_idle_s, wait_routine, allow_deep
-        )
-        if state == CpuState.IDLE:
-            self.stay_awake_decisions += 1
-            self.cpu.set_idle(routine)
-        elif state == CpuState.DEEP_SLEEP:
-            self.deep_decisions += 1
-            self.cpu.enter_sleep(deep=True, routine=routine)
-        else:
-            self.sleep_decisions += 1
-            self.cpu.enter_sleep(deep=False, routine=routine)
+        policy = self.policy
+        if policy is None:
+            return None if asleep else (CpuState.IDLE, self.routine)
+        expected_idle_s = policy.expected_idle(now)
+        if expected_idle_s is None:
+            if self.allow_deep:
+                return CpuState.DEEP_SLEEP, Routine.IDLE
+            return CpuState.SLEEP, self.routine
+        if self.allow_deep and expected_idle_s > self.deep_break_even_s:
+            return CpuState.DEEP_SLEEP, self.routine
+        if expected_idle_s > self.break_even_s:
+            return CpuState.SLEEP, self.routine
+        return CpuState.IDLE, self.routine
+
+
+class McuNapRule:
+    """When the MCU board may light-sleep between its streams' polls.
+
+    ``next_polls`` holds each polling stream's next scheduled poll.  A
+    stream enters it the first time it waits and leaves it once it has
+    polled its last sample; a stream busy in a chain keeps its passed
+    target, which blocks every nap until it waits again.
+    """
+
+    def __init__(self, cal: McuCalibration):
+        self.threshold_s = cal.sleep_threshold_s
+        self.next_polls: Dict[Hashable, float] = {}
+
+    def wait(
+        self, stream: Hashable, target: float, now: float, idle: bool
+    ) -> Optional[float]:
+        """``stream`` waits from ``now`` for its poll at ``target``.
+
+        Returns the instant the MCU, ``idle`` now, wakes from the nap it
+        takes, the earliest next poll; ``None`` when it stays up.
+        """
+        next_polls = self.next_polls
+        next_polls[stream] = target
+        if not idle:
+            return None
+        upcoming = min(next_polls.values())
+        if upcoming - now > self.threshold_s:
+            return upcoming
+        return None
+
+    def finish(self, stream: Hashable) -> None:
+        """``stream`` has polled its last sample: it no longer waits."""
+        self.next_polls.pop(stream, None)

@@ -16,7 +16,7 @@ The modelled core is a single execution context guarded by a FIFO
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Dict, Generator, Optional
 
 from ..calibration import CpuCalibration
 from ..energy.ledger import PowerLedger
@@ -37,6 +37,28 @@ class CpuState:
     TRANSITION = "transition"
 
 
+def state_powers(cal: CpuCalibration) -> Dict[str, float]:
+    """Each CPU power state's draw, in watts."""
+    return {
+        CpuState.BUSY: cal.active_power_w,
+        CpuState.IDLE: cal.idle_power_w,
+        CpuState.SLEEP: cal.sleep_power_w,
+        CpuState.DEEP_SLEEP: cal.deep_sleep_power_w,
+        CpuState.TRANSITION: cal.transition_power_w,
+    }
+
+
+def wake_time_s(cal: CpuCalibration, state: str) -> float:
+    """Seconds the CPU takes to wake from sleep ``state``.
+
+    Shallow sleep wakes in 1.6 ms at 2.5 W (the paper's 4 mJ); deep
+    sleep pays the longer power-gated exit latency.
+    """
+    if state == CpuState.DEEP_SLEEP:
+        return cal.deep_transition_time_s
+    return cal.transition_time_s
+
+
 class Cpu:
     """Power/timing model of the hub's application processor."""
 
@@ -54,13 +76,7 @@ class Cpu:
             sim,
             recorder,
             component="cpu",
-            states={
-                CpuState.BUSY: cal.active_power_w,
-                CpuState.IDLE: cal.idle_power_w,
-                CpuState.SLEEP: cal.sleep_power_w,
-                CpuState.DEEP_SLEEP: cal.deep_sleep_power_w,
-                CpuState.TRANSITION: cal.transition_power_w,
-            },
+            states=state_powers(cal),
             initial_state=initial_state,
         )
         self.wake_count = 0
@@ -108,18 +124,10 @@ class Cpu:
         self.psm.set_state(after_state, after_routine or routine)
 
     def wake(self, routine: str) -> Generator:
-        """Transition from a sleep state to idle.
-
-        Shallow sleep wakes in 1.6 ms at 2.5 W (the paper's 4 mJ); deep
-        sleep pays the longer power-gated exit latency.
-        """
+        """Transition from a sleep state to idle (see :func:`wake_time_s`)."""
         if not self.asleep:
             return
-        duration = (
-            self.cal.deep_transition_time_s
-            if self.psm.state == CpuState.DEEP_SLEEP
-            else self.cal.transition_time_s
-        )
+        duration = wake_time_s(self.cal, self.psm.state)
         self.wake_count += 1
         self.psm.set_state(CpuState.TRANSITION, routine)
         yield Delay(duration)
@@ -135,7 +143,3 @@ class Cpu:
             raise HardwareError("cannot sleep while busy")
         state = CpuState.DEEP_SLEEP if deep else CpuState.SLEEP
         self.psm.set_state(state, routine)
-
-    def set_idle(self, routine: str) -> None:
-        """Tag the CPU as awake-but-idle, waiting on ``routine``."""
-        self.psm.set_state(CpuState.IDLE, routine)

@@ -413,11 +413,6 @@ class ReproServer:
             await self._server.wait_closed()
             self._server = None
 
-    def request_shutdown(self) -> None:
-        """Flip the done flag; safe to call from signal handlers."""
-        if self._done is not None:
-            self._done.set()
-
     async def _watch_max_jobs(self) -> None:
         """Self-terminate after ``max_jobs`` finished jobs (test aid).
 

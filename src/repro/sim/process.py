@@ -14,7 +14,7 @@ once :attr:`Process.finished` is true.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Generator, List, Optional
 
 from ..errors import SimulationError
 
@@ -195,8 +195,3 @@ class Process:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "finished" if self.finished else "running"
         return f"<Process {self.name} {state}>"
-
-
-def all_finished(processes: Tuple[Process, ...]) -> bool:
-    """True when every process in the tuple has completed."""
-    return all(process.finished for process in processes)

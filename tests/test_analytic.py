@@ -34,6 +34,7 @@ from repro.core.cache import DiskResultCache
 from repro.core.schemes.base import execute_scenario
 from repro.energy.ledger import CycleTally, integrate
 from repro.errors import ReproError, SensorError
+from repro.hubos import CpuGovernor, McuNapRule
 from repro.obs import TraceRecorder
 
 SCHEMES = ("baseline", "polling", "com", "batching", "beam", "bcom")
@@ -189,6 +190,54 @@ def test_full_scan_flushes_each_window_and_equals_des(monkeypatch):
     assert any(
         watermark < k for k, (watermark, _, _) in enumerate(flushes, 1)
     )
+
+
+#: A3 alone, whose first reads overlap, under every scheme; two mixes of
+#: several streams, where the tiers' views of an idle MCU disagree.
+GOVERNOR_CASES = [(("A3",), scheme) for scheme in SCHEMES] + [
+    (apps, scheme)
+    for apps in (("A2", "A4", "A5"), ("A4", "A5"))
+    for scheme in ("baseline", "batching", "beam", "bcom")
+]
+
+
+@pytest.mark.parametrize("windows", [1, 3])
+@pytest.mark.parametrize(
+    "apps, scheme", GOVERNOR_CASES,
+    ids=["+".join(apps) + "-" + scheme for apps, scheme in GOVERNOR_CASES],
+)
+def test_both_tiers_take_the_same_sleep_decisions(
+    monkeypatch, apps, scheme, windows
+):
+    """The DES and the full scan hold one CPU governor and one MCU nap
+    rule, and each feeds them its own view of the hardware: the DES its
+    power-state machines, the scan its last emitted schedule entries.
+    Those views may differ (A4+A5 under baseline disagrees on whether
+    the MCU is idle at 426 of its 2,432 nap checks), but the decisions,
+    in order, may not: the CPU's rests ``(t, decision)`` and the MCU's
+    naps ``(t, target, wake)``."""
+    decisions = []
+    rest, wait = CpuGovernor.rest, McuNapRule.wait
+
+    def recorded_rest(governor, now, asleep):
+        decision = rest(governor, now, asleep)
+        decisions[-1][0].append((now, decision))
+        return decision
+
+    def recorded_wait(rule, stream, target, now, idle):
+        wake = wait(rule, stream, target, now, idle)
+        decisions[-1][1].append((now, target, wake))
+        return wake
+
+    monkeypatch.setattr(CpuGovernor, "rest", recorded_rest)
+    monkeypatch.setattr(McuNapRule, "wait", recorded_wait)
+    scenario = Scenario.of(list(apps), scheme=scheme, windows=windows)
+    for run in (execute_scenario, full_scan):
+        decisions.append(([], []))
+        run(scenario)
+    (des_rests, des_naps), (scan_rests, scan_naps) = decisions
+    assert des_rests and scan_rests == des_rests
+    assert scan_naps == des_naps
 
 
 def assert_bit_identical(ana, des):
@@ -523,11 +572,12 @@ def test_extrapolation_gate():
 
 
 def test_unsupported_gates():
-    """The two scenario kinds once outside the analytic envelope,
-    failure injection and partial batches, scan to the DES bit for bit
-    but are never extrapolated: failed checks follow the read count and
-    partial batches the whole horizon's sample count, so neither repeats
-    per window."""
+    """The two scenario kinds once outside the analytic envelope.
+    Failure injection scans to the DES bit for bit but is never
+    extrapolated: failed checks follow the read count, so they do not
+    repeat per window.  Partial batches repeat per window, since the
+    buffer drains and the governor counts afresh at every window edge,
+    so they extrapolate within the band."""
     gate = model._extrapolation_gate
     failure = Scenario.of(
         ["A2"], scheme="baseline", windows=model.MIN_WINDOWS,
@@ -538,16 +588,33 @@ def test_unsupported_gates():
     )
     assert gate(failure) == "failure_injection"
     assert gate(replace(failure, sensor_failure_rates={"S4": 0.0})) is None
-    assert gate(partial) == "partial_batches"
-    for scenario, reason in ((failure, "failure_injection"),
-                             (partial, "partial_batches")):
-        recorder = TraceRecorder()
-        result = analytic_scenario_result(scenario, obs=recorder)
-        assert result.fidelity == "analytic"
-        assert recorder.counters == {
-            f"analytic.extrapolation.fallback.{reason}": 1
-        }
-        assert_bit_identical(result, execute_scenario(scenario))
+    assert gate(partial) is None
+    recorder = TraceRecorder()
+    result = analytic_scenario_result(failure, obs=recorder)
+    assert result.fidelity == "analytic"
+    assert recorder.counters == {
+        "analytic.extrapolation.fallback.failure_injection": 1
+    }
+    assert_bit_identical(result, execute_scenario(failure))
+    recorder = TraceRecorder()
+    result = analytic_scenario_result(partial, obs=recorder)
+    assert recorder.counters == {"analytic.cycles_skipped": 1}
+    assert_results_match(result, execute_scenario(partial))
+
+
+def test_partial_batches_extrapolate_onto_the_des():
+    """A4 batching at ``batch_size=128`` over 10 windows: the governor
+    expects each window's partial batches from that window's first
+    sample, as the buffer ships them, so the cycles repeat."""
+    scenario = Scenario.of(["A4"], scheme="batching", windows=10,
+                           batch_size=128)
+    recorder = TraceRecorder()
+    result = analytic_scenario_result(scenario, obs=recorder)
+    des = execute_scenario(scenario)
+    assert recorder.counters == {"analytic.cycles_skipped": 4}
+    assert des.cpu_wake_count == result.cpu_wake_count == 180
+    assert des.energy.total_j == pytest.approx(40.133, abs=5e-4)
+    assert_results_match(result, des)
 
 
 def test_failure_injection_is_never_extrapolated():
@@ -733,6 +800,20 @@ def test_both_tiers_reject_an_invalid_failure_rate(fidelity, rate):
                 ["A2"], scheme="baseline", sensor_failure_rates={"S4": rate}
             ))
         assert engine.metrics.analytic_evals == engine.metrics.scenarios_run == 0
+
+
+@pytest.mark.parametrize("fidelity", FIDELITIES)
+def test_both_tiers_reject_a_failure_rate_set_after_build(fidelity):
+    """``Scenario`` checks its rates when built, but a rate set later
+    reaches the tiers: each checks its sensors' rates where it reads
+    them (the analytic tier used to answer 5.6409 J here)."""
+    scenario = Scenario.of(["A2"], scheme="baseline")
+    scenario.sensor_failure_rates["S4"] = 1.0
+    with ScenarioEngine(fidelity=fidelity) as engine:
+        with pytest.raises(
+            SensorError, match=r"^failure rate must be in \[0, 1\), got 1.0$"
+        ):
+            engine.run(scenario)
 
 
 def test_fidelity_tiers_never_collide_in_cache(tmp_path):

@@ -117,7 +117,7 @@ def test_fingerprint_payload_bytes_are_pinned():
     # Every cache entry is keyed by this digest: a payload that gains,
     # loses or reorders a byte must bump FINGERPRINT_VERSION and re-pin.
     assert scenario_fingerprint(Scenario.of(["A2"], scheme=Scheme.BATCHING)) == (
-        "1193547d143467c2fad26b706178d09617d3f972f2020cd51866d03a890808bf"
+        "11bc4e8b51827d0f95c8bbe36749adcd0c461b39e839109359ff25c34887bf08"
     )
 
 

@@ -1,22 +1,36 @@
-"""Unit tests for the hub OS layer: governor, IRQ service, transfers."""
+"""Unit tests for the hub OS layer: the CPU governor and the MCU nap
+rule, IRQ service, transfers."""
 
 import pytest
 
 from repro.apps import create_app, light_weight_ids
 from repro.calibration import default_calibration
-from repro.energy import PowerLedger
-from repro.hubos import CpuRestPolicy, SleepGovernor, characterize_apps, cpu_transfer
+from repro.core import Scenario
+from repro.core.schemes.base import build_context, execute_scenario
+from repro.hubos import (
+    CpuGovernor,
+    CpuRestPolicy,
+    McuNapRule,
+    characterize_apps,
+    cpu_transfer,
+)
 from repro.hubos.interrupts import service_interrupt
 from repro.hubos.transfer import cpu_transfer_time
 from repro.hw import IoTHub
-from repro.hw.cpu import Cpu, CpuState
-from repro.sim import Simulator
+from repro.hw.cpu import CpuState
+from repro.hw.mcu import McuState
+from repro.hw.power import Routine
+
+CPU_CAL = default_calibration().cpu
 
 
-def make_cpu(state=CpuState.IDLE):
-    sim = Simulator()
-    recorder = PowerLedger()
-    return Cpu(sim, recorder, default_calibration().cpu, state)
+def rest_after(gap_s, allow_deep=False):
+    """The governor's rest decision for an awake CPU ``gap_s`` before its
+    next work (``None``: no work left)."""
+    work_times = [] if gap_s is None else [gap_s]
+    return CpuGovernor(CPU_CAL, work_times, allow_deep=allow_deep).rest(
+        0.0, asleep=False
+    )
 
 
 # ----------------------------------------------------------------------
@@ -39,67 +53,128 @@ def test_policy_sorts_input():
 # governor decisions
 # ----------------------------------------------------------------------
 def test_governor_stays_awake_for_short_gaps():
-    cpu = make_cpu()
-    governor = SleepGovernor(cpu)
-    governor.rest(expected_idle_s=0.0007)  # baseline's 1 kHz gap
-    assert cpu.psm.state == CpuState.IDLE
-    assert governor.stay_awake_decisions == 1
+    # baseline's 1 kHz gap
+    assert rest_after(0.0007) == (CpuState.IDLE, Routine.DATA_TRANSFER)
 
 
 def test_governor_sleeps_for_long_gaps():
-    cpu = make_cpu()
-    governor = SleepGovernor(cpu)
-    governor.rest(expected_idle_s=0.9)  # batching's window-length gap
-    assert cpu.psm.state == CpuState.SLEEP
-    assert governor.sleep_decisions == 1
+    # batching's window-length gap
+    assert rest_after(0.9) == (CpuState.SLEEP, Routine.DATA_TRANSFER)
 
 
 def test_governor_break_even_boundary():
-    cpu = make_cpu()
-    governor = SleepGovernor(cpu)
-    edge = governor.break_even_s
-    governor.rest(expected_idle_s=edge * 0.99)
-    assert cpu.psm.state == CpuState.IDLE
-    governor.rest(expected_idle_s=edge * 1.01)
-    assert cpu.psm.state == CpuState.SLEEP
+    edge = CpuGovernor(CPU_CAL, []).break_even_s
+    assert rest_after(edge * 0.99)[0] == CpuState.IDLE
+    assert rest_after(edge * 1.01)[0] == CpuState.SLEEP
 
 
 def test_governor_break_even_close_to_paper():
-    governor = SleepGovernor(make_cpu())
     # The paper derives 1.14 ms; with the awake-idle power the gap is
     # 4 mJ / (4.5 - 1.5) W = 1.33 ms.
+    governor = CpuGovernor(CPU_CAL, [])
     assert governor.break_even_s == pytest.approx(1.33e-3, rel=0.01)
 
 
 def test_governor_deep_sleep_when_no_work_and_allowed():
-    cpu = make_cpu()
-    governor = SleepGovernor(cpu)
-    governor.rest(expected_idle_s=None, allow_deep=True)
-    assert cpu.psm.state == CpuState.DEEP_SLEEP
+    # With nothing left to do, the power-gated rest is the hub's idle.
+    assert rest_after(None, allow_deep=True) == (
+        CpuState.DEEP_SLEEP, Routine.IDLE
+    )
 
 
 def test_governor_shallow_sleep_when_no_work_not_allowed_deep():
-    cpu = make_cpu()
-    SleepGovernor(cpu).rest(expected_idle_s=None, allow_deep=False)
-    assert cpu.psm.state == CpuState.SLEEP
+    assert rest_after(None) == (CpuState.SLEEP, Routine.DATA_TRANSFER)
 
 
 def test_governor_deep_sleep_for_long_gaps_when_allowed():
-    cpu = make_cpu()
-    governor = SleepGovernor(cpu)
-    governor.rest(expected_idle_s=1.0, allow_deep=True)
-    assert cpu.psm.state == CpuState.DEEP_SLEEP
+    assert rest_after(1.0, allow_deep=True)[0] == CpuState.DEEP_SLEEP
     # Short gaps still avoid deep sleep even when allowed.
-    cpu2 = make_cpu()
-    SleepGovernor(cpu2).rest(expected_idle_s=0.01, allow_deep=True)
-    assert cpu2.psm.state == CpuState.SLEEP
+    assert rest_after(0.01, allow_deep=True)[0] == CpuState.SLEEP
 
 
 def test_governor_never_disturbs_busy_cpu():
-    cpu = make_cpu()
+    ctx = build_context(Scenario.of(["A2"], scheme="batching"))
+    cpu = ctx.hub.cpu
     cpu.psm.set_state(CpuState.BUSY)
-    SleepGovernor(cpu).rest(expected_idle_s=5.0)
+    ctx.rest()
     assert cpu.psm.state == CpuState.BUSY
+
+
+def test_ungoverned_cpu_stays_awake_once_up():
+    governor = CpuGovernor(CPU_CAL, None, routine=Routine.IDLE)
+    assert governor.rest(5.0, asleep=False) == (CpuState.IDLE, Routine.IDLE)
+    assert governor.rest(5.0, asleep=True) is None
+
+
+# ----------------------------------------------------------------------
+# the MCU nap rule
+# ----------------------------------------------------------------------
+MCU_CAL = default_calibration().mcu
+
+
+def test_nap_rule_naps_until_the_earliest_poll():
+    nap = McuNapRule(MCU_CAL)
+    assert nap.wait("S1@A3", 0.0375, 0.0188, idle=True) == 0.0375
+    # A second stream's later poll does not move the wake.
+    assert nap.wait("S2@A4", 0.5, 0.02, idle=True) == 0.0375
+
+
+def test_nap_rule_keeps_a_busy_mcu_up_but_learns_the_poll():
+    nap = McuNapRule(MCU_CAL)
+    assert nap.wait("S1@A3", 0.0375, 0.0188, idle=False) is None
+    assert nap.next_polls == {"S1@A3": 0.0375}
+
+
+def test_nap_rule_stays_up_below_the_threshold():
+    nap = McuNapRule(MCU_CAL)
+    near = MCU_CAL.sleep_threshold_s
+    assert nap.wait("S1@A3", near, 0.0, idle=True) is None
+    assert nap.wait("S1@A3", 2 * near, 0.0, idle=True) == 2 * near
+
+
+def test_nap_rule_stale_past_target_blocks_a_nap():
+    nap = McuNapRule(MCU_CAL)
+    nap.wait("S1@A3", 0.010, 0.0, idle=True)
+    # S1 polled at 10 ms and is still in its chain at 18.8 ms: its
+    # passed target keeps the MCU up for S2's far-off poll.
+    assert nap.wait("S2@A4", 0.5, 0.0188, idle=True) is None
+
+
+def test_nap_rule_knows_a_stream_only_once_it_waits():
+    """The mechanism of the known wrong number (ROADMAP item 2): a
+    stream still in its first read has never waited, so it is absent
+    from the table and cannot keep the MCU up."""
+    nap = McuNapRule(MCU_CAL)
+    assert nap.wait("S2@A3", 0.0375, 0.0188, idle=True) == 0.0375
+    assert "S1@A3" not in nap.next_polls
+
+
+def test_nap_rule_forgets_a_finished_stream():
+    nap = McuNapRule(MCU_CAL)
+    nap.wait("S1@A3", 0.010, 0.0, idle=True)
+    nap.finish("S1@A3")
+    assert "S1@A3" not in nap.next_polls
+    assert nap.wait("S2@A4", 0.5, 0.0188, idle=True) == 0.5
+    nap.finish("S1@A3")  # finishing twice is harmless
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: the MCU naps while another stream's first "
+    "rail read is in flight; registering every stream in the nap rule "
+    "at spawn fixes it",
+)
+def test_mcu_never_turns_busy_straight_from_a_nap():
+    """A3 alone under batching, one window: the MCU naps at 18.80 ms
+    while S1 reads until 37.5 ms, then turns busy with no wake."""
+    result = execute_scenario(Scenario.of(["A3"], scheme="batching"))
+    changes = result.hub.recorder.timeline("mcu").changes
+    jumps = [
+        (before[0], after[0])
+        for before, after in zip(changes, changes[1:])
+        if before[1] == McuState.SLEEP and after[1] == McuState.BUSY
+    ]
+    assert jumps == []
 
 
 # ----------------------------------------------------------------------
