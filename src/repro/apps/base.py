@@ -15,16 +15,18 @@ An :class:`IoTApp` bundles two things:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 from ..calibration import Calibration, default_calibration
 from ..errors import SensorError, WorkloadError
 from ..sensors.base import SensorSample
 from ..sensors.specs import get_spec
-from ..sensors.synthetic import Waveform
 from ..units import kib
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from ..sensors.synthetic import Waveform
 
 
 @dataclass(frozen=True)
@@ -214,6 +216,8 @@ class SampleWindow:
 
     def values(self, sensor_id: str) -> np.ndarray:
         """Sample values stacked into an array (rows = samples)."""
+        import numpy as np
+
         samples = self.samples(sensor_id)
         if not samples:
             return np.empty((0,))
@@ -221,6 +225,8 @@ class SampleWindow:
 
     def scalar_series(self, sensor_id: str) -> np.ndarray:
         """First channel of each sample as a 1-D series."""
+        import numpy as np
+
         values = self.values(sensor_id)
         if values.size == 0:
             return np.empty(0)
@@ -228,6 +234,8 @@ class SampleWindow:
 
     def times(self, sensor_id: str) -> np.ndarray:
         """Acquisition timestamps of one sensor's samples."""
+        import numpy as np
+
         return np.array([sample.time for sample in self.samples(sensor_id)])
 
 

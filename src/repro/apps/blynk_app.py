@@ -7,8 +7,6 @@ client's acknowledgements.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..protocols import (
     decode_stream,
     encode_frame,
@@ -50,6 +48,8 @@ class BlynkApp(IoTApp):
 
     def compute(self, window: SampleWindow) -> AppResult:
         """Summarize each stream into a Blynk virtual-write frame."""
+        import numpy as np
+
         frames = []
         for sensor_id, pin in PIN_MAP.items():
             series = window.scalar_series(sensor_id)

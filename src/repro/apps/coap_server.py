@@ -7,8 +7,6 @@ the in-house RFC 7252 codec.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..protocols import CoapCode, CoapMessage, decode_message, dumps, encode_message
 from ..protocols.coap_block import BlockwiseServer, fetch_blockwise
 from ..units import kib
@@ -45,6 +43,8 @@ class CoapServerApp(IoTApp):
 
     def compute(self, window: SampleWindow) -> AppResult:
         """Publish light/sound summaries and serve the pending GETs."""
+        import numpy as np
+
         light = window.scalar_series("S7")
         sound = window.scalar_series("S8")
         self.server.publish(

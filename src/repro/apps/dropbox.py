@@ -7,8 +7,6 @@ only changed chunks are uploaded, exactly like the real sync client.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..protocols import ChunkStore, compute_delta
 from ..units import kib
 from .base import AppProfile, AppResult, IoTApp, SampleWindow
@@ -55,6 +53,8 @@ class DropboxApp(IoTApp):
 
     def compute(self, window: SampleWindow) -> AppResult:
         """Append the window to the log and sync only the changed chunks."""
+        import numpy as np
+
         self._append_window(window)
         snapshot = bytes(self._log)
         delta = compute_delta(snapshot, self._store.signatures())

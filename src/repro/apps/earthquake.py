@@ -7,9 +7,7 @@ a public earthquake API (we build the request; the NIC model sends it).
 
 from __future__ import annotations
 
-from ..dsp import magnitude, sta_lta
 from ..protocols import dumps
-from ..sensors.accelerometer import GRAVITY
 from ..units import kib
 from .base import AppProfile, AppResult, IoTApp, SampleWindow
 
@@ -43,6 +41,9 @@ class EarthquakeApp(IoTApp):
 
     def compute(self, window: SampleWindow) -> AppResult:
         """Run STA/LTA tremor detection over the accelerometer window."""
+        from ..dsp import magnitude, sta_lta
+        from ..sensors.accelerometer import GRAVITY
+
         vectors = window.values("S4")
         shaking = magnitude(vectors) - GRAVITY
         ratio = sta_lta(shaking, STA_SAMPLES, LTA_SAMPLES)

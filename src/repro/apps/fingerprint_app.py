@@ -8,13 +8,14 @@ sensor's per-scan jitter), otherwise it can be enrolled as a new identity.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..errors import WorkloadError
 from ..units import kib
 from .base import AppProfile, AppResult, IoTApp, SampleWindow
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PROFILE = AppProfile(
     table2_id="A10",

@@ -8,7 +8,6 @@ arrhythmia.  This is the heaviest *offloadable* computation in Fig. 6
 
 from __future__ import annotations
 
-from ..dsp import adaptive_threshold, find_peaks, moving_average, rmssd, rr_intervals
 from ..units import kib
 from .base import AppProfile, AppResult, IoTApp, SampleWindow
 
@@ -46,6 +45,14 @@ class HeartbeatApp(IoTApp):
 
     def compute(self, window: SampleWindow) -> AppResult:
         """Detect beats in the ECG window and score rhythm regularity."""
+        from ..dsp import (
+            adaptive_threshold,
+            find_peaks,
+            moving_average,
+            rmssd,
+            rr_intervals,
+        )
+
         series = window.scalar_series("S6")
         rate = self.profile.rate_hz("S6")
         smoothed = moving_average(series, SMOOTHING_SAMPLES)

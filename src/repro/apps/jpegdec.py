@@ -8,13 +8,16 @@ the paper cites [59, 60].  One frame per window (Table II: 1 interrupt,
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-from ..dsp import blockwise_idct, dequantize
 from ..errors import WorkloadError
-from ..sensors.camera import EncodedFrame
 from ..units import kib
 from .base import AppProfile, AppResult, IoTApp, SampleWindow
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from ..sensors.camera import EncodedFrame
 
 PROFILE = AppProfile(
     table2_id="A9",
@@ -33,6 +36,9 @@ PROFILE = AppProfile(
 def decode_frame_pixels(frame: EncodedFrame) -> np.ndarray:
     """Full decode of one frame: parse the entropy-coded bitstream, then
     dequantize and run the blockwise inverse DCT."""
+    import numpy as np
+
+    from ..dsp import blockwise_idct, dequantize
     from ..dsp.rle import decode_plane
 
     levels = decode_plane(frame.to_bytes())

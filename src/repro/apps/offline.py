@@ -7,11 +7,13 @@ executor would deliver, minus the hardware timing.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from ..sensors.base import SensorSample, default_waveform
-from ..sensors.synthetic import Waveform
 from .base import IoTApp, SampleWindow
+
+if TYPE_CHECKING:
+    from ..sensors.synthetic import Waveform
 
 
 def collect_window(

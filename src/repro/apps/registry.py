@@ -5,37 +5,58 @@ from __future__ import annotations
 from typing import Callable, Dict, List
 
 from ..errors import WorkloadError
-from .arduinojson import ArduinoJsonApp
-from .base import IoTApp
-from .blynk_app import BlynkApp
-from .coap_server import CoapServerApp
-from .dropbox import DropboxApp
-from .earthquake import EarthquakeApp
-from .fingerprint_app import FingerprintApp
-from .heartbeat import HeartbeatApp
-from .jpegdec import JpegDecoderApp
-from .m2x import M2XApp
-from .speech2text import SpeechToTextApp
-from .stepcounter import StepCounterApp
+from . import (
+    arduinojson,
+    blynk_app,
+    coap_server,
+    dropbox,
+    earthquake,
+    fingerprint_app,
+    heartbeat,
+    jpegdec,
+    m2x,
+    speech2text,
+    stepcounter,
+)
+from .base import AppProfile, IoTApp
 
 #: Constructor per Table II id, in table order.
 APP_FACTORIES: Dict[str, Callable[[], IoTApp]] = {
-    "A1": CoapServerApp,
-    "A2": StepCounterApp,
-    "A3": ArduinoJsonApp,
-    "A4": M2XApp,
-    "A5": BlynkApp,
-    "A6": DropboxApp,
-    "A7": EarthquakeApp,
-    "A8": HeartbeatApp,
-    "A9": JpegDecoderApp,
-    "A10": FingerprintApp,
-    "A11": SpeechToTextApp,
+    "A1": coap_server.CoapServerApp,
+    "A2": stepcounter.StepCounterApp,
+    "A3": arduinojson.ArduinoJsonApp,
+    "A4": m2x.M2XApp,
+    "A5": blynk_app.BlynkApp,
+    "A6": dropbox.DropboxApp,
+    "A7": earthquake.EarthquakeApp,
+    "A8": heartbeat.HeartbeatApp,
+    "A9": jpegdec.JpegDecoderApp,
+    "A10": fingerprint_app.FingerprintApp,
+    "A11": speech2text.SpeechToTextApp,
+}
+
+#: Profile per Table II id, each app module's ``PROFILE``: lookups by
+#: name and weight read these, so they construct no app.
+APP_PROFILES: Dict[str, AppProfile] = {
+    profile.table2_id: profile
+    for profile in (
+        coap_server.PROFILE,
+        stepcounter.PROFILE,
+        arduinojson.PROFILE,
+        m2x.PROFILE,
+        blynk_app.PROFILE,
+        dropbox.PROFILE,
+        earthquake.PROFILE,
+        heartbeat.PROFILE,
+        jpegdec.PROFILE,
+        fingerprint_app.PROFILE,
+        speech2text.PROFILE,
+    )
 }
 
 #: Alternate lookup by machine name ("stepcounter", "m2x", ...).
 _BY_NAME: Dict[str, str] = {
-    factory().name: table2_id for table2_id, factory in APP_FACTORIES.items()
+    profile.name: table2_id for table2_id, profile in APP_PROFILES.items()
 }
 
 
@@ -51,8 +72,8 @@ def light_weight_ids() -> List[str]:
     """A1..A10 — offload candidates."""
     return [
         table2_id
-        for table2_id, factory in APP_FACTORIES.items()
-        if not factory().profile.heavy
+        for table2_id, profile in APP_PROFILES.items()
+        if not profile.heavy
     ]
 
 

@@ -12,15 +12,14 @@ case of Figure 12.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-import numpy as np
-
-from ..dsp import dtw_distance, mfcc
-from ..sensors.sound import VOCABULARY, synthesize_word
 from ..sensors.specs import A11_SOUND_SAMPLE_BYTES
 from ..units import MIB, kib
 from .base import AppProfile, AppResult, IoTApp, SampleWindow
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PROFILE = AppProfile(
     table2_id="A11",
@@ -52,6 +51,8 @@ VAD_LEVEL = 0.15
 
 
 def _frame_energies(signal: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     count = max(1, 1 + (len(signal) - FRAME_LENGTH) // HOP_LENGTH)
     energies = np.empty(count)
     for index in range(count):
@@ -91,13 +92,13 @@ class SpeechToTextApp(IoTApp):
     def __init__(self, sample_rate_hz: float = 1000.0):
         super().__init__(PROFILE)
         self.sample_rate_hz = sample_rate_hz
-        self._templates: Dict[str, np.ndarray] = {
-            word: self._features(synthesize_word(word, sample_rate_hz))
-            for word in VOCABULARY
-        }
+        #: Per-word MFCC templates, built by the first recognition.
+        self._templates: Optional[Dict[str, np.ndarray]] = None
         self.words_recognized = 0
 
     def _features(self, signal: np.ndarray) -> np.ndarray:
+        from ..dsp import mfcc
+
         return mfcc(
             signal,
             self.sample_rate_hz,
@@ -106,14 +107,28 @@ class SpeechToTextApp(IoTApp):
             num_filters=NUM_FILTERS,
         )
 
+    def _word_templates(self) -> Dict[str, np.ndarray]:
+        """The vocabulary's MFCC templates, synthesized on first use."""
+        if self._templates is None:
+            from ..sensors.sound import VOCABULARY, synthesize_word
+
+            self._templates = {
+                word: self._features(synthesize_word(word, self.sample_rate_hz))
+                for word in VOCABULARY
+            }
+        return self._templates
+
     def recognize(self, signal: np.ndarray) -> List[str]:
         """Decode a PCM window into a word list."""
+        from ..dsp import dtw_distance
+
+        templates = self._word_templates()
         words: List[str] = []
         for start, end in segment_utterances(signal):
             segment = signal[start:end]
             features = self._features(segment)
             best_word, best_cost = None, float("inf")
-            for word, template in self._templates.items():
+            for word, template in templates.items():
                 cost = dtw_distance(features, template)
                 if cost < best_cost:
                     best_word, best_cost = word, cost

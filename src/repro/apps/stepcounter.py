@@ -7,8 +7,6 @@ peaks at a plausible human cadence.
 
 from __future__ import annotations
 
-from ..dsp import adaptive_threshold, find_peaks, magnitude, moving_average
-from ..sensors.accelerometer import GRAVITY
 from ..units import kib
 from .base import AppProfile, AppResult, IoTApp, SampleWindow
 
@@ -41,6 +39,9 @@ class StepCounterApp(IoTApp):
 
     def compute(self, window: SampleWindow) -> AppResult:
         """Count steps as threshold-crossing peaks in the magnitude."""
+        from ..dsp import adaptive_threshold, find_peaks, magnitude, moving_average
+        from ..sensors.accelerometer import GRAVITY
+
         vectors = window.values("S4")
         series = magnitude(vectors) - GRAVITY
         smoothed = moving_average(series, SMOOTHING_SAMPLES)

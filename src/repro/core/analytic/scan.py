@@ -451,10 +451,7 @@ class _Cpu:
         if self.core_key > key:
             return  # another process holds the core: nothing to rest
         cpu = self.run.cpu
-        decision = self.governor.rest(t, cpu.state in SLEEP_STATES)
-        if decision is None:
-            return
-        state, routine = decision
+        state, routine = self.governor.rest(t)
         last = cpu.last()
         if last is not None:
             last_t, last_state, _, last_routine, _ = last

@@ -18,6 +18,10 @@ backend fixes both:
 
 The backend is deliberately dumb about *what* it runs: the engine hands
 it a picklable per-item function.  Results come back in item order.
+One exception: the engine dispatches only DES points, so under the fork
+start method the pool imports the DES's numeric stack
+(:func:`~repro.core.schemes.base.preload_des`) before its workers fork;
+they share it instead of each importing numpy at its first point.
 
 Workers forked from a long-lived service inherit its open sockets; a
 client connection the service closes would stay open in every worker,
@@ -104,6 +108,10 @@ class ProcessPoolBackend(ExecutionBackend):
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
             forked = multiprocessing.get_start_method() == "fork"
+            if forked:
+                from ..schemes.base import preload_des
+
+                preload_des()
             self._executor = ProcessPoolExecutor(
                 max_workers=self.max_workers,
                 initializer=_release_inherited_sockets if forked else None,

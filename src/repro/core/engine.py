@@ -434,8 +434,17 @@ class ScenarioEngine:
         ``repro serve``): the batch executes once and the key's waiters
         all receive its results.
         """
+        return self.fingerprints_key(
+            self.fingerprints(scenarios, fidelity=fidelity), fidelity
+        )
+
+    def fingerprints_key(
+        self, fingerprints: Sequence[str], fidelity: Optional[str] = None
+    ) -> str:
+        """:meth:`batch_key` of the batch whose :meth:`fingerprints` at
+        ``fidelity`` are ``fingerprints``, without computing them again."""
         resolved = self._resolve_fidelity(fidelity)
-        joined = "\n".join(self.fingerprints(scenarios, fidelity=resolved))
+        joined = "\n".join(fingerprints)
         if resolved != "des":
             # Prefixed only for the analytic tier so existing DES keys
             # (and any coalescing state keyed on them) are unchanged.

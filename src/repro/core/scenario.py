@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..apps.base import IoTApp
 from ..apps.registry import create_app
 from ..calibration import Calibration, default_calibration
 from ..errors import WorkloadError
 from ..sensors.base import validate_failure_rate
-from ..sensors.synthetic import Waveform
+
+if TYPE_CHECKING:
+    from ..sensors.synthetic import Waveform
 
 
 class Scheme:

@@ -27,6 +27,7 @@ simulation to completion and integrate the energy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from importlib import import_module
 from typing import ClassVar, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ...apps.base import AppResult, IoTApp, SampleWindow
@@ -639,12 +640,9 @@ class SchemeContext:
     def rest(self) -> None:
         """Put a CPU that is not busy in the rest state the governor
         decides."""
-        cpu = self.hub.cpu
-        if cpu.psm.state == CpuState.BUSY:
-            return
-        decision = self.governor.rest(self.hub.sim.now, cpu.asleep)
-        if decision is not None:
-            cpu.psm.set_state(*decision)
+        psm = self.hub.cpu.psm
+        if psm.state != CpuState.BUSY:
+            psm.set_state(*self.governor.rest(self.hub.sim.now))
 
     # ------------------------------------------------------------------
     # window bookkeeping
@@ -940,3 +938,28 @@ def execute_scenario(
     ctx.hub.run()
     end_time = max(ctx.hub.sim.now, scenario.horizon_s)
     return ctx.collect(end_time)
+
+
+#: What a DES run imports on first use: the DSP code the apps compute
+#: with and the default sensor waveforms, both built on numpy.  The
+#: analytic tier never loads them.
+DES_MODULES = (
+    "repro.dsp",
+    "repro.sensors.accelerometer",
+    "repro.sensors.camera",
+    "repro.sensors.environment",
+    "repro.sensors.fingerprint",
+    "repro.sensors.pulse",
+    "repro.sensors.sound",
+)
+
+
+def preload_des() -> None:
+    """Import :data:`DES_MODULES` now.
+
+    A process pool that forks its workers calls this first, so the
+    workers share these modules instead of each importing them at its
+    first DES point.
+    """
+    for name in DES_MODULES:
+        import_module(name)

@@ -9,7 +9,7 @@ power-gate into deep sleep (idle hub; fully offloaded apps).
 
 Both rules only decide.  The event simulation applies a decision as a
 power-state transition and the analytic scan as schedule entries, each
-from its own view of whether the component is idle or asleep, so the two
+from its own view of whether the component is busy or idle, so the two
 tiers take identical decisions.
 
 Figure 5 falls out of this logic: in Baseline the 1 ms sample gaps are
@@ -100,20 +100,19 @@ class CpuGovernor:
         self.break_even_s = _break_even_s(cal)
         self.deep_break_even_s = max(self.break_even_s, _deep_break_even_s(cal))
 
-    def rest(self, now: float, asleep: bool) -> Optional[Tuple[str, str]]:
-        """The ``(CpuState, routine)`` the idle CPU rests in at ``now``,
-        or ``None`` to leave it as it is.
+    def rest(self, now: float) -> Tuple[str, str]:
+        """The ``(CpuState, routine)`` the idle CPU rests in at ``now``.
 
-        Ungoverned, an awake CPU stays awake and a sleeping one is left
-        asleep.  Governed, with no work left the CPU power-gates
-        (charged to the idle routine) when ``allow_deep``, else it
-        sleeps shallowly; otherwise it sleeps only past the break-even
-        gap, deeply only past the deep-sleep break-even too, and stays
-        awake below it.  ``asleep`` is whether it sleeps now.
+        Ungoverned, the CPU stays awake: it starts idle and only a
+        governed plan ever puts it to sleep.  Governed, with no work
+        left the CPU power-gates (charged to the idle routine) when
+        ``allow_deep``, else it sleeps shallowly; otherwise it sleeps
+        only past the break-even gap, deeply only past the deep-sleep
+        break-even too, and stays awake below it.
         """
         policy = self.policy
         if policy is None:
-            return None if asleep else (CpuState.IDLE, self.routine)
+            return CpuState.IDLE, self.routine
         expected_idle_s = policy.expected_idle(now)
         if expected_idle_s is None:
             if self.allow_deep:

@@ -132,14 +132,3 @@ class Cpu:
         self.psm.set_state(CpuState.TRANSITION, routine)
         yield Delay(duration)
         self.psm.set_state(CpuState.IDLE, routine)
-
-    def enter_sleep(self, deep: bool, routine: str) -> None:
-        """Drop into (deep) sleep instantaneously.
-
-        The paper charges the whole 4 mJ transition cost on the wake path,
-        so entering sleep is free here.
-        """
-        if self.psm.state == CpuState.BUSY:
-            raise HardwareError("cannot sleep while busy")
-        state = CpuState.DEEP_SLEEP if deep else CpuState.SLEEP
-        self.psm.set_state(state, routine)

@@ -11,27 +11,19 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, Optional
+from functools import partial
+from importlib import import_module
+from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Optional
 
 from ..errors import SensorError
 from ..hw.board import IoTHub
 from ..hw.power import Routine
 from ..sim.process import Delay
 from ..sim.resources import Resource
-from .accelerometer import WalkingWaveform
-from .camera import CameraWaveform, HIGHRES_SHAPE
-from .environment import (
-    air_quality_waveform,
-    barometer_waveform,
-    distance_waveform,
-    light_waveform,
-    temperature_waveform,
-)
-from .fingerprint import FingerprintWaveform
-from .pulse import EcgWaveform
-from .sound import AmbientSoundWaveform
 from .specs import SensorSpec, get_spec
-from .synthetic import Waveform, pseudo_noise
+
+if TYPE_CHECKING:
+    from .synthetic import Waveform
 
 
 @dataclass(frozen=True)
@@ -50,20 +42,27 @@ class SensorSample:
     ok: bool = True
 
 
+def _construct(module: str, factory: str) -> Waveform:
+    """Call ``factory`` of the waveform module ``repro.sensors.<module>``,
+    importing the module (and numpy) on the first call."""
+    return getattr(import_module(f"{__package__}.{module}"), factory)()
+
+
 #: Default waveform per Table I sensor, used when a scenario does not
-#: inject its own.
+#: inject its own.  Each factory imports its waveform module when called,
+#: so only a sensor read loads the waveform code.
 DEFAULT_WAVEFORMS: Dict[str, Callable[[], Waveform]] = {
-    "S1": barometer_waveform,
-    "S2": temperature_waveform,
-    "S3": FingerprintWaveform,
-    "S4": WalkingWaveform,
-    "S5": air_quality_waveform,
-    "S6": EcgWaveform,
-    "S7": light_waveform,
-    "S8": AmbientSoundWaveform,
-    "S9": distance_waveform,
-    "S10": CameraWaveform,
-    "S10H": lambda: CameraWaveform(shape=HIGHRES_SHAPE),
+    "S1": partial(_construct, "environment", "barometer_waveform"),
+    "S2": partial(_construct, "environment", "temperature_waveform"),
+    "S3": partial(_construct, "fingerprint", "FingerprintWaveform"),
+    "S4": partial(_construct, "accelerometer", "WalkingWaveform"),
+    "S5": partial(_construct, "environment", "air_quality_waveform"),
+    "S6": partial(_construct, "pulse", "EcgWaveform"),
+    "S7": partial(_construct, "environment", "light_waveform"),
+    "S8": partial(_construct, "sound", "AmbientSoundWaveform"),
+    "S9": partial(_construct, "environment", "distance_waveform"),
+    "S10": partial(_construct, "camera", "CameraWaveform"),
+    "S10H": partial(_construct, "camera", "highres_camera_waveform"),
 }
 
 
@@ -88,6 +87,8 @@ def failed_check_count(sensor_id: str, failure_rate: float, read_count: int) -> 
     same failures.  ``MAX_RETRIES + 1`` means every check failed and the
     driver falls back to the last good value.
     """
+    from .synthetic import pseudo_noise
+
     # A stable digest, not hash(): str hashes are salted per process.
     seed = zlib.crc32(sensor_id.encode()) % 997
     for attempt in range(MAX_RETRIES + 1):

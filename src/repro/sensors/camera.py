@@ -105,3 +105,8 @@ class CameraWaveform(Waveform):
     def sample(self, time: float) -> np.ndarray:
         """Scalar view for the sampling pipeline: the current frame id."""
         return np.array([float(self.frame_id_at(time))])
+
+
+def highres_camera_waveform() -> CameraWaveform:
+    """The camera at its high-resolution frame size (sensor S10H)."""
+    return CameraWaveform(shape=HIGHRES_SHAPE)

@@ -5,8 +5,9 @@ single :class:`~repro.core.engine.ScenarioEngine` (and its persistent
 execution backend).  The :class:`JobManager` bridges the two worlds:
 
 * **Submission** (event loop) — a JSON spec is parsed into scenarios,
-  checked against the client's quota, keyed with the engine's
-  :meth:`~repro.core.engine.ScenarioEngine.batch_key`, and either
+  checked against the client's quota, fingerprinted once and keyed from
+  those fingerprints with the engine's
+  :meth:`~repro.core.engine.ScenarioEngine.fingerprints_key`, and either
   enqueued or *coalesced* onto an identical in-flight job.
 * **Execution** (one engine thread) — a scheduler task drains the queue
   and runs each job's scenarios through ``engine.run_batch`` in chunks,
@@ -363,7 +364,7 @@ class JobManager:
             fingerprints = self.engine.fingerprints(
                 scenarios, fidelity=fidelity
             )
-            key = self.engine.batch_key(scenarios, fidelity=fidelity)
+            key = self.engine.fingerprints_key(fingerprints, fidelity)
             job = Job(
                 id=f"j{self._next_id}",
                 client=client,

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-import numpy as np
-
 from ..apps.base import AppProfile, AppResult, IoTApp, SampleWindow
 from ..errors import WorkloadError
 from ..units import kib
@@ -26,6 +24,8 @@ class SyntheticApp(IoTApp):
 
     def compute(self, window: SampleWindow) -> AppResult:
         """Reduce every subscribed stream to min/mean/max statistics."""
+        import numpy as np
+
         stats: Dict[str, Dict[str, float]] = {}
         for sensor_id in self.profile.sensor_ids:
             series = window.scalar_series(sensor_id)

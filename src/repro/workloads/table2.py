@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ..apps.registry import APP_FACTORIES
+from ..apps.registry import APP_PROFILES
 from ..sensors.specs import TABLE_I
 from ..units import to_kib, to_ms, to_mw
 
@@ -36,8 +36,7 @@ def table2_rows() -> List[str]:
         f"{'Data(KB)':>9}{'#IRQs':>7}  Heavy"
     )
     rows = [header]
-    for table2_id, factory in APP_FACTORIES.items():
-        profile = factory().profile
+    for table2_id, profile in APP_PROFILES.items():
         rows.append(
             f"{table2_id:<5}{profile.title:<34}{profile.category:<26}"
             f"{', '.join(profile.sensor_ids):<22}"

@@ -219,8 +219,8 @@ def test_both_tiers_take_the_same_sleep_decisions(
     decisions = []
     rest, wait = CpuGovernor.rest, McuNapRule.wait
 
-    def recorded_rest(governor, now, asleep):
-        decision = rest(governor, now, asleep)
+    def recorded_rest(governor, now):
+        decision = rest(governor, now)
         decisions[-1][0].append((now, decision))
         return decision
 

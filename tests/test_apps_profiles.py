@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps import all_ids, create_app, light_weight_ids
+from repro.apps.registry import APP_PROFILES
 from repro.calibration import default_calibration
 from repro.errors import WorkloadError
 from repro.units import to_kib
@@ -46,6 +47,16 @@ def test_sensor_data_matches_table2(table2_id):
 def test_create_app_by_machine_name():
     assert create_app("stepcounter").table2_id == "A2"
     assert create_app("m2x").table2_id == "A4"
+
+
+def test_registered_profiles_are_the_apps_own():
+    """Name and weight lookups read ``APP_PROFILES``; each entry is the
+    profile its app is built with, under its own id."""
+    assert list(APP_PROFILES) == all_ids()
+    for table2_id, profile in APP_PROFILES.items():
+        app = create_app(table2_id)
+        assert app.profile is profile
+        assert create_app(profile.name).table2_id == table2_id
 
 
 def test_create_app_rejects_unknown():

@@ -28,9 +28,7 @@ def rest_after(gap_s, allow_deep=False):
     """The governor's rest decision for an awake CPU ``gap_s`` before its
     next work (``None``: no work left)."""
     work_times = [] if gap_s is None else [gap_s]
-    return CpuGovernor(CPU_CAL, work_times, allow_deep=allow_deep).rest(
-        0.0, asleep=False
-    )
+    return CpuGovernor(CPU_CAL, work_times, allow_deep=allow_deep).rest(0.0)
 
 
 # ----------------------------------------------------------------------
@@ -102,8 +100,7 @@ def test_governor_never_disturbs_busy_cpu():
 
 def test_ungoverned_cpu_stays_awake_once_up():
     governor = CpuGovernor(CPU_CAL, None, routine=Routine.IDLE)
-    assert governor.rest(5.0, asleep=False) == (CpuState.IDLE, Routine.IDLE)
-    assert governor.rest(5.0, asleep=True) is None
+    assert governor.rest(5.0) == (CpuState.IDLE, Routine.IDLE)
 
 
 # ----------------------------------------------------------------------
@@ -182,7 +179,7 @@ def test_mcu_never_turns_busy_straight_from_a_nap():
 # ----------------------------------------------------------------------
 def test_service_interrupt_wakes_sleeping_cpu():
     hub = IoTHub()
-    hub.cpu.enter_sleep(deep=False, routine="idle")
+    hub.cpu.psm.set_state(CpuState.SLEEP, Routine.IDLE)
 
     def handler():
         yield from service_interrupt(hub)

@@ -121,14 +121,6 @@ def test_cpu_wake_when_awake_is_noop(rig):
     assert cpu.wake_count == 0
 
 
-def test_cpu_cannot_sleep_while_busy(rig):
-    sim, recorder = rig
-    cpu = Cpu(sim, recorder, default_calibration().cpu, CpuState.IDLE)
-    cpu.psm.set_state(CpuState.BUSY)
-    with pytest.raises(HardwareError):
-        cpu.enter_sleep(deep=False, routine=Routine.IDLE)
-
-
 def test_cpu_compute_time_from_instructions():
     sim = Simulator()
     cpu = Cpu(sim, PowerLedger(), default_calibration().cpu, CpuState.IDLE)

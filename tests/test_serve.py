@@ -1,10 +1,12 @@
 """Job-manager tests: lifecycle, coalescing, quotas, cancel, drain."""
 
 import asyncio
+import hashlib
 import threading
 
 import pytest
 
+import repro.core.engine as engine_module
 from repro.core.compare import compare_grid
 from repro.core.engine import ScenarioEngine
 from repro.errors import (
@@ -179,6 +181,36 @@ def test_grid_job_bit_identical_to_compare_grid():
             theirs = dict(theirs)
             theirs["fingerprint"] = None
             assert canonical_json(ours) == canonical_json(theirs)
+
+    run_async(body())
+
+
+def test_submit_fingerprints_each_point_once(monkeypatch):
+    """Submission keys a job from the fingerprints it keeps for the
+    artifacts: one fingerprint per point, and the key is the engine's
+    batch key, byte for byte."""
+    calls = []
+    fingerprint = engine_module.scenario_fingerprint
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return fingerprint(*args, **kwargs)
+
+    async def body():
+        with ScenarioEngine() as engine:
+            manager = JobManager(engine, close_engine=False).start()
+            for fidelity, prefix in (("des", ""), ("analytic", "fidelity:analytic\n")):
+                monkeypatch.setattr(engine_module, "scenario_fingerprint", counted)
+                del calls[:]
+                job = manager.submit(dict(GRID_SPEC, fidelity=fidelity))
+                submitted = len(calls)
+                monkeypatch.undo()
+                assert submitted == len(job.scenarios) == 4
+                joined = prefix + "\n".join(job.fingerprints)
+                assert job.key == hashlib.sha256(joined.encode("ascii")).hexdigest()
+                assert job.key == engine.batch_key(job.scenarios, fidelity)
+                await manager.wait(job.id)
+            await manager.close()
 
     run_async(body())
 
