@@ -2,10 +2,11 @@
 
 The simulator's correctness rests on conventions no runtime check sees:
 SI base units everywhere, a ReproError-only failure surface, a
-deterministic core (the fingerprint cache depends on it) and the
-one-module-one-scheme plugin contract.  This package checks them from
-the AST — see ``docs/static-analysis.md`` for the rule catalogue and
-suppression syntax (``# repro-lint: disable=<rule>``).
+deterministic core (the fingerprint cache depends on it) and docstrings
+on the public API.  This package checks them from the AST — see
+``docs/static-analysis.md`` for the rule catalogue and suppression
+syntax (``# repro-lint: disable=<rule>``).  Plugin contracts are checked
+where plugins register, not here.
 """
 
 from .findings import Finding, Severity

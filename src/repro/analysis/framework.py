@@ -3,8 +3,8 @@
 One parse, one walk: every file is parsed to an :mod:`ast` tree once and
 each node is dispatched to every active :class:`Rule` that declares a
 ``visit_<NodeType>`` handler — rules never re-walk the tree themselves.
-Rules that need module-level context (e.g. "exactly one registered
-scheme per module") implement ``begin_module`` / ``finish_module``.
+Rules that check the module as a whole (e.g. "a public module has a
+docstring") implement ``finish_module``.
 
 Inline suppression mirrors the familiar linter convention::
 
@@ -141,9 +141,6 @@ class Rule:
         """Whether this rule runs on ``ctx`` at all (path scoping)."""
         return True
 
-    def begin_module(self, ctx: FileContext, tree: ast.Module) -> None:
-        """Hook before the walk: reset per-file state here."""
-
     def finish_module(self, ctx: FileContext, tree: ast.Module) -> None:
         """Hook after the walk: emit module-level findings here."""
 
@@ -176,8 +173,7 @@ class ProgramRule(Rule):
     by file; subclasses implement :meth:`check_program` and report
     findings with full cross-module evidence.  Selection, suppression
     and reporting work exactly like per-file rules — the two-segment
-    prefix (``program-det``, ``program-units``, ``program-pickle``)
-    acts as the family.
+    prefix (``program-det``, ``program-units``) acts as the family.
     """
 
     is_program = True
@@ -326,8 +322,6 @@ def _run_file_rules(
 ) -> List[Finding]:
     """Run per-file rules over one parsed tree; findings sorted."""
     active = [rule for rule in rules if rule.applies_to(ctx)]
-    for rule in active:
-        rule.begin_module(ctx, tree)
     _Walker(ctx, active).visit(tree)
     for rule in active:
         rule.finish_module(ctx, tree)

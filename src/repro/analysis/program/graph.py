@@ -19,13 +19,11 @@ from .summaries import CallSite, FunctionSummary, ModuleSummary
 
 #: Registry-dispatch callables: calling one of these reaches every
 #: registered plugin's entry hooks (the registry erases the static link).
-REGISTRY_ACCESSORS = frozenset(
-    {"get_scheme", "get_backend", "create_backend", "resolve_backend"}
-)
+REGISTRY_ACCESSORS = frozenset({"get_scheme", "get_backend", "create_backend"})
 
 #: Methods a registry-dispatched plugin class exposes to the framework.
 REGISTRY_ENTRY_METHODS = frozenset(
-    {"plan", "execute", "submit_batch", "create", "__init__"}
+    {"plan", "submit_batch", "create", "__init__"}
 )
 
 #: Directory components forming the deterministic simulation core.
@@ -227,7 +225,7 @@ class ProgramIndex:
                         targets.append(f"{imported}:{method}")
                 # Receiver-type heuristic: var = ClassName(...) earlier.
                 ctor = caller.local_types.get(receiver)
-                if ctor is not None and not ctor.startswith("attr:"):
+                if ctor is not None:
                     resolved = self.resolve_method(module, ctor, method)
                     if resolved is not None:
                         targets.append(resolved)

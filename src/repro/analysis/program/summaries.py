@@ -2,11 +2,11 @@
 
 One parse of a module produces a :class:`ModuleSummary`: its classes and
 functions, the import table, every call site with resolved-enough callee
-text and abstract argument facts (unit-of-measure guesses, closure
-captures, lambda-ness), the impurity sinks the body touches, and the
-inline-suppression map.  ``repro lint`` summarizes the same tree its
-per-file rules walk, so each file is parsed once; the program index is
-assembled from the summaries alone.
+text and abstract argument facts (unit-of-measure guesses), the
+impurity sinks the body touches, and the inline-suppression map.
+``repro lint`` summarizes the same tree its per-file rules walk, so
+each file is parsed once; the program index is assembled from the
+summaries alone.
 """
 
 from __future__ import annotations
@@ -92,24 +92,6 @@ ENTROPY_SINKS = frozenset(
 #: Environment reads (host-dependent => impure for the sim core).
 ENV_SINKS = frozenset({"getenv", "environ"})
 
-#: Constructors whose instances never cross a pickle boundary safely.
-UNPICKLABLE_CONSTRUCTORS = frozenset(
-    {
-        "TraceRecorder",
-        "socket",
-        "Thread",
-        "Lock",
-        "RLock",
-        "Condition",
-        "open",
-        "Popen",
-    }
-)
-
-#: Attribute names whose values are live, process-local handles.
-LIVE_HANDLE_ATTRS = frozenset({"hub", "recorder", "sock", "conn"})
-
-
 def dotted_name(node: ast.AST) -> Optional[str]:
     """``a.b.c`` for an attribute chain rooted at a Name, else None."""
     parts: List[str] = []
@@ -134,16 +116,12 @@ def unit_from_identifier(name: str) -> Optional[str]:
 class ArgInfo:
     """Abstract facts about one argument at one call site."""
 
-    #: ``name`` | ``lambda`` | ``nested`` | ``call`` | ``const`` | ``other``
+    #: ``name`` (a bare or dotted name) | ``other``
     kind: str
-    #: Identifier text for name/call/nested kinds (display + resolution).
+    #: Identifier text of a ``name`` argument (for callback resolution).
     name: Optional[str] = None
     #: Inferred unit-of-measure of the expression, when known.
     unit: Optional[str] = None
-    #: Free variables captured by a lambda/nested-function argument.
-    free: List[str] = field(default_factory=list)
-    #: Names referenced anywhere inside a container/other expression.
-    refs: List[str] = field(default_factory=list)
 
 
 @dataclass
@@ -188,11 +166,8 @@ class FunctionSummary:
     unit_assigns: List[Tuple[str, str, str, Optional[str], int]] = field(
         default_factory=list
     )
-    #: Nested function name -> captured (free) variable names.
-    nested: Dict[str, List[str]] = field(default_factory=dict)
-    #: Local variable -> constructor/handle evidence for pickle safety
-    #: (a class name from ``var = ClassName(...)``, or ``attr:<name>``
-    #: for ``var = obj.hub``-style live-handle grabs).
+    #: Local variable -> the class name of its ``var = ClassName(...)``
+    #: binding, for receiver-type method resolution.
     local_types: Dict[str, str] = field(default_factory=dict)
 
     @property
@@ -232,47 +207,6 @@ class ModuleSummary:
 # ----------------------------------------------------------------------
 # extraction
 # ----------------------------------------------------------------------
-def _referenced_names(node: ast.AST) -> List[str]:
-    """Every Name loaded anywhere inside ``node`` (sorted, unique)."""
-    names = {
-        child.id
-        for child in ast.walk(node)
-        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load)
-    }
-    return sorted(names)
-
-
-def _free_variables(fn: ast.AST) -> List[str]:
-    """Names a lambda/nested function loads but never binds locally."""
-    bound = set()
-    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-        args = fn.args
-        for arg in (
-            *args.posonlyargs,
-            *args.args,
-            *args.kwonlyargs,
-            *((args.vararg,) if args.vararg else ()),
-            *((args.kwarg,) if args.kwarg else ()),
-        ):
-            bound.add(arg.arg)
-    for child in ast.walk(fn):
-        if isinstance(child, ast.Name) and isinstance(
-            child.ctx, (ast.Store, ast.Del)
-        ):
-            bound.add(child.id)
-        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            bound.add(child.name)
-    return sorted(
-        {
-            child.id
-            for child in ast.walk(fn)
-            if isinstance(child, ast.Name)
-            and isinstance(child.ctx, ast.Load)
-            and child.id not in bound
-        }
-    )
-
-
 def infer_unit(node: ast.AST) -> Optional[str]:
     """Best-effort unit-of-measure of an expression.
 
@@ -313,26 +247,11 @@ def infer_unit(node: ast.AST) -> Optional[str]:
 
 def _classify_arg(node: ast.AST) -> ArgInfo:
     """Build the :class:`ArgInfo` abstraction for one argument node."""
-    if isinstance(node, ast.Lambda):
-        return ArgInfo(kind="lambda", free=_free_variables(node))
-    if isinstance(node, ast.Name):
-        return ArgInfo(kind="name", name=node.id, unit=infer_unit(node))
-    if isinstance(node, ast.Attribute):
+    if isinstance(node, (ast.Name, ast.Attribute)):
         return ArgInfo(
             kind="name", name=dotted_name(node), unit=infer_unit(node)
         )
-    if isinstance(node, ast.Call):
-        return ArgInfo(
-            kind="call",
-            name=dotted_name(node.func),
-            unit=infer_unit(node),
-            refs=_referenced_names(node),
-        )
-    if isinstance(node, ast.Constant):
-        return ArgInfo(kind="const")
-    return ArgInfo(
-        kind="other", unit=infer_unit(node), refs=_referenced_names(node)
-    )
+    return ArgInfo(kind="other", unit=infer_unit(node))
 
 
 def _detect_sink(call: ast.Call) -> Optional[Sink]:
@@ -364,27 +283,24 @@ def _detect_sink(call: ast.Call) -> Optional[Sink]:
 
 
 class _FunctionExtractor(ast.NodeVisitor):
-    """Walks one function body collecting calls, sinks and local facts."""
+    """Walks one function body collecting calls, sinks and local facts.
+
+    Nested ``def`` and ``lambda`` bodies are skipped: their calls and
+    sinks belong to the nested function, not to the one around it.
+    """
 
     def __init__(self, summary: FunctionSummary):
         self.summary = summary
-        #: Depth > 0 means we are inside a nested function definition.
-        self._depth = 0
 
     # -- nested definitions -------------------------------------------
-    def _visit_nested(self, node: ast.AST, name: str) -> None:
-        self.summary.nested[name] = _free_variables(node)
-
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        """Record a nested def's closure captures; skip its body."""
-        self._visit_nested(node, node.name)
+        """Skip a nested def's body."""
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        """Same treatment for nested async defs."""
-        self._visit_nested(node, node.name)
+        """Skip a nested async def's body."""
 
     def visit_Lambda(self, node: ast.Lambda) -> None:
-        """Lambdas bound to names are tracked via Assign, not here."""
+        """Skip a lambda's body."""
 
     # -- calls ---------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
@@ -402,7 +318,7 @@ class _FunctionExtractor(ast.NodeVisitor):
             self.summary.sinks.append(sink)
         self.generic_visit(node)
 
-    # -- attribute reads that are sinks or live-handle grabs -----------
+    # -- attribute reads that are sinks --------------------------------
     def visit_Attribute(self, node: ast.Attribute) -> None:
         """``os.environ[...]``-style reads count as env sinks."""
         dotted = dotted_name(node)
@@ -421,9 +337,7 @@ class _FunctionExtractor(ast.NodeVisitor):
             ctor = dotted_name(value.func)
             if ctor is not None:
                 tail = ctor.rsplit(".", 1)[-1]
-                if tail in UNPICKLABLE_CONSTRUCTORS or (
-                    tail[:1].isupper() and "." not in tail
-                ):
+                if tail[:1].isupper():
                     self.summary.local_types[name] = tail
             target_unit = unit_from_identifier(name)
             if target_unit is not None:
@@ -436,14 +350,9 @@ class _FunctionExtractor(ast.NodeVisitor):
                         value.lineno,
                     )
                 )
-        elif isinstance(value, ast.Attribute):
-            if value.attr in LIVE_HANDLE_ATTRS:
-                self.summary.local_types[name] = f"attr:{value.attr}"
-        elif isinstance(value, ast.Lambda):
-            self.summary.nested[name] = _free_variables(value)
 
     def visit_Assign(self, node: ast.Assign) -> None:
-        """Track constructor types, live-handle grabs, unit bindings."""
+        """Track constructor types and unit bindings."""
         for target in node.targets:
             self._record_assign(target, node.value)
         self.generic_visit(node)

@@ -5,21 +5,17 @@ One module per rule family — mirror this layout (and see
 """
 
 from . import (  # noqa: F401
-    backends,
     determinism,
     docs,
     errors,
     program,
-    schemes,
     units,
 )
 
 __all__ = [
-    "backends",
     "determinism",
     "docs",
     "errors",
     "program",
-    "schemes",
     "units",
 ]

@@ -1,5 +1,4 @@
-"""Whole-program rule families: ``program-det-*``, ``program-units-*``,
-``program-pickle-*``.
+"""Whole-program rule families: ``program-det-*`` and ``program-units-*``.
 
 These are thin adapters from the passes in
 :mod:`repro.analysis.program` onto the rule framework, so selection
@@ -18,7 +17,6 @@ from ..findings import Finding
 from ..framework import ProgramRule, register_rule
 from ..program.determinism import find_impure_reaches
 from ..program.graph import ProgramIndex
-from ..program.picklesafety import find_pickle_hazards
 from ..program.unitsflow import find_unit_mismatches
 
 
@@ -120,55 +118,3 @@ class UnitAssignMismatchRule(_UnitRule):
     )
     seam = "assign"
 
-
-@register_rule
-class PickleLambdaRule(ProgramRule):
-    """Lambdas crossing a submit_batch / pickle boundary."""
-
-    rule_id = "program-pickle-lambda"
-    description = (
-        "a lambda passed into submit_batch()/pickle.dumps() — lambdas"
-        " never pickle, so every remote backend breaks; use a"
-        " module-level function"
-    )
-
-    def check_program(self, index: ProgramIndex) -> List[Finding]:
-        """One finding per lambda at a boundary call."""
-        return [
-            self.finding(
-                index.path_of(hazard.function),
-                hazard.lineno,
-                f"{hazard.detail} (boundary: {hazard.boundary})",
-                function=hazard.function,
-                boundary=hazard.boundary,
-            )
-            for hazard in index.run_pass(find_pickle_hazards)
-            if hazard.kind == "lambda"
-        ]
-
-
-@register_rule
-class PickleCaptureRule(ProgramRule):
-    """Closures/live handles crossing a process boundary."""
-
-    rule_id = "program-pickle-unsafe-capture"
-    description = (
-        "a closure, live hub/recorder handle, open socket or file"
-        " flowing into submit_batch()/pickle.dumps() — the payload"
-        " cannot cross the process boundary"
-    )
-
-    def check_program(self, index: ProgramIndex) -> List[Finding]:
-        """One finding per closure/live-handle hazard."""
-        return [
-            self.finding(
-                index.path_of(hazard.function),
-                hazard.lineno,
-                f"{hazard.detail} (boundary: {hazard.boundary})",
-                function=hazard.function,
-                boundary=hazard.boundary,
-                kind=hazard.kind,
-            )
-            for hazard in index.run_pass(find_pickle_hazards)
-            if hazard.kind in ("closure", "live-handle")
-        ]

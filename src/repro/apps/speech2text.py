@@ -12,7 +12,7 @@ case of Figure 12.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from ..sensors.specs import A11_SOUND_SAMPLE_BYTES
 from ..units import MIB, kib
@@ -48,6 +48,11 @@ NUM_FILTERS = 16
 REJECT_THRESHOLD = 4.0
 #: Energy fraction (of the window's max frame energy) that counts as voice.
 VAD_LEVEL = 0.15
+
+#: Sample rate -> the vocabulary's MFCC templates at that rate.  Filled
+#: by the first recognition at each rate and shared by every app in the
+#: process; the templates are never written after they are built.
+_TEMPLATES: Dict[float, Dict[str, np.ndarray]] = {}
 
 
 def _frame_energies(signal: np.ndarray) -> np.ndarray:
@@ -86,47 +91,53 @@ def segment_utterances(
     return segments
 
 
+def _features(signal: np.ndarray, sample_rate_hz: float) -> np.ndarray:
+    from ..dsp import mfcc
+
+    return mfcc(
+        signal,
+        sample_rate_hz,
+        frame_length=FRAME_LENGTH,
+        hop_length=HOP_LENGTH,
+        num_filters=NUM_FILTERS,
+    )
+
+
+def _word_templates(sample_rate_hz: float) -> Dict[str, np.ndarray]:
+    """The vocabulary's MFCC templates at ``sample_rate_hz``.
+
+    Synthesized and encoded on first use, once per process and rate.
+    """
+    templates = _TEMPLATES.get(sample_rate_hz)
+    if templates is None:
+        from ..sensors.sound import VOCABULARY, synthesize_word
+
+        templates = _TEMPLATES[sample_rate_hz] = {
+            word: _features(
+                synthesize_word(word, sample_rate_hz), sample_rate_hz
+            )
+            for word in VOCABULARY
+        }
+    return templates
+
+
 class SpeechToTextApp(IoTApp):
     """MFCC + DTW keyword recognizer over sound-sensor windows."""
 
     def __init__(self, sample_rate_hz: float = 1000.0):
         super().__init__(PROFILE)
         self.sample_rate_hz = sample_rate_hz
-        #: Per-word MFCC templates, built by the first recognition.
-        self._templates: Optional[Dict[str, np.ndarray]] = None
         self.words_recognized = 0
-
-    def _features(self, signal: np.ndarray) -> np.ndarray:
-        from ..dsp import mfcc
-
-        return mfcc(
-            signal,
-            self.sample_rate_hz,
-            frame_length=FRAME_LENGTH,
-            hop_length=HOP_LENGTH,
-            num_filters=NUM_FILTERS,
-        )
-
-    def _word_templates(self) -> Dict[str, np.ndarray]:
-        """The vocabulary's MFCC templates, synthesized on first use."""
-        if self._templates is None:
-            from ..sensors.sound import VOCABULARY, synthesize_word
-
-            self._templates = {
-                word: self._features(synthesize_word(word, self.sample_rate_hz))
-                for word in VOCABULARY
-            }
-        return self._templates
 
     def recognize(self, signal: np.ndarray) -> List[str]:
         """Decode a PCM window into a word list."""
         from ..dsp import dtw_distance
 
-        templates = self._word_templates()
+        templates = _word_templates(self.sample_rate_hz)
         words: List[str] = []
         for start, end in segment_utterances(signal):
             segment = signal[start:end]
-            features = self._features(segment)
+            features = _features(segment, self.sample_rate_hz)
             best_word, best_cost = None, float("inf")
             for word, template in templates.items():
                 cost = dtw_distance(features, template)

@@ -27,7 +27,7 @@ Subcommands:
   --schemes baseline com`` — talk to a running service: submit jobs,
   poll status, stream events, fetch results, cancel.
 * ``lint src/`` — run the repo's own static analysis (units discipline,
-  determinism, error surface, scheme contracts, docstrings); see
+  determinism, error surface, docstrings); see
   ``docs/static-analysis.md``.
 """
 
@@ -341,7 +341,7 @@ def _add_lint_parser(subparsers) -> None:
     parser = subparsers.add_parser(
         "lint",
         help="statically check invariants (units, determinism, errors, "
-        "scheme contracts)",
+        "docstrings)",
     )
     parser.add_argument(
         "paths",

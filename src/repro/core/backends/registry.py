@@ -26,7 +26,11 @@ def register_backend(name: str):
 
     The decorated class gains a ``name`` attribute.  Re-registering a
     different class under an existing name is an error (re-importing
-    the same class is idempotent, so module reloads stay harmless).
+    the same class is idempotent, so module reloads stay harmless).  So
+    is a class that is not an ``ExecutionBackend`` subclass, or that
+    neither defines ``submit_batch`` nor inherits one from a concrete
+    backend.  Each raises :class:`~repro.errors.BackendError` and
+    registers nothing.
     """
 
     def decorator(cls: Type[ExecutionBackend]) -> Type[ExecutionBackend]:
@@ -34,6 +38,15 @@ def register_backend(name: str):
         if existing is not None and existing is not cls:
             raise BackendError(
                 f"backend {name!r} already registered by {existing.__name__}"
+            )
+        if not (isinstance(cls, type) and issubclass(cls, ExecutionBackend)):
+            raise BackendError(
+                f"backend {cls.__name__} does not subclass ExecutionBackend"
+            )
+        if cls.submit_batch is ExecutionBackend.submit_batch:
+            raise BackendError(
+                f"backend {cls.__name__} neither defines submit_batch() nor"
+                " inherits one from a concrete backend"
             )
         cls.name = name
         _REGISTRY[name] = cls

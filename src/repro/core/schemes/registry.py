@@ -18,12 +18,48 @@ from ...errors import WorkloadError
 _REGISTRY: Dict[str, type] = {}
 
 
+def _check_plugin(cls: type) -> None:
+    """Raise unless ``cls`` keeps the scheme plugin contract."""
+    # base.py imports get_scheme from here, so its class is looked up
+    # at decoration time, once base.py has loaded.
+    from .base import SchemeExecutor
+
+    if not (isinstance(cls, type) and issubclass(cls, SchemeExecutor)):
+        raise WorkloadError(
+            f"scheme {cls.__name__} does not subclass SchemeExecutor"
+        )
+    if cls.plan is SchemeExecutor.plan:
+        raise WorkloadError(
+            f"scheme {cls.__name__} neither defines plan() nor inherits"
+            " one from a concrete scheme"
+        )
+    knobs = sorted(
+        attr
+        for attr, value in vars(cls).items()
+        if attr != "name"
+        and not (attr.startswith("__") and attr.endswith("__"))
+        and not callable(value)
+        and not hasattr(value, "__get__")
+    )
+    if knobs:
+        raise WorkloadError(
+            f"scheme {cls.__name__} sets class attribute(s)"
+            f" {', '.join(knobs)}; executors read none but name, so"
+            " declare scheme decisions in the SchemePlan plan() returns"
+        )
+
+
 def register_scheme(name: str):
     """Class decorator registering a :class:`SchemeExecutor` under ``name``.
 
     The decorated class gains a ``name`` attribute.  Re-registering a
     different class under an existing name is an error (re-importing the
-    same class is idempotent, so module reloads stay harmless).
+    same class is idempotent, so module reloads stay harmless).  So is a
+    class that is not a ``SchemeExecutor`` subclass, has no concrete
+    ``plan`` of its own or inherited from another scheme, or sets a
+    class attribute other than ``name``: executors read no other knob,
+    so every decision a scheme makes lives in its plan.  Each raises
+    :class:`~repro.errors.WorkloadError` and registers nothing.
     """
 
     def decorator(cls: type) -> type:
@@ -32,6 +68,7 @@ def register_scheme(name: str):
             raise WorkloadError(
                 f"scheme {name!r} already registered by {existing.__name__}"
             )
+        _check_plugin(cls)
         cls.name = name
         _REGISTRY[name] = cls
         return cls

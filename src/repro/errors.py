@@ -43,10 +43,6 @@ class OffloadError(ReproError):
     """An app cannot be offloaded to the MCU (capacity or QoS violation)."""
 
 
-class QoSViolation(ReproError):
-    """A scheme violated an app's sampling-rate or deadline requirement."""
-
-
 class WorkloadError(ReproError):
     """A workload/scenario definition is inconsistent."""
 

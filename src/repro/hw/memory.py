@@ -31,10 +31,6 @@ class MemoryRegion:
         """Bytes still available."""
         return self.capacity_bytes - self.used_bytes
 
-    def would_fit(self, nbytes: int) -> bool:
-        """Whether ``nbytes`` more could be allocated right now."""
-        return nbytes <= self.free_bytes
-
     def allocate(self, label: str, nbytes: int) -> None:
         """Reserve ``nbytes`` under ``label`` (labels accumulate)."""
         if nbytes < 0:

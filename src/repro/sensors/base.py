@@ -203,8 +203,3 @@ class SensorDevice:
         self.psm.set_state(self.STANDBY, Routine.IDLE)
         self.rail.release()
         return sample
-
-    @property
-    def duty_cycle_limit_hz(self) -> float:
-        """Highest poll rate the read time physically allows."""
-        return 1.0 / self.spec.read_time_s

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Tuple
 
 from ..errors import SchedulingError
 
@@ -25,25 +25,12 @@ class EventQueue:
     __slots__ = ("heap", "_seq")
 
     def __init__(self) -> None:
-        #: The heap list itself; the kernel's run loop reads it directly.
+        #: The heap list itself; the kernel's run loop pops it directly.
         self.heap: List[Entry] = []
         self._seq = itertools.count()
-
-    def __len__(self) -> int:
-        return len(self.heap)
 
     def push(self, time: float, fn: Callable[[Any], None], arg: Any = None) -> None:
         """Schedule ``fn(arg)`` at absolute virtual ``time``."""
         if time != time:  # NaN guard
             raise SchedulingError("event time is NaN")
         heapq.heappush(self.heap, (time, next(self._seq), fn, arg))
-
-    def pop(self) -> Entry:
-        """Remove and return the earliest entry."""
-        if not self.heap:
-            raise SchedulingError("pop from an empty event queue")
-        return heapq.heappop(self.heap)
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the earliest entry, or ``None`` if the queue is empty."""
-        return self.heap[0][0] if self.heap else None

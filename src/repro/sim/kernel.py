@@ -52,24 +52,11 @@ class Simulator:
         """Current virtual time in seconds."""
         return self._now
 
-    @property
-    def pending_events(self) -> int:
-        """Number of scheduled events."""
-        return len(self._queue)
-
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` after ``delay`` seconds of virtual time."""
         if delay < 0:
             raise SchedulingError(f"cannot schedule {delay:g}s in the past")
         self._queue.push(self._now + delay, _call, callback)
-
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
-        """Run ``callback`` at absolute virtual ``time``."""
-        if time < self._now:
-            raise SchedulingError(
-                f"cannot schedule at t={time:g} before now={self._now:g}"
-            )
-        self._queue.push(time, _call, callback)
 
     def spawn(
         self,
@@ -86,14 +73,6 @@ class Simulator:
         processes.append(process)
         process.start()
         return process
-
-    def next_event_time(self) -> Optional[float]:
-        """Time of the next scheduled event, or ``None`` if none is pending.
-
-        An inspection aid for tests and tools; :meth:`run` peeks the
-        heap itself.
-        """
-        return self._queue.peek_time()
 
     @property
     def processes(self) -> tuple:

@@ -112,19 +112,13 @@ class Process:
         self.result: Any = None
         self.finish_time: Optional[float] = None
         self._completion = Signal(f"{self.name}.done")
+        #: The signal this process is blocked on, if any (a ``Wait``'s
+        #: signal or a joined process's completion); :meth:`interrupt`
+        #: unhooks the process from it.
         self._waiting_on: Optional[Signal] = None
         #: Counter label cached so waits don't rebuild the f-string.
         self._wait_label: Optional[str] = None
         self._resume = self._advance
-
-    @property
-    def waiting_on(self) -> Optional[Signal]:
-        """The signal this process is blocked on, if any.
-
-        A ``Wait``'s signal, or the completion signal of the process a
-        ``Join`` waits for.
-        """
-        return self._waiting_on
 
     def start(self) -> None:
         """Schedule the first step of the generator at the current time."""

@@ -33,11 +33,6 @@ class Resource:
         """Whether some process currently owns the resource."""
         return self._owner is not None
 
-    @property
-    def queue_length(self) -> int:
-        """Number of processes waiting for the resource."""
-        return len(self._waiters)
-
     def acquire(self) -> Generator:
         """Generator: blocks until the caller owns the resource."""
         if self._owner is None:

@@ -3,7 +3,7 @@ Figure 12's heavy-weight scenarios."""
 
 from __future__ import annotations
 
-from typing import List, Set, Tuple
+from typing import Set, Tuple
 
 from ..apps.registry import create_app
 
@@ -47,14 +47,3 @@ def shared_sensors(app_ids: Tuple[str, ...]) -> Set[str]:
 def combo_label(app_ids: Tuple[str, ...]) -> str:
     """Figure 11 x-axis label (e.g. ``A2+A4+A7``)."""
     return "+".join(app_ids)
-
-
-def validate_combos() -> List[str]:
-    """Sanity-check the combo table; returns problem descriptions."""
-    problems = []
-    for combo in FIG11_COMBOS:
-        if not shared_sensors(combo):
-            problems.append(f"{combo_label(combo)} shares no sensor")
-        if len(set(combo)) != len(combo):
-            problems.append(f"{combo_label(combo)} repeats an app")
-    return problems

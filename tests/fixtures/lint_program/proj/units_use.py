@@ -27,3 +27,9 @@ def tick():
     """Assign seam: ``_s`` binding fed by a ``_ms``-returning call."""
     delay_s = span_ms()
     return delay_s
+
+
+def drain():
+    """A suppressed call seam (tests hyphen-prefix suppression)."""
+    backlog_ms = 20.0
+    return wait(backlog_ms)  # repro-lint: disable=program-units

@@ -21,7 +21,9 @@ from repro.core.backends import (
     backend_names,
     create_backend,
     default_backend_name,
+    get_backend,
     register_backend,
+    run_chunk,
     unregister_backend,
 )
 from repro.core.engine import strip_hub
@@ -261,6 +263,72 @@ def test_third_party_backends_register_and_resolve():
     finally:
         unregister_backend("inline-twin")
     assert "inline-twin" not in backend_names()
+
+
+def test_good_plugin_backend_registers_and_runs():
+    """A direct ``ExecutionBackend`` subclass with its own
+    ``submit_batch`` and a class attribute passes the decorator."""
+
+    @register_backend("twin-test")
+    class TwinBackend(ExecutionBackend):
+        """A well-behaved backend plugin."""
+
+        parallel = True
+
+        def submit_batch(self, fn, items, chunk_size=None, labels=None):
+            return run_chunk(fn, list(items), 0, labels)
+
+    try:
+        assert get_backend("twin-test") is TwinBackend
+        backend = create_backend("twin-test")
+        assert backend.parallel is True
+        assert backend.submit_batch(_square, [2, 3]) == [4, 9]
+    finally:
+        unregister_backend("twin-test")
+    assert "twin-test" not in backend_names()
+
+
+def test_submit_inherited_from_concrete_backend_is_accepted():
+    @register_backend("shared-test")
+    class Shared(SerialBackend):
+        """Inherits submit_batch() from the serial backend."""
+
+        parallel = False
+
+    try:
+        assert Shared.submit_batch is SerialBackend.submit_batch
+        assert get_backend("shared-test") is Shared
+        backend = create_backend("shared-test")
+        assert backend.submit_batch(_square, [5]) == [25]
+        assert backend.dispatches == 1
+    finally:
+        unregister_backend("shared-test")
+    assert "shared-test" not in backend_names()
+
+
+def test_backend_without_base_class_rejected_at_registration():
+    with pytest.raises(BackendError, match="Floating does not subclass"):
+
+        @register_backend("floating-test")
+        class Floating:
+            def submit_batch(self, fn, items, chunk_size=None, labels=None):
+                return [fn(item) for item in items]
+
+    assert "floating-test" not in backend_names()
+
+
+def test_backend_without_submit_batch_rejected_at_registration():
+    with pytest.raises(
+        BackendError, match="Broken neither defines submit_batch"
+    ):
+
+        @register_backend("broken-test")
+        class Broken(ExecutionBackend):
+            """Forgets the one required hook."""
+
+            parallel = False
+
+    assert "broken-test" not in backend_names()
 
 
 def test_engine_close_safe_after_failed_backend_construction():

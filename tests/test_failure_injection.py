@@ -6,13 +6,7 @@ from repro.apps import create_app
 from repro.apps.base import AppProfile, AppResult, IoTApp
 from repro.calibration import default_calibration
 from repro.core import Scenario, Scheme, analytic_scenario_result, run_scenario
-from repro.errors import (
-    CapacityError,
-    OffloadError,
-    QoSViolation,
-    SimulationError,
-    WorkloadError,
-)
+from repro.errors import OffloadError, SimulationError, WorkloadError
 from repro.sim import Delay, Signal, Simulator, Wait
 
 
@@ -204,9 +198,3 @@ def test_com_rejects_window_hostile_app():
     with pytest.raises(OffloadError) as excinfo:
         run_scenario(Scenario(apps=[SlowOffloadApp()], scheme=Scheme.COM))
     assert "QoS" in str(excinfo.value)
-
-
-def test_qos_violation_error_type_exists():
-    # The public error taxonomy stays stable for downstream users.
-    assert issubclass(QoSViolation, Exception)
-    assert issubclass(CapacityError, Exception)

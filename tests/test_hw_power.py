@@ -156,8 +156,6 @@ def test_memory_region_accounting():
     region.allocate("b", 30)
     assert region.used_bytes == 70
     assert region.free_bytes == 30
-    assert not region.would_fit(31)
-    assert region.would_fit(30)
     with pytest.raises(CapacityError):
         region.allocate("c", 31)
     assert region.free("a") == 40

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 import repro.sensors
-from repro.apps import create_app
+from repro.apps import create_app, speech2text
 from repro.apps.offline import collect_window
 from repro.core import Scenario
 from repro.core.analytic import analytic_scenario_result
@@ -150,15 +150,33 @@ def test_preload_loads_every_des_module():
     assert [name for name in DES_ONLY if not loaded(modules, name)] == []
 
 
-def test_speech_templates_build_at_first_recognition():
+def test_speech_templates_build_at_first_recognition(monkeypatch):
     """Building A11 synthesizes nothing: an analytic run builds it and
     never recognizes a word.  The first recognition builds the
-    vocabulary's templates, once."""
-    app = create_app("A11")
-    assert app._templates is None
-    window = collect_window(app, waveforms={"S8": SpokenWordWaveform(["on"])})
-    app.compute(window)
-    templates = app._templates
+    vocabulary's templates, once per process: two apps at one sample
+    rate share one table."""
+    table = {}
+    monkeypatch.setattr(speech2text, "_TEMPLATES", table)
+    synthesized = []
+    real_synthesize = repro.sensors.sound.synthesize_word
+
+    def counting_synthesize(word, sample_rate_hz):
+        synthesized.append(word)
+        return real_synthesize(word, sample_rate_hz)
+
+    monkeypatch.setattr(
+        repro.sensors.sound, "synthesize_word", counting_synthesize
+    )
+    first, second = create_app("A11"), create_app("A11")
+    assert first.sample_rate_hz == second.sample_rate_hz
+    window = collect_window(first, waveforms={"S8": SpokenWordWaveform(["on"])})
+    assert table == {} and synthesized == []
+    first.compute(window)
+    (templates,) = table.values()
     assert sorted(templates) == sorted(VOCABULARY)
-    app.compute(window)
-    assert app._templates is templates
+    assert sorted(synthesized) == sorted(VOCABULARY)
+    second.compute(window)
+    first.compute(window)
+    assert list(table) == [first.sample_rate_hz]
+    assert table[first.sample_rate_hz] is templates
+    assert sorted(synthesized) == sorted(VOCABULARY)

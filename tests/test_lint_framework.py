@@ -87,7 +87,7 @@ class TestSelection:
 
     def test_every_family_has_rules(self):
         families = {cls().family for cls in all_rules().values()}
-        assert {"units", "det", "err", "scheme"} <= families
+        assert {"units", "det", "err", "docs"} <= families
 
 
 # ----------------------------------------------------------------------
@@ -245,10 +245,6 @@ class TestRepoIsClean:
                 "src/repro/sim/any.py",
             ),
             "err": (doc + "raise RuntimeError('x')\n", "src/repro/any.py"),
-            "scheme": (
-                doc + 'def helper():\n    """Doc."""\n    return 1\n',
-                "src/repro/core/schemes/any.py",
-            ),
             "docs": ("def helper():\n    return 1\n", "src/repro/any.py"),
         }
         for family, (source, path) in injected.items():

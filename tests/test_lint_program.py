@@ -1,5 +1,5 @@
 """Whole-program lint passes: call graph, determinism chains, unit
-dataflow, pickle safety, one parse per file and the new reporters.
+dataflow, one parse per file and the new reporters.
 
 The subject is the fixture mini-project under
 ``tests/fixtures/lint_program/`` — one seeded bug per ``program-*``
@@ -22,7 +22,6 @@ from repro.analysis import (
 )
 from repro.analysis.program import (
     find_impure_reaches,
-    find_pickle_hazards,
     find_unit_mismatches,
     module_name_for_path,
 )
@@ -134,8 +133,11 @@ class TestDeterminism:
 # ----------------------------------------------------------------------
 class TestUnitsFlow:
     def test_one_mismatch_per_seam(self, fixture_index):
+        # drain() is the suppressed case, tested below.
         seams = sorted(
-            m.seam for m in find_unit_mismatches(fixture_index)
+            m.seam
+            for m in find_unit_mismatches(fixture_index)
+            if m.function != "proj.units_use:drain"
         )
         assert seams == ["assign", "call", "return"]
 
@@ -157,40 +159,19 @@ class TestUnitsFlow:
             "program-units-return-mismatch",
         ]
 
-
-# ----------------------------------------------------------------------
-# pickle-safety pass
-# ----------------------------------------------------------------------
-class TestPickleSafety:
-    def test_hazard_kinds(self, fixture_index):
-        kinds = sorted(
-            h.kind
-            for h in find_pickle_hazards(fixture_index)
-            if "ship_reviewed" not in h.function
-        )
-        assert kinds == ["closure", "lambda", "live-handle"]
-
-    def test_lambda_rule_fires(self):
-        findings = fixture_findings(["program-pickle-lambda"])
-        assert [f.line for f in findings] == [15]
-        assert "lambda" in findings[0].message
-
-    def test_capture_rule_reports_closure_and_live_handle(self):
-        findings = fixture_findings(["program-pickle-unsafe-capture"])
-        kinds = sorted(f.data["kind"] for f in findings)
-        assert kinds == ["closure", "live-handle"]
-        closure = next(
-            f for f in findings if f.data["kind"] == "closure"
-        )
-        assert "offset" in closure.message
-
-    def test_prefix_suppression_silences_the_family(self):
-        # pool.ship_reviewed carries `disable=program-pickle` on the
-        # boundary line; no pickle finding may point there.
-        findings = fixture_findings(["program-pickle"])
-        paths_lines = {(f.path, f.line) for f in findings}
-        pool = str(FIXTURE / "proj" / "pool.py")
-        assert (pool, 43) not in paths_lines
+    def test_prefix_suppression_silences_the_family(self, fixture_index):
+        # units_use.drain passes milliseconds to wait(timeout_s) on a
+        # line carrying `disable=program-units`: the pass sees the
+        # mismatch, and the family prefix suppresses its finding.
+        drain = [
+            m
+            for m in find_unit_mismatches(fixture_index)
+            if m.function == "proj.units_use:drain"
+        ]
+        assert [(m.seam, m.lineno) for m in drain] == [("call", 35)]
+        findings = fixture_findings(["program-units"])
+        units_use = str(FIXTURE / "proj" / "units_use.py")
+        assert (units_use, 35) not in {(f.path, f.line) for f in findings}
         assert len(findings) == 3
 
 
@@ -212,8 +193,6 @@ class TestSelection:
             "program-units-call-mismatch",
             "program-units-return-mismatch",
             "program-units-assign-mismatch",
-            "program-pickle-lambda",
-            "program-pickle-unsafe-capture",
         }
 
     def test_two_segment_family_selection(self):
@@ -235,7 +214,7 @@ class TestSelection:
 class TestOneParse:
     def test_lint_run_parses_each_file_once(self, monkeypatch):
         # The per-file rules and the module summarizer share one tree:
-        # eight fixture files, eight ast.parse calls, program passes on.
+        # seven fixture files, seven ast.parse calls, program passes on.
         real_parse = ast.parse
         calls = []
 
@@ -245,26 +224,28 @@ class TestOneParse:
 
         monkeypatch.setattr(ast, "parse", counting_parse)
         findings = lint_paths([str(FIXTURE)])
-        assert len(calls) == 8
-        assert len(set(calls)) == 8
+        assert len(calls) == 7
+        assert len(set(calls)) == 7
         assert any(f.rule_id.startswith("program-") for f in findings)
 
     def test_lint_run_runs_each_program_pass_once(self, monkeypatch):
-        # Three program-units-* rules share one units pass and two
-        # program-pickle-* rules one pickle pass.
+        # Three program-units-* rules share one units pass.
         calls = []
-        for name in ("find_unit_mismatches", "find_pickle_hazards"):
-            real = getattr(program_rules, name)
+        real = program_rules.find_unit_mismatches
 
-            def counting(index, real=real, name=name):
-                calls.append(name)
-                return real(index)
+        def counting(index):
+            calls.append(index)
+            return real(index)
 
-            monkeypatch.setattr(program_rules, name, counting)
+        monkeypatch.setattr(program_rules, "find_unit_mismatches", counting)
         findings = lint_paths([str(FIXTURE)])
-        assert sorted(calls) == ["find_pickle_hazards", "find_unit_mismatches"]
+        assert len(calls) == 1
         rule_ids = {finding.rule_id for finding in findings}
-        assert {"program-units-call-mismatch", "program-pickle-lambda"} <= rule_ids
+        assert {
+            "program-units-call-mismatch",
+            "program-units-return-mismatch",
+            "program-units-assign-mismatch",
+        } <= rule_ids
 
 
 # ----------------------------------------------------------------------
@@ -375,7 +356,7 @@ SARIF_MINI_SCHEMA = {
 class TestSarif:
     def make_log(self):
         findings = fixture_findings(["program"])
-        return json.loads(render_sarif(findings, files_checked=8))
+        return json.loads(render_sarif(findings, files_checked=7))
 
     def test_log_matches_sarif_2_1_0_shape(self):
         jsonschema = pytest.importorskip("jsonschema")
@@ -400,4 +381,4 @@ class TestSarif:
         assert code == 1
         log = json.loads(out.read_text(encoding="utf-8"))
         assert log["version"] == "2.1.0"
-        assert len(log["runs"][0]["results"]) == 10
+        assert len(log["runs"][0]["results"]) == 7

@@ -239,162 +239,6 @@ class TestErrorSurface:
 
 
 # ----------------------------------------------------------------------
-# scheme-contract (scoped to core/schemes/ plugin modules)
-# ----------------------------------------------------------------------
-GOOD_SCHEME = """
-from .base import SchemeExecutor, SchemePlan
-from .registry import register_scheme
-
-
-@register_scheme("myscheme")
-class MyScheme(SchemeExecutor):
-    \"\"\"A well-behaved plugin.\"\"\"
-
-    def plan(self, scenario):
-        \"\"\"Declare the scheme.\"\"\"
-        return SchemePlan(family="buffered", batch_apps=list(scenario.apps))
-"""
-
-
-class TestSchemeContract:
-    def test_good_plugin_module_passes(self):
-        assert rule_ids(GOOD_SCHEME, path=SCHEME_PATH) == []
-
-    def test_module_without_registration_is_flagged(self):
-        src = "def helper():\n    \"\"\"Docstring.\"\"\"\n    return 1"
-        assert rule_ids(src, path=SCHEME_PATH) == ["scheme-one-per-module"]
-
-    def test_second_registration_is_flagged(self):
-        src = GOOD_SCHEME + textwrap.dedent(
-            """
-            @register_scheme("another")
-            class Another(SchemeExecutor):
-                def plan(self, scenario):
-                    pass
-            """
-        )
-        assert "scheme-one-per-module" in rule_ids(src, path=SCHEME_PATH)
-
-    def test_missing_plan_is_flagged(self):
-        src = """
-        @register_scheme("broken")
-        class Broken(SchemeExecutor):
-            \"\"\"Declares nothing.\"\"\"
-        """
-        assert "scheme-missing-plan" in rule_ids(src, path=SCHEME_PATH)
-
-    def test_plan_inherited_from_concrete_scheme_is_allowed(self):
-        src = """
-        @register_scheme("shared")
-        class Shared(BaselineScheme):
-            \"\"\"Inherits plan() from baseline.\"\"\"
-        """
-        assert rule_ids(src, path=SCHEME_PATH) == []
-
-    def test_unregistered_base_class_is_flagged(self):
-        src = """
-        @register_scheme("floating")
-        class Floating:
-            def plan(self, scenario):
-                pass
-        """
-        assert "scheme-missing-plan" in rule_ids(src, path=SCHEME_PATH)
-
-    def test_stale_knob_is_flagged(self):
-        # Executors read no class knob but ``name``: a leftover start-state
-        # knob would silently do nothing, so it is an error.
-        src = GOOD_SCHEME.replace(
-            "    def plan(", "    cpu_starts_awake = True\n\n    def plan("
-        )
-        findings = lint_source(
-            '"""Doc."""\n' + textwrap.dedent(src), SCHEME_PATH
-        )
-        assert [f.rule_id for f in findings] == ["scheme-unknown-knob"]
-        assert "cpu_starts_awake" in findings[0].message
-
-    def test_plumbing_modules_are_exempt(self):
-        src = "def helper():\n    \"\"\"Docstring.\"\"\"\n    return 1"
-        for name in ("base.py", "registry.py", "__init__.py"):
-            path = f"src/repro/core/schemes/{name}"
-            assert rule_ids(src, path=path) == []
-
-    def test_not_scoped_outside_schemes(self):
-        src = "def helper():\n    \"\"\"Docstring.\"\"\"\n    return 1"
-        assert rule_ids(src, path=NEUTRAL_PATH) == []
-
-
-# ----------------------------------------------------------------------
-# backend-contract (scoped to core/backends/ modules)
-# ----------------------------------------------------------------------
-BACKEND_PATH = "src/repro/core/backends/fixture.py"
-
-GOOD_BACKEND = '''
-from .base import ExecutionBackend, run_chunk
-from .registry import register_backend
-
-
-@register_backend("twin")
-class TwinBackend(ExecutionBackend):
-    """A well-behaved backend plugin."""
-
-    def submit_batch(self, fn, items, chunk_size=None, labels=None):
-        """Run everything inline."""
-        return run_chunk(fn, list(items), 0, labels)
-'''
-
-
-class TestBackendContract:
-    def test_good_plugin_module_passes(self):
-        assert rule_ids(GOOD_BACKEND, path=BACKEND_PATH) == []
-
-    def test_module_without_registration_is_flagged(self):
-        src = "def helper():\n    \"\"\"Docstring.\"\"\"\n    return 1"
-        assert rule_ids(src, path=BACKEND_PATH) == ["backend-one-per-module"]
-
-    def test_second_registration_is_flagged(self):
-        src = GOOD_BACKEND + textwrap.dedent(
-            """
-            @register_backend("another")
-            class Another(TwinBackend):
-                \"\"\"A second registration in the same file.\"\"\"
-            """
-        )
-        assert "backend-one-per-module" in rule_ids(src, path=BACKEND_PATH)
-
-    def test_missing_submit_batch_is_flagged(self):
-        src = """
-        @register_backend("broken")
-        class Broken(ExecutionBackend):
-            \"\"\"Forgets the one required hook.\"\"\"
-
-            parallel = False
-        """
-        assert "backend-missing-submit" in rule_ids(src, path=BACKEND_PATH)
-
-    def test_submit_inherited_from_concrete_backend_is_allowed(self):
-        src = """
-        @register_backend("shared")
-        class Shared(SerialBackend):
-            \"\"\"Inherits submit_batch() from the serial backend.\"\"\"
-
-            parallel = False
-        """
-        assert rule_ids(src, path=BACKEND_PATH) == []
-
-    def test_unregistered_base_class_is_flagged(self):
-        src = """
-        @register_backend("floating")
-        class Floating:
-            \"\"\"Subclasses nothing.\"\"\"
-
-            def submit_batch(self, fn, items, chunk_size=None, labels=None):
-                \"\"\"Inline.\"\"\"
-                return []
-        """
-        assert "backend-missing-submit" in rule_ids(src, path=BACKEND_PATH)
-
-
-# ----------------------------------------------------------------------
 # docs (scoped to anything under a repro/ directory)
 # ----------------------------------------------------------------------
 class TestDocsMissingDocstring:

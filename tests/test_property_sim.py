@@ -1,5 +1,7 @@
 """Property-based tests for the simulation kernel."""
 
+from heapq import heappop
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,8 +23,8 @@ def test_events_always_fire_in_time_order(times):
     fired = []
     for index, time in enumerate(times):
         queue.push(time, fired.append, (time, index))
-    while queue:
-        _time, _seq, fn, arg = queue.pop()
+    while queue.heap:
+        _time, _seq, fn, arg = heappop(queue.heap)
         fn(arg)
     assert fired == sorted((time, index) for index, time in enumerate(times))
 

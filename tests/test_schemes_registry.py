@@ -15,6 +15,7 @@ from repro.core import (
 )
 from repro.core.schemes import get_scheme, iter_schemes, unregister_scheme
 from repro.core.schemes.base import build_context
+from repro.core.schemes.baseline import BaselineScheme
 from repro.errors import WorkloadError
 
 
@@ -39,6 +40,78 @@ def test_reregistering_same_name_different_class_rejected():
         @register_scheme("baseline")
         class Impostor(SchemeExecutor):
             pass
+
+
+def test_scheme_without_base_class_rejected_at_registration():
+    with pytest.raises(WorkloadError, match="Floating does not subclass"):
+
+        @register_scheme("floating-test")
+        class Floating:
+            def plan(self, scenario):
+                return SchemePlan(family="buffered")
+
+    assert "floating-test" not in scheme_names()
+
+
+def test_scheme_without_plan_rejected_at_registration():
+    with pytest.raises(WorkloadError, match="Broken neither defines plan"):
+
+        @register_scheme("broken-test")
+        class Broken(SchemeExecutor):
+            """Declares nothing."""
+
+    assert "broken-test" not in scheme_names()
+
+
+def test_plan_inherited_from_concrete_scheme_is_accepted():
+    @register_scheme("shared-test")
+    class Shared(BaselineScheme):
+        """Inherits plan() from baseline."""
+
+    try:
+        assert get_scheme("shared-test") is Shared
+        result = run_scenario(Scenario.of(["A2"], scheme="shared-test"))
+        reference = run_apps(["A2"], Scheme.BASELINE)
+        assert result.energy.total_j == reference.energy.total_j
+    finally:
+        unregister_scheme("shared-test")
+
+
+def test_stale_knob_rejected_at_registration():
+    """Executors read no class attribute but ``name``: a leftover
+    start-state knob would silently do nothing."""
+    with pytest.raises(WorkloadError, match="Knobbed .*cpu_starts_awake"):
+
+        @register_scheme("knob-test")
+        class Knobbed(SchemeExecutor):
+            cpu_starts_awake = True
+
+            def plan(self, scenario):
+                return SchemePlan(family="buffered")
+
+    assert "knob-test" not in scheme_names()
+
+
+def test_methods_and_properties_are_not_knobs():
+    @register_scheme("helpers-test")
+    class Helpers(SchemeExecutor):
+        """Methods, properties and the docstring are not data."""
+
+        @property
+        def family(self):
+            return "buffered"
+
+        @staticmethod
+        def apps(scenario):
+            return list(scenario.apps)
+
+        def plan(self, scenario):
+            return SchemePlan(family=self.family, batch_apps=self.apps(scenario))
+
+    try:
+        assert get_scheme("helpers-test") is Helpers
+    finally:
+        unregister_scheme("helpers-test")
 
 
 def test_plugin_scheme_runs_through_scenario(one_file_scheme):

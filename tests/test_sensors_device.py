@@ -71,12 +71,6 @@ def test_default_waveform_used_when_not_injected():
     assert device.waveform is not None
 
 
-def test_duty_cycle_limit():
-    hub = IoTHub()
-    device = SensorDevice.attach(hub, "S6", ConstantWaveform(0.0))
-    assert device.duty_cycle_limit_hz == pytest.approx(10_000.0)
-
-
 def test_sample_values_follow_waveform_determinism():
     hub_a = IoTHub()
     device_a = SensorDevice.attach(hub_a, "S4")

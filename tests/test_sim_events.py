@@ -1,5 +1,7 @@
 """Unit tests for the event queue."""
 
+from heapq import heappop
+
 import pytest
 
 from repro.errors import SchedulingError
@@ -11,9 +13,10 @@ def ignore(_arg):
 
 
 def drain(queue):
-    """Pop and run every entry, as the kernel does."""
-    while queue:
-        _time, _seq, fn, arg = queue.pop()
+    """Pop and run every entry, as the kernel's run loop does."""
+    heap = queue.heap
+    while heap:
+        _time, _seq, fn, arg = heappop(heap)
         fn(arg)
 
 
@@ -36,37 +39,6 @@ def test_same_time_events_are_fifo():
     assert order == ["a", "b", "c"]
 
 
-def test_peek_time_skips_cancelled():
-    """``peek_time`` follows the earliest entry still queued."""
-    queue = EventQueue()
-    queue.push(1.0, ignore)
-    queue.push(3.0, ignore)
-    assert queue.peek_time() == 1.0
-    assert queue.pop()[0] == 1.0
-    assert queue.peek_time() == 3.0
-
-
-def test_peek_time_empty_returns_none():
-    assert EventQueue().peek_time() is None
-
-
-def test_pop_empty_raises():
-    with pytest.raises(SchedulingError):
-        EventQueue().pop()
-
-
 def test_nan_time_rejected():
     with pytest.raises(SchedulingError):
         EventQueue().push(float("nan"), ignore)
-
-
-def test_len_counts_only_live_events():
-    """``len()`` and truth-testing count the entries still queued."""
-    queue = EventQueue()
-    for index in range(5):
-        queue.push(float(index), ignore)
-    assert len(queue) == 5
-    queue.pop()
-    queue.pop()
-    assert len(queue) == 3
-    assert bool(queue)

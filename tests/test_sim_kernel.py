@@ -24,22 +24,16 @@ def test_schedule_negative_delay_rejected():
         Simulator().schedule(-0.1, lambda: None)
 
 
-def test_schedule_at_in_past_rejected():
-    sim = Simulator()
-    sim.schedule(1.0, lambda: None)
-    sim.run()
-    with pytest.raises(SchedulingError):
-        sim.schedule_at(0.5, lambda: None)
-
-
 def test_run_until_stops_clock_at_horizon():
     sim = Simulator()
     fired = []
-    sim.schedule(10.0, lambda: fired.append(True))
+    sim.schedule(10.0, lambda: fired.append(sim.now))
     end = sim.run(until=3.0)
     assert end == 3.0
     assert not fired
-    assert sim.pending_events == 1
+    # The parked event is still queued: a second run fires it.
+    assert sim.run() == 10.0
+    assert fired == [10.0]
 
 
 def test_nested_scheduling():
@@ -75,13 +69,6 @@ def test_spawn_runs_generator_to_completion():
     assert process.finished
     assert process.result == "done"
     assert marks == [("start", 0.0), ("mid", 0.25), ("end", 0.5)]
-
-
-def test_next_event_time_visible_to_governors():
-    sim = Simulator()
-    sim.schedule(4.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    assert sim.next_event_time() == 2.0
 
 
 def test_runaway_guard():

@@ -178,12 +178,11 @@ def test_interrupt_during_join_leaves_the_target():
 
     def killer():
         yield Delay(1.0)
-        assert process.waiting_on is not None
         process.interrupt()
 
     sim.spawn(killer())
     sim.run()
-    assert process.finished and process.waiting_on is None
+    assert process.finished and process.interrupted
     assert child.finished and child.result == 42
     assert log == []
 

@@ -47,26 +47,3 @@ def test_uncontended_acquire_is_immediate():
 def test_release_without_acquire_raises():
     with pytest.raises(SimulationError):
         Resource().release()
-
-
-def test_queue_length_reflects_waiters():
-    sim = Simulator()
-    resource = Resource()
-    depths = []
-
-    def holder():
-        yield from resource.acquire()
-        yield Delay(2.0)
-        depths.append(resource.queue_length)
-        resource.release()
-
-    def waiter():
-        yield Delay(0.5)
-        yield from resource.acquire()
-        resource.release()
-
-    sim.spawn(holder())
-    sim.spawn(waiter())
-    sim.run()
-    assert depths == [1]
-    assert resource.queue_length == 0

@@ -5,8 +5,7 @@ import pytest
 from repro.apps import create_app
 from repro.core import Scenario, Scheme, run_scenario
 from repro.errors import WorkloadError
-from repro.workloads import make_synthetic_app
-from repro.workloads.combos import validate_combos
+from repro.workloads import FIG11_COMBOS, make_synthetic_app, shared_sensors
 
 
 def test_synthetic_app_profile_derivation():
@@ -86,4 +85,8 @@ def test_beam_equal_rate_sharing_unchanged():
 # combos table
 # ----------------------------------------------------------------------
 def test_fig11_combos_are_valid():
-    assert validate_combos() == []
+    """Each Fig. 11 combo shares a sensor (BEAM's precondition) and
+    repeats no app."""
+    for combo in FIG11_COMBOS:
+        assert shared_sensors(combo), combo
+        assert len(set(combo)) == len(combo), combo
